@@ -1,5 +1,11 @@
 (* persistsim: reproduce the evaluation of "Memory Persistency"
-   (Pelley, Chen, Wenisch — ISCA 2014) from the command line. *)
+   (Pelley, Chen, Wenisch — ISCA 2014) from the command line.
+
+   Exit codes: 0 for a clean run or a caught --buggy demonstration; 1
+   for a violation, a missed bug or a perf regression; 2 for bad input
+   that only shows in a combination of flags (or a bad file / test
+   name); 124 for a usage error, which every converter below reports
+   through cmdliner. *)
 
 open Cmdliner
 
@@ -12,37 +18,27 @@ open Cmdliner
    before the subcommand body runs; the extra [()] argument threads
    that ordering through cmdliner. *)
 let obs_t =
+  let file_t name env doc =
+    Arg.(value
+         & opt (some string) None
+         & info [ name ] ~docv:"FILE" ~env:(Cmd.Env.info env) ~doc)
+  in
   let metrics_t =
-    let doc =
+    file_t "metrics-out" "METRICS_OUT"
       "Write the metrics registry (counters, gauges, histograms from the \
        engine, pool, drain, cachesim and workloads) as JSON to $(docv) at \
        exit."
-    in
-    let env = Cmd.Env.info "METRICS_OUT" in
-    Arg.(value
-         & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE" ~env ~doc)
   in
   let trace_t =
-    let doc =
+    file_t "trace-out" "TRACE_OUT"
       "Write a Chrome trace-event JSON timeline (sweep cells, experiment \
        phases) to $(docv) at exit; load it in Perfetto or \
        chrome://tracing."
-    in
-    let env = Cmd.Env.info "TRACE_OUT" in
-    Arg.(value
-         & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE" ~env ~doc)
   in
   let manifest_t =
-    let doc =
+    file_t "manifest-out" "MANIFEST_OUT"
       "Write a self-describing run manifest (tool, argv, git describe, \
        OCaml version, cores) as JSON to $(docv) at exit."
-    in
-    let env = Cmd.Env.info "MANIFEST_OUT" in
-    Arg.(value
-         & opt (some string) None
-         & info [ "manifest-out" ] ~docv:"FILE" ~env ~doc)
   in
   let progress_t =
     let doc =
@@ -62,10 +58,48 @@ let obs_t =
    is off). *)
 let rendering f = Obs.Tracer.with_span ~cat:"phase" "rendering" f
 
-let inserts_t =
-  let doc = "Total inserts per configuration." in
-  Arg.(value & opt int Experiments.Run.default_total_inserts
-       & info [ "inserts" ] ~docv:"N" ~doc)
+(* The sweep-profile footer goes to stderr so that table output on
+   stdout stays byte-identical across --jobs values. *)
+let print_profile p = prerr_string (Parallel.Pool.render_profile p)
+
+(* A sweep's output: its table, or its CSV when [csv] is [(true, _)],
+   then the profile footer. *)
+let emit_sweep ?csv render profile t =
+  rendering (fun () ->
+      print_string
+        (match csv with Some (true, to_csv) -> to_csv t | _ -> render t));
+  print_profile profile
+
+(* Every count flag: zero or a negative value would only surface later
+   as an exception deep inside a workload, so reject it here. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let count_t names default doc =
+  Arg.(value & opt pos_int default & info names ~docv:"N" ~doc)
+
+(* A total split evenly over --threads: a remainder is bad input that
+   no single flag's converter can see. *)
+let check_divides ~flag total threads =
+  if total mod threads <> 0 then begin
+    Printf.eprintf "persistsim: %s %d is not a multiple of --threads %d\n"
+      flag total threads;
+    exit 2
+  end
+
+let inserts_t ?(doc = "Total inserts per configuration.") default =
+  count_t [ "inserts" ] default doc
+
+let total_inserts_t = inserts_t Experiments.Run.default_total_inserts
+
+let threads_t default = count_t [ "threads" ] default "Worker thread count."
+
+let samples_t = count_t [ "samples" ]
 
 let capacity_t =
   let doc = "Data segment capacity in entries." in
@@ -85,13 +119,12 @@ let jobs_t =
   Arg.(value & opt int (Parallel.Pool.default_domains ())
        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* The sweep-profile footer goes to stderr so that table output on
-   stdout stays byte-identical across --jobs values. *)
-let print_profile p = prerr_string (Parallel.Pool.render_profile p)
+let latency_t =
+  Arg.(value & opt float 500. & info [ "latency" ] ~docv:"NS"
+         ~doc:"Persist latency in nanoseconds.")
 
-let threads_t default =
-  let doc = "Worker thread count." in
-  Arg.(value & opt int default & info [ "threads" ] ~docv:"N" ~doc)
+let buggy_t doc = Arg.(value & flag & info [ "buggy" ] ~doc)
+let recovery_t doc = Arg.(value & flag & info [ "recovery" ] ~doc)
 
 let design_t =
   let conv_design =
@@ -124,6 +157,137 @@ let dist_conv =
     ( parse,
       fun ppf d -> Format.pp_print_string ppf (Workloads.Keygen.dist_name d) )
 
+(* The machine configurations (the sync and buffered Px86 semantics):
+   canonical label, aliases, consistency model, persistence.  The
+   explore --machine, lockfree --model and litmus --model converters
+   all derive from this one table; [extra] appends group names. *)
+let machines =
+  Memsim.Machine.
+    [ ("sc", [], Sc, Psync); ("tso-sync", [ "tso" ], Tso, Psync);
+      ("tso-buffered", [], Tso, Pbuffered) ]
+
+let machine_conv ?(extra = []) f =
+  Arg.enum
+    (List.concat_map
+       (fun (label, aliases, model, persistence) ->
+         let v = f label model persistence in
+         List.map (fun name -> (name, v)) (aliases @ [ label ]))
+       machines
+     @ extra)
+
+(* Failure-injection verdicts: a violation is expected if and only if
+   --buggy asked for one.  [ok] prints the clean outcome; a violation
+   prints one line ([at] says where) and the reproducer line when the
+   failing schedule is known.  An unexpected violation or a bug that
+   was not caught exits 1; a caught demonstration returns like a
+   clean run. *)
+let verdict ~buggy ~ok ?(at = "") ?repro = function
+  | Ok r ->
+    ok r;
+    if buggy then begin
+      print_endline
+        "ERROR: the --buggy run survived failure injection (bug not caught)";
+      exit 1
+    end
+  | Error f ->
+    Printf.printf "RECOVERY VIOLATION%s: %s\n" at (Recovery.render_failure f);
+    Option.iter (Printf.printf "reproduce with:\n  %s\n") repro;
+    if not buggy then exit 1
+
+let sampled_ok _ =
+  print_endline "recovery invariant holds in every sampled crash state"
+
+(* DPOR failure injection, shared by explore and lockfree --recovery:
+   explore every interleaving (or replay one), failure-injecting every
+   distinct persist graph. *)
+
+let exhaustive_limit = 20
+
+type dpor = {
+  buggy : bool;
+  threads : int;
+  depth : int;
+  jobs : int;
+  max_schedules : int;
+  samples : int;
+  seed : int;
+  replay : Check.Schedule.t option;
+}
+
+let dpor_t ~buggy_doc =
+  let make buggy threads depth jobs max_schedules samples seed replay =
+    { buggy; threads; depth; jobs; max_schedules; samples; seed; replay }
+  in
+  let schedule_conv =
+    let parse s =
+      match Check.Schedule.of_string s with
+      | sched -> Ok sched
+      | exception Invalid_argument msg -> Error (`Msg msg)
+    in
+    Arg.conv
+      ( parse,
+        fun ppf s -> Format.pp_print_string ppf (Check.Schedule.to_string s) )
+  in
+  let seed_t =
+    Arg.(value & opt int 1
+         & info [ "seed" ] ~docv:"N"
+             ~doc:"Workload and crash-state sampling seed; stamped into \
+                   reproducer lines.")
+  in
+  let replay_t =
+    Arg.(value & opt (some schedule_conv) None
+         & info [ "replay" ] ~docv:"SCHEDULE"
+             ~doc:"Re-execute one schedule (comma-separated decision \
+                   indices, as printed in a reproducer line) instead of \
+                   exploring, and failure-inject just that run.")
+  in
+  Term.(const make $ buggy_t buggy_doc $ threads_t 2
+        $ count_t [ "depth" ] 2 "Operations per thread."
+        $ jobs_t
+        $ count_t [ "max-schedules" ] 100_000
+            "Schedule budget; exceeding it reports an incomplete \
+             exploration."
+        $ samples_t 64
+            (Printf.sprintf
+               "Crash states sampled per distinct persist graph larger than \
+                %d nodes (smaller graphs are checked exhaustively)."
+               exhaustive_limit)
+        $ seed_t $ replay_t)
+
+(* [command] is the subcommand and the flags that pick the
+   configuration; the reproducer line re-runs exactly one failing
+   schedule with the same sampling seed — paste it verbatim to replay
+   a CI counter-example locally.  [machine] and [holds] word the
+   replay's clean line, [summary] prints an exploration's report and
+   [clean] its clean outcome. *)
+let dpor_check o ~command ~machine ~holds ~summary ~clean instance_of =
+  let strategy = Recovery.auto ~exhaustive_limit ~samples:o.samples ~seed:o.seed in
+  match o.replay with
+  | Some sched ->
+    verdict ~buggy:o.buggy ~at:" on replayed schedule"
+      ~ok:(fun (r : Recovery.report) ->
+        Printf.printf
+          "replayed schedule (%d decisions%s): %s in all %d durable \
+           prefixes of %d persists\n"
+          (Check.Schedule.length sched) machine holds r.prefixes r.nodes)
+      (Check.Driver.check_schedule ~strategy sched instance_of)
+  | None ->
+    let report =
+      Check.Driver.check ~max_schedules:o.max_schedules ~jobs:o.jobs ~strategy
+        instance_of
+    in
+    summary report;
+    let reproducer sched =
+      Printf.sprintf
+        "persistsim %s --threads %d --depth %d --samples %d --seed %d \
+         --replay %s"
+        command o.threads o.depth o.samples o.seed
+        (Check.Schedule.to_string sched)
+    in
+    verdict ~buggy:o.buggy ~ok:clean
+      ?repro:(Option.map (fun (sched, _) -> reproducer sched) report.failure)
+      (match report.failure with None -> Ok () | Some (_, f) -> Error f)
+
 (* table1 *)
 
 let table1_cmd =
@@ -137,15 +301,8 @@ let table1_cmd =
       Experiments.Table1.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ~latency_ns:latency ~insn_ns ()
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Table1.to_csv t
-           else Experiments.Table1.render t));
-    print_profile t.Experiments.Table1.profile
-  in
-  let latency_t =
-    Arg.(value & opt float 500. & info [ "latency" ] ~docv:"NS"
-           ~doc:"Persist latency in nanoseconds.")
+    emit_sweep ~csv:(csv, Experiments.Table1.to_csv) Experiments.Table1.render
+      t.Experiments.Table1.profile t
   in
   let calibrate_t =
     Arg.(value & flag & info [ "calibrate" ]
@@ -154,7 +311,7 @@ let table1_cmd =
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Reproduce Table 1 (normalized insert rates).")
-    Term.(const run $ obs_t $ inserts_t $ capacity_t $ latency_t $ csv_t
+    Term.(const run $ obs_t $ total_inserts_t $ capacity_t $ latency_t $ csv_t
           $ calibrate_t $ jobs_t)
 
 (* fig3 *)
@@ -181,12 +338,10 @@ let fig3_cmd =
       Experiments.Fig3.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Fig3.to_csv t
-           else Experiments.Fig3.render t);
-        if chart then print_string (fig3_chart t));
-    print_profile t.Experiments.Fig3.profile
+    let with_chart f t = if chart then f t ^ fig3_chart t else f t in
+    emit_sweep
+      ~csv:(csv, with_chart Experiments.Fig3.to_csv)
+      (with_chart Experiments.Fig3.render) t.Experiments.Fig3.profile t
   in
   let chart_t =
     Arg.(value & flag & info [ "chart" ]
@@ -194,13 +349,14 @@ let fig3_cmd =
   in
   Cmd.v
     (Cmd.info "fig3" ~doc:"Reproduce Figure 3 (throughput vs persist latency).")
-    Term.(const run $ obs_t $ inserts_t $ capacity_t $ csv_t $ chart_t
+    Term.(const run $ obs_t $ total_inserts_t $ capacity_t $ csv_t $ chart_t
           $ jobs_t)
 
 (* cache: model vs BPFS-style implementation *)
 
 let cache_cmd =
   let run () inserts threads =
+    check_divides ~flag:"--inserts" inserts threads;
     print_string
       (Experiments.Cache_impl.render
          (Experiments.Cache_impl.run ~total_inserts:inserts ~threads ()))
@@ -209,7 +365,7 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:"Compare the persistency model against the BPFS-style epoch \
              cache hardware (writebacks, flushes, wear).")
-    Term.(const run $ obs_t $ inserts_t $ threads_t 4)
+    Term.(const run $ obs_t $ total_inserts_t $ threads_t 4)
 
 (* consistency *)
 
@@ -219,31 +375,29 @@ let consistency_cmd =
       Experiments.Consistency_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    print_string (Experiments.Consistency_exp.render t);
-    print_profile t.Experiments.Consistency_exp.profile
+    emit_sweep Experiments.Consistency_exp.render
+      t.Experiments.Consistency_exp.profile t
   in
   Cmd.v
     (Cmd.info "consistency"
        ~doc:"Strict persistency under SC / TSO / RMO vs relaxed persistency \
              under SC (paper Section 5.1).")
-    Term.(const run $ obs_t $ inserts_t $ capacity_t $ jobs_t)
+    Term.(const run $ obs_t $ total_inserts_t $ capacity_t $ jobs_t)
 
 (* wear *)
 
 let wear_cmd =
   let run () inserts jobs =
     let t = Experiments.Wear_exp.run ~jobs ~total_inserts:inserts () in
-    print_string (Experiments.Wear_exp.render t);
-    print_profile t.Experiments.Wear_exp.profile
-  in
-  let inserts_small_t =
-    Arg.(value & opt int 2000 & info [ "inserts" ] ~docv:"N"
-           ~doc:"Total inserts (graph-recording run; keep moderate).")
+    emit_sweep Experiments.Wear_exp.render t.Experiments.Wear_exp.profile t
   in
   Cmd.v
     (Cmd.info "wear"
        ~doc:"NVRAM write counts per model, with and without coalescing.")
-    Term.(const run $ obs_t $ inserts_small_t $ jobs_t)
+    Term.(const run $ obs_t
+          $ inserts_t 2000
+              ~doc:"Total inserts (graph-recording run; keep moderate)."
+          $ jobs_t)
 
 (* fig4 / fig5 *)
 
@@ -253,14 +407,12 @@ let gran_cmd which name doc =
       Experiments.Granularity.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity which
     in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Granularity.to_csv t
-           else Experiments.Granularity.render t));
-    print_profile t.Experiments.Granularity.profile
+    emit_sweep
+      ~csv:(csv, Experiments.Granularity.to_csv)
+      Experiments.Granularity.render t.Experiments.Granularity.profile t
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ obs_t $ inserts_t $ capacity_t $ csv_t $ jobs_t)
+    Term.(const run $ obs_t $ total_inserts_t $ capacity_t $ csv_t $ jobs_t)
 
 let fig4_cmd =
   gran_cmd Experiments.Granularity.Atomic_persist "fig4"
@@ -274,17 +426,17 @@ let fig5_cmd =
 
 let validate_cmd =
   let run () inserts threads jobs =
+    check_divides ~flag:"--inserts" inserts threads;
     let t =
       Experiments.Validation.run ~jobs ~threads ~total_inserts:inserts ()
     in
-    print_string (Experiments.Validation.render t);
-    print_profile t.Experiments.Validation.profile
+    emit_sweep Experiments.Validation.render t.Experiments.Validation.profile t
   in
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Insert-distance distribution stability across schedules \
              (Section 7 validation).")
-    Term.(const run $ obs_t $ inserts_t $ threads_t 4 $ jobs_t)
+    Term.(const run $ obs_t $ total_inserts_t $ threads_t 4 $ jobs_t)
 
 (* recovery *)
 
@@ -309,61 +461,31 @@ let recovery_cmd =
       threads inserts
       (Persistency.Persist_graph.node_count graph)
       samples;
-    match
-      Workloads.Queue_recovery.verify ~params ~layout ~graph
-        ~strategy:
-          (Recovery.Sampled { samples; seed = params.Workloads.Queue.seed })
-    with
-    | Ok _ ->
-      print_endline "recovery invariant holds in every sampled crash state";
-      if buggy then begin
-        print_endline
-          "ERROR: the buggy annotation survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error f ->
-      Printf.printf "RECOVERY VIOLATION: %s\n" (Recovery.render_failure f);
-      if not buggy then exit 1
-  in
-  let samples_t =
-    Arg.(value & opt int 500 & info [ "samples" ] ~docv:"N"
-           ~doc:"Number of random crash states to test.")
-  in
-  let buggy_t =
-    Arg.(value & flag & info [ "buggy" ]
-           ~doc:"Use the deliberately broken annotation (no data->head \
-                 barrier) to demonstrate a detectable recovery bug.")
-  in
-  let inserts_small_t =
-    Arg.(value & opt int 16 & info [ "inserts" ] ~docv:"N"
-           ~doc:"Inserts per thread (kept small: crash-state checking is \
-                 exhaustive in spirit).")
+    verdict ~buggy ~ok:sampled_ok
+      (Workloads.Queue_recovery.verify ~params ~layout ~graph
+         ~strategy:
+           (Recovery.Sampled { samples; seed = params.Workloads.Queue.seed }))
   in
   Cmd.v
     (Cmd.info "recovery"
        ~doc:"Failure injection: sample legal crash states via the recovery \
              observer and check queue recovery.")
     Term.(const run $ obs_t $ design_t $ model_t $ threads_t 2
-          $ inserts_small_t $ samples_t $ buggy_t)
+          $ inserts_t 16
+              ~doc:"Inserts per thread (kept small: crash-state checking is \
+                    exhaustive in spirit)."
+          $ samples_t 500 "Number of random crash states to test."
+          $ buggy_t
+              "Use the deliberately broken annotation (no data->head \
+               barrier) to demonstrate a detectable recovery bug.")
 
 (* kv *)
 
 let kv_cmd =
-  let sweep total_ops dist csv jobs =
-    let total_ops =
-      Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
-    in
-    let t = Experiments.Kv_exp.run ~jobs ~total_ops ~dist () in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Kv_exp.to_csv t
-           else Experiments.Kv_exp.render t));
-    print_profile t.Experiments.Kv_exp.profile
-  in
   let failure_inject total_ops (model : Experiments.Run.model_point) threads
       samples buggy =
     let total_ops = Option.value ~default:32 total_ops in
+    check_divides ~flag:"--ops" total_ops threads;
     let params =
       Experiments.Kv_exp.kv_params ~threads ~total_ops model.mode
     in
@@ -380,25 +502,19 @@ let kv_cmd =
       threads params.Kv.ops_per_thread
       (Persistency.Persist_graph.node_count graph)
       samples;
-    match
-      Kv_recovery.verify ~params ~layout ~graph
-        ~strategy:(Recovery.Sampled { samples; seed = params.Kv.seed })
-    with
-    | Ok _ ->
-      print_endline "recovery invariant holds in every sampled crash state";
-      if buggy then begin
-        print_endline
-          "ERROR: the buggy discipline survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error f ->
-      Printf.printf "RECOVERY VIOLATION: %s\n" (Recovery.render_failure f);
-      if not buggy then exit 1
+    verdict ~buggy ~ok:sampled_ok
+      (Kv_recovery.verify ~params ~layout ~graph
+         ~strategy:(Recovery.Sampled { samples; seed = params.Kv.seed }))
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
     if recovery || buggy then failure_inject total_ops model threads samples buggy
-    else sweep total_ops dist csv jobs
+    else
+      let total_ops =
+        Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
+      in
+      let t = Experiments.Kv_exp.run ~jobs ~total_ops ~dist () in
+      emit_sweep ~csv:(csv, Experiments.Kv_exp.to_csv) Experiments.Kv_exp.render
+        t.Experiments.Kv_exp.profile t
   in
   let dist_t =
     Arg.(value
@@ -408,31 +524,25 @@ let kv_cmd =
                    $(b,zipf:THETA) or $(b,hotset:KEYS:PCT).")
   in
   let ops_t =
-    Arg.(value & opt (some int) None & info [ "inserts"; "ops" ] ~docv:"N"
+    Arg.(value & opt (some pos_int) None & info [ "inserts"; "ops" ] ~docv:"N"
            ~doc:"Total operations per configuration (default: 4096 for the \
                  sweep, 32 for --recovery).")
-  in
-  let recovery_t =
-    Arg.(value & flag & info [ "recovery" ]
-           ~doc:"Failure injection instead of the sweep: sample legal crash \
-                 states of one configuration and check KV recovery.")
-  in
-  let samples_t =
-    Arg.(value & opt int 500 & info [ "samples" ] ~docv:"N"
-           ~doc:"Number of random crash states to test (with --recovery).")
-  in
-  let buggy_t =
-    Arg.(value & flag & info [ "buggy" ]
-           ~doc:"With --recovery: drop the seal->slot persist barrier to \
-                 demonstrate a detectable crash-consistency bug.")
   in
   Cmd.v
     (Cmd.info "kv"
        ~doc:"KV store workload: sweep persist critical path per operation \
              over models x threads x load, or failure-inject one \
              configuration (--recovery).")
-    Term.(const run $ obs_t $ ops_t $ dist_t $ csv_t $ jobs_t $ recovery_t
-          $ model_t $ threads_t 2 $ samples_t $ buggy_t)
+    Term.(const run $ obs_t $ ops_t $ dist_t $ csv_t $ jobs_t
+          $ recovery_t
+              "Failure injection instead of the sweep: sample legal crash \
+               states of one configuration and check KV recovery."
+          $ model_t $ threads_t 2
+          $ samples_t 500
+              "Number of random crash states to test (with --recovery)."
+          $ buggy_t
+              "With --recovery: drop the seal->slot persist barrier to \
+               demonstrate a detectable crash-consistency bug.")
 
 (* serve *)
 
@@ -442,18 +552,6 @@ let serve_cmd =
       (List.map
          (fun (m : Serve.Sim.model) -> (m.Serve.Sim.label, m))
          (Serve.Sim.buggy_model :: Serve.Sim.models))
-  in
-  let sweep requests clients rate mix dist key_space shards batches csv jobs =
-    let requests = Option.value ~default:4096 requests in
-    let t =
-      Experiments.Serve_exp.run ~jobs ~requests ~clients ~rate ~read_pct:mix
-        ~dist ~key_space ~shards_list:shards ~batches ()
-    in
-    rendering (fun () ->
-        print_string
-          (if csv then Experiments.Serve_exp.to_csv t
-           else Experiments.Serve_exp.render t));
-    print_profile t.Experiments.Serve_exp.profile
   in
   let failure_inject requests clients rate mix dist key_space shards batches
       samples (model : Serve.Sim.model) buggy =
@@ -467,44 +565,48 @@ let serve_cmd =
     Printf.printf "serve / %s: %d shards, batch %d, %d requests\n"
       model.Serve.Sim.label shards batch requests;
     let strategy g = Recovery.auto ~samples ~seed:p.Serve.Sim.load.Serve.Loadgen.seed g in
-    let report, verdict = Serve.Sim.verify ~strategy p in
+    let report, result = Serve.Sim.verify ~strategy p in
     Printf.printf
       "served %d (%d shed), %d group commits, mean fill %.2f, cp/put %.3f\n"
       report.Serve.Sim.served report.Serve.Sim.shed report.Serve.Sim.batches
       report.Serve.Sim.mean_fill report.Serve.Sim.cp_per_put;
-    let is_buggy = String.equal model.Serve.Sim.label "epoch-buggy" in
-    match verdict with
-    | Ok (v : Serve.Sim.verify_result) ->
-      Printf.printf
-        "group-commit recovery holds: %d crash states over %d persists \
-         across %d shards land on a batch boundary\n"
-        v.Serve.Sim.v_prefixes v.Serve.Sim.v_nodes v.Serve.Sim.v_shards;
-      if is_buggy then begin
-        print_endline
-          "ERROR: the buggy batcher survived failure injection (bug not \
-           caught)";
-        exit 1
-      end
-    | Error (shard, f) ->
-      Printf.printf "RECOVERY VIOLATION (shard %d): %s\n" shard
-        (Recovery.render_failure f);
-      if not is_buggy then exit 1
+    verdict
+      ~buggy:(String.equal model.Serve.Sim.label "epoch-buggy")
+      ?at:
+        (match result with
+        | Error (shard, _) -> Some (Printf.sprintf " (shard %d)" shard)
+        | Ok _ -> None)
+      ~ok:(fun (v : Serve.Sim.verify_result) ->
+        Printf.printf
+          "group-commit recovery holds: %d crash states over %d persists \
+           across %d shards land on a batch boundary\n"
+          v.Serve.Sim.v_prefixes v.Serve.Sim.v_nodes v.Serve.Sim.v_shards)
+      (Result.map_error snd result)
   in
   let run () requests clients rate mix dist key_space shards batches csv jobs
       recovery samples model buggy =
     if recovery || buggy then
       failure_inject requests clients rate mix dist key_space shards batches
         samples model buggy
-    else sweep requests clients rate mix dist key_space shards batches csv jobs
+    else
+      let t =
+        Experiments.Serve_exp.run ~jobs
+          ~requests:(Option.value ~default:4096 requests)
+          ~clients ~rate ~read_pct:mix ~dist ~key_space ~shards_list:shards
+          ~batches ()
+      in
+      emit_sweep
+        ~csv:(csv, Experiments.Serve_exp.to_csv)
+        Experiments.Serve_exp.render t.Experiments.Serve_exp.profile t
   in
   let requests_t =
-    Arg.(value & opt (some int) None & info [ "requests" ] ~docv:"N"
+    Arg.(value & opt (some pos_int) None & info [ "requests" ] ~docv:"N"
            ~doc:"Requests in the open-loop stream (default: 4096 for the \
                  sweep, 48 for --recovery, where every shard's persist \
                  graph is recorded and failure-injected).")
   in
   let clients_t =
-    Arg.(value & opt int 2048 & info [ "clients" ] ~docv:"N"
+    Arg.(value & opt pos_int 2048 & info [ "clients" ] ~docv:"N"
            ~doc:"Concurrent client sessions.")
   in
   let rate_t =
@@ -523,43 +625,17 @@ let serve_cmd =
                    $(b,hotset:KEYS:PCT).")
   in
   let key_space_t =
-    Arg.(value & opt int 512 & info [ "keys" ] ~docv:"N"
+    Arg.(value & opt pos_int 512 & info [ "keys" ] ~docv:"N"
            ~doc:"Key space size.")
   in
-  let shards_t =
-    Arg.(value & opt (list int) [ 1; 2; 4 ]
-         & info [ "shards" ] ~docv:"LIST"
-             ~doc:"Shard counts to sweep (comma-separated); --recovery uses \
-                   the first.")
-  in
-  let batches_t =
-    Arg.(value & opt (list int) [ 1; 8; 32 ]
-         & info [ "batch" ] ~docv:"LIST"
-             ~doc:"Group-commit batch sizes to sweep (comma-separated); \
-                   --recovery uses the first.")
-  in
-  let recovery_t =
-    Arg.(value & flag & info [ "recovery" ]
-           ~doc:"Failure injection instead of the sweep: record every \
-                 shard's persist graph and check that each legal crash \
-                 state recovers to a group-commit batch boundary.")
-  in
-  let samples_t =
-    Arg.(value & opt int 2000 & info [ "samples" ] ~docv:"N"
-           ~doc:"Crash states sampled per shard graph with --recovery \
-                 (small graphs are checked exhaustively).")
+  let sizes_t name default doc =
+    Arg.(value & opt (list pos_int) default & info [ name ] ~docv:"LIST" ~doc)
   in
   let smodel_t =
     Arg.(value & opt model_conv Serve.Sim.epoch_model
          & info [ "model" ] ~docv:"MODEL"
              ~doc:"Model for --recovery: strict, epoch, strand or \
                    epoch-buggy.")
-  in
-  let buggy_t =
-    Arg.(value & flag & info [ "buggy" ]
-           ~doc:"With --recovery: use the batcher that seals the commit \
-                 marker without the slots->marker barrier, to demonstrate a \
-                 detectable group-commit bug.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -568,8 +644,26 @@ let serve_cmd =
              x shards x batch sizes, or failure-inject one configuration \
              (--recovery).")
     Term.(const run $ obs_t $ requests_t $ clients_t $ rate_t $ mix_t
-          $ zipf_t $ key_space_t $ shards_t $ batches_t $ csv_t $ jobs_t
-          $ recovery_t $ samples_t $ smodel_t $ buggy_t)
+          $ zipf_t $ key_space_t
+          $ sizes_t "shards" [ 1; 2; 4 ]
+              "Shard counts to sweep (comma-separated); --recovery uses the \
+               first."
+          $ sizes_t "batch" [ 1; 8; 32 ]
+              "Group-commit batch sizes to sweep (comma-separated); \
+               --recovery uses the first."
+          $ csv_t $ jobs_t
+          $ recovery_t
+              "Failure injection instead of the sweep: record every shard's \
+               persist graph and check that each legal crash state recovers \
+               to a group-commit batch boundary."
+          $ samples_t 2000
+              "Crash states sampled per shard graph with --recovery (small \
+               graphs are checked exhaustively)."
+          $ smodel_t
+          $ buggy_t
+              "With --recovery: use the batcher that seals the commit marker \
+               without the slots->marker barrier, to demonstrate a \
+               detectable group-commit bug.")
 
 (* trace *)
 
@@ -583,20 +677,17 @@ let trace_cmd =
     let _ = Workloads.Queue.run params ~sink:(Memsim.Trace.sink trace) in
     Memsim.Trace.to_channel stdout trace
   in
-  let inserts_small_t =
-    Arg.(value & opt int 4 & info [ "inserts" ] ~docv:"N"
-           ~doc:"Inserts per thread.")
-  in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the SC memory event trace of a queue run.")
     Term.(const run $ obs_t $ design_t $ model_t $ threads_t 1
-          $ inserts_small_t)
+          $ inserts_t 4 ~doc:"Inserts per thread.")
 
 (* analyze *)
 
 let analyze_cmd =
   let run () design model threads inserts capacity track persist latency
       explain =
+    check_divides ~flag:"--inserts" inserts threads;
     let params =
       Experiments.Run.queue_params ~design ~threads ~total_inserts:inserts
         ~capacity_entries:capacity model
@@ -654,13 +745,9 @@ let analyze_cmd =
     Arg.(value & opt int 8 & info [ "persist-gran" ] ~docv:"BYTES"
            ~doc:"Atomic persist granularity.")
   in
-  let latency_t =
-    Arg.(value & opt float 500. & info [ "latency" ] ~docv:"NS"
-           ~doc:"Persist latency in nanoseconds.")
-  in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyze one configuration in detail.")
-    Term.(const run $ obs_t $ design_t $ model_t $ threads_t 1 $ inserts_t
+    Term.(const run $ obs_t $ design_t $ model_t $ threads_t 1 $ total_inserts_t
           $ capacity_t $ track_t $ persist_t $ latency_t $ explain_t)
 
 (* graph *)
@@ -702,71 +789,72 @@ let graph_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write to $(docv) instead of standard output.")
   in
-  let inserts_small_t =
-    Arg.(value & opt int 4
-         & info [ "inserts" ] ~docv:"N"
-             ~doc:"Inserts per thread (kept small so the graph stays \
-                   viewable).")
-  in
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Export the persist dependence graph of a queue run, with the \
              critical-path nodes marked and per-level/per-thread \
              annotations.")
     Term.(const run $ obs_t $ design_t $ model_t $ threads_t 1
-          $ inserts_small_t $ format_t $ out_t)
+          $ inserts_t 4
+              ~doc:"Inserts per thread (kept small so the graph stays \
+                    viewable)."
+          $ format_t $ out_t)
 
 (* ablation *)
 
 let ablation_cmd =
+  let module A = Experiments.Ablation in
+  let on_profile = print_profile in
+  (* one section per --which name, in print order *)
+  let sections =
+    [ ( "tso",
+        fun ~jobs ~inserts ->
+          A.render_comparisons
+            ~title:
+              "Ablation A1: SC conflict ordering (baseline) vs BPFS/TSO \
+               conflict detection (variant), cp/insert"
+            (A.tso_conflicts ~jobs ~on_profile ~total_inserts:inserts ()) );
+      ( "spaces",
+        fun ~jobs ~inserts ->
+          A.render_comparisons
+            ~title:
+              "\nAblation A2: conflicts in both spaces (baseline) vs \
+               persistent-only (variant), cp/insert"
+            (A.conflict_spaces ~jobs ~on_profile ~total_inserts:inserts ()) );
+      ( "coalesce",
+        fun ~jobs ~inserts ->
+          A.render_comparisons
+            ~title:
+              "\nAblation A4: coalescing on (baseline) vs off (variant), \
+               cp/insert, CWL 1 thread"
+            (A.coalescing ~jobs ~on_profile ~total_inserts:inserts ()) );
+      ( "buffer",
+        fun ~jobs ~inserts:_ ->
+          A.render_buffer (A.buffer_depth ~jobs ~on_profile ()) );
+      ( "sync",
+        fun ~jobs ~inserts:_ -> A.render_sync (A.persist_sync ~jobs ~on_profile ())
+      );
+      ( "capacity",
+        fun ~jobs ~inserts ->
+          A.render_capacity
+            (A.capacity ~jobs ~on_profile ~total_inserts:inserts ()) ) ]
+  in
   let run () which inserts jobs =
-    let all = which = "all" in
-    let on_profile = print_profile in
-    if all || which = "tso" then
-      print_string
-        (Experiments.Ablation.render_comparisons
-           ~title:
-             "Ablation A1: SC conflict ordering (baseline) vs BPFS/TSO \
-              conflict detection (variant), cp/insert"
-           (Experiments.Ablation.tso_conflicts ~jobs ~on_profile
-              ~total_inserts:inserts ()));
-    if all || which = "spaces" then
-      print_string
-        (Experiments.Ablation.render_comparisons
-           ~title:
-             "\nAblation A2: conflicts in both spaces (baseline) vs \
-              persistent-only (variant), cp/insert"
-           (Experiments.Ablation.conflict_spaces ~jobs ~on_profile
-              ~total_inserts:inserts ()));
-    if all || which = "coalesce" then
-      print_string
-        (Experiments.Ablation.render_comparisons
-           ~title:
-             "\nAblation A4: coalescing on (baseline) vs off (variant), \
-              cp/insert, CWL 1 thread"
-           (Experiments.Ablation.coalescing ~jobs ~on_profile
-              ~total_inserts:inserts ()));
-    if all || which = "buffer" then
-      print_string
-        (Experiments.Ablation.render_buffer
-           (Experiments.Ablation.buffer_depth ~jobs ~on_profile ()));
-    if all || which = "sync" then
-      print_string
-        (Experiments.Ablation.render_sync
-           (Experiments.Ablation.persist_sync ~jobs ~on_profile ()));
-    if all || which = "capacity" then
-      print_string
-        (Experiments.Ablation.render_capacity
-           (Experiments.Ablation.capacity ~jobs ~on_profile
-              ~total_inserts:inserts ()))
+    List.iter
+      (fun (name, section) ->
+        if which = "all" || which = name then
+          print_string (section ~jobs ~inserts))
+      sections
   in
   let which_t =
-    Arg.(value & opt string "all" & info [ "which" ] ~docv:"NAME"
-           ~doc:"One of: tso, spaces, coalesce, buffer, sync, capacity, all.")
+    let names = List.map (fun (n, _) -> (n, n)) sections @ [ ("all", "all") ] in
+    Arg.(value & opt (enum names) "all"
+         & info [ "which" ] ~docv:"NAME"
+             ~doc:"One of: tso, spaces, coalesce, buffer, sync, capacity, all.")
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the DESIGN.md ablations (A1-A5).")
-    Term.(const run $ obs_t $ which_t $ inserts_t $ jobs_t)
+    Term.(const run $ obs_t $ which_t $ total_inserts_t $ jobs_t)
 
 (* calibrate *)
 
@@ -795,23 +883,8 @@ let calibrate_cmd =
 (* explore *)
 
 let explore_cmd =
-  let exhaustive_limit = 20 in
-  (* The reproducer line re-runs exactly one failing schedule with the
-     same sampling seed — paste it verbatim to replay a CI
-     counter-example locally. *)
-  let reproducer ~workload ~model_label ~machine_label ~buggy ~threads ~depth
-      ~samples ~seed sched =
-    Printf.sprintf
-      "persistsim explore --workload %s --model %s --machine %s%s --threads \
-       %d --depth %d --samples %d --seed %d --replay %s"
-      workload model_label machine_label
-      (if buggy then " --buggy" else "")
-      threads depth samples seed
-      (Check.Schedule.to_string sched)
-  in
   let run () workload (model : Experiments.Run.model_point)
-      (machine_label, mmodel, mpersistence) buggy threads depth jobs
-      max_schedules samples seed oracle replay csv =
+      (machine_label, mmodel, mpersistence) o oracle csv =
     (* on the TSO machine the paper's atomic persist barrier is not an
        instruction x86 offers — realize it as the Px86 flush+sfence
        annotation instead *)
@@ -820,6 +893,8 @@ let explore_cmd =
       | Memsim.Machine.Sc -> Memsim.Machine.Pbarrier
       | Memsim.Machine.Tso -> Memsim.Machine.Flush_sfence
     in
+    let { buggy; threads; depth; seed; max_schedules; _ } = o in
+    let cfg = Persistency.Config.make model.mode in
     let instance_of, label =
       match workload with
       | `Queue ->
@@ -827,11 +902,10 @@ let explore_cmd =
           if buggy then Workloads.Queue.Buggy_epoch else model.annotation
         in
         let params =
-          Workloads.Queue.explore_params ~threads ~depth ~machine:mmodel
-            ~persistence:mpersistence ~barrier annotation
+          { (Workloads.Queue.explore_params ~threads ~depth ~machine:mmodel
+               ~persistence:mpersistence ~barrier annotation)
+            with Workloads.Queue.seed }
         in
-        let params = { params with Workloads.Queue.seed } in
-        let cfg = Persistency.Config.make model.mode in
         ( Check.Driver.queue_instance params cfg,
           Workloads.Queue.annotation_name annotation )
       | `Kv ->
@@ -839,38 +913,14 @@ let explore_cmd =
           if buggy then Kv.Buggy_undo else Kv.discipline_for model.mode
         in
         let params =
-          Kv.explore_params ~threads ~depth ~machine:mmodel
-            ~persistence:mpersistence ~barrier discipline
+          { (Kv.explore_params ~threads ~depth ~machine:mmodel
+               ~persistence:mpersistence ~barrier discipline)
+            with Kv.seed }
         in
-        let params = { params with Kv.seed } in
-        let cfg = Persistency.Config.make model.mode in
         (Check.Driver.kv_instance params cfg, Kv.discipline_name discipline)
     in
     let workload_name = match workload with `Queue -> "queue" | `Kv -> "kv" in
-    let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
-    match replay with
-    | Some sched_str ->
-      let sched = Check.Schedule.of_string sched_str in
-      (match Check.Driver.check_schedule ~strategy sched instance_of with
-      | Ok r ->
-        Printf.printf
-          "replayed schedule (%d decisions): recovery holds in all %d \
-           durable prefixes of %d persists\n"
-          (Check.Schedule.length sched) r.Recovery.prefixes r.Recovery.nodes;
-        if buggy then begin
-          print_endline
-            "ERROR: the buggy discipline survived the replayed schedule \
-             (bug not caught)";
-          exit 1
-        end
-      | Error f ->
-        Printf.printf "RECOVERY VIOLATION on replayed schedule: %s\n"
-          (Recovery.render_failure f);
-        if not buggy then exit 1)
-    | None ->
-      let report =
-        Check.Driver.check ~max_schedules ~jobs ~strategy instance_of
-      in
+    let summary (report : Check.Driver.report) =
       let brute =
         if not oracle then None
         else begin
@@ -928,21 +978,14 @@ let explore_cmd =
             (if o.Memsim.Explore.complete then "" else " (limit hit)")
             g
         | None -> ()
-      end;
-      (match report.failure with
-      | None -> ()
-      | Some (sched, f) ->
-        Printf.printf "RECOVERY VIOLATION: %s\nreproduce with:\n  %s\n"
-          (Recovery.render_failure f)
-          (reproducer ~workload:workload_name ~model_label:model.label
-             ~machine_label ~buggy
-             ~threads ~depth ~samples ~seed sched));
-      if report.failure <> None && not buggy then exit 1;
-      if report.failure = None && buggy then begin
-        print_endline
-          "ERROR: the buggy discipline survived exploration (bug not caught)";
-        exit 1
       end
+    in
+    dpor_check o ~machine:"" ~holds:"recovery holds" ~summary ~clean:ignore
+      ~command:
+        (Printf.sprintf "explore --workload %s --model %s --machine %s%s"
+           workload_name model.label machine_label
+           (if buggy then " --buggy" else ""))
+      instance_of
   in
   let workload_t =
     let doc = "Workload to explore: $(b,queue) (CWL) or $(b,kv)." in
@@ -951,55 +994,14 @@ let explore_cmd =
          & info [ "workload" ] ~docv:"W" ~doc)
   in
   let machine_t =
-    let mconv =
-      Arg.enum
-        [ ("sc", ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync));
-          ("tso", ("tso-sync", Memsim.Machine.Tso, Memsim.Machine.Psync));
-          ( "tso-sync",
-            ("tso-sync", Memsim.Machine.Tso, Memsim.Machine.Psync) );
-          ( "tso-buffered",
-            ("tso-buffered", Memsim.Machine.Tso, Memsim.Machine.Pbuffered) )
-        ]
-    in
     Arg.(value
-         & opt mconv ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync)
+         & opt (machine_conv (fun label m p -> (label, m, p)))
+             ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync)
          & info [ "machine" ] ~docv:"MACHINE"
              ~doc:"Machine configuration to explore under: $(b,sc) \
                    (default), $(b,tso-sync) (alias $(b,tso)) or \
                    $(b,tso-buffered).  On TSO machines persist barriers \
                    are realized as the Px86 flush+sfence annotation.")
-  in
-  let buggy_t =
-    Arg.(value & flag
-         & info [ "buggy" ]
-             ~doc:"Drop the recovery-critical barrier (queue: data->head; \
-                   kv: seal->slot) so the explorer can demonstrate the \
-                   resulting violation.")
-  in
-  let depth_t =
-    Arg.(value & opt int 2
-         & info [ "depth" ] ~docv:"N" ~doc:"Operations per thread.")
-  in
-  let max_schedules_t =
-    Arg.(value & opt int 100_000
-         & info [ "max-schedules" ] ~docv:"N"
-             ~doc:"Schedule budget; exceeding it reports an incomplete \
-                   exploration.")
-  in
-  let samples_t =
-    Arg.(value & opt int 64
-         & info [ "samples" ] ~docv:"N"
-             ~doc:(Printf.sprintf
-                     "Crash states sampled per distinct persist graph larger \
-                      than %d nodes (smaller graphs are checked \
-                      exhaustively)."
-                     exhaustive_limit))
-  in
-  let seed_t =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Workload and crash-state sampling seed; stamped into \
-                   reproducer lines.")
   in
   let oracle_t =
     Arg.(value & flag
@@ -1008,133 +1010,74 @@ let explore_cmd =
                    (Memsim.Explore) and print its trace and distinct-graph \
                    counts next to DPOR's.")
   in
-  let replay_t =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"SCHEDULE"
-             ~doc:"Re-execute one schedule (comma-separated decision \
-                   indices, as printed in a reproducer line) instead of \
-                   exploring, and failure-inject just that run.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Systematically explore scheduler interleavings with dynamic \
              partial-order reduction, failure-injecting recovery on every \
              distinct persist graph.")
-    Term.(const run $ obs_t $ workload_t $ model_t $ machine_t $ buggy_t
-          $ threads_t 2 $ depth_t $ jobs_t $ max_schedules_t $ samples_t
-          $ seed_t $ oracle_t $ replay_t $ csv_t)
+    Term.(const run $ obs_t $ workload_t $ model_t $ machine_t
+          $ dpor_t
+              ~buggy_doc:
+                "Drop the recovery-critical barrier (queue: data->head; kv: \
+                 seal->slot) so the explorer can demonstrate the resulting \
+                 violation."
+          $ oracle_t $ csv_t)
 
 (* lockfree *)
 
 let lockfree_cmd =
-  let exhaustive_limit = 20 in
   let module E = Experiments.Lockfree_exp in
-  let reproducer ~discipline ~model ~threads ~depth ~samples ~seed sched =
-    Printf.sprintf
-      "persistsim lockfree --recovery --discipline %s --model %s --threads \
-       %d --depth %d --samples %d --seed %d --replay %s"
-      discipline model threads depth samples seed
-      (Check.Schedule.to_string sched)
-  in
-  let sweep inserts seed csv jobs mconfigs =
-    let t = E.run ~jobs ~inserts ~seed ~mconfigs () in
-    rendering (fun () ->
-        print_string (if csv then E.to_csv t else E.render t));
-    print_profile t.E.profile
-  in
-  let failure_inject discipline threads depth jobs max_schedules samples seed
-      replay mconfigs =
-    let module C = Lockfree.Cas_set in
-    let params_for (mc : E.mconfig) =
-      { (C.explore_params ~threads ~depth ~machine:mc.E.model
-           ~persistence:mc.E.persistence discipline)
-        with C.seed }
-    in
-    let cfg = Persistency.Config.make Persistency.Config.Epoch in
-    let instance_for mc = Check.Driver.lockfree_instance (params_for mc) cfg in
-    let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
+  let module C = Lockfree.Cas_set in
+  let failure_inject o discipline mconfigs =
+    let o = { o with buggy = discipline = C.Buggy_traverse } in
     let dname = C.discipline_name discipline in
-    let buggy = discipline = C.Buggy_traverse in
-    match replay with
-    | Some sched_str ->
-      (* a reproducer line always stamps a single machine configuration;
-         replay the schedule under the first one given *)
-      let mc = List.hd mconfigs in
-      let sched = Check.Schedule.of_string sched_str in
-      (match Check.Driver.check_schedule ~strategy sched (instance_for mc) with
-      | Ok r ->
+    let check (mc : E.mconfig) =
+      let params =
+        { (C.explore_params ~threads:o.threads ~depth:o.depth
+             ~machine:mc.model ~persistence:mc.persistence discipline)
+          with C.seed = o.seed }
+      in
+      let summary (r : Check.Driver.report) =
         Printf.printf
-          "replayed schedule (%d decisions, %s): recovery and durable \
-           linearizability hold in all %d durable prefixes of %d persists\n"
-          (Check.Schedule.length sched) mc.E.mlabel r.Recovery.prefixes
-          r.Recovery.nodes;
-        if buggy then begin
+          "lockfree / %s / %s: %d threads x %d inserts\n\
+          \  schedules executed    %d%s\n\
+          \  distinct persist graphs %d (%d recovery-checked, %d durable \
+           prefixes)\n"
+          dname mc.mlabel o.threads o.depth r.stats.schedules
+          (if r.stats.complete then " (complete)" else " (budget hit)")
+          r.distinct r.checked r.prefixes
+      in
+      let clean () =
+        if not o.buggy then
           print_endline
-            "ERROR: buggy-traverse survived the replayed schedule (bug not \
-             caught)";
-          exit 1
-        end
-      | Error f ->
-        Printf.printf "RECOVERY VIOLATION on replayed schedule: %s\n"
-          (Recovery.render_failure f);
-        if not buggy then exit 1)
-    | None ->
-      List.iter
-        (fun (mc : E.mconfig) ->
-          let report =
-            Check.Driver.check ~max_schedules ~jobs ~strategy
-              (instance_for mc)
-          in
-          Printf.printf
-            "lockfree / %s / %s: %d threads x %d inserts\n\
-            \  schedules executed    %d%s\n\
-            \  distinct persist graphs %d (%d recovery-checked, %d durable \
-             prefixes)\n"
-            dname mc.E.mlabel threads depth
-            report.Check.Driver.stats.Check.Dpor.schedules
-            (if report.Check.Driver.stats.Check.Dpor.complete then
-               " (complete)"
-             else " (budget hit)")
-            report.Check.Driver.distinct report.Check.Driver.checked
-            report.Check.Driver.prefixes;
-          match report.Check.Driver.failure with
-          | None ->
-            if buggy then begin
-              print_endline
-                "ERROR: buggy-traverse survived failure injection (bug not \
-                 caught)";
-              exit 1
-            end
-            else
-              print_endline
-                "recovery and durable linearizability hold in every durable \
-                 prefix of every explored interleaving"
-          | Some (sched, f) ->
-            Printf.printf "RECOVERY VIOLATION: %s\nreproduce with:\n  %s\n"
-              (Recovery.render_failure f)
-              (reproducer ~discipline:dname ~model:mc.E.mlabel ~threads
-                 ~depth ~samples ~seed sched);
-            if not buggy then exit 1)
-        mconfigs
-  in
-  let run () recovery buggy discipline threads depth jobs max_schedules
-      samples seed replay inserts sweep_seed csv mconfigs =
-    let discipline =
-      if buggy then Lockfree.Cas_set.Buggy_traverse else discipline
+            "recovery and durable linearizability hold in every durable \
+             prefix of every explored interleaving"
+      in
+      dpor_check o ~machine:(", " ^ mc.mlabel)
+        ~holds:"recovery and durable linearizability hold" ~summary ~clean
+        ~command:
+          (Printf.sprintf "lockfree --recovery --discipline %s --model %s"
+             dname mc.mlabel)
+        (Check.Driver.lockfree_instance params
+           (Persistency.Config.make Persistency.Config.Epoch))
     in
-    if recovery || buggy || replay <> None then
-      failure_inject discipline threads depth jobs max_schedules samples seed
-        replay mconfigs
-    else sweep inserts sweep_seed csv jobs mconfigs
+    (* a reproducer line always stamps a single machine configuration;
+       replay the schedule under the first one given *)
+    List.iter check
+      (if o.replay = None then mconfigs else [ List.hd mconfigs ])
+  in
+  let run () recovery o discipline inserts sweep_seed csv mconfigs =
+    let discipline = if o.buggy then C.Buggy_traverse else discipline in
+    if recovery || o.buggy || o.replay <> None then
+      failure_inject o discipline mconfigs
+    else
+      let t = E.run ~jobs:o.jobs ~inserts ~seed:sweep_seed ~mconfigs () in
+      emit_sweep ~csv:(csv, E.to_csv) E.render t.E.profile t
   in
   let mconfigs_t =
     let mconv =
-      Arg.enum
-        [ ("sc", [ E.sc_mconfig ]);
-          ("tso", [ E.tso_sync_mconfig ]);
-          ("tso-sync", [ E.tso_sync_mconfig ]);
-          ("tso-buffered", [ E.tso_buffered_mconfig ]);
-          ("all", E.all_mconfigs) ]
+      machine_conv ~extra:[ ("all", E.all_mconfigs) ]
+        (fun mlabel model persistence -> [ { E.mlabel; model; persistence } ])
     in
     Arg.(value & opt mconv E.all_mconfigs
          & info [ "model" ] ~docv:"MODEL"
@@ -1151,62 +1094,10 @@ let lockfree_cmd =
     Arg.(value
          & opt
              (enum
-                [ ("flush-all", Lockfree.Cas_set.Flush_all);
-                  ("nvtraverse", Lockfree.Cas_set.Nvtraverse);
-                  ("buggy-traverse", Lockfree.Cas_set.Buggy_traverse) ])
-             Lockfree.Cas_set.Nvtraverse
+                [ ("flush-all", C.Flush_all); ("nvtraverse", C.Nvtraverse);
+                  ("buggy-traverse", C.Buggy_traverse) ])
+             C.Nvtraverse
          & info [ "discipline" ] ~docv:"D" ~doc)
-  in
-  let recovery_t =
-    Arg.(value & flag
-         & info [ "recovery" ]
-             ~doc:"Exhaustive failure injection instead of the sweep: DPOR \
-                   over interleavings, every distinct persist graph \
-                   recovery-checked and held to durable linearizability.")
-  in
-  let buggy_t =
-    Arg.(value & flag
-         & info [ "buggy" ]
-             ~doc:"With --recovery: use the buggy-traverse discipline (no \
-                   pre-CAS destination flush) to demonstrate a detectable \
-                   violation.")
-  in
-  let depth_t =
-    Arg.(value & opt int 2
-         & info [ "depth" ] ~docv:"N"
-             ~doc:"Inserts per thread under --recovery.")
-  in
-  let max_schedules_t =
-    Arg.(value & opt int 100_000
-         & info [ "max-schedules" ] ~docv:"N"
-             ~doc:"Schedule budget under --recovery.")
-  in
-  let samples_t =
-    Arg.(value & opt int 64
-         & info [ "samples" ] ~docv:"N"
-             ~doc:(Printf.sprintf
-                     "Crash states sampled per distinct persist graph larger \
-                      than %d nodes (smaller graphs are checked \
-                      exhaustively)."
-                     exhaustive_limit))
-  in
-  let seed_t =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N"
-             ~doc:"Key-schedule and crash-state sampling seed under \
-                   --recovery; stamped into reproducer lines.")
-  in
-  let replay_t =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"SCHEDULE"
-             ~doc:"Re-execute one schedule (as printed in a reproducer \
-                   line) instead of exploring, and failure-inject just that \
-                   run.")
-  in
-  let inserts_t =
-    Arg.(value & opt int 128
-         & info [ "inserts" ] ~docv:"N"
-             ~doc:"Inserts per thread for the sweep.")
   in
   let sweep_seed_t =
     Arg.(value & opt int 42
@@ -1221,10 +1112,19 @@ let lockfree_cmd =
              tso-sync, tso-buffered), or exhaustively failure-inject one \
              discipline (--recovery) under the durable-linearizability \
              oracle.")
-    Term.(const run $ obs_t $ recovery_t $ buggy_t $ discipline_t
-          $ threads_t 2 $ depth_t $ jobs_t $ max_schedules_t $ samples_t
-          $ seed_t $ replay_t $ inserts_t $ sweep_seed_t $ csv_t
-          $ mconfigs_t)
+    Term.(const run $ obs_t
+          $ recovery_t
+              "Exhaustive failure injection instead of the sweep: DPOR over \
+               interleavings, every distinct persist graph recovery-checked \
+               and held to durable linearizability."
+          $ dpor_t
+              ~buggy_doc:
+                "With --recovery: use the buggy-traverse discipline (no \
+                 pre-CAS destination flush) to demonstrate a detectable \
+                 violation."
+          $ discipline_t
+          $ inserts_t 128 ~doc:"Inserts per thread for the sweep."
+          $ sweep_seed_t $ csv_t $ mconfigs_t)
 
 (* machine (SC vs TSO) *)
 
@@ -1234,16 +1134,15 @@ let machine_cmd =
       Experiments.Machine_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
     in
-    rendering (fun () ->
-        print_string (Experiments.Machine_exp.render t));
-    print_profile t.Experiments.Machine_exp.profile
+    emit_sweep Experiments.Machine_exp.render t.Experiments.Machine_exp.profile
+      t
   in
   Cmd.v
     (Cmd.info "machine"
        ~doc:"Run the epoch-annotated CWL queue on an SC vs an x86-TSO \
              machine (per-thread store buffers, persists at drain time) \
              and compare persist counts and critical path.")
-    Term.(const run $ obs_t $ inserts_t $ capacity_t $ jobs_t)
+    Term.(const run $ obs_t $ total_inserts_t $ capacity_t $ jobs_t)
 
 (* litmus *)
 
@@ -1268,31 +1167,23 @@ let litmus_cmd =
             configs)
         tests
     in
+    (* one row per result: CSV, or the table with failure details *)
+    let row fmt (r : Litmus.result) =
+      Printf.printf fmt r.test.name (Litmus.config_name r.config)
+        (Litmus.method_name r.how) r.schedules (List.length r.observed)
+        (if Litmus.pass r then "pass" else "FAIL")
+    in
     rendering (fun () ->
         if csv then begin
           print_string "test,model,method,schedules,outcomes,status\n";
-          List.iter
-            (fun (r : Litmus.result) ->
-              Printf.printf "%s,%s,%s,%d,%d,%s\n" r.Litmus.test.Litmus.name
-                (Litmus.config_name r.Litmus.config)
-                (Litmus.method_name r.Litmus.how)
-                r.Litmus.schedules
-                (List.length r.Litmus.observed)
-                (if Litmus.pass r then "pass" else "FAIL"))
-            results
+          List.iter (row "%s,%s,%s,%d,%d,%s\n") results
         end
         else begin
           Printf.printf "%-24s %-12s %-6s %10s %9s  %s\n" "test" "machine"
             "method" "schedules" "outcomes" "status";
           List.iter
             (fun (r : Litmus.result) ->
-              Printf.printf "%-24s %-12s %-6s %10d %9d  %s\n"
-                r.Litmus.test.Litmus.name
-                (Litmus.config_name r.Litmus.config)
-                (Litmus.method_name r.Litmus.how)
-                r.Litmus.schedules
-                (List.length r.Litmus.observed)
-                (if Litmus.pass r then "pass" else "FAIL");
+              row "%-24s %-12s %-6s %10d %9d  %s\n" r;
               if verbose || not (Litmus.pass r) then begin
                 Printf.printf "    %s\n" r.Litmus.test.Litmus.doc;
                 Printf.printf "    observed: %s\n"
@@ -1312,13 +1203,11 @@ let litmus_cmd =
   in
   let models_t =
     let model_conv =
-      Arg.enum
-        [ ("sc", [ Litmus.sc_config ]);
-          ("tso", [ Litmus.tso_sync_config ]);
-          ("tso-sync", [ Litmus.tso_sync_config ]);
-          ("tso-buffered", [ Litmus.tso_buffered_config ]);
-          ("both", [ Litmus.sc_config; Litmus.tso_sync_config ]);
-          ("all", Litmus.all_configs) ]
+      machine_conv
+        ~extra:
+          [ ("both", [ Litmus.sc_config; Litmus.tso_sync_config ]);
+            ("all", Litmus.all_configs) ]
+        (fun _ model persistence -> [ { Litmus.model; persistence } ])
     in
     Arg.(value & opt model_conv Litmus.all_configs
          & info [ "model" ] ~docv:"MODEL"
@@ -1372,45 +1261,36 @@ let perf_cmd =
       Printf.eprintf "perf: %s\n" msg;
       exit 2
   in
-  let render_entries (b : Obs.Runinfo.bench) =
-    let t =
-      Report.Table.create
-        ~columns:
-          [ ("entry", Report.Table.Left); ("kind", Report.Table.Left);
-            ("wall", Report.Table.Right); ("rate", Report.Table.Right);
-            ("alloc words", Report.Table.Right);
-            ("peak rss", Report.Table.Right) ]
-    in
-    List.iter
-      (fun (e : Obs.Runinfo.entry) ->
-        Report.Table.add_row t
-          [ e.name; e.kind; fmt_secs e.wall_s;
-            Printf.sprintf "%s %s" (fmt_words e.rate) e.rate_unit;
-            fmt_words e.alloc_words;
-            Printf.sprintf "%d kB" e.peak_rss_kb ])
-      b.entries;
+  let print_table columns row items =
+    let t = Report.Table.create ~columns in
+    List.iter (fun x -> Report.Table.add_row t (row x)) items;
     Report.Table.print t
   in
+  let render_entries (b : Obs.Runinfo.bench) =
+    print_table
+      [ ("entry", Report.Table.Left); ("kind", Report.Table.Left);
+        ("wall", Report.Table.Right); ("rate", Report.Table.Right);
+        ("alloc words", Report.Table.Right); ("peak rss", Report.Table.Right) ]
+      (fun (e : Obs.Runinfo.entry) ->
+        [ e.name; e.kind; fmt_secs e.wall_s;
+          Printf.sprintf "%s %s" (fmt_words e.rate) e.rate_unit;
+          fmt_words e.alloc_words;
+          Printf.sprintf "%d kB" e.peak_rss_kb ])
+      b.entries
+  in
   let render_comparison (c : Obs.Runinfo.comparison) =
-    let t =
-      Report.Table.create
-        ~columns:
-          [ ("entry", Report.Table.Left); ("wall base", Report.Table.Right);
-            ("wall cand", Report.Table.Right); ("d wall", Report.Table.Right);
-            ("rate base", Report.Table.Right);
-            ("rate cand", Report.Table.Right); ("d rate", Report.Table.Right);
-            ("status", Report.Table.Left) ]
-    in
-    List.iter
+    print_table
+      [ ("entry", Report.Table.Left); ("wall base", Report.Table.Right);
+        ("wall cand", Report.Table.Right); ("d wall", Report.Table.Right);
+        ("rate base", Report.Table.Right); ("rate cand", Report.Table.Right);
+        ("d rate", Report.Table.Right); ("status", Report.Table.Left) ]
       (fun (d : Obs.Runinfo.delta) ->
-        Report.Table.add_row t
-          [ d.d_name; fmt_secs d.base.wall_s; fmt_secs d.cand.wall_s;
-            Printf.sprintf "%+.1f%%" d.wall_pct;
-            fmt_words d.base.rate; fmt_words d.cand.rate;
-            Printf.sprintf "%+.1f%%" d.rate_pct;
-            (if d.regressed then "REGRESSED" else "ok") ])
-      c.deltas;
-    Report.Table.print t
+        [ d.d_name; fmt_secs d.base.wall_s; fmt_secs d.cand.wall_s;
+          Printf.sprintf "%+.1f%%" d.wall_pct;
+          fmt_words d.base.rate; fmt_words d.cand.rate;
+          Printf.sprintf "%+.1f%%" d.rate_pct;
+          (if d.regressed then "REGRESSED" else "ok") ])
+      c.deltas
   in
   let run () files threshold report_only =
     match files with
@@ -1433,14 +1313,12 @@ let perf_cmd =
             Obs.Runinfo.compare_benches ~threshold_pct:threshold base cand
           in
           render_comparison c;
-          (match c.Obs.Runinfo.only_base with
-          | [] -> ()
-          | l ->
-            Printf.printf "entries only in base: %s\n" (String.concat ", " l));
-          (match c.Obs.Runinfo.only_cand with
-          | [] -> ()
-          | l ->
-            Printf.printf "entries only in cand: %s\n" (String.concat ", " l));
+          List.iter
+            (fun (side, l) ->
+              if l <> [] then
+                Printf.printf "entries only in %s: %s\n" side
+                  (String.concat ", " l))
+            [ ("base", c.Obs.Runinfo.only_base); ("cand", c.Obs.Runinfo.only_cand) ];
           Printf.printf
             "%s: %d/%d entries regressed beyond +-%.0f%% (wall-clock up or \
              throughput down)\n"

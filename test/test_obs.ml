@@ -782,7 +782,51 @@ let test_exit_codes () =
   checke "explore buggy missed" 1
     "explore --workload kv --model strict --buggy --depth 2";
   (* unknown litmus test is a usage error *)
-  checke "litmus unknown" 2 "litmus --test no-such-test"
+  checke "litmus unknown" 2 "litmus --test no-such-test";
+  (* bad input never escapes as an uncaught exception (cmdliner's 125):
+     a bad flag value is a usage error... *)
+  List.iter
+    (fun cmd -> checke cmd 124 cmd)
+    [ "explore --replay 1,x"; "lockfree --recovery --replay 1,x";
+      "recovery --threads 0"; "kv --recovery --threads 0";
+      "cache --threads 0"; "explore --depth 0"; "graph --inserts 0";
+      "lockfree --inserts 0"; "serve --batch 0"; "serve --shards 1,0";
+      "explore --max-schedules 0"; "recovery --samples 0";
+      "serve --requests 0"; "kv --ops=-4"; "ablation --which nope" ];
+  (* ...and a total that does not split evenly over --threads is bad
+     input naming both flags *)
+  List.iter
+    (fun cmd -> checke cmd 2 cmd)
+    [ "analyze --threads 3 --inserts 100"; "kv --recovery --ops 33";
+      "validate --threads 3 --inserts 100" ]
+
+(* The line a caught violation prints after "reproduce with:" must
+   replay that violation verbatim. *)
+let test_reproducer_roundtrip () =
+  let prefix = "persistsim " in
+  List.iter
+    (fun cmd ->
+      let rec after_marker = function
+        | "reproduce with:" :: line :: _ -> String.trim line
+        | _ :: rest -> after_marker rest
+        | [] -> Alcotest.failf "%s printed no reproducer" cmd
+      in
+      let line = after_marker (run_lines (persistsim ^ " " ^ cmd)) in
+      Alcotest.(check bool)
+        (cmd ^ ": reproducer names the tool") true
+        (String.starts_with ~prefix line);
+      let args =
+        String.sub line (String.length prefix)
+          (String.length line - String.length prefix)
+      in
+      let replayed = run_lines (persistsim ^ " " ^ args) in
+      Alcotest.(check bool)
+        (cmd ^ ": replay shows the violation") true
+        (List.exists
+           (String.starts_with ~prefix:"RECOVERY VIOLATION on replayed schedule")
+           replayed))
+    [ "explore --workload kv --buggy --depth 2";
+      "lockfree --buggy --depth 1 --model sc" ]
 
 let () =
   Alcotest.run "obs"
@@ -842,4 +886,6 @@ let () =
       ( "cli",
         [ Alcotest.test_case "subcommands expose obs flags" `Quick
             test_subcommands_expose_obs_flags;
-          Alcotest.test_case "violation exit codes" `Quick test_exit_codes ] ) ]
+          Alcotest.test_case "violation exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "reproducer round-trip" `Quick
+            test_reproducer_roundtrip ] ) ]
