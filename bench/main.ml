@@ -253,9 +253,9 @@ let bench_recovery_sampling =
   Test.make ~name:"observer:recovery-sampling"
     (Staged.stage (fun () ->
          match
-           Persistency.Observer.check_cut_invariant graph
+           Recovery.check_invariant ~graph ~capacity
+             ~strategy:(Recovery.Sampled { samples = 20; seed = 1 })
              (Workloads.Queue_recovery.checker ~params ~layout)
-             ~capacity ~samples:20 ~seed:1
          with
          | Ok () -> ()
          | Error msg -> failwith msg))

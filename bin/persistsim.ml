@@ -292,6 +292,8 @@ let dpor_check o ~command ~machine ~holds ~summary ~clean instance_of =
 
 let table1_cmd =
   let run () inserts capacity latency csv calibrate jobs =
+    List.iter (check_divides ~flag:"--inserts" inserts)
+      Experiments.Table1.sweep_threads;
     let insn_ns =
       if calibrate then (fun design threads ->
         Calibrate.measure_native_ns ~design ~threads ())
@@ -371,6 +373,8 @@ let cache_cmd =
 
 let consistency_cmd =
   let run () inserts capacity jobs =
+    List.iter (check_divides ~flag:"--inserts" inserts)
+      Experiments.Consistency_exp.sweep_threads;
     let t =
       Experiments.Consistency_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()
@@ -512,6 +516,8 @@ let kv_cmd =
       let total_ops =
         Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
       in
+      List.iter (check_divides ~flag:"--ops" total_ops)
+        Experiments.Kv_exp.sweep_threads;
       let t = Experiments.Kv_exp.run ~jobs ~total_ops ~dist () in
       emit_sweep ~csv:(csv, Experiments.Kv_exp.to_csv) Experiments.Kv_exp.render
         t.Experiments.Kv_exp.profile t
@@ -737,13 +743,23 @@ let analyze_cmd =
                    longest dependence chain as a persist-by-persist walk \
                    (its length is the reported critical path).")
   in
+  let gran_t name what doc =
+    let parse s =
+      match int_of_string_opt s with
+      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+      | Some g -> (
+        match Persistency.Config.check_gran what g with
+        | () -> Ok g
+        | exception Invalid_argument msg -> Error (`Msg msg))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_int)) 8
+         & info [ name ] ~docv:"BYTES" ~doc)
+  in
   let track_t =
-    Arg.(value & opt int 8 & info [ "track-gran" ] ~docv:"BYTES"
-           ~doc:"Conflict tracking granularity.")
+    gran_t "track-gran" "tracking" "Conflict tracking granularity."
   in
   let persist_t =
-    Arg.(value & opt int 8 & info [ "persist-gran" ] ~docv:"BYTES"
-           ~doc:"Atomic persist granularity.")
+    gran_t "persist-gran" "persist" "Atomic persist granularity."
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyze one configuration in detail.")
@@ -840,6 +856,9 @@ let ablation_cmd =
             (A.capacity ~jobs ~on_profile ~total_inserts:inserts ()) ) ]
   in
   let run () which inserts jobs =
+    (* A1 and A2 split --inserts over their threads *)
+    if List.mem which [ "all"; "tso"; "spaces" ] then
+      check_divides ~flag:"--inserts" inserts A.comparison_threads;
     List.iter
       (fun (name, section) ->
         if which = "all" || which = name then
@@ -1130,6 +1149,8 @@ let lockfree_cmd =
 
 let machine_cmd =
   let run () inserts capacity jobs =
+    List.iter (check_divides ~flag:"--inserts" inserts)
+      Experiments.Machine_exp.sweep_threads;
     let t =
       Experiments.Machine_exp.run ~jobs ~total_inserts:inserts
         ~capacity_entries:capacity ()

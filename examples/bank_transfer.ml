@@ -131,7 +131,9 @@ let () =
            total_expected)
   in
   (match
-     P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:31
+     Recovery.check_invariant ~graph ~capacity
+       ~strategy:(Recovery.Sampled { samples = 400; seed = 31 })
+       check
    with
   | Ok () ->
     print_endline
@@ -149,9 +151,10 @@ let () =
            total_expected)
   in
   match
-    P.Observer.check_cut_invariant graph2 check2
+    Recovery.check_invariant ~graph:graph2
       ~capacity:(table2 + (8 * accounts))
-      ~samples:400 ~seed:31
+      ~strategy:(Recovery.Sampled { samples = 400; seed = 31 })
+      check2
   with
   | Ok () ->
     print_endline

@@ -98,7 +98,9 @@ let check_recovery table written graph =
     go 0
   in
   let result =
-    P.Observer.check_cut_invariant graph check ~capacity ~samples:300 ~seed:17
+    Recovery.check_invariant ~graph ~capacity
+      ~strategy:(Recovery.Sampled { samples = 300; seed = 17 })
+      check
   in
   (result, !torn, !total)
 

@@ -133,7 +133,9 @@ let check_recovery db graph =
       pages_ok 0
     end
   in
-  P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:9
+  Recovery.check_invariant ~graph ~capacity
+    ~strategy:(Recovery.Sampled { samples = 400; seed = 9 })
+    check
 
 let () =
   List.iter

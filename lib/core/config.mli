@@ -84,6 +84,10 @@ val all_consistencies : consistency list
 val px86_name : px86 -> string
 val px86_of_name : string -> px86 option
 
+val check_gran : string -> int -> unit
+(** [check_gran what g] accepts what {!make} accepts: a power of two
+    >= 8.  @raise Invalid_argument naming [what] otherwise. *)
+
 val make :
   ?consistency:consistency ->
   ?track_gran:int ->

@@ -1,9 +1,3 @@
-let random_cut ?size g rng = Dag.random_down_closed ?size (Persist_graph.to_dag g) rng
-
-let all_cuts g = Dag.all_down_closed (Persist_graph.to_dag g)
-
-let is_legal g cut = Dag.is_down_closed (Persist_graph.to_dag g) cut
-
 let apply_write image (w : Persist_graph.write) =
   if w.addr + w.size <= Bytes.length image then
     match w.size with
@@ -13,18 +7,19 @@ let apply_write image (w : Persist_graph.write) =
     | 1 -> Bytes.set_uint8 image w.addr (Int64.to_int w.value land 0xff)
     | _ -> invalid_arg "Observer: bad write size"
 
-let image_of_cut g cut ~capacity =
-  if not (is_legal g cut) then
+let image_of_cut g ~dag cut ~capacity =
+  if Dag.node_count dag <> Persist_graph.node_count g then
+    invalid_arg "Observer.image_of_cut: dag is not the graph's";
+  if not (Dag.is_down_closed dag cut) then
     invalid_arg "Observer.image_of_cut: cut is not down-closed";
   let image = Bytes.make capacity '\000' in
-  (* Node ids increase in SC store order, so id order gives
-     last-writer-wins semantics consistent with strong persist
-     atomicity. *)
-  Persist_graph.iter
-    (fun n ->
-      if Iset.mem n.Persist_graph.id cut then
-        Memsim.Vec.iter (apply_write image) n.Persist_graph.writes)
-    g;
+  (* Node ids increase in SC store order, so id order (the order
+     [Iset.iter] visits) gives last-writer-wins semantics consistent
+     with strong persist atomicity. *)
+  let apply = apply_write image in
+  Iset.iter
+    (fun id -> Memsim.Vec.iter apply (Persist_graph.get g id).writes)
+    cut;
   image
 
 let final_image g ~capacity =
@@ -33,20 +28,3 @@ let final_image g ~capacity =
     (fun n -> Memsim.Vec.iter (apply_write image) n.Persist_graph.writes)
     g;
   image
-
-let check_cut_invariant g check ~capacity ~samples ~seed =
-  let rng = Random.State.make [| seed |] in
-  let dag = Persist_graph.to_dag g in
-  let rec loop i =
-    if i >= samples then Ok ()
-    else
-      let cut = Dag.random_down_closed dag rng in
-      let image = image_of_cut g cut ~capacity in
-      match check image with
-      | Ok () -> loop (i + 1)
-      | Error msg ->
-        Error
-          (Printf.sprintf "crash state with %d/%d persists durable: %s"
-             (Iset.cardinal cut) (Persist_graph.node_count g) msg)
-  in
-  loop 0

@@ -5,32 +5,22 @@
     down-closed subsets ("cuts") of the persist dependence graph: a
     persist can be durable only if everything it is ordered after is
     durable, and persists within one atomic node are all-or-nothing.
+    {!Persist_graph.to_dag} gives the order; {!Dag.all_down_closed}
+    and {!Dag.random_down_closed} enumerate and sample its cuts.
 
     Applying a cut's writes in node-id order (consistent with SC store
     order, hence with strong persist atomicity) to an initially zeroed
     persistent image produces the post-crash memory a recovery
     procedure would see. *)
 
-val random_cut : ?size:int -> Persist_graph.t -> Random.State.t -> Iset.t
-(** A random legal crash state; every legal state has non-zero
-    probability.  [size] fixes the number of durable persists. *)
-
-val all_cuts : Persist_graph.t -> Iset.t list
-(** Exhaustive enumeration of legal crash states (small graphs only).
-    @raise Invalid_argument above 24 nodes. *)
-
-val is_legal : Persist_graph.t -> Iset.t -> bool
-
-val image_of_cut : Persist_graph.t -> Iset.t -> capacity:int -> bytes
+val image_of_cut :
+  Persist_graph.t -> dag:Dag.t -> Iset.t -> capacity:int -> bytes
 (** Persistent memory image after a crash in state [cut]: zeros
     overwritten by the writes of the cut's nodes in node-id order.
-    @raise Invalid_argument if [cut] is not down-closed. *)
+    [dag] is the graph's {!Persist_graph.to_dag}, built once by the
+    caller and shared by every cut it checks.
+    @raise Invalid_argument if [dag] has another node count or [cut]
+    is not down-closed in it. *)
 
 val final_image : Persist_graph.t -> capacity:int -> bytes
 (** Image when every persist completed. *)
-
-val check_cut_invariant :
-  Persist_graph.t -> (bytes -> (unit, string) result) -> capacity:int ->
-  samples:int -> seed:int -> (unit, string) result
-(** Run a recovery-invariant checker against [samples] random crash
-    states; returns the first failure, annotated with the cut size. *)

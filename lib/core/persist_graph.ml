@@ -37,20 +37,11 @@ let coalesce_into t id ~deps ?(order = Iset.empty) write =
 
 let iter f t = Memsim.Vec.iter f t.nodes
 
-let edge_count t =
-  Memsim.Vec.fold_left (fun acc n -> acc + Iset.cardinal n.deps) 0 t.nodes
-
-let order_edge_count t =
-  Memsim.Vec.fold_left (fun acc n -> acc + Iset.cardinal n.order) 0 t.nodes
-
 let to_dag t =
-  let dag = Dag.create ~n:(node_count t) in
-  iter
-    (fun n ->
-      Iset.iter (fun dep -> Dag.add_edge dag dep n.id) n.deps;
-      Iset.iter (fun dep -> Dag.add_edge dag dep n.id) n.order)
-    t;
-  dag
+  Dag.of_preds
+    (Array.init (node_count t) (fun id ->
+         let n = get t id in
+         Iset.union n.deps n.order))
 
 let pp ppf t =
   iter

@@ -48,12 +48,6 @@ val coalesce_into : t -> int -> deps:Iset.t -> ?order:Iset.t -> write -> unit
 
 val iter : (node -> unit) -> t -> unit
 
-val edge_count : t -> int
-(** [deps] edges only (the paper's persist dependences). *)
-
-val order_edge_count : t -> int
-(** order-only edges. *)
-
 val to_dag : t -> Dag.t
 (** Dependence DAG over node ids ([dep -> node] edges), including
     order-only edges — so {!Observer} crash cuts respect both. *)

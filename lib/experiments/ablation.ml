@@ -18,8 +18,10 @@ let pool_map ?(jobs = 1) ?(on_profile = fun _ -> ()) ~label f cells =
   on_profile profile;
   results
 
-let flag_comparison ~make_variant ?jobs ?on_profile ?(threads = 4)
-    ?total_inserts () =
+let comparison_threads = 4
+
+let flag_comparison ~make_variant ?jobs ?on_profile
+    ?(threads = comparison_threads) ?total_inserts () =
   let sweep =
     List.concat_map
       (fun design -> List.map (fun p -> (design, p)) epoch_points)

@@ -29,6 +29,9 @@ type comparison = {
     for any value) and [on_profile] receives the sweep timing (the CLI
     prints it as the sweep-profile footer). *)
 
+val comparison_threads : int
+(** 4, the default [threads] of {!tso_conflicts} and {!conflict_spaces}. *)
+
 val tso_conflicts :
   ?jobs:int -> ?on_profile:(Parallel.Pool.profile -> unit) ->
   ?threads:int -> ?total_inserts:int -> unit -> comparison list

@@ -37,11 +37,13 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
+let sweep_threads = [ 1; 8 ]
+
 let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.) () =
   let sweep =
     List.concat_map
       (fun threads -> List.map (fun point -> (threads, point)) points)
-      [ 1; 8 ]
+      sweep_threads
   in
   let rows, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs

@@ -24,6 +24,9 @@ type t = {
   profile : Parallel.Pool.profile;  (** one cell per threads×point *)
 }
 
+val sweep_threads : int list
+(** 1 and 8; each splits [total_inserts]. *)
+
 val run :
   ?jobs:int ->
   ?total_inserts:int ->
@@ -31,7 +34,7 @@ val run :
   ?latency_ns:float ->
   unit ->
   t
-(** CWL at 1 and 8 threads under: strict/SC (no annotations),
+(** CWL at {!sweep_threads} under: strict/SC (no annotations),
     strict/TSO and strict/RMO (epoch-point barriers read as fences),
     epoch/SC, and strand/SC.  [jobs] domains (default 1, results
     identical for any value). *)

@@ -103,8 +103,10 @@ type t = {
 
 let kv_models = [ Run.strict_point; Run.epoch_point; Run.strand_point ]
 
+let sweep_threads = [ 1; 2; 4 ]
+
 let run ?(jobs = 1) ?(total_ops = default_total_ops)
-    ?(threads_list = [ 1; 2; 4 ]) ?(loads = [ 0.25; 0.5 ]) ?(seed = 42)
+    ?(threads_list = sweep_threads) ?(loads = [ 0.25; 0.5 ]) ?(seed = 42)
     ?(dist = Workloads.Keygen.Uniform) () =
   let sweep =
     List.concat_map

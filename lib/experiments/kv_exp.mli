@@ -67,6 +67,9 @@ type t = {
 val kv_models : Run.model_point list
 (** Strict, Epoch, Strand. *)
 
+val sweep_threads : int list
+(** 1, 2 and 4, the default [threads_list]; each splits [total_ops]. *)
+
 val run :
   ?jobs:int ->
   ?total_ops:int ->

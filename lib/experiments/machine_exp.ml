@@ -28,6 +28,8 @@ let machine_label = function
   | Memsim.Machine.Sc -> "sc"
   | Memsim.Machine.Tso -> "tso"
 
+let sweep_threads = [ 1; 2; 8 ]
+
 let run ?(jobs = 1) ?total_inserts ?capacity_entries () =
   let sweep =
     List.concat_map
@@ -35,7 +37,7 @@ let run ?(jobs = 1) ?total_inserts ?capacity_entries () =
         List.map
           (fun machine -> (threads, machine))
           [ Memsim.Machine.Sc; Memsim.Machine.Tso ])
-      [ 1; 2; 8 ]
+      sweep_threads
   in
   let rows, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs

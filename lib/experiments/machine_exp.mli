@@ -21,7 +21,10 @@ type t = {
 
 val machine_label : Memsim.Machine.model -> string
 
+val sweep_threads : int list
+(** 1, 2 and 8; each splits [total_inserts]. *)
+
 val run : ?jobs:int -> ?total_inserts:int -> ?capacity_entries:int -> unit -> t
-(** Sweep machine model {SC, TSO} x threads {1, 2, 8}. *)
+(** Sweep machine model {SC, TSO} x {!sweep_threads}. *)
 
 val render : t -> string

@@ -14,9 +14,11 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
+let sweep_threads = [ 1; 8 ]
+
 let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.)
     ?(insn_ns = fun design threads -> Calibrate.default_insn_ns ~design ~threads)
-    ?(threads_list = [ 1; 8 ]) () =
+    ?(threads_list = sweep_threads) () =
   let sweep =
     List.concat_map
       (fun design ->

@@ -19,6 +19,9 @@ type t = {
   profile : Parallel.Pool.profile;  (** one cell per design×threads×model *)
 }
 
+val sweep_threads : int list
+(** 1 and 8, the default [threads_list]; each splits [total_inserts]. *)
+
 val run :
   ?jobs:int ->
   ?total_inserts:int ->

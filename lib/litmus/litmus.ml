@@ -211,10 +211,10 @@ let run_one ?cfg ?(verify = false) ~config t policy =
     let capacity =
       List.fold_left (fun m (_, a) -> max m (a + 8)) 8 addrs
     in
-    let cuts = P.Observer.all_cuts graph in
+    let dag = P.Persist_graph.to_dag graph in
     List.map
       (fun cut ->
-        let image = P.Observer.image_of_cut graph cut ~capacity in
+        let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
         render
           (List.map
              (fun (o, v) ->
@@ -223,7 +223,7 @@ let run_one ?cfg ?(verify = false) ~config t policy =
                  (o, Int64.to_int (Bytes.get_int64_le image (vaddr var)))
                | Reg _ | Final _ -> (o, v))
              fixed))
-      cuts
+      (P.Dag.all_down_closed dag)
   end
 
 (* ------------------------------------------------------------------ *)

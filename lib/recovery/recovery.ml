@@ -51,7 +51,8 @@ let traced ~strategy ~graph f =
 
 (* Walk the prefixes the strategy yields, checking each one.  The two
    strategies share the per-prefix body so accounting and failure
-   reporting cannot drift. *)
+   reporting cannot drift, and one DAG built up front serves both the
+   walk and every prefix's legality check. *)
 let check_cuts ~graph ~capacity ~strategy observer =
   traced ~strategy ~graph @@ fun () ->
   Om.incr m_checks;
@@ -59,64 +60,50 @@ let check_cuts ~graph ~capacity ~strategy observer =
     if Om.enabled Om.default then Some (Obs.Perfscope.start ()) else None
   in
   let total = P.Persist_graph.node_count graph in
+  let dag = P.Persist_graph.to_dag graph in
   let checked = ref 0 in
   let injected = ref 0 in
+  (* [Some failure] if the prefix does not recover *)
   let try_prefix cut =
     incr injected;
-    let image = P.Observer.image_of_cut graph cut ~capacity in
+    let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
     Om.incr m_prefixes;
     Om.observe m_prefix_size (float_of_int (P.Iset.cardinal cut));
     match observer ~cut image with
     | Ok () ->
       incr checked;
-      Ok ()
+      None
     | Error message ->
       Om.incr m_violations;
-      Error
+      Some
         { durable = P.Iset.cardinal cut;
           total;
           prefixes_ok = !checked;
           message }
   in
-  let rec first_error = function
-    | [] -> Ok ()
-    | cut :: rest -> (
-      match try_prefix cut with
-      | Ok () -> first_error rest
-      | Error _ as e -> e)
-  in
-  let result =
+  let cuts =
     match strategy with
-    | Exhaustive ->
-      first_error (P.Observer.all_cuts graph)
+    | Exhaustive -> List.to_seq (P.Dag.all_down_closed dag)
     | Sampled { samples; seed } ->
       (* The rng draws exactly [samples] cuts in a seed-stable order,
          but a duplicate of an already-checked cut is only counted as
          a duplicate, not re-checked: the verdict cannot change (its
          first occurrence already passed) and re-checking would let
-         [report.prefixes] overstate distinct crash-state coverage. *)
+         [report.prefixes] overstate distinct crash-state coverage.
+         The sequence is lazy, so drawing stops at the first failure.
+         The key has a byte per node: hashing an id list reads only the
+         first few ids, which nearly every cut shares. *)
       let rng = Random.State.make [| seed |] in
-      let dag = P.Persist_graph.to_dag graph in
       let seen = Hashtbl.create 64 in
-      let rec loop i =
-        if i >= samples then Ok ()
-        else begin
-          let cut = P.Dag.random_down_closed dag rng in
-          let key = P.Iset.elements cut in
-          if Hashtbl.mem seen key then begin
-            Om.incr m_dup_cuts;
-            loop (i + 1)
-          end
-          else begin
-            Hashtbl.add seen key ();
-            match try_prefix cut with
-            | Ok () -> loop (i + 1)
-            | Error _ as e -> e
-          end
-        end
-      in
-      loop 0
+      Seq.init (max samples 0) (fun _ -> P.Dag.random_down_closed dag rng)
+      |> Seq.filter (fun cut ->
+             let key = Bytes.make total '\000' in
+             P.Iset.iter (fun v -> Bytes.set key v '\001') cut;
+             let dup = Hashtbl.mem seen key in
+             if dup then Om.incr m_dup_cuts else Hashtbl.add seen key ();
+             not dup)
   in
+  let result = Seq.find_map try_prefix cuts in
   (match span with
   | Some s ->
     let d = Obs.Perfscope.finish s in
@@ -124,8 +111,8 @@ let check_cuts ~graph ~capacity ~strategy observer =
       ~seconds:d.Obs.Perfscope.wall_s
   | None -> ());
   match result with
-  | Ok () -> Ok { prefixes = !checked; nodes = total }
-  | Error f -> Error f
+  | None -> Ok { prefixes = !checked; nodes = total }
+  | Some f -> Error f
 
 let check ~graph ~capacity ~strategy observer =
   check_cuts ~graph ~capacity ~strategy (fun ~cut:_ image -> observer image)

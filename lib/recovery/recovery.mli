@@ -29,7 +29,8 @@ type strategy =
       (** Random legal prefixes (every prefix has non-zero
           probability); the only option for large graphs. *)
   | Exhaustive
-      (** Every durable prefix.  Small graphs only:
+      (** Every durable prefix, in descending bitmask order, at a cost
+          per prefix rather than per subset of nodes.  Small graphs only:
           @raise Invalid_argument above 24 nodes (see
           {!Persistency.Dag.all_down_closed}). *)
 
@@ -59,7 +60,8 @@ val check_cuts :
     {!Persistency.Observer.image_of_cut}).  Stops at the first
     unrecoverable prefix.  [Sampled] draws are seed-stable; duplicate
     cuts are skipped (counted under the [recovery.duplicate_cuts]
-    metric) rather than re-checked. *)
+    metric) rather than re-checked.  The graph's DAG is built once per
+    call; each prefix then costs one down-closure check and one image. *)
 
 val check :
   graph:Persistency.Persist_graph.t ->
@@ -75,8 +77,7 @@ val check_invariant :
   strategy:strategy ->
   observer ->
   (unit, string) result
-(** {!check} with the failure rendered as a one-line message — the
-    shape of {!Persistency.Observer.check_cut_invariant}, for call
+(** {!check} with the failure rendered by {!render_failure}, for call
     sites that only need pass/fail. *)
 
 val render_failure : failure -> string

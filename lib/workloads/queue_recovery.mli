@@ -33,8 +33,7 @@ val check :
 val checker :
   params:Queue.params -> layout:Queue.layout ->
   bytes -> (unit, string) result
-(** [check] partially applied, shaped for
-    {!Persistency.Observer.check_cut_invariant} and {!Recovery.check}. *)
+(** [check] partially applied, shaped for {!Recovery.check}. *)
 
 val image_capacity : Queue.layout -> int
 (** Bytes of persistent address space the image must cover. *)

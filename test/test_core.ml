@@ -146,6 +146,145 @@ let test_dag_random_down_closed () =
   let s = P.Dag.random_down_closed ~size:2 g rng in
   checki "size honored" 2 (P.Iset.cardinal s)
 
+(* The exhaustive scan [all_down_closed] replaced, kept as its oracle:
+   every bitmask in ascending order, each down-closed one consed, so
+   the list runs in descending bitmask order. *)
+let mask_scan_down_closed g =
+  let n = P.Dag.node_count g in
+  let result = ref [] in
+  for mask = 0 to (1 lsl n) - 1 do
+    let set = ref P.Iset.empty in
+    for v = 0 to n - 1 do
+      if mask land (1 lsl v) <> 0 then set := P.Iset.add v !set
+    done;
+    if P.Dag.is_down_closed g !set then result := !set :: !result
+  done;
+  !result
+
+let same_cuts a b = List.equal P.Iset.equal a b
+
+let test_dag_cut_order () =
+  let sets = List.map P.Iset.of_list in
+  let g = diamond () in
+  checkb "diamond cuts, descending bitmask" true
+    (same_cuts (P.Dag.all_down_closed g)
+       (sets [ [ 0; 1; 2; 3 ]; [ 0; 1; 2 ]; [ 0; 2 ]; [ 0; 1 ]; [ 0 ]; [] ]));
+  (* a coalesced node can depend on a later one: 0 <-> 1, 2 free *)
+  let c = P.Dag.create ~n:3 in
+  P.Dag.add_edge c 0 1;
+  P.Dag.add_edge c 1 0;
+  checkb "2-cycle cuts" true
+    (same_cuts (P.Dag.all_down_closed c)
+       (sets [ [ 0; 1; 2 ]; [ 2 ]; [ 0; 1 ]; [] ]));
+  checkb "2-cycle matches mask scan" true
+    (same_cuts (P.Dag.all_down_closed c) (mask_scan_down_closed c))
+
+(* Random graphs of at most 12 nodes; random edges make cycles and
+   self-loops common. *)
+let arbitrary_dag =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 12 >>= fun n ->
+      if n = 0 then return (0, [])
+      else
+        let node = int_bound (n - 1) in
+        list_size (int_range 0 (2 * n)) (pair node node) >|= fun edges ->
+        (n, edges))
+  in
+  let print (n, edges) =
+    Printf.sprintf "%d nodes: %s" n
+      (String.concat " "
+         (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+  in
+  QCheck.make ~print gen
+
+let dag_of (n, edges) =
+  let g = P.Dag.create ~n in
+  List.iter (fun (u, v) -> P.Dag.add_edge g u v) edges;
+  g
+
+let all_down_closed_property =
+  QCheck.Test.make ~count:300 ~name:"all_down_closed matches the mask scan"
+    arbitrary_dag (fun spec ->
+      let g = dag_of spec in
+      same_cuts (P.Dag.all_down_closed g) (mask_scan_down_closed g))
+
+let of_preds_property =
+  QCheck.Test.make ~count:200 ~name:"of_preds equals add_edge" arbitrary_dag
+    (fun ((n, edges) as spec) ->
+      let g = dag_of spec in
+      let preds = Array.make n P.Iset.empty in
+      List.iter (fun (u, v) -> preds.(v) <- P.Iset.add u preds.(v)) edges;
+      let h = P.Dag.of_preds preds in
+      P.Dag.node_count h = n
+      && List.for_all
+           (fun v ->
+             P.Dag.preds g v = P.Dag.preds h v
+             && P.Dag.succs g v = P.Dag.succs h v)
+           (List.init n Fun.id))
+
+(* Down-closure as every member's predecessors being members; the
+   implementation walks the complement's successors instead. *)
+let closed_by_preds g set =
+  P.Iset.for_all
+    (fun v -> List.for_all (fun u -> P.Iset.mem u set) (P.Dag.preds g v))
+    set
+
+let is_down_closed_property =
+  QCheck.Test.make ~count:300
+    ~name:"is_down_closed matches the predecessor form"
+    QCheck.(pair arbitrary_dag int)
+    (fun (((n, _) as spec), bits) ->
+      let g = dag_of spec in
+      let set =
+        P.Iset.of_list
+          (List.filter
+             (fun v -> bits land (1 lsl v) <> 0)
+             (List.init n Fun.id))
+      in
+      List.for_all
+        (fun s -> P.Dag.is_down_closed g s = closed_by_preds g s)
+        [ set; P.Dag.down_closure g set ])
+
+(* [random_down_closed] as it was when it grew the cut with [Iset.add]:
+   the same rng draws must still give the same cuts. *)
+let reference_draw ?size g rng =
+  let n = P.Dag.node_count g in
+  let target =
+    match size with Some k -> min k n | None -> Random.State.int rng (n + 1)
+  in
+  let indeg = Array.init n (fun v -> List.length (P.Dag.preds g v)) in
+  let ready = Memsim.Vec.create () in
+  Array.iteri (fun v d -> if d = 0 then Memsim.Vec.push ready v) indeg;
+  let taken = ref P.Iset.empty in
+  while P.Iset.cardinal !taken < target && not (Memsim.Vec.is_empty ready) do
+    let v =
+      Memsim.Vec.swap_remove ready
+        (Random.State.int rng (Memsim.Vec.length ready))
+    in
+    taken := P.Iset.add v !taken;
+    List.iter
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then Memsim.Vec.push ready w)
+      (P.Dag.succs g v)
+  done;
+  !taken
+
+let random_down_closed_property =
+  QCheck.Test.make ~count:300 ~name:"random_down_closed keeps its draws"
+    QCheck.(triple arbitrary_dag small_nat (option small_nat))
+    (fun (spec, seed, size) ->
+      let g = dag_of spec in
+      let a = Random.State.make [| seed |] in
+      let b = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          P.Iset.equal
+            (P.Dag.random_down_closed ?size g a)
+            (reference_draw ?size g b))
+        (List.init 5 Fun.id))
+
 let test_dag_too_big () =
   Alcotest.match_raises "all_down_closed bound"
     (function Invalid_argument _ -> true | _ -> false)
@@ -430,7 +569,8 @@ let test_graph_node_mapping () =
 let test_observer_cut_count () =
   let _, g = graph_of epoch [ st 8; st 16; pb 0; st 24 ] in
   (* nodes a,b concurrent; c after both: cuts {} {a} {b} {ab} {abc} *)
-  checki "cut count" 5 (List.length (P.Observer.all_cuts g))
+  checki "cut count" 5
+    (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag g)))
 
 let test_observer_image () =
   (* the persist to 16 closes node 0, so the second store to 8 starts a
@@ -441,7 +581,10 @@ let test_observer_image () =
   checki "three nodes" 3 (P.Persist_graph.node_count g);
   let full = P.Observer.final_image g ~capacity:32 in
   Alcotest.(check int64) "last writer wins" 2L (Bytes.get_int64_le full 8);
-  let partial = P.Observer.image_of_cut g (P.Iset.singleton 0) ~capacity:32 in
+  let partial =
+    P.Observer.image_of_cut g ~dag:(P.Persist_graph.to_dag g)
+      (P.Iset.singleton 0) ~capacity:32
+  in
   Alcotest.(check int64) "prefix value" 1L (Bytes.get_int64_le partial 8);
   (* a barriered same-address store may coalesce into its own
      antecedent: merging into the persist you depend on violates no
@@ -454,7 +597,9 @@ let test_observer_illegal_cut () =
   Alcotest.match_raises "illegal cut"
     (function Invalid_argument _ -> true | _ -> false)
     (fun () ->
-      ignore (P.Observer.image_of_cut g (P.Iset.singleton 1) ~capacity:32))
+      ignore
+        (P.Observer.image_of_cut g ~dag:(P.Persist_graph.to_dag g)
+           (P.Iset.singleton 1) ~capacity:32))
 
 let test_observer_invariant_checker () =
   let _, g = graph_of epoch [ st ~value:7L 8; pb 0; st ~value:1L 16 ] in
@@ -466,15 +611,14 @@ let test_observer_invariant_checker () =
     then Error "flag without payload"
     else Ok ()
   in
-  checkb "barrier protects" true
-    (P.Observer.check_cut_invariant g check_inv ~capacity:32 ~samples:100
-       ~seed:3
-    = Ok ());
+  let sampled graph samples =
+    Recovery.check_invariant ~graph ~capacity:32
+      ~strategy:(Recovery.Sampled { samples; seed = 3 })
+      check_inv
+  in
+  checkb "barrier protects" true (sampled g 100 = Ok ());
   let _, g2 = graph_of epoch [ st ~value:7L 8; st ~value:1L 16 ] in
-  checkb "no barrier violates" true
-    (P.Observer.check_cut_invariant g2 check_inv ~capacity:32 ~samples:200
-       ~seed:3
-    <> Ok ())
+  checkb "no barrier violates" true (sampled g2 200 <> Ok ())
 
 (* Oracle on hand traces *)
 
@@ -563,7 +707,7 @@ let observer_cut_property =
         let rng = Random.State.make [| 42 |] in
         let dag = P.Persist_graph.to_dag g in
         List.for_all
-          (fun _ -> P.Dag.is_down_closed dag (P.Observer.random_cut g rng))
+          (fun _ -> P.Dag.is_down_closed dag (P.Dag.random_down_closed dag rng))
           (List.init 10 Fun.id))
 
 let engine_determinism_property =
@@ -606,7 +750,12 @@ let () =
           Alcotest.test_case "down closed" `Quick test_dag_down_closed;
           Alcotest.test_case "random down closed" `Quick
             test_dag_random_down_closed;
-          Alcotest.test_case "size bound" `Quick test_dag_too_big ] );
+          Alcotest.test_case "size bound" `Quick test_dag_too_big;
+          Alcotest.test_case "cut order" `Quick test_dag_cut_order;
+          QCheck_alcotest.to_alcotest all_down_closed_property;
+          QCheck_alcotest.to_alcotest of_preds_property;
+          QCheck_alcotest.to_alcotest is_down_closed_property;
+          QCheck_alcotest.to_alcotest random_down_closed_property ] );
       ( "engine-strict",
         [ Alcotest.test_case "serializes" `Quick test_strict_serializes;
           Alcotest.test_case "same-address coalescing" `Quick

@@ -252,9 +252,9 @@ let test_fang_recovers_prefix () =
     layout.Workloads.Queue.data_addr + layout.Workloads.Queue.data_bytes
   in
   match
-    Persistency.Observer.check_cut_invariant graph
+    Recovery.check_invariant ~graph ~capacity
+      ~strategy:(Recovery.Sampled { samples = 300; seed = 9 })
       (Workloads.Queue_recovery.checker ~params ~layout)
-      ~capacity ~samples:300 ~seed:9
   with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg

@@ -128,7 +128,7 @@ let test_exhaustive_counts_all_cuts () =
   with
   | Ok r ->
     Alcotest.(check int) "checked every durable prefix"
-      (List.length (P.Observer.all_cuts graph))
+      (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
       r.Recovery.prefixes
   | Error f -> Alcotest.fail (Recovery.render_failure f)
 
@@ -185,7 +185,7 @@ let test_buggy_targeted_cut () =
   let graph, layout = graph_of params P.Config.Epoch in
   let cut = first_value_store_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "slot durable without its sealed record" true
@@ -196,7 +196,7 @@ let test_correct_targeted_cut () =
   let graph, layout = graph_of params P.Config.Epoch in
   let cut = first_value_store_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "closure drags the sealed record along" true

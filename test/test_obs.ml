@@ -792,13 +792,16 @@ let test_exit_codes () =
       "cache --threads 0"; "explore --depth 0"; "graph --inserts 0";
       "lockfree --inserts 0"; "serve --batch 0"; "serve --shards 1,0";
       "explore --max-schedules 0"; "recovery --samples 0";
-      "serve --requests 0"; "kv --ops=-4"; "ablation --which nope" ];
-  (* ...and a total that does not split evenly over --threads is bad
-     input naming both flags *)
+      "serve --requests 0"; "kv --ops=-4"; "ablation --which nope";
+      "analyze --track-gran 3"; "analyze --persist-gran 4" ];
+  (* ...and a total that does not split evenly over --threads, or over
+     a sweep's thread counts, is bad input naming both flags *)
   List.iter
     (fun cmd -> checke cmd 2 cmd)
     [ "analyze --threads 3 --inserts 100"; "kv --recovery --ops 33";
-      "validate --threads 3 --inserts 100" ]
+      "validate --threads 3 --inserts 100"; "table1 --inserts 7";
+      "consistency --inserts 7"; "machine --inserts 7"; "kv --inserts 7";
+      "ablation --inserts 7" ]
 
 (* The line a caught violation prints after "reproduce with:" must
    replay that violation verbatim. *)

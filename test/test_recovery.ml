@@ -45,9 +45,27 @@ let sampled_check ~design ~annotation ~mode ~seed =
   | Ok _ -> Ok ()
   | Error f -> Error (Recovery.render_failure f)
 
-(* The shared Recovery subsystem draws the same cut sequence as the
-   legacy observer entry point (same rng seeding, same generator), so
-   porting the checker must not change any verdict. *)
+(* The loop the shared Recovery subsystem replaced: draw [samples] cuts
+   from one seeded rng, build each image, stop at the first failure.
+   It re-checks duplicate draws where Recovery skips them. *)
+let legacy_sampled graph check ~capacity ~samples ~seed =
+  let rng = Random.State.make [| seed |] in
+  let dag = P.Persist_graph.to_dag graph in
+  let rec loop i =
+    if i >= samples then Ok ()
+    else
+      let cut = P.Dag.random_down_closed dag rng in
+      match check (P.Observer.image_of_cut graph ~dag cut ~capacity) with
+      | Ok () -> loop (i + 1)
+      | Error msg ->
+        Error
+          (Printf.sprintf "crash state with %d/%d persists durable: %s"
+             (P.Iset.cardinal cut) (P.Persist_graph.node_count graph) msg)
+  in
+  loop 0
+
+(* Recovery draws the same cut sequence as that loop (same rng seeding,
+   same generator), so it must reach the same verdict and rendering. *)
 let test_verify_matches_legacy () =
   List.iter
     (fun annotation ->
@@ -57,7 +75,7 @@ let test_verify_matches_legacy () =
       in
       let capacity = Workloads.Queue_recovery.image_capacity layout in
       let legacy =
-        P.Observer.check_cut_invariant graph
+        legacy_sampled graph
           (Workloads.Queue_recovery.checker ~params ~layout)
           ~capacity ~samples:200 ~seed:9
       in
@@ -117,7 +135,7 @@ let test_buggy_annotation_targeted_cut () =
   checkb "found head node" true (!head_node >= 0);
   let cut = P.Dag.down_closure dag (P.Iset.singleton !head_node) in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   checkb "head durable without data" true
@@ -141,7 +159,7 @@ let test_correct_annotation_targeted_cut () =
     graph;
   let cut = P.Dag.down_closure dag (P.Iset.singleton !head_node) in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   checkb "closure carries the data" true
@@ -163,7 +181,8 @@ let test_empty_cut_recovers_empty () =
       ~threads:1 ~inserts:4 ~seed:1
   in
   let image =
-    P.Observer.image_of_cut graph P.Iset.empty
+    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph)
+      P.Iset.empty
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   match Workloads.Queue_recovery.recover ~params ~layout image with

@@ -312,7 +312,7 @@ let test_group_exhaustive_counts_all_cuts () =
   with
   | Ok r ->
     checki "checked every durable prefix"
-      (List.length (P.Observer.all_cuts graph))
+      (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
       r.Recovery.prefixes
   | Error f -> Alcotest.fail (Recovery.render_failure f)
 
@@ -347,7 +347,7 @@ let test_group_buggy_targeted_cut () =
   let layout = G.layout store in
   let cut = marker_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "marker durable without its batch's slots" true
@@ -358,7 +358,7 @@ let test_group_correct_targeted_cut () =
   let layout = G.layout store in
   let cut = marker_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph cut
+    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "closure drags the slots along" true

@@ -158,7 +158,9 @@ let atomicity_check ~annotation ~mode () =
     else Error (Printf.sprintf "torn transaction: %Ld <> %Ld" a b)
   in
   match
-    P.Observer.check_cut_invariant graph check ~capacity ~samples:300 ~seed:7
+    Recovery.check_invariant ~graph ~capacity
+      ~strategy:(Recovery.Sampled { samples = 300; seed = 7 })
+      check
   with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
@@ -200,7 +202,9 @@ let test_unannotated_unsafe_under_epoch () =
       if Int64.equal a b then Ok () else Error "torn"
   in
   checkb "missing barriers are caught" true
-    (P.Observer.check_cut_invariant graph check ~capacity ~samples:400 ~seed:7
+    (Recovery.check_invariant ~graph ~capacity
+       ~strategy:(Recovery.Sampled { samples = 400; seed = 7 })
+       check
     <> Ok ())
 
 let () =
