@@ -38,12 +38,15 @@ fmt-check:
 	dune build @fmt
 
 # Quick end-to-end check of the observability outputs: metrics and
-# trace dumps must be valid JSON, the graph export well-formed DOT.
+# trace dumps (a sweep's and a DPOR exploration's) must be valid JSON,
+# the graph export well-formed DOT.
 smoke: build
 	dune exec bin/persistsim.exe -- table1 --inserts 200 --metrics-out /tmp/persistsim-metrics.json > /dev/null
 	python3 -m json.tool /tmp/persistsim-metrics.json > /dev/null
 	dune exec bin/persistsim.exe -- fig3 --inserts 200 --trace-out /tmp/persistsim-trace.json > /dev/null
 	python3 -m json.tool /tmp/persistsim-trace.json > /dev/null
+	dune exec bin/persistsim.exe -- explore --workload kv --depth 2 --trace-out /tmp/persistsim-explore-trace.json > /dev/null
+	python3 -m json.tool /tmp/persistsim-explore-trace.json > /dev/null
 	dune exec bin/persistsim.exe -- graph --design cwl --model epoch --out /tmp/persistsim-graph.dot
 	grep -q "digraph persist_graph" /tmp/persistsim-graph.dot
 	dune exec bin/persistsim.exe -- kv --inserts 100 > /dev/null

@@ -414,13 +414,15 @@ let bench_litmus how config name =
            Litmus.suite))
 
 let bench_litmus_brute =
-  bench_litmus Litmus.Brute Litmus.tso_sync_config "litmus:suite-tso-brute"
+  bench_litmus Litmus.Brute Memsim.Machine.tso_sync_config
+    "litmus:suite-tso-brute"
 
 let bench_litmus_dpor =
-  bench_litmus Litmus.Dpor Litmus.tso_sync_config "litmus:suite-tso-dpor"
+  bench_litmus Litmus.Dpor Memsim.Machine.tso_sync_config
+    "litmus:suite-tso-dpor"
 
 let bench_litmus_buffered =
-  bench_litmus Litmus.Dpor Litmus.tso_buffered_config
+  bench_litmus Litmus.Dpor Memsim.Machine.tso_buffered_config
     "litmus:suite-tso-buffered-dpor"
 
 (* Persistence-buffer micro: a single thread streaming

@@ -157,22 +157,17 @@ let dist_conv =
     ( parse,
       fun ppf d -> Format.pp_print_string ppf (Workloads.Keygen.dist_name d) )
 
-(* The machine configurations (the sync and buffered Px86 semantics):
-   canonical label, aliases, consistency model, persistence.  The
-   explore --machine, lockfree --model and litmus --model converters
-   all derive from this one table; [extra] appends group names. *)
-let machines =
-  Memsim.Machine.
-    [ ("sc", [], Sc, Psync); ("tso-sync", [ "tso" ], Tso, Psync);
-      ("tso-buffered", [], Tso, Pbuffered) ]
-
+(* The machine configurations (the sync and buffered Px86 semantics),
+   each under its canonical label; [tso] aliases tso-sync.  The explore
+   --machine, lockfree --model and litmus --model converters all derive
+   from {!Memsim.Machine.all_configs}; [extra] appends group names. *)
 let machine_conv ?(extra = []) f =
   Arg.enum
     (List.concat_map
-       (fun (label, aliases, model, persistence) ->
-         let v = f label model persistence in
-         List.map (fun name -> (name, v)) (aliases @ [ label ]))
-       machines
+       (fun (mc : Memsim.Machine.mconfig) ->
+         let aliases = if mc.mlabel = "tso-sync" then [ "tso" ] else [] in
+         List.map (fun name -> (name, f mc)) (aliases @ [ mc.mlabel ]))
+       Memsim.Machine.all_configs
      @ extra)
 
 (* Failure-injection verdicts: a violation is expected if and only if
@@ -903,12 +898,12 @@ let calibrate_cmd =
 
 let explore_cmd =
   let run () workload (model : Experiments.Run.model_point)
-      (machine_label, mmodel, mpersistence) o oracle csv =
+      (machine : Memsim.Machine.mconfig) o oracle csv =
     (* on the TSO machine the paper's atomic persist barrier is not an
        instruction x86 offers — realize it as the Px86 flush+sfence
        annotation instead *)
     let barrier =
-      match mmodel with
+      match machine.model with
       | Memsim.Machine.Sc -> Memsim.Machine.Pbarrier
       | Memsim.Machine.Tso -> Memsim.Machine.Flush_sfence
     in
@@ -921,8 +916,9 @@ let explore_cmd =
           if buggy then Workloads.Queue.Buggy_epoch else model.annotation
         in
         let params =
-          { (Workloads.Queue.explore_params ~threads ~depth ~machine:mmodel
-               ~persistence:mpersistence ~barrier annotation)
+          { (Workloads.Queue.explore_params ~threads ~depth
+               ~machine:machine.model ~persistence:machine.persistence
+               ~barrier annotation)
             with Workloads.Queue.seed }
         in
         ( Check.Driver.queue_instance params cfg,
@@ -932,8 +928,8 @@ let explore_cmd =
           if buggy then Kv.Buggy_undo else Kv.discipline_for model.mode
         in
         let params =
-          { (Kv.explore_params ~threads ~depth ~machine:mmodel
-               ~persistence:mpersistence ~barrier discipline)
+          { (Kv.explore_params ~threads ~depth ~machine:machine.model
+               ~persistence:machine.persistence ~barrier discipline)
             with Kv.seed }
         in
         (Check.Driver.kv_instance params cfg, Kv.discipline_name discipline)
@@ -966,7 +962,7 @@ let explore_cmd =
            sleep_skips,sleep_aborts,steps,complete,distinct_graphs,\
            recovery_checks,prefixes,verdict,brute_traces,brute_graphs\n";
         Printf.printf "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d,%d,%s,%s,%s\n"
-          workload_name label model.label machine_label threads depth
+          workload_name label model.label machine.mlabel threads depth
           report.stats.schedules
           report.stats.sleep_skips report.stats.sleep_aborts
           report.stats.steps report.stats.complete report.distinct
@@ -984,7 +980,7 @@ let explore_cmd =
           \  scheduling decisions  %d\n\
           \  distinct persist graphs %d (%d recovery-checked, %d durable \
            prefixes)\n"
-          workload_name label model.label machine_label threads depth
+          workload_name label model.label machine.mlabel threads depth
           report.stats.schedules
           (if report.stats.complete then " (complete)" else " (budget hit)")
           report.stats.sleep_aborts report.stats.sleep_skips
@@ -1002,7 +998,7 @@ let explore_cmd =
     dpor_check o ~machine:"" ~holds:"recovery holds" ~summary ~clean:ignore
       ~command:
         (Printf.sprintf "explore --workload %s --model %s --machine %s%s"
-           workload_name model.label machine_label
+           workload_name model.label machine.mlabel
            (if buggy then " --buggy" else ""))
       instance_of
   in
@@ -1014,8 +1010,7 @@ let explore_cmd =
   in
   let machine_t =
     Arg.(value
-         & opt (machine_conv (fun label m p -> (label, m, p)))
-             ("sc", Memsim.Machine.Sc, Memsim.Machine.Psync)
+         & opt (machine_conv Fun.id) Memsim.Machine.sc_config
          & info [ "machine" ] ~docv:"MACHINE"
              ~doc:"Machine configuration to explore under: $(b,sc) \
                    (default), $(b,tso-sync) (alias $(b,tso)) or \
@@ -1096,7 +1091,7 @@ let lockfree_cmd =
   let mconfigs_t =
     let mconv =
       machine_conv ~extra:[ ("all", E.all_mconfigs) ]
-        (fun mlabel model persistence -> [ { E.mlabel; model; persistence } ])
+        (fun mc -> [ mc ])
     in
     Arg.(value & opt mconv E.all_mconfigs
          & info [ "model" ] ~docv:"MODEL"
@@ -1190,7 +1185,7 @@ let litmus_cmd =
     in
     (* one row per result: CSV, or the table with failure details *)
     let row fmt (r : Litmus.result) =
-      Printf.printf fmt r.test.name (Litmus.config_name r.config)
+      Printf.printf fmt r.test.name r.config.mlabel
         (Litmus.method_name r.how) r.schedules (List.length r.observed)
         (if Litmus.pass r then "pass" else "FAIL")
     in
@@ -1226,11 +1221,11 @@ let litmus_cmd =
     let model_conv =
       machine_conv
         ~extra:
-          [ ("both", [ Litmus.sc_config; Litmus.tso_sync_config ]);
-            ("all", Litmus.all_configs) ]
-        (fun _ model persistence -> [ { Litmus.model; persistence } ])
+          [ ("both", Memsim.Machine.[ sc_config; tso_sync_config ]);
+            ("all", Memsim.Machine.all_configs) ]
+        (fun mc -> [ mc ])
     in
-    Arg.(value & opt model_conv Litmus.all_configs
+    Arg.(value & opt model_conv Memsim.Machine.all_configs
          & info [ "model" ] ~docv:"MODEL"
              ~doc:"Machine configuration: $(b,sc), $(b,tso-sync) (alias \
                    $(b,tso)), $(b,tso-buffered), $(b,both) (sc + \

@@ -90,10 +90,11 @@ let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
    recovered abstract state is checked against the operations the cut
    classifies as fully / partially / not durable. *)
 let instrumented_run run cfg =
-  let cfg = { cfg with Ps.Config.record_graph = true } in
-  let engine = Ps.Engine.create cfg in
   let hist = Dlin.History.create () in
-  let result = run ~sink:(Dlin.History.sink hist (Ps.Engine.observe engine)) in
+  let engine, result =
+    Ps.Engine.run { cfg with Ps.Config.record_graph = true } (fun ~sink ->
+        run ~sink:(Dlin.History.sink hist sink))
+  in
   let ops effect_of =
     Dlin.History.ops hist
       ~node_of_persist:(Ps.Engine.node_of_persist_event engine)
@@ -104,21 +105,19 @@ let instrumented_run run cfg =
 let queue_instance params cfg policy =
   let params = { params with Workloads.Queue.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Workloads.Queue.run params ~sink) cfg
+    instrumented_run (Workloads.Queue.run params) cfg
   in
   let layout = result.Workloads.Queue.layout in
   let ops =
     history (fun ~tid ~index ~label:_ -> Dlin.Enq { etid = tid; eseq = index })
   in
   let observer ~cut image =
-    match Workloads.Queue_recovery.check ~params ~layout image with
+    match Workloads.Queue_recovery.recover ~params ~layout image with
     | Error _ as e -> e
-    | Ok () -> (
-      match Workloads.Queue_recovery.recover ~params ~layout image with
+    | Ok { entries; _ } -> (
+      match Workloads.Queue_recovery.check_fifo entries with
       | Error _ as e -> e
-      | Ok r ->
-        Dlin.check_fifo ~ops ~cut
-          ~recovered:r.Workloads.Queue_recovery.entries)
+      | Ok () -> Dlin.check_fifo ~ops ~cut ~recovered:entries)
   in
   { graph;
     capacity = Workloads.Queue_recovery.image_capacity layout;
@@ -127,7 +126,7 @@ let queue_instance params cfg policy =
 let kv_instance params cfg policy =
   let params = { params with Kv.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Kv.run params ~sink) cfg
+    instrumented_run (Kv.run params) cfg
   in
   let layout = result.Kv.layout in
   let ops =
@@ -137,19 +136,16 @@ let kv_instance params cfg policy =
         | Kv.Get _ -> Dlin.Read)
   in
   let observer ~cut image =
-    match Kv_recovery.check ~params ~layout image with
+    match Kv_recovery.recover ~params ~layout image with
     | Error _ as e -> e
-    | Ok () -> (
-      match Kv_recovery.recover ~params ~layout image with
-      | Error _ as e -> e
-      | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings)
+    | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings
   in
   { graph; capacity = Kv_recovery.image_capacity layout; observer }
 
 let lockfree_instance params cfg policy =
   let params = { params with Lockfree.Cas_set.policy } in
   let result, graph, history =
-    instrumented_run (fun ~sink -> Lockfree.Cas_set.run params ~sink) cfg
+    instrumented_run (Lockfree.Cas_set.run params) cfg
   in
   let layout = result.Lockfree.Cas_set.layout in
   let keys = result.Lockfree.Cas_set.keys in

@@ -519,6 +519,30 @@ let observe_trace t trace =
   end
   else Memsim.Trace.iter (observe t) trace
 
+(* The one feed of a workload run into a fresh engine.  Normally events
+   stream straight from the machine sink into the engine (no
+   materialized trace).  When span tracing is on, the trace is
+   materialized so that generation and analysis appear as distinct
+   phases in the timeline — the engine sees the same events in the
+   same order, so results are identical. *)
+let run cfg produce =
+  let t = create cfg in
+  if Obs.Tracer.enabled () then begin
+    let trace = Memsim.Trace.create () in
+    let r =
+      Obs.Tracer.with_span ~cat:"phase" "trace generation" (fun () ->
+          produce ~sink:(Memsim.Trace.sink trace))
+    in
+    Obs.Tracer.with_span ~cat:"phase"
+      ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
+      "engine analysis"
+      (fun () -> Memsim.Trace.iter (observe t) trace);
+    (t, r)
+  end
+  else
+    let r = produce ~sink:(observe t) in
+    (t, r)
+
 let critical_path t = t.max_level
 let persist_events t = t.persist_events
 let persist_ops t = t.persist_events - t.coalesced

@@ -36,6 +36,14 @@ val observe : t -> Memsim.Event.t -> unit
 
 val observe_trace : t -> Memsim.Trace.t -> unit
 
+val run : Config.t -> (sink:(Memsim.Event.t -> unit) -> 'r) -> t * 'r
+(** [run cfg produce] feeds one workload run into a fresh engine:
+    [produce ~sink] (e.g. [Workloads.Queue.run params]) emits its
+    events into [sink], and [run] returns the engine with the run's
+    result.  With {!Obs.Tracer} on, the trace is materialized so that
+    trace generation and engine analysis are separate phase spans; the
+    engine sees the same events either way. *)
+
 val critical_path : t -> int
 (** Maximum persist level assigned so far (0 when no persists). *)
 

@@ -13,21 +13,13 @@ module M = Memsim.Machine
    statement about persist dependence chains, so it must hold whether
    persists commit synchronously at the fence (sc, tso-sync) or drain
    asynchronously from the persistence buffer (tso-buffered). *)
-type mconfig = {
+type mconfig = M.mconfig = {
   mlabel : string;
   model : M.model;
   persistence : M.persistence;
 }
 
-let sc_mconfig = { mlabel = "sc"; model = M.Sc; persistence = M.Psync }
-
-let tso_sync_mconfig =
-  { mlabel = "tso-sync"; model = M.Tso; persistence = M.Psync }
-
-let tso_buffered_mconfig =
-  { mlabel = "tso-buffered"; model = M.Tso; persistence = M.Pbuffered }
-
-let all_mconfigs = [ sc_mconfig; tso_sync_mconfig; tso_buffered_mconfig ]
+let all_mconfigs = M.all_configs
 
 type metrics = {
   inserts : int;
@@ -48,41 +40,21 @@ let metrics_of (engine : Persistency.Engine.t) (result : C.result) =
     critical_path = Persistency.Engine.critical_path engine;
     cp_per_insert = Persistency.Engine.cp_per_label engine "insert" }
 
-(* Same trace-vs-stream split as Run.drive: materialize the trace only
-   when span tracing wants generation and analysis as separate phases. *)
-let drive params engine =
-  if Obs.Tracer.enabled () then begin
-    let trace = Memsim.Trace.create () in
-    let result =
-      Obs.Tracer.with_span ~cat:"phase" "trace generation" (fun () ->
-          C.run params ~sink:(Memsim.Trace.sink trace))
-    in
-    Obs.Tracer.with_span ~cat:"phase"
-      ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
-      "engine analysis"
-      (fun () -> Memsim.Trace.iter (Persistency.Engine.observe engine) trace);
-    result
-  end
-  else C.run params ~sink:(Persistency.Engine.observe engine)
-
 let analyze params cfg =
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
+  let engine, result = Persistency.Engine.run cfg (C.run params) in
   metrics_of engine result
 
 let analyze_with_graph params cfg =
-  let cfg = { cfg with Persistency.Config.record_graph = true } in
-  let engine = Persistency.Engine.create cfg in
-  let result = drive params engine in
-  let graph =
-    match Persistency.Engine.graph engine with
-    | Some g -> g
-    | None -> assert false
+  let engine, result =
+    Persistency.Engine.run
+      { cfg with Persistency.Config.record_graph = true }
+      (C.run params)
   in
-  (metrics_of engine result, graph, result.C.layout)
+  (metrics_of engine result, Option.get (Persistency.Engine.graph engine),
+   result.C.layout)
 
 let set_params ?(threads = 2) ?(inserts = 256) ?(seed = 42)
-    ?(mconfig = sc_mconfig) discipline =
+    ?(mconfig = M.sc_config) discipline =
   { C.discipline;
     threads;
     inserts_per_thread = inserts;

@@ -380,9 +380,6 @@ let check_group ~layout ~batches image =
   | Ok _ -> Ok ()
   | Error msg -> Error msg
 
-let group_checker ~layout ~batches =
- fun image -> check_group ~layout ~batches image
-
 let group_image_capacity (layout : Kv_group.layout) =
   max
     (max
@@ -394,4 +391,4 @@ let verify_group ~layout ~batches ~graph ~strategy =
   Recovery.check ~graph
     ~capacity:(group_image_capacity layout)
     ~strategy
-    (group_checker ~layout ~batches)
+    (check_group ~layout ~batches)

@@ -94,11 +94,6 @@ val check_group :
   bytes ->
   (unit, string) result
 
-val group_checker :
-  layout:Kv_group.layout ->
-  batches:Kv_group.put list list ->
-  Recovery.observer
-
 val group_image_capacity : Kv_group.layout -> int
 
 val verify_group :

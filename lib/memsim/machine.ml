@@ -950,3 +950,19 @@ let load_bytes addr n =
   load_tail 2 (fun b o v -> Bytes.set_uint16_le b o (Int64.to_int v land 0xffff));
   load_tail 1 (fun b o v -> Bytes.set_uint8 b o (Int64.to_int v land 0xff));
   out
+
+(* Declared last: its [model] / [persistence] fields would otherwise
+   shadow those of the machine state above. *)
+type mconfig = {
+  mlabel : string;
+  model : model;
+  persistence : persistence;
+}
+
+let sc_config = { mlabel = "sc"; model = Sc; persistence = Psync }
+let tso_sync_config = { mlabel = "tso-sync"; model = Tso; persistence = Psync }
+
+let tso_buffered_config =
+  { mlabel = "tso-buffered"; model = Tso; persistence = Pbuffered }
+
+let all_configs = [ sc_config; tso_sync_config; tso_buffered_config ]

@@ -101,6 +101,23 @@ type persistence =
           ones), they never force a drain.  Crash states therefore cut
           the persistence buffer as well as the store buffer. *)
 
+(** A machine configuration: a consistency model paired with a Px86
+    persistence semantics, under its canonical label. *)
+type mconfig = {
+  mlabel : string;  (** [sc], [tso-sync] or [tso-buffered] *)
+  model : model;
+  persistence : persistence;
+}
+
+val sc_config : mconfig
+val tso_sync_config : mconfig
+val tso_buffered_config : mconfig
+
+val all_configs : mconfig list
+(** [sc], [tso-sync], [tso-buffered] — the machine matrix the litmus
+    corpus, the lock-free sweep and the CLI's machine flags range
+    over. *)
+
 type barrier_impl =
   | Pbarrier  (** {!persist_barrier} emits [Persist_barrier] (default) *)
   | Flush_sfence

@@ -26,9 +26,14 @@ val recover :
   params:Queue.params -> layout:Queue.layout -> bytes ->
   (recovered, string) result
 
+val check_fifo : (int * int) list -> (unit, string) result
+(** The ordering invariant on recovered entries: per thread, sequence
+    numbers are exactly 0, 1, 2, ... — no lost or reordered insert. *)
+
 val check :
   params:Queue.params -> layout:Queue.layout -> bytes ->
   (unit, string) result
+(** {!recover}, then {!check_fifo} on its entries. *)
 
 val checker :
   params:Queue.params -> layout:Queue.layout ->

@@ -319,15 +319,15 @@ let gen_racefree_test rng seed =
 let fingerprint_census t (config : Litmus.mconfig) =
   let seen = Hashtbl.create 64 in
   let cfg =
-    if config.Litmus.persistence = Memsim.Machine.Pbuffered then
+    if config.Memsim.Machine.persistence = Memsim.Machine.Pbuffered then
       Litmus.buffered_cfg
     else Litmus.default_cfg
   in
   let run policy =
     let memory = Memsim.Memory.create ~persistent_capacity:1024 () in
     let machine =
-      Memsim.Machine.create ~policy ~model:config.Litmus.model
-        ~persistence:config.Litmus.persistence ~memory ()
+      Memsim.Machine.create ~policy ~model:config.Memsim.Machine.model
+        ~persistence:config.Memsim.Machine.persistence ~memory ()
     in
     let engine = P.Engine.create cfg in
     Memsim.Machine.set_sink machine (P.Engine.observe engine);
@@ -350,7 +350,7 @@ let fingerprint_census t (config : Litmus.mconfig) =
   let o = Memsim.Explore.run_all ~limit:200_000 run in
   if not o.Memsim.Explore.complete then
     Alcotest.failf "%s/%s: exploration hit the limit" t.Litmus.name
-      (Litmus.config_name config);
+      config.Memsim.Machine.mlabel;
   ( o.Memsim.Explore.traces,
     List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []) )
 
@@ -359,8 +359,10 @@ let test_racefree_sc_tso_census () =
     traced ~name:"racefree-sc-tso" ~seed @@ fun () ->
     let rng = Random.State.make [| 0x2545f491; seed |] in
     let t = gen_racefree_test rng seed in
-    let sc_traces, sc_census = fingerprint_census t Litmus.sc_config in
-    let tso_traces, tso_census = fingerprint_census t Litmus.tso_sync_config in
+    let sc_traces, sc_census = fingerprint_census t Memsim.Machine.sc_config in
+    let tso_traces, tso_census =
+      fingerprint_census t Memsim.Machine.tso_sync_config
+    in
     if sc_census <> tso_census then
       Alcotest.failf
         "%s: fingerprint census diverged (sc %d fingerprints / %d traces, \
@@ -415,10 +417,10 @@ let test_fenced_sync_buffered_census () =
     let rng = Random.State.make [| 0x6c62272e; seed |] in
     let t = gen_fenced_test rng seed in
     let sync_traces, sync_census =
-      fingerprint_census t Litmus.tso_sync_config
+      fingerprint_census t Memsim.Machine.tso_sync_config
     in
     let buf_traces, buf_census =
-      fingerprint_census t Litmus.tso_buffered_config
+      fingerprint_census t Memsim.Machine.tso_buffered_config
     in
     if sync_census <> buf_census then
       Alcotest.failf

@@ -255,6 +255,101 @@ let test_machine_tso_metrics () =
       Alcotest.(check bool) "occupancy sum positive" true
         (M.histogram_sum h > 0.))
 
+(* Engine.run's tracer branch: with the tracer on, a run is
+   materialized between a "trace generation" and an "engine analysis"
+   span.  The engine must see the same events either way, for the
+   sweep analyses and for DPOR executions alike. *)
+
+(* [f ()] with the tracer on; returns its result and the number of
+   [ph] events named [name] it recorded. *)
+let with_tracer f =
+  Obs.Tracer.clear ();
+  Obs.Tracer.enable ();
+  let r = f () in
+  let j = parse (J.to_string (Obs.Tracer.to_json ())) in
+  let events =
+    match member "traceEvents" j with
+    | J.List l -> l
+    | _ -> Alcotest.fail "traceEvents is not a list"
+  in
+  Obs.Tracer.clear ();
+  let is field v ev =
+    match member field ev with J.Str s -> String.equal s v | _ -> false
+  in
+  let count name ph =
+    List.length
+      (List.filter (fun ev -> is "name" name ev && is "ph" ph ev) events)
+  in
+  (r, count)
+
+(* Checks both phases' spans are balanced; returns their counts. *)
+let phase_spans count =
+  let balanced name =
+    let b = count name "B" in
+    Alcotest.(check int) (name ^ " spans balanced") b (count name "E");
+    b
+  in
+  (balanced "trace generation", balanced "engine analysis")
+
+let test_tracer_branch_equivalence () =
+  Fun.protect ~finally:Obs.Tracer.clear @@ fun () ->
+  let module R = Experiments.Run in
+  let module K = Experiments.Kv_exp in
+  let module L = Experiments.Lockfree_exp in
+  let cfg = P.Config.make P.Config.Epoch in
+  let fp g = P.Graph_export.fingerprint g in
+  let queue () =
+    let params = R.queue_params ~threads:2 ~total_inserts:40 R.epoch_point in
+    let m, g, _ = R.analyze_with_graph params cfg in
+    (R.analyze params cfg, m, fp g)
+  in
+  let kv () =
+    let params = K.kv_params ~threads:2 ~total_ops:64 P.Config.Epoch in
+    let m, g, _ = K.analyze_with_graph params cfg in
+    (K.analyze params cfg, m, fp g)
+  in
+  let lockfree () =
+    let params =
+      L.set_params ~inserts:16 ~mconfig:Memsim.Machine.tso_buffered_config
+        Lockfree.Cas_set.Nvtraverse
+    in
+    let m, g, _ = L.analyze_with_graph params cfg in
+    (L.analyze params cfg, m, fp g)
+  in
+  let same name run =
+    let streamed = run () in
+    let traced, count = with_tracer run in
+    Alcotest.(check bool) (name ^ ": metrics and fingerprint") true
+      (streamed = traced);
+    Alcotest.(check (pair int int)) (name ^ ": one span pair per run")
+      (2, 2) (phase_spans count)
+  in
+  same "queue" queue;
+  same "kv" kv;
+  same "lockfree" lockfree;
+  (* a DPOR check on the buggy KV discipline: same exploration, same
+     counter-example; every execution opens a generation span, those
+     run to completion an analysis span *)
+  let dpor () =
+    let params = Kv.explore_params ~threads:2 ~depth:2 Kv.Buggy_undo in
+    let r =
+      Check.Driver.check ~max_schedules:512
+        ~strategy:(Recovery.auto ~samples:64 ~seed:1)
+        (Check.Driver.kv_instance params cfg)
+    in
+    ( r.Check.Driver.stats,
+      (r.distinct, r.checked, r.prefixes),
+      Option.map (fun (s, _) -> Check.Schedule.to_string s) r.failure )
+  in
+  let streamed = dpor () in
+  let ((stats, _, failure) as traced), count = with_tracer dpor in
+  Alcotest.(check bool) "dpor: report" true (streamed = traced);
+  Alcotest.(check bool) "dpor: violation found" true (failure <> None);
+  Alcotest.(check (pair int int)) "dpor: spans per execution"
+    (stats.Check.Dpor.schedules + stats.sleep_aborts, stats.schedules)
+    (phase_spans count)
+
+
 (* Tracer *)
 
 let test_trace_json_balanced () =
@@ -853,7 +948,9 @@ let () =
         [ Alcotest.test_case "balanced well-formed events" `Quick
             test_trace_json_balanced;
           Alcotest.test_case "disabled records nothing" `Quick
-            test_trace_disabled_records_nothing ] );
+            test_trace_disabled_records_nothing;
+          Alcotest.test_case "engine runs equal with and without" `Quick
+            test_tracer_branch_equivalence ] );
       ( "graph export",
         [ Alcotest.test_case "critical chain length" `Quick
             test_critical_chain_length;
