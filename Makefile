@@ -39,7 +39,8 @@ fmt-check:
 
 # Quick end-to-end check of the observability outputs: metrics and
 # trace dumps (a sweep's and a DPOR exploration's) must be valid JSON,
-# the graph export well-formed DOT.
+# the graph export well-formed DOT.  Single-run failure injection
+# (queue and KV) must pass clean and catch its --buggy demonstration.
 smoke: build
 	dune exec bin/persistsim.exe -- table1 --inserts 200 --metrics-out /tmp/persistsim-metrics.json > /dev/null
 	python3 -m json.tool /tmp/persistsim-metrics.json > /dev/null
@@ -51,6 +52,9 @@ smoke: build
 	grep -q "digraph persist_graph" /tmp/persistsim-graph.dot
 	dune exec bin/persistsim.exe -- kv --inserts 100 > /dev/null
 	dune exec bin/persistsim.exe -- kv --recovery --samples 100 > /dev/null
+	dune exec bin/persistsim.exe -- kv --recovery --buggy | grep -q "RECOVERY VIOLATION"
+	dune exec bin/persistsim.exe -- recovery > /dev/null
+	dune exec bin/persistsim.exe -- recovery --buggy | grep -q "RECOVERY VIOLATION"
 	dune exec bin/persistsim.exe -- perf BENCH_PR10.json > /dev/null
 	dune exec bin/persistsim.exe -- perf BENCH_PR9.json BENCH_PR10.json --report-only > /dev/null
 

@@ -255,7 +255,7 @@ let bench_recovery_sampling =
          match
            Recovery.check_invariant ~graph ~capacity
              ~strategy:(Recovery.Sampled { samples = 20; seed = 1 })
-             (Workloads.Queue_recovery.checker ~params ~layout)
+             (Workloads.Queue_recovery.check ~params ~layout)
          with
          | Ok () -> ()
          | Error msg -> failwith msg))

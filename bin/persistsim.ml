@@ -189,14 +189,49 @@ let verdict ~buggy ~ok ?(at = "") ?repro = function
     Option.iter (Printf.printf "reproduce with:\n  %s\n") repro;
     if not buggy then exit 1
 
-let sampled_ok _ =
-  print_endline "recovery invariant holds in every sampled crash state"
+let exhaustive_limit = 20
+
+(* Single-run failure injection, shared by recovery, kv --recovery and
+   serve --recovery: each instance (one per serve shard) goes through
+   the driver's single-run entry with the strategy its graph size
+   admits, stopping at the first unrecoverable crash state.  Returns
+   how the crash states were walked, then the reports summed over the
+   instances or the failing instance's index and failure. *)
+let check_runs ~samples ~seed instances =
+  let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
+  let coverage =
+    if
+      List.for_all
+        (fun (i : Check.Driver.instance) ->
+          strategy i.graph = Recovery.Exhaustive)
+        instances
+    then "exhaustive"
+    else
+      Printf.sprintf "sampled: %d draws%s" samples
+        (if List.compare_length_with instances 1 > 0 then " per graph"
+         else "")
+  in
+  let rec go i (acc : Recovery.report) = function
+    | [] -> Ok acc
+    | inst :: rest -> (
+      match Check.Driver.check_run ~strategy inst with
+      | Ok r ->
+        go (i + 1)
+          { prefixes = acc.prefixes + r.prefixes; nodes = acc.nodes + r.nodes }
+          rest
+      | Error f -> Error (i, f))
+  in
+  (coverage, go 0 { prefixes = 0; nodes = 0 } instances)
+
+let dlin_ok coverage (r : Recovery.report) =
+  Printf.printf
+    "recovery and durable linearizability hold in all %d distinct crash \
+     states (%s)\n"
+    r.prefixes coverage
 
 (* DPOR failure injection, shared by explore and lockfree --recovery:
    explore every interleaving (or replay one), failure-injecting every
    distinct persist graph. *)
-
-let exhaustive_limit = 20
 
 type dpor = {
   buggy : bool;
@@ -450,30 +485,33 @@ let recovery_cmd =
            ~capacity_entries:(threads * inserts) model)
         with Workloads.Queue.annotation }
     in
-    let cfg = Persistency.Config.make model.Experiments.Run.mode in
-    let _, graph, layout = Experiments.Run.analyze_with_graph params cfg in
-    Printf.printf
-      "%s / %s%s: %d threads x %d inserts, %d atomic persists, %d crash states sampled\n"
+    let inst =
+      Check.Driver.queue_instance params
+        (Persistency.Config.make model.Experiments.Run.mode)
+        params.Workloads.Queue.policy
+    in
+    Printf.printf "%s / %s%s: %d threads x %d inserts, %d atomic persists\n"
       (Workloads.Queue.design_name design)
       model.Experiments.Run.label
       (if buggy then " (buggy: data->head barrier removed)" else "")
       threads inserts
-      (Persistency.Persist_graph.node_count graph)
-      samples;
-    verdict ~buggy ~ok:sampled_ok
-      (Workloads.Queue_recovery.verify ~params ~layout ~graph
-         ~strategy:
-           (Recovery.Sampled { samples; seed = params.Workloads.Queue.seed }))
+      (Persistency.Persist_graph.node_count inst.graph);
+    let coverage, result =
+      check_runs ~samples ~seed:params.Workloads.Queue.seed [ inst ]
+    in
+    verdict ~buggy ~ok:(dlin_ok coverage) (Result.map_error snd result)
   in
   Cmd.v
     (Cmd.info "recovery"
-       ~doc:"Failure injection: sample legal crash states via the recovery \
-             observer and check queue recovery.")
+       ~doc:"Failure injection: check queue recovery and durable \
+             linearizability in legal crash states of one run.")
     Term.(const run $ obs_t $ design_t $ model_t $ threads_t 2
           $ inserts_t 16
               ~doc:"Inserts per thread (kept small: crash-state checking is \
                     exhaustive in spirit)."
-          $ samples_t 500 "Number of random crash states to test."
+          $ samples_t 500
+              "Random crash states to draw (graphs of at most 20 persists \
+               are checked exhaustively)."
           $ buggy_t
               "Use the deliberately broken annotation (no data->head \
                barrier) to demonstrate a detectable recovery bug.")
@@ -491,19 +529,17 @@ let kv_cmd =
     let params =
       if buggy then { params with Kv.discipline = Kv.Buggy_undo } else params
     in
-    let cfg = Persistency.Config.make model.mode in
-    let _, graph, layout = Experiments.Kv_exp.analyze_with_graph params cfg in
-    Printf.printf
-      "kv / %s%s: %d threads x %d ops, %d atomic persists, %d crash states \
-       sampled\n"
+    let inst =
+      Check.Driver.kv_instance params (Persistency.Config.make model.mode)
+        params.Kv.policy
+    in
+    Printf.printf "kv / %s%s: %d threads x %d ops, %d atomic persists\n"
       (Kv.discipline_name params.Kv.discipline)
       (if buggy then " (buggy: seal->slot barrier removed)" else "")
       threads params.Kv.ops_per_thread
-      (Persistency.Persist_graph.node_count graph)
-      samples;
-    verdict ~buggy ~ok:sampled_ok
-      (Kv_recovery.verify ~params ~layout ~graph
-         ~strategy:(Recovery.Sampled { samples; seed = params.Kv.seed }))
+      (Persistency.Persist_graph.node_count inst.graph);
+    let coverage, result = check_runs ~samples ~seed:params.Kv.seed [ inst ] in
+    verdict ~buggy ~ok:(dlin_ok coverage) (Result.map_error snd result)
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
     if recovery || buggy then failure_inject total_ops model threads samples buggy
@@ -536,11 +572,13 @@ let kv_cmd =
              configuration (--recovery).")
     Term.(const run $ obs_t $ ops_t $ dist_t $ csv_t $ jobs_t
           $ recovery_t
-              "Failure injection instead of the sweep: sample legal crash \
-               states of one configuration and check KV recovery."
+              "Failure injection instead of the sweep: check KV recovery and \
+               durable linearizability in legal crash states of one \
+               configuration."
           $ model_t $ threads_t 2
           $ samples_t 500
-              "Number of random crash states to test (with --recovery)."
+              "Random crash states to draw with --recovery (graphs of at \
+               most 20 persists are checked exhaustively)."
           $ buggy_t
               "With --recovery: drop the seal->slot persist barrier to \
                demonstrate a detectable crash-consistency bug.")
@@ -565,23 +603,30 @@ let serve_cmd =
     in
     Printf.printf "serve / %s: %d shards, batch %d, %d requests\n"
       model.Serve.Sim.label shards batch requests;
-    let strategy g = Recovery.auto ~samples ~seed:p.Serve.Sim.load.Serve.Loadgen.seed g in
-    let report, result = Serve.Sim.verify ~strategy p in
+    let report = Serve.Sim.run { p with Serve.Sim.record_graph = true } in
     Printf.printf
       "served %d (%d shed), %d group commits, mean fill %.2f, cp/put %.3f\n"
       report.Serve.Sim.served report.Serve.Sim.shed report.Serve.Sim.batches
       report.Serve.Sim.mean_fill report.Serve.Sim.cp_per_put;
+    let coverage, result =
+      check_runs ~samples ~seed:p.Serve.Sim.load.Serve.Loadgen.seed
+        (List.map
+           (fun (r : Serve.Sim.shard_result) ->
+             Check.Driver.group_instance ~layout:r.layout
+               ~batches:r.put_batches (Option.get r.graph))
+           report.Serve.Sim.shard_results)
+    in
     verdict
       ~buggy:(String.equal model.Serve.Sim.label "epoch-buggy")
       ?at:
         (match result with
         | Error (shard, _) -> Some (Printf.sprintf " (shard %d)" shard)
         | Ok _ -> None)
-      ~ok:(fun (v : Serve.Sim.verify_result) ->
+      ~ok:(fun (r : Recovery.report) ->
         Printf.printf
-          "group-commit recovery holds: %d crash states over %d persists \
-           across %d shards land on a batch boundary\n"
-          v.Serve.Sim.v_prefixes v.Serve.Sim.v_nodes v.Serve.Sim.v_shards)
+          "group-commit recovery holds: %d distinct crash states (%s) over \
+           %d persists across %d shards land on a batch boundary\n"
+          r.prefixes coverage r.nodes shards)
       (Result.map_error snd result)
   in
   let run () requests clients rate mix dist key_space shards batches csv jobs

@@ -20,6 +20,10 @@ type report = {
   failure : (Schedule.t * Recovery.failure) option;
 }
 
+let check_run ~strategy inst =
+  Recovery.check_cuts ~graph:inst.graph ~capacity:inst.capacity
+    ~strategy:(strategy inst.graph) inst.observer
+
 let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
     run =
   let mu = Mutex.create () in
@@ -50,10 +54,7 @@ let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
     end
     else begin
       Om.incr m_distinct;
-      let verdict =
-        Recovery.check_cuts ~graph:inst.graph ~capacity:inst.capacity
-          ~strategy:(strategy inst.graph) inst.observer
-      in
+      let verdict = check_run ~strategy inst in
       Mutex.protect mu (fun () ->
           incr checked;
           match verdict with
@@ -163,9 +164,15 @@ let lockfree_instance params cfg policy =
   in
   { graph; capacity = Lockfree.Set_recovery.image_capacity layout; observer }
 
+(* Group commit has no operation history to linearize: the marker
+   pins the exact recovered state, so the batch-boundary equality is
+   the whole observer. *)
+let group_instance ~layout ~batches graph =
+  { graph;
+    capacity = Kv_recovery.group_image_capacity layout;
+    observer =
+      (fun ~cut:_ image -> Kv_recovery.check_group ~layout ~batches image) }
+
 let replay sched run = run (M.Scripted (Schedule.to_script sched))
 
-let check_schedule ~strategy sched run =
-  let inst = replay sched run in
-  Recovery.check_cuts ~graph:inst.graph ~capacity:inst.capacity
-    ~strategy:(strategy inst.graph) inst.observer
+let check_schedule ~strategy sched run = check_run ~strategy (replay sched run)

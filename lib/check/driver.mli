@@ -32,6 +32,17 @@ type report = {
           unrecoverable crash state found on it *)
 }
 
+val check_run :
+  strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
+  instance ->
+  (Recovery.report, Recovery.failure) result
+(** Failure-inject one run: walk the durable prefixes [strategy] picks
+    for its graph and apply its observer to each, stopping at the first
+    unrecoverable crash state.  The one failure-injection entry point:
+    {!check} calls it once per distinct graph, {!check_schedule} on the
+    replayed run, and single-run commands on an instance built with the
+    workload's own policy. *)
+
 val check :
   ?gran:int ->
   ?max_schedules:int ->
@@ -71,6 +82,16 @@ val lockfree_instance :
 (** Same for the lock-free CAS-set workload ({!Dlin.check_set} catches
     the silent truncation {!Lockfree.Cas_set.discipline.Buggy_traverse}
     can produce, which the structural decoder alone cannot see). *)
+
+val group_instance :
+  layout:Kv_group.layout ->
+  batches:Kv_group.put list list ->
+  Persistency.Persist_graph.t ->
+  instance
+(** A recorded group-commit shard ({!Kv_group}: its layout, committed
+    put-batches and persist graph) packaged for {!check_run}.  The
+    observer is {!Kv_recovery.check_group}: every crash image must
+    recover to exactly the batch boundary its commit marker names. *)
 
 val replay : Schedule.t -> (Memsim.Machine.policy -> instance) -> instance
 (** Re-execute one schedule deterministically ([Scripted] policy with

@@ -152,12 +152,10 @@ let recover ~(params : Kv.params) ~(layout : Kv.layout) image =
     Ok { bindings = sorted; sealed; rolled_back = !rolled_back }
   with Bad msg -> Error msg
 
-let check ~params ~layout image =
+let checker ~params ~layout image =
   match recover ~params ~layout image with
   | Ok _ -> Ok ()
   | Error msg -> Error msg
-
-let checker ~params ~layout = fun image -> check ~params ~layout image
 
 let image_capacity (layout : Kv.layout) =
   max
@@ -386,9 +384,3 @@ let group_image_capacity (layout : Kv_group.layout) =
        (layout.table_addr + layout.table_bytes)
        (layout.log_addr + layout.log_bytes))
     (layout.marker_addr + 8)
-
-let verify_group ~layout ~batches ~graph ~strategy =
-  Recovery.check ~graph
-    ~capacity:(group_image_capacity layout)
-    ~strategy
-    (check_group ~layout ~batches)

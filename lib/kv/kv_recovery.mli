@@ -2,7 +2,7 @@
 
     Given a post-crash persistent memory image (from
     {!Persistency.Observer} via {!Recovery}), [recover] replays the
-    store's recovery rule and [check] validates the result:
+    store's recovery rule and [checker] validates the result:
 
     - every undo-log record is either unsealed (ignored) or sealed with
       intact, legal fields: the slot index belongs to the group its
@@ -38,11 +38,8 @@ type recovered = {
 val recover :
   params:Kv.params -> layout:Kv.layout -> bytes -> (recovered, string) result
 
-val check :
-  params:Kv.params -> layout:Kv.layout -> bytes -> (unit, string) result
-
 val checker : params:Kv.params -> layout:Kv.layout -> Recovery.observer
-(** [check] partially applied, shaped for {!Recovery.check}. *)
+(** {!recover} as a pass/fail observer, shaped for {!Recovery.check}. *)
 
 val image_capacity : Kv.layout -> int
 (** Bytes of persistent address space the image must cover. *)
@@ -95,12 +92,3 @@ val check_group :
   (unit, string) result
 
 val group_image_capacity : Kv_group.layout -> int
-
-val verify_group :
-  layout:Kv_group.layout ->
-  batches:Kv_group.put list list ->
-  graph:Persistency.Persist_graph.t ->
-  strategy:Recovery.strategy ->
-  (Recovery.report, Recovery.failure) result
-(** Failure-inject a group-commit run: every durable-prefix crash image
-    must recover to the marker's batch boundary. *)

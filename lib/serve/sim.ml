@@ -309,41 +309,3 @@ let run (p : params) =
     makespan;
     throughput = (if makespan > 0. then float_of_int served /. makespan else 0.);
     shard_results }
-
-(* ------------------------------------------------------------------ *)
-(* Crash-consistency verification: run small, record the per-shard
-   persist graphs, and failure-inject each shard's image against the
-   group-commit recovery checker.  A crash mid-batch must recover to a
-   batch boundary; the Buggy_seal batcher must be caught. *)
-
-type verify_result = {
-  v_shards : int;
-  v_prefixes : int;
-  v_nodes : int;
-}
-
-let verify ?(strategy = fun g -> Recovery.auto ~samples:2000 ~seed:7 g)
-    (p : params) =
-  let p = { p with record_graph = true } in
-  let report = run p in
-  let rec go acc = function
-    | [] -> Ok acc
-    | (r : shard_result) :: rest -> (
-      match r.graph with
-      | None -> assert false
-      | Some graph -> (
-        match
-          Kv_recovery.verify_group ~layout:r.layout ~batches:r.put_batches
-            ~graph ~strategy:(strategy graph)
-        with
-        | Ok (rep : Recovery.report) ->
-          go
-            { acc with
-              v_prefixes = acc.v_prefixes + rep.Recovery.prefixes;
-              v_nodes = acc.v_nodes + rep.Recovery.nodes }
-            rest
-        | Error failure -> Error (r.shard, failure)))
-  in
-  match go { v_shards = p.shards; v_prefixes = 0; v_nodes = 0 } report.shard_results with
-  | Ok acc -> (report, Ok acc)
-  | Error e -> (report, Error e)

@@ -29,7 +29,8 @@ val strand_model : model
 
 val buggy_model : model
 (** [Kv_group.Buggy_seal] under the epoch engine — for demonstrating
-    that {!verify} catches the missing slots -> marker barrier. *)
+    that failure injection ({!Check.Driver.group_instance}) catches the
+    missing slots -> marker barrier. *)
 
 val models : model list
 (** strict, epoch, strand. *)
@@ -41,7 +42,8 @@ type params = {
   queue_cap : int;  (** per-shard queue bound; overflow is shed *)
   group_size : int;  (** slots per bucket group in each shard *)
   load : Loadgen.params;
-  record_graph : bool;  (** keep per-shard persist graphs ({!verify}) *)
+  record_graph : bool;
+      (** keep per-shard persist graphs, for failure injection *)
 }
 
 val default_params : params
@@ -92,20 +94,3 @@ type report = {
 val run : params -> report
 (** Deterministic: equal params give equal reports (the simulation has
     no wall-clock input). *)
-
-type verify_result = {
-  v_shards : int;
-  v_prefixes : int;  (** durable prefixes checked, all shards *)
-  v_nodes : int;  (** atomic persists, all shards *)
-}
-
-val verify :
-  ?strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
-  params ->
-  report * (verify_result, int * Recovery.failure) result
-(** Re-run with [record_graph] on and failure-inject every shard: each
-    durable-prefix crash image must recover to the commit marker's
-    batch boundary ({!Kv_recovery.verify_group}).  [strategy] picks the
-    injection strategy per shard graph (default {!Recovery.auto} with
-    2000 samples — exhaustive when the graph is small enough).  On
-    failure, returns the offending shard and the injection failure. *)

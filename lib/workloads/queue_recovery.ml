@@ -93,13 +93,5 @@ let check ~params ~layout image =
   | Error msg -> Error msg
   | Ok { entries; _ } -> check_fifo entries
 
-let checker ~params ~layout = fun image -> check ~params ~layout image
-
 let image_capacity (layout : Queue.layout) =
   max (layout.head_addr + 8) (layout.data_addr + layout.data_bytes)
-
-let verify ~params ~layout ~graph ~strategy =
-  Recovery.check ~graph
-    ~capacity:(image_capacity layout)
-    ~strategy
-    (checker ~params ~layout)

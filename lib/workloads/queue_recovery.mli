@@ -35,20 +35,5 @@ val check :
   (unit, string) result
 (** {!recover}, then {!check_fifo} on its entries. *)
 
-val checker :
-  params:Queue.params -> layout:Queue.layout ->
-  bytes -> (unit, string) result
-(** [check] partially applied, shaped for {!Recovery.check}. *)
-
 val image_capacity : Queue.layout -> int
 (** Bytes of persistent address space the image must cover. *)
-
-val verify :
-  params:Queue.params ->
-  layout:Queue.layout ->
-  graph:Persistency.Persist_graph.t ->
-  strategy:Recovery.strategy ->
-  (Recovery.report, Recovery.failure) result
-(** Failure-inject a queue run through the shared {!Recovery}
-    subsystem: walk durable prefixes of [graph] and run {!check} on
-    each post-crash image. *)

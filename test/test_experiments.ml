@@ -254,7 +254,7 @@ let test_fang_recovers_prefix () =
   match
     Recovery.check_invariant ~graph ~capacity
       ~strategy:(Recovery.Sampled { samples = 300; seed = 9 })
-      (Workloads.Queue_recovery.checker ~params ~layout)
+      (Workloads.Queue_recovery.check ~params ~layout)
   with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg

@@ -189,7 +189,7 @@ let test_buggy_targeted_cut () =
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "slot durable without its sealed record" true
-    (Kv_recovery.check ~params ~layout image <> Ok ())
+    (Kv_recovery.checker ~params ~layout image <> Ok ())
 
 let test_correct_targeted_cut () =
   let params = tiny K.Epoch_undo in
@@ -200,7 +200,7 @@ let test_correct_targeted_cut () =
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "closure drags the sealed record along" true
-    (Kv_recovery.check ~params ~layout image = Ok ())
+    (Kv_recovery.checker ~params ~layout image = Ok ())
 
 let test_final_image_recovers_all_puts () =
   let params =

@@ -871,11 +871,14 @@ let test_exit_codes () =
   (* a caught bug is a successful demonstration *)
   checke "explore buggy caught" 0 "explore --workload kv --buggy --depth 2";
   checke "lockfree buggy caught" 0 "lockfree --buggy --depth 1 --model sc";
+  checke "recovery buggy caught" 0 "recovery --buggy";
   (* a missed bug must not exit clean: Buggy_undo's dropped seal->slot
      barrier is masked by strict persistency, so the demonstration
      deterministically fails to fire there *)
   checke "explore buggy missed" 1
     "explore --workload kv --model strict --buggy --depth 2";
+  (* likewise Buggy_epoch's dropped data->head barrier under strict *)
+  checke "recovery buggy missed" 1 "recovery --buggy --model strict";
   (* unknown litmus test is a usage error *)
   checke "litmus unknown" 2 "litmus --test no-such-test";
   (* bad input never escapes as an uncaught exception (cmdliner's 125):
@@ -897,6 +900,33 @@ let test_exit_codes () =
       "validate --threads 3 --inserts 100"; "table1 --inserts 7";
       "consistency --inserts 7"; "machine --inserts 7"; "kv --inserts 7";
       "ablation --inserts 7" ]
+
+(* Single-run failure injection reports the distinct crash states it
+   checked and how they were walked, not the --samples budget: cwl
+   2 x 16 under strict persistency draws 500 cuts but only 300 are
+   distinct, and a graph within the exhaustive limit is enumerated. *)
+let test_single_run_coverage () =
+  let expect cmd line =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s prints %S" cmd line)
+      true
+      (List.mem line (run_lines (persistsim ^ " " ^ cmd)))
+  in
+  let dlin n how =
+    Printf.sprintf
+      "recovery and durable linearizability hold in all %d distinct crash \
+       states (%s)"
+      n how
+  in
+  expect "recovery --model strict" (dlin 300 "sampled: 500 draws");
+  expect "recovery --threads 1 --inserts 1" (dlin 16385 "exhaustive");
+  expect "kv --recovery --samples 100" (dlin 100 "sampled: 100 draws");
+  expect "kv --recovery --threads 1 --ops 1" (dlin 24 "exhaustive");
+  expect
+    "serve --recovery --shards 2 --batch 3 --requests 24 --keys 16 --rate 1000"
+    "group-commit recovery holds: 2434 distinct crash states (sampled: 2000 \
+     draws per graph) over 172 persists across 2 shards land on a batch \
+     boundary"
 
 (* The line a caught violation prints after "reproduce with:" must
    replay that violation verbatim. *)
@@ -987,5 +1017,7 @@ let () =
         [ Alcotest.test_case "subcommands expose obs flags" `Quick
             test_subcommands_expose_obs_flags;
           Alcotest.test_case "violation exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "single-run coverage" `Quick
+            test_single_run_coverage;
           Alcotest.test_case "reproducer round-trip" `Quick
             test_reproducer_roundtrip ] ) ]

@@ -1,8 +1,10 @@
 (* Failure injection: the recovery observer samples legal crash states
-   and the queue recovery invariant must hold in every one — for every
-   design, every model/annotation pair, and several schedules.  The
-   deliberately broken annotation (no data→head barrier) must fail, and
-   must fail on a specific, targeted crash state. *)
+   and the queue recovery invariant, then durable linearizability, must
+   hold in every one — for every design, every model/annotation pair,
+   and several schedules.  Runs are checked through the driver's
+   single-run entry ({!Check.Driver.check_run}).  The deliberately
+   broken annotation (no data→head barrier) must fail, and must fail on
+   a specific, targeted crash state. *)
 
 module Q = Workloads.Queue
 module P = Persistency
@@ -15,35 +17,43 @@ let model_points =
     ("racing", P.Config.Epoch, Q.Racing);
     ("strand", P.Config.Strand, Q.Strand) ]
 
+let queue_params ~design ~annotation ~threads ~inserts ~seed =
+  { Q.design;
+    annotation;
+    threads;
+    inserts_per_thread = inserts;
+    entry_size = 100;
+    capacity_entries = threads * inserts;
+    seed;
+    policy = Memsim.Machine.Random seed;
+    machine = Memsim.Machine.Sc;
+    persistence = Memsim.Machine.Psync;
+    barrier = Memsim.Machine.Pbarrier }
+
 let run_and_graph ~design ~annotation ~mode ~threads ~inserts ~seed =
-  let params =
-    { Q.design;
-      annotation;
-      threads;
-      inserts_per_thread = inserts;
-      entry_size = 100;
-      capacity_entries = threads * inserts;
-      seed;
-      policy = Memsim.Machine.Random seed;
-      machine = Memsim.Machine.Sc;
-      persistence = Memsim.Machine.Psync;
-      barrier = Memsim.Machine.Pbarrier }
-  in
+  let params = queue_params ~design ~annotation ~threads ~inserts ~seed in
   let cfg = P.Config.make ~record_graph:true mode in
   let engine = P.Engine.create cfg in
   let result = Q.run params ~sink:(P.Engine.observe engine) in
   (params, result.Q.layout, Option.get (P.Engine.graph engine))
 
-let sampled_check ~design ~annotation ~mode ~seed =
-  let params, layout, graph =
-    run_and_graph ~design ~annotation ~mode ~threads:2 ~inserts:8 ~seed
-  in
+(* The same run as a driver instance, under the params' own policy. *)
+let instance ~design ~annotation ~mode ~threads ~inserts ~seed =
+  let params = queue_params ~design ~annotation ~threads ~inserts ~seed in
+  Check.Driver.queue_instance params (P.Config.make mode) params.Q.policy
+
+let driver_check ~samples ~seed inst =
   match
-    Workloads.Queue_recovery.verify ~params ~layout ~graph
-      ~strategy:(Recovery.Sampled { samples = 300; seed })
+    Check.Driver.check_run
+      ~strategy:(fun _ -> Recovery.Sampled { samples; seed })
+      inst
   with
   | Ok _ -> Ok ()
   | Error f -> Error (Recovery.render_failure f)
+
+let sampled_check ~design ~annotation ~mode ~seed =
+  driver_check ~samples:300 ~seed
+    (instance ~design ~annotation ~mode ~threads:2 ~inserts:8 ~seed)
 
 (* The loop the shared Recovery subsystem replaced: draw [samples] cuts
    from one seeded rng, build each image, stop at the first failure.
@@ -65,7 +75,9 @@ let legacy_sampled graph check ~capacity ~samples ~seed =
   loop 0
 
 (* Recovery draws the same cut sequence as that loop (same rng seeding,
-   same generator), so it must reach the same verdict and rendering. *)
+   same generator), so the driver must reach the same verdict and
+   rendering on the same graph: on these runs the durable-linearizability
+   layer neither hides nor adds a failure. *)
 let test_verify_matches_legacy () =
   List.iter
     (fun annotation ->
@@ -73,22 +85,23 @@ let test_verify_matches_legacy () =
         run_and_graph ~design:Q.Cwl ~annotation ~mode:P.Config.Epoch
           ~threads:2 ~inserts:6 ~seed:9
       in
+      let inst =
+        instance ~design:Q.Cwl ~annotation ~mode:P.Config.Epoch ~threads:2
+          ~inserts:6 ~seed:9
+      in
+      Alcotest.(check string)
+        "driver records the same graph"
+        (P.Graph_export.fingerprint graph)
+        (P.Graph_export.fingerprint inst.Check.Driver.graph);
       let capacity = Workloads.Queue_recovery.image_capacity layout in
       let legacy =
         legacy_sampled graph
-          (Workloads.Queue_recovery.checker ~params ~layout)
+          (Workloads.Queue_recovery.check ~params ~layout)
           ~capacity ~samples:200 ~seed:9
       in
-      let ported =
-        match
-          Workloads.Queue_recovery.verify ~params ~layout ~graph
-            ~strategy:(Recovery.Sampled { samples = 200; seed = 9 })
-        with
-        | Ok _ -> Ok ()
-        | Error f -> Error (Recovery.render_failure f)
-      in
       Alcotest.(check (result unit string))
-        "identical verdict and rendering" legacy ported)
+        "identical verdict and rendering" legacy
+        (driver_check ~samples:200 ~seed:9 inst))
     [ Q.Epoch; Q.Buggy_epoch ]
 
 let test_all_models_recover design () =
@@ -213,30 +226,12 @@ let recovery_property =
   QCheck.Test.make ~count:40 ~name:"random configs recover"
     (QCheck.make gen ~print)
     (fun (design, (_, mode, annotation), threads, inserts, seed) ->
-      let params =
-        { Q.design;
-          annotation;
-          threads;
-          inserts_per_thread = inserts;
-          entry_size = 100;
-          capacity_entries = threads * inserts;
-          seed;
-          policy = Memsim.Machine.Random seed;
-          machine = Memsim.Machine.Sc;
-      persistence = Memsim.Machine.Psync;
-      barrier = Memsim.Machine.Pbarrier }
-      in
-      let cfg = P.Config.make ~record_graph:true mode in
-      let engine = P.Engine.create cfg in
-      let result = Q.run params ~sink:(P.Engine.observe engine) in
-      let layout = result.Q.layout in
-      let graph = Option.get (P.Engine.graph engine) in
       match
-        Workloads.Queue_recovery.verify ~params ~layout ~graph
-          ~strategy:(Recovery.Sampled { samples = 100; seed })
+        driver_check ~samples:100 ~seed
+          (instance ~design ~annotation ~mode ~threads ~inserts ~seed)
       with
-      | Ok _ -> true
-      | Error f -> QCheck.Test.fail_report (Recovery.render_failure f))
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
 
 (* [Recovery.auto] boundary behavior: the strategy switchover must
    happen exactly at [exhaustive_limit] nodes — one node past it falls

@@ -258,13 +258,17 @@ let test_group_overflow_and_foreign_key () =
     (fun () -> G.run_batches store2 [ ([ { G.key = 9; value = 1L } ], []) ])
 
 (* ------------------------------------------------------------------ *)
-(* Failure injection: crash mid-batch must land on a batch boundary *)
+(* Failure injection: crash mid-batch must land on a batch boundary.
+   Every check goes through the driver's group-commit instance. *)
+
+let group_check ~strategy store graph =
+  Check.Driver.check_run ~strategy
+    (Check.Driver.group_instance ~layout:(G.layout store)
+       ~batches:(G.batches store) graph)
 
 let exhaustive_verify ~discipline ~mode batches =
   let store, graph = group_run discipline mode batches in
-  let layout = G.layout store in
-  Kv_recovery.verify_group ~layout ~batches:(G.batches store) ~graph
-    ~strategy:Recovery.Exhaustive
+  group_check ~strategy:(fun _ -> Recovery.Exhaustive) store graph
 
 let disciplines =
   [ ("strict", G.Strict_group, P.Config.Strict);
@@ -306,10 +310,7 @@ let test_group_exhaustive_counts_all_cuts () =
     group_run G.Epoch_group P.Config.Epoch
       [ ([ { G.key = 1; value = 10L }; { G.key = 2; value = 20L } ], []) ]
   in
-  match
-    Kv_recovery.verify_group ~layout:(G.layout store)
-      ~batches:(G.batches store) ~graph ~strategy:Recovery.Exhaustive
-  with
+  match group_check ~strategy:(fun _ -> Recovery.Exhaustive) store graph with
   | Ok r ->
     checki "checked every durable prefix"
       (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
@@ -365,8 +366,8 @@ let test_group_correct_targeted_cut () =
     (Kv_recovery.check_group ~layout ~batches:(G.batches store) image = Ok ())
 
 (* End-to-end through the serve front-end, and the counter-example
-   replayed: the simulation is deterministic, so re-running verify
-   reproduces the same failing crash state. *)
+   replayed: the simulation is deterministic, so re-running the
+   injection reproduces the same failing crash state. *)
 let verify_params model =
   { S.model;
     shards = 2;
@@ -382,27 +383,47 @@ let verify_params model =
         seed = 3 };
     record_graph = true }
 
+(* Run (the params record every shard's graph) and failure-inject the
+   shards in order ([Recovery.auto], 2000 samples, seed 7), stopping at
+   the first failing one: the shards checked and their summed prefixes,
+   or the failing shard and its failure. *)
+let serve_verify p =
+  let report = S.run p in
+  let rec go shards prefixes = function
+    | [] -> Ok (shards, prefixes)
+    | (r : S.shard_result) :: rest -> (
+      let verdict =
+        Check.Driver.check_run ~strategy:(Recovery.auto ~samples:2000 ~seed:7)
+          (Check.Driver.group_instance ~layout:r.S.layout
+             ~batches:r.S.put_batches (Option.get r.S.graph))
+      in
+      match verdict with
+      | Ok rep -> go (shards + 1) (prefixes + rep.Recovery.prefixes) rest
+      | Error f -> Error (r.S.shard, f))
+  in
+  go 0 0 report.S.shard_results
+
 let test_serve_verify_correct () =
   List.iter
     (fun model ->
-      match S.verify (verify_params model) with
-      | _, Ok v ->
-        checki (model.S.label ^ ": both shards") 2 v.S.v_shards;
-        checkb (model.S.label ^ ": prefixes checked") true (v.S.v_prefixes > 0)
-      | _, Error (shard, f) ->
+      match serve_verify (verify_params model) with
+      | Ok (shards, prefixes) ->
+        checki (model.S.label ^ ": both shards") 2 shards;
+        checkb (model.S.label ^ ": prefixes checked") true (prefixes > 0)
+      | Error (shard, f) ->
         Alcotest.failf "%s shard %d: %s" model.S.label shard
           (Recovery.render_failure f))
     S.models
 
 let test_serve_verify_catches_buggy_and_replays () =
-  match S.verify (verify_params S.buggy_model) with
-  | _, Ok _ -> Alcotest.fail "buggy batcher survived serve verification"
-  | _, Error (shard, f) -> (
+  match serve_verify (verify_params S.buggy_model) with
+  | Ok _ -> Alcotest.fail "buggy batcher survived serve verification"
+  | Error (shard, f) -> (
     (* replay: same params, same injection — the counter-example is
        deterministic *)
-    match S.verify (verify_params S.buggy_model) with
-    | _, Ok _ -> Alcotest.fail "counter-example did not replay"
-    | _, Error (shard', f') ->
+    match serve_verify (verify_params S.buggy_model) with
+    | Ok _ -> Alcotest.fail "counter-example did not replay"
+    | Error (shard', f') ->
       checki "same shard" shard shard';
       checki "same crash state" f.Recovery.durable f'.Recovery.durable;
       Alcotest.(check string) "same diagnosis" f.Recovery.message
