@@ -2,7 +2,7 @@
 # the parallel sweeps and the fuzzer; see README "Running the
 # evaluation in parallel".
 
-.PHONY: all build test bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus ci clean
+.PHONY: all build test test-times bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus ci clean
 
 all: build
 
@@ -11,6 +11,20 @@ build:
 
 test: build
 	dune runtest
+
+# Wall time of each tier-1 suite, run once, one after another, from the
+# directory `dune runtest` uses; the last line is their sum.  Exits 1
+# if any suite failed (its time is still printed).
+test-times: build
+	@cd _build/default/test && status=0 && total=0 && \
+	for t in test_*.exe; do \
+	  s=$$(date +%s.%N); \
+	  if ./$$t > /dev/null 2>&1; then r=ok; else r=FAILED; status=1; fi; \
+	  d=$$(echo "$$(date +%s.%N) $$s" | awk '{printf "%.1f", $$1 - $$2}'); \
+	  total=$$(echo "$$total $$d" | awk '{printf "%.1f", $$1 + $$2}'); \
+	  printf '%-20s %7s s  %s\n' "$${t%.exe}" "$$d" "$$r"; \
+	done && \
+	printf '%-20s %7s s\n' total "$$total" && exit $$status
 
 # Full evaluation reproduction + Bechamel microbenchmarks.
 bench: build

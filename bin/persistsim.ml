@@ -11,6 +11,17 @@ open Cmdliner
 
 (* Shared options *)
 
+(* An output file that cannot be written is bad input: say so before
+   the run starts, not when the file is written at its end.  Opening
+   for append creates a missing file and leaves an existing one
+   intact. *)
+let check_writable ~flag path =
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc -> close_out oc
+  | exception Sys_error msg ->
+    Printf.eprintf "persistsim: %s: %s\n" flag msg;
+    exit 2
+
 (* Observability: every subcommand accepts --metrics-out/--trace-out
    (or METRICS_OUT/TRACE_OUT in the environment).  The files are
    written at exit so a crashing run still dumps what it gathered.
@@ -50,6 +61,10 @@ let obs_t =
     Arg.(value & flag & info [ "progress" ] ~env ~doc)
   in
   let setup metrics_out trace_out manifest_out progress =
+    List.iter
+      (fun (flag, path) -> Option.iter (check_writable ~flag) path)
+      [ ("--metrics-out", metrics_out); ("--trace-out", trace_out);
+        ("--manifest-out", manifest_out) ];
     Obs.Setup.activate ?metrics_out ?trace_out ?manifest_out ~progress ()
   in
   Term.(const setup $ metrics_t $ trace_t $ manifest_t $ progress_t)
@@ -810,6 +825,7 @@ let analyze_cmd =
 
 let graph_cmd =
   let run () design model threads inserts format out =
+    Option.iter (check_writable ~flag:"--out") out;
     let params =
       Experiments.Run.queue_params ~design ~threads
         ~total_inserts:(threads * inserts)

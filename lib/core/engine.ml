@@ -160,28 +160,22 @@ let record_graph t = t.cfg.Config.record_graph
    are direct dependences of other members.  Keeps frontier sets (and
    hence recorded graph edges) close to the covering antichain instead
    of accumulating ancestors chained through shared volatile locations
-   such as lock words. *)
+   such as lock words.  {!Persist_graph.reduce} costs the members'
+   summed [deps] sizes and builds a new set only when it drops a
+   member. *)
 let reduce t set =
   match t.graph with
   | None -> set
   | Some g ->
-    if Iset.cardinal set <= 1 then set
-    else begin
-      M.observe m_frontier_before (float_of_int (Iset.cardinal set));
-      let reduced =
-        Iset.filter
-          (fun m ->
-            not
-              (Iset.exists
-                 (fun n ->
-                   n <> m
-                   && Iset.mem m (Persist_graph.get g n).Persist_graph.deps)
-                 set))
-          set
-      in
-      M.observe m_frontier_after (float_of_int (Iset.cardinal reduced));
-      reduced
-    end
+    let reduced = Persist_graph.reduce g set in
+    if M.enabled M.default then begin
+      let before = Iset.cardinal set in
+      if before > 1 then begin
+        M.observe m_frontier_before (float_of_int before);
+        M.observe m_frontier_after (float_of_int (Iset.cardinal reduced))
+      end
+    end;
+    reduced
 
 (* Handle a persist-generating access whose dependence sources are
    [sources] (levels) and [deps_f] (graph frontier). *)

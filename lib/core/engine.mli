@@ -67,7 +67,11 @@ val cp_per_label : t -> string -> float
     per insert" (Figures 4 and 5).  [nan] when the label is absent. *)
 
 val graph : t -> Persist_graph.t option
-(** The dependence graph, when [record_graph] was set. *)
+(** The dependence graph, when [record_graph] was set.  Recording keeps
+    every dependence frontier one-level reduced with
+    {!Persist_graph.reduce} at accesses, fence commits and [Pdrain]s: a
+    reduction costs the members' summed [deps] sizes and builds a new
+    set only when it drops a member. *)
 
 val node_of_persist_event : t -> int -> int
 (** [node_of_persist_event t i] is the graph node id that the [i]-th

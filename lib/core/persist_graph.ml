@@ -9,9 +9,18 @@ type node = {
   mutable order : Iset.t;
 }
 
-type t = { nodes : node Memsim.Vec.t }
+type t = {
+  nodes : node Memsim.Vec.t;
+  (* [reduce] scratch, indexed by node id: a slot equal to [stamp] marks
+     a member of the frontier being reduced ([member]) or one that some
+     member depends on ([covered]).  Bumping [stamp] clears both. *)
+  mutable member : int array;
+  mutable covered : int array;
+  mutable stamp : int;
+}
 
-let create () = { nodes = Memsim.Vec.create () }
+let create () =
+  { nodes = Memsim.Vec.create (); member = [||]; covered = [||]; stamp = 0 }
 
 let node_count t = Memsim.Vec.length t.nodes
 let get t id = Memsim.Vec.get t.nodes id
@@ -34,6 +43,29 @@ let coalesce_into t id ~deps ?(order = Iset.empty) write =
   Memsim.Vec.push n.writes write;
   n.deps <- Iset.union n.deps (Iset.remove id deps);
   n.order <- Iset.union n.order (Iset.remove id order)
+
+let reduce t set =
+  if Iset.is_empty set || Iset.min_elt set = Iset.max_elt set then set
+  else begin
+    let n = node_count t in
+    if Array.length t.member < n then begin
+      let len = max n (2 * Array.length t.member) in
+      t.member <- Array.make len 0;
+      t.covered <- Array.make len 0
+    end;
+    t.stamp <- t.stamp + 1;
+    let stamp = t.stamp and member = t.member and covered = t.covered in
+    Iset.iter (fun m -> member.(m) <- stamp) set;
+    let dropped = ref false in
+    let cover d =
+      if member.(d) = stamp then begin
+        covered.(d) <- stamp;
+        dropped := true
+      end
+    in
+    Iset.iter (fun m -> Iset.iter cover (get t m).deps) set;
+    if !dropped then Iset.filter (fun m -> covered.(m) <> stamp) set else set
+  end
 
 let iter f t = Memsim.Vec.iter f t.nodes
 

@@ -46,6 +46,18 @@ val coalesce_into : t -> int -> deps:Iset.t -> ?order:Iset.t -> write -> unit
 (** Merge a later persist's write and newly discovered dependences into
     an existing node (self-dependences are dropped). *)
 
+val reduce : t -> Iset.t -> Iset.t
+(** [reduce t set] drops the members of [set] that are direct [deps] of
+    another member: [set] minus the union of [deps n] over [n] in [set]
+    (no node depends on itself, so this is exactly the one-level
+    transitive reduction).  Members must be node ids of [t].  One pass
+    stamps the members and walks each member's [deps] once, so a call
+    costs the sum of [|deps n|] over the members.  It builds a new set
+    only when a member is dropped, and otherwise returns [set] itself;
+    beyond that it allocates a few words of closures and, as the graph
+    grows, its scratch arrays.  The scratch state lives in [t], so
+    graphs on different domains share none. *)
+
 val iter : (node -> unit) -> t -> unit
 
 val to_dag : t -> Dag.t

@@ -564,6 +564,78 @@ let test_graph_node_mapping () =
   checki "event 1 coalesced into 0" 0 (P.Engine.node_of_persist_event e 1);
   checki "event 2 fresh" 1 (P.Engine.node_of_persist_event e 2)
 
+(* [Persist_graph.reduce] against the engine's former quadratic
+   filter, kept verbatim as the oracle: a member is dropped when
+   another member lists it in its [deps]. *)
+let quadratic_reduce g set =
+  if P.Iset.cardinal set <= 1 then set
+  else
+    P.Iset.filter
+      (fun m ->
+        not
+          (P.Iset.exists
+             (fun n ->
+               n <> m
+               && P.Iset.mem m (P.Persist_graph.get g n).P.Persist_graph.deps)
+             set))
+      set
+
+(* A script of graph edits: add a node, coalesce into an existing one,
+   or form a frontier.  Ids are taken modulo the current node count.
+   After every step each frontier formed so far is reduced both ways,
+   so frontiers are reduced again after their members gain deps through
+   [coalesce_into], and after the graph has grown past the size of the
+   scratch arrays the previous call allocated. *)
+type graph_step =
+  | Add of int list
+  | Coalesce of int * int list
+  | Frontier of int list
+
+let arbitrary_graph_script =
+  let ids k = QCheck.Gen.(list_size (int_range 0 k) (int_bound 1_000)) in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun d -> Add d) (ids 6));
+          (2, map2 (fun i d -> Coalesce (i, d)) (int_bound 1_000) (ids 6));
+          (2, map (fun f -> Frontier f) (ids 12)) ])
+  in
+  let print script =
+    let l d = String.concat "," (List.map string_of_int d) in
+    String.concat "; "
+      (List.map
+         (function
+           | Add d -> Printf.sprintf "add [%s]" (l d)
+           | Coalesce (i, d) -> Printf.sprintf "coalesce %d [%s]" i (l d)
+           | Frontier f -> Printf.sprintf "frontier [%s]" (l f))
+         script)
+  in
+  QCheck.make ~print QCheck.Gen.(list_size (int_range 1 80) step)
+
+let reduce_property =
+  QCheck.Test.make ~count:300 ~name:"reduce equals the quadratic filter"
+    arbitrary_graph_script (fun script ->
+      let g = P.Persist_graph.create () in
+      let write = { P.Persist_graph.addr = 8; size = 8; value = 1L } in
+      let frontiers = ref [] in
+      List.for_all
+        (fun step ->
+          let n = P.Persist_graph.node_count g in
+          let ids l = P.Iset.of_list (List.map (fun i -> i mod n) l) in
+          (match step with
+          | Add d ->
+            let deps = if n = 0 then P.Iset.empty else ids d in
+            ignore (P.Persist_graph.add_node g ~tid:0 ~level:0 ~deps write)
+          | Coalesce (i, d) ->
+            if n > 0 then
+              P.Persist_graph.coalesce_into g (i mod n) ~deps:(ids d) write
+          | Frontier f -> if n > 0 then frontiers := ids f :: !frontiers);
+          List.for_all
+            (fun f ->
+              P.Iset.equal (P.Persist_graph.reduce g f) (quadratic_reduce g f))
+            !frontiers)
+        script)
+
 (* Observer *)
 
 let test_observer_cut_count () =
@@ -823,7 +895,8 @@ let () =
         [ Alcotest.test_case "structure" `Quick test_graph_structure;
           Alcotest.test_case "coalesced writes" `Quick
             test_graph_coalesced_writes_merge;
-          Alcotest.test_case "node mapping" `Quick test_graph_node_mapping ] );
+          Alcotest.test_case "node mapping" `Quick test_graph_node_mapping;
+          QCheck_alcotest.to_alcotest reduce_property ] );
       ( "observer",
         [ Alcotest.test_case "cut count" `Quick test_observer_cut_count;
           Alcotest.test_case "images" `Quick test_observer_image;

@@ -248,6 +248,18 @@ let test_cp_ordering_two_threads () =
     (Printf.sprintf "epoch (%.3f) < strict (%.3f)" epoch strict)
     true (epoch < strict)
 
+(* The perfbench recover-kv graph (2 threads x 128 ops, epoch undo),
+   pinned by the hex digest of its fingerprint as recorded with the
+   engine's former quadratic frontier reduction. *)
+let test_recorded_graph_pinned () =
+  let params = X.kv_params ~threads:2 ~total_ops:256 P.Config.Epoch in
+  let _, graph, _ =
+    X.analyze_with_graph params (P.Config.make P.Config.Epoch)
+  in
+  Alcotest.(check string)
+    "graph digest" "5355c1a495b131e50fe536ec0915291f"
+    (Digest.to_hex (Digest.string (P.Graph_export.fingerprint graph)))
+
 let () =
   Alcotest.run "kv"
     [ ( "workload-shape",
@@ -274,4 +286,6 @@ let () =
             test_final_image_recovers_all_puts ] );
       ( "critical-path",
         [ Alcotest.test_case "strand < epoch < strict at 2 threads" `Quick
-            test_cp_ordering_two_threads ] ) ]
+            test_cp_ordering_two_threads;
+          Alcotest.test_case "recorded graph pinned" `Quick
+            test_recorded_graph_pinned ] ) ]

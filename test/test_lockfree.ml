@@ -72,6 +72,35 @@ let test_key_schedule () =
   checki "distinct" 30 (List.length sorted);
   List.iter (fun k -> checkb "in range" true (k >= 1 && k <= p.C.key_space)) sorted
 
+(* The recorded graphs behind the comparison below, pinned by the hex
+   digest of their {!P.Graph_export.fingerprint} and their critical
+   path per insert, as computed by the engine's former quadratic
+   frontier reduction: a faster reduction must record the same
+   graphs. *)
+let recorded_pins =
+  [ (("sc", 2, C.Flush_all), ("a3f3078cbbbadfcee3e2817653c4cfde", "1.203125"));
+    (("sc", 2, C.Nvtraverse), ("0745605f71bc599736c8157b066b94e7", "1.1640625"));
+    ( ("sc", 3, C.Flush_all),
+      ("41bfa7b7f2fad31748e832fdc5ac4422", "0.91666666666666663") );
+    ( ("sc", 3, C.Nvtraverse),
+      ("61229b171bd05f800b48c02c8dc297dd", "0.85416666666666663") );
+    ( ("tso-sync", 2, C.Flush_all),
+      ("56acf4cd9a9e73bb67424991ab379a19", "1.1640625") );
+    ( ("tso-sync", 2, C.Nvtraverse),
+      ("83b057a3fb48cc13e0cd4f5c462b6fba", "1.1171875") );
+    ( ("tso-sync", 3, C.Flush_all),
+      ("ee1add5ea00f0c0d1a186c4a22f9a889", "0.91666666666666663") );
+    ( ("tso-sync", 3, C.Nvtraverse),
+      ("e9cf1c195c732886d4a6a1b7614ca631", "0.89583333333333337") );
+    ( ("tso-buffered", 2, C.Flush_all),
+      ("d8cbdd89dc13084aab907f877e5aca3c", "1.203125") );
+    ( ("tso-buffered", 2, C.Nvtraverse),
+      ("3d4eb42137f4c409a90f009d52517d12", "1.140625") );
+    ( ("tso-buffered", 3, C.Flush_all),
+      ("12c7459dab484e2e88332e45d5d33c30", "0.90625") );
+    ( ("tso-buffered", 3, C.Nvtraverse),
+      ("442b8c608ae0dfad1191aa263212d1b0", "0.88020833333333337") ) ]
+
 (* NVTraverse's claim, measured: at >= 2 threads the optimized
    discipline's persist critical path per insert is strictly below the
    flush-everything baseline (the traversal flushes pull every walked
@@ -89,8 +118,20 @@ let test_nvtraverse_beats_flush_all () =
             let p =
               params ~discipline ~threads ~inserts:64 ~machine ~persistence ()
             in
-            let engine, _, _ = analyze p P.Config.Epoch in
-            P.Engine.cp_per_label engine "insert"
+            let engine, graph, _ = analyze p P.Config.Epoch in
+            let cp = P.Engine.cp_per_label engine "insert" in
+            let digest =
+              Digest.to_hex (Digest.string (P.Graph_export.fingerprint graph))
+            in
+            let name =
+              Printf.sprintf "%s threads=%d %s" label threads
+                (C.discipline_name discipline)
+            in
+            Alcotest.(check (pair string string))
+              (name ^ ": graph digest, cp per insert")
+              (List.assoc (label, threads, discipline) recorded_pins)
+              (digest, Printf.sprintf "%.17g" cp);
+            cp
           in
           let base = cp_of C.Flush_all and opt = cp_of C.Nvtraverse in
           if not (opt < base) then

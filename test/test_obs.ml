@@ -846,16 +846,20 @@ let test_subcommands_expose_obs_flags () =
 (* Exit-code contract: a subcommand that detects a violation (or fails
    to demonstrate one it was asked to demonstrate with --buggy) must
    exit non-zero; clean runs and successful demonstrations exit 0. *)
-let exit_code cmd =
-  let ic = Unix.open_process_in (cmd ^ " >/dev/null 2>&1") in
+(* Exit code and output lines (standard output and error) of [cmd]. *)
+let exit_and_output cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>&1") in
+  let lines = ref [] in
   (try
      while true do
-       ignore (input_line ic)
+       lines := input_line ic :: !lines
      done
    with End_of_file -> ());
   match Unix.close_process_in ic with
-  | Unix.WEXITED n -> n
+  | Unix.WEXITED n -> (n, List.rev !lines)
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.failf "%s killed" cmd
+
+let exit_code cmd = fst (exit_and_output (cmd ^ " >/dev/null"))
 
 let test_exit_codes () =
   let checke name expected cmd =
@@ -899,7 +903,21 @@ let test_exit_codes () =
     [ "analyze --threads 3 --inserts 100"; "kv --recovery --ops 33";
       "validate --threads 3 --inserts 100"; "table1 --inserts 7";
       "consistency --inserts 7"; "machine --inserts 7"; "kv --inserts 7";
-      "ablation --inserts 7" ]
+      "ablation --inserts 7" ];
+  (* an output file that cannot be written is bad input too: one line
+     naming the flag, before the run rather than from an exit handler
+     after it (whose uncaught exception would also exit 2) *)
+  List.iter
+    (fun flag ->
+      let cmd = Printf.sprintf "graph %s /nonexistent/out" flag in
+      match exit_and_output (persistsim ^ " " ^ cmd) with
+      | 2, [ line ]
+        when String.starts_with ~prefix:("persistsim: " ^ flag ^ ": ") line ->
+        ()
+      | code, lines ->
+        Alcotest.failf "%s: exit %d, output %S" cmd code
+          (String.concat "\n" lines))
+    [ "--out"; "--metrics-out"; "--trace-out"; "--manifest-out" ]
 
 (* Single-run failure injection reports the distinct crash states it
    checked and how they were walked, not the --samples budget: cwl

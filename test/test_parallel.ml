@@ -104,6 +104,28 @@ let test_profile () =
     && String.sub footer 0 (String.length "sweep profile")
        = "sweep profile")
 
+(* Graph recording keeps per-graph scratch state (the frontier
+   reduction's stamp arrays): engines recording on two domains at once
+   must produce the same graphs as one domain recording them in turn. *)
+let test_graph_recording_domain_safe () =
+  let module P = Persistency in
+  let kv seed =
+    let params =
+      Experiments.Kv_exp.kv_params ~threads:2 ~total_ops:128 ~seed
+        P.Config.Epoch
+    in
+    let cfg = P.Config.make P.Config.Epoch in
+    let _, graph, _ = Experiments.Kv_exp.analyze_with_graph params cfg in
+    P.Graph_export.fingerprint graph
+  in
+  let cells = List.init 6 (fun i -> i + 1) in
+  let seq = Pool.map_cells ~domains:1 kv cells in
+  let par = Pool.map_cells ~domains:2 kv cells in
+  Alcotest.(check int)
+    "distinct graphs" (List.length cells)
+    (List.length (List.sort_uniq compare seq));
+  Alcotest.(check (list string)) "same fingerprints" seq par
+
 let test_default_domains () =
   Alcotest.(check bool) "default_domains >= 1" true (Pool.default_domains () >= 1)
 
@@ -122,5 +144,7 @@ let () =
           Alcotest.test_case "empty and single cell" `Quick
             test_empty_and_single;
           Alcotest.test_case "profile accounting" `Quick test_profile;
-          Alcotest.test_case "default domain count" `Quick test_default_domains
+          Alcotest.test_case "default domain count" `Quick test_default_domains;
+          Alcotest.test_case "graph recording across domains" `Quick
+            test_graph_recording_domain_safe
         ] ) ]
