@@ -38,18 +38,24 @@ let name = function
   | 2 -> "B2"
   | _ -> "A2"
 
+(* The constraint graph of [(u, v)] edges, "u persists before v". *)
+let of_edges edges =
+  let preds = Array.make 4 [] in
+  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) edges;
+  Dag.of_preds (Array.map Array.of_list preds)
+
 let build ~barriers ~atomicity =
-  let g = Dag.create ~n:4 in
-  if barriers then begin
-    Dag.add_edge g a1 b1;  (* thread 1's persist barrier *)
-    Dag.add_edge g b2 a2  (* thread 2's persist barrier *)
-  end;
-  if atomicity then begin
-    Dag.add_edge g b1 b2;  (* coherence order of B: B1 first *)
-    Dag.add_edge g a2 a1  (* coherence order of A: A2 first (thread 1's
-                             store to A became visible late) *)
-  end;
-  g
+  of_edges
+    ((if barriers then
+        [ (a1, b1);  (* thread 1's persist barrier *)
+          (b2, a2) ]  (* thread 2's persist barrier *)
+      else [])
+    @
+    if atomicity then
+      [ (b1, b2);  (* coherence order of B: B1 first *)
+        (a2, a1) ]  (* coherence order of A: A2 first (thread 1's
+                       store to A became visible late) *)
+    else [])
 
 let report ~title g =
   Printf.printf "%s\n" title;
@@ -68,12 +74,7 @@ let () =
     ~title:
       "resolution 1: couple persist and store barriers (visibility kept in \
        program order,\nso coherence gives A1->A2 and B1->B2 instead)"
-    (let g = Dag.create ~n:4 in
-     Dag.add_edge g a1 b1;
-     Dag.add_edge g b2 a2;
-     Dag.add_edge g a1 a2;
-     Dag.add_edge g b1 b2;
-     g);
+    (of_edges [ (a1, b1); (b2, a2); (a1, a2); (b1, b2) ]);
   report
     ~title:"resolution 2: relax strong persist atomicity (barriers only)"
     (build ~barriers:true ~atomicity:false)

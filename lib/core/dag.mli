@@ -2,24 +2,29 @@
     operations the persistency analyses need: cycle detection
     (Figure 1's unsatisfiable constraint sets), topological sorting,
     reachability, and sampling of down-closed sets (legal recovery
-    states). *)
+    states).
+
+    A graph is immutable once built: each node's successors and
+    predecessors are stored as ascending int arrays, beside the
+    in-degree of every node.  {!of_preds} costs O(n + edges), and so
+    does every walk below: a draw, a legality check, a closure, a
+    topological sort.  Sets of nodes passed in and handed back (cuts,
+    closures) are {!Iset.t}. *)
 
 type t
 
-val create : n:int -> t
-(** [n] nodes, ids [0 .. n-1], no edges. *)
-
-val of_preds : Iset.t array -> t
-(** [of_preds p]: an edge [u -> v] for each [u] in [p.(v)].
+val of_preds : int array array -> t
+(** [of_preds p]: [p.(v)] lists the predecessors of node [v], so there
+    is an edge [u -> v] ("u before v") for each [u] in [p.(v)].  Ids
+    may come in any order and repeat; a repeated edge counts once.
+    The graph keeps its own copy of [p].
     @raise Invalid_argument on an id out of range. *)
 
 val node_count : t -> int
-val add_edge : t -> int -> int -> unit
-(** [add_edge g u v]: edge [u -> v] ("u before v").  Duplicates are
-    permitted and deduplicated lazily. *)
 
 val succs : t -> int -> int list
 val preds : t -> int -> int list
+(** In ascending order. *)
 
 val has_cycle : t -> bool
 
@@ -32,18 +37,21 @@ val reachable_from : t -> int -> bool array
     [u ->* v]. *)
 
 val ancestors : t -> int -> Iset.t
-(** Strict ancestors (excludes the node itself). *)
+(** Strict ancestors (the node itself only when it lies on a cycle). *)
 
 val down_closure : t -> Iset.t -> Iset.t
 (** Smallest superset closed under predecessors. *)
 
 val is_down_closed : t -> Iset.t -> bool
-(** Walks the successors of the nodes outside the set. *)
+(** Walks the successors of the nodes outside the set: O(n + edges).
+    @raise Invalid_argument on an id out of range. *)
 
 val random_down_closed : ?size:int -> t -> Random.State.t -> Iset.t
 (** A random down-closed subset: a prefix (of random length, or [size]
     if given) of a random linear extension.  Every down-closed set has
-    non-zero probability.  Walks the successors of the nodes it takes. *)
+    non-zero probability.  Walks the successors of the nodes it takes:
+    O(n + edges) per draw.  Nodes on or behind a cycle are never
+    taken. *)
 
 val all_down_closed : t -> Iset.t list
 (** Every down-closed subset, in descending order of the bitmask with

@@ -52,7 +52,10 @@ let discipline (cfg : Config.t) =
 
 let build (cfg : Config.t) trace =
   let n = Trace.length trace in
-  let dag = Dag.create ~n in
+  (* [preds.(i)]: the events ordered before event [i], each edge found
+     as [i] is reached; the DAG is built once at the end *)
+  let preds = Array.make n [] in
+  let edge j i = preds.(i) <- j :: preds.(i) in
   let threads : (int, thread_ctx) Hashtbl.t = Hashtbl.create 8 in
   let ctx tid =
     match Hashtbl.find_opt threads tid with
@@ -93,7 +96,7 @@ let build (cfg : Config.t) trace =
       (match disc with
       | Chain_all ->
         (match c.last_access with
-        | Some p -> Dag.add_edge dag p i
+        | Some p -> edge p i
         | None -> ());
         c.last_access <- Some i
       | Pairwise_tso ->
@@ -104,17 +107,17 @@ let build (cfg : Config.t) trace =
               | Some Event.Store, Event.Load -> false  (* st -> ld drifts *)
               | (Some _ | None), _ -> true
             in
-            if ordered then Dag.add_edge dag j i)
+            if ordered then edge j i)
           c.all;
         c.all <- (i, Some kind) :: c.all
       | Fence_chained ->
         (match c.last_barrier with
-        | Some b -> Dag.add_edge dag b i
+        | Some b -> edge b i
         | None -> ());
         (match c.last_fence with
-        | Some f -> Dag.add_edge dag f i
+        | Some f -> edge f i
         | None -> ());
-        List.iter (fun f -> Dag.add_edge dag f i) c.committed;
+        List.iter (fun f -> edge f i) c.committed;
         c.cur <- i :: c.cur);
       (* Rule 2: conflicting accesses in trace (SC) order. *)
       let conflicts_tracked =
@@ -139,7 +142,7 @@ let build (cfg : Config.t) trace =
               && (not (is_store_kind kj))
               && is_load_kind kj && is_store_kind kind
             in
-            if conflict && not missed_by_tso then Dag.add_edge dag j i)
+            if conflict && not missed_by_tso then edge j i)
           !prior;
         prior := (i, kind, a.space) :: !prior
       end
@@ -147,12 +150,12 @@ let build (cfg : Config.t) trace =
       (match disc with
       | Fence_chained ->
         let c = ctx tid in
-        List.iter (fun e -> Dag.add_edge dag e i) c.cur;
+        List.iter (fun e -> edge e i) c.cur;
         (* the epoch barrier subsumes a fence: pending flushes commit *)
-        List.iter (fun f -> Dag.add_edge dag f i) c.flushes;
-        List.iter (fun f -> Dag.add_edge dag f i) c.committed;
+        List.iter (fun f -> edge f i) c.flushes;
+        List.iter (fun f -> edge f i) c.committed;
         (match c.last_barrier with
-        | Some b -> Dag.add_edge dag b i
+        | Some b -> edge b i
         | None -> ());
         c.last_barrier <- Some i;
         c.cur <- [];
@@ -160,7 +163,7 @@ let build (cfg : Config.t) trace =
         c.committed <- []
       | Pairwise_tso ->
         let c = ctx tid in
-        List.iter (fun (j, _) -> Dag.add_edge dag j i) c.all;
+        List.iter (fun (j, _) -> edge j i) c.all;
         c.all <- (i, None) :: c.all
       | Chain_all -> ())
     | Event.New_strand tid ->
@@ -186,7 +189,7 @@ let build (cfg : Config.t) trace =
         | Some prior ->
           List.iter
             (fun (j, kj, _space) ->
-              if is_store_kind kj then Dag.add_edge dag j i)
+              if is_store_kind kj then edge j i)
             !prior
         | None -> ());
         c.flushes <- i :: c.flushes
@@ -197,13 +200,13 @@ let build (cfg : Config.t) trace =
         (* commit the pending flushes: later accesses of this thread
            (Rule 1's [last_fence] edge) are ordered after them *)
         let c = ctx tid in
-        List.iter (fun f -> Dag.add_edge dag f i) c.flushes;
-        List.iter (fun f -> Dag.add_edge dag f i) c.committed;
+        List.iter (fun f -> edge f i) c.flushes;
+        List.iter (fun f -> edge f i) c.committed;
         (match c.last_barrier with
-        | Some b -> Dag.add_edge dag b i
+        | Some b -> edge b i
         | None -> ());
         (match c.last_fence with
-        | Some f -> Dag.add_edge dag f i
+        | Some f -> edge f i
         | None -> ());
         c.flushes <- [];
         c.committed <- [];
@@ -214,15 +217,15 @@ let build (cfg : Config.t) trace =
         (match disc with
         | Fence_chained ->
           let c = ctx tid in
-          List.iter (fun e -> Dag.add_edge dag e i) c.cur;
+          List.iter (fun e -> edge e i) c.cur;
           (match c.last_barrier with
-          | Some b -> Dag.add_edge dag b i
+          | Some b -> edge b i
           | None -> ());
           c.last_barrier <- Some i;
           c.cur <- []
         | Pairwise_tso ->
           let c = ctx tid in
-          List.iter (fun (j, _) -> Dag.add_edge dag j i) c.all;
+          List.iter (fun (j, _) -> edge j i) c.all;
           c.all <- (i, None) :: c.all
         | Chain_all -> ()))
     | Event.Pdrain _ ->
@@ -231,7 +234,10 @@ let build (cfg : Config.t) trace =
       ()
     | Event.Label _ -> ()
   done;
-  { n; dag; persists = List.rev !persists; reach = Hashtbl.create 64 }
+  { n;
+    dag = Dag.of_preds (Array.map Array.of_list preds);
+    persists = List.rev !persists;
+    reach = Hashtbl.create 64 }
 
 let event_count t = t.n
 let persist_event_indices t = t.persists

@@ -73,7 +73,7 @@ let to_dag t =
   Dag.of_preds
     (Array.init (node_count t) (fun id ->
          let n = get t id in
-         Iset.union n.deps n.order))
+         Array.of_list (Iset.elements (Iset.union n.deps n.order))))
 
 let pp ppf t =
   iter

@@ -68,7 +68,8 @@ let check_cuts ~graph ~capacity ~strategy observer =
     incr injected;
     let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
     Om.incr m_prefixes;
-    Om.observe m_prefix_size (float_of_int (P.Iset.cardinal cut));
+    if Om.enabled Om.default then
+      Om.observe m_prefix_size (float_of_int (P.Iset.cardinal cut));
     match observer ~cut image with
     | Ok () ->
       incr checked;

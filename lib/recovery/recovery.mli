@@ -60,8 +60,13 @@ val check_cuts :
     {!Persistency.Observer.image_of_cut}).  Stops at the first
     unrecoverable prefix.  [Sampled] draws are seed-stable; duplicate
     cuts are skipped (counted under the [recovery.duplicate_cuts]
-    metric) rather than re-checked.  The graph's DAG is built once per
-    call; each prefix then costs one down-closure check and one image. *)
+    metric) rather than re-checked.
+
+    Cost: one {!Persistency.Dag} array build per call, O(n + edges) for
+    a graph of n persists.  Each sampled draw and each prefix's legality
+    check then walks those arrays in O(n + edges), and each image
+    applies the prefix's writes; exhaustive cuts cost O(n) each.  The
+    [recovery.prefix_size] histogram is fed only while metrics are on. *)
 
 val check :
   graph:Persistency.Persist_graph.t ->

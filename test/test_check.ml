@@ -13,7 +13,8 @@
    relies on: trace-equivalent runs produce fingerprint-equal persist
    graphs, so fingerprint sets and per-fingerprint recovery verdicts
    must match brute force — with strictly fewer executed schedules
-   (the PR's acceptance criterion, exact counts pinned below). *)
+   (exact counts pinned below for depth 2; the depth-3 census, 423,556
+   brute-force traces, runs as [make census] from test/census). *)
 
 module M = Memsim.Machine
 module E = Memsim.Event
@@ -22,6 +23,8 @@ module S = Check.Schedule
 module Dr = Check.Driver
 module Ps = Persistency
 module Q = Workloads.Queue
+
+open Equivalence
 
 (* ------------------------------------------------------------------ *)
 (* Schedule round-trip *)
@@ -169,9 +172,6 @@ let brute_classes ?(limit = 100_000) body =
   in
   (o, classes)
 
-let sorted_keys tbl =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-
 let check_coverage name body =
   let stats, dpor = dpor_classes body in
   let o, brute = brute_classes body in
@@ -212,75 +212,12 @@ let test_three_coverage () =
   Alcotest.(check int) "per-class optimal" classes stats.D.schedules
 
 (* ------------------------------------------------------------------ *)
-(* Workload equivalence: fingerprints + recovery verdicts vs brute *)
-
-let strategy = Recovery.auto ~samples:64 ~seed:1
-
-let queue_run ?(depth = 2) annotation mode =
-  let params = Q.explore_params ~threads:2 ~depth annotation in
-  Dr.queue_instance params (Ps.Config.make mode)
+(* Workload equivalence: fingerprints + recovery verdicts vs brute
+   ({!Equivalence}; the depth-3 census runs as [make census]) *)
 
 let kv_run discipline mode =
   let params = Kv.explore_params ~threads:2 ~depth:2 discipline in
   Dr.kv_instance params (Ps.Config.make mode)
-
-(* Collect one representative instance per distinct graph fingerprint. *)
-let dpor_census instance_of =
-  let reps = Hashtbl.create 64 in
-  let stats =
-    D.explore
-      ~on_exec:(fun _ inst ->
-        let fp = Ps.Graph_export.fingerprint inst.Dr.graph in
-        if not (Hashtbl.mem reps fp) then Hashtbl.add reps fp inst;
-        D.Continue)
-      instance_of
-  in
-  (stats, reps)
-
-let brute_census ~limit instance_of =
-  let reps = Hashtbl.create 64 in
-  let o =
-    Memsim.Explore.run_all ~limit (fun policy ->
-        let inst = instance_of policy in
-        let fp = Ps.Graph_export.fingerprint inst.Dr.graph in
-        if not (Hashtbl.mem reps fp) then Hashtbl.add reps fp inst)
-  in
-  (o, reps)
-
-(* safe/unsafe per fingerprint.  The verdict is isomorphism-invariant
-   (exhaustive failure injection on these graph sizes); the failing
-   prefix's identity is not, so only the verdict is compared. *)
-let verdict inst =
-  let g = inst.Dr.graph in
-  match
-    Recovery.check_cuts ~graph:g ~capacity:inst.Dr.capacity
-      ~strategy:(strategy g) inst.Dr.observer
-  with
-  | Ok _ -> "safe"
-  | Error _ -> "unsafe"
-
-let verdict_map reps =
-  List.sort compare
-    (Hashtbl.fold (fun fp inst acc -> (fp, verdict inst) :: acc) reps [])
-
-let check_equivalence name ~limit instance_of =
-  let stats, dpor = dpor_census instance_of in
-  let o, brute = brute_census ~limit instance_of in
-  Alcotest.(check bool) (name ^ ": dpor complete") true stats.D.complete;
-  Alcotest.(check bool)
-    (name ^ ": brute complete")
-    true o.Memsim.Explore.complete;
-  Alcotest.(check (list string))
-    (name ^ ": same fingerprint set")
-    (sorted_keys brute) (sorted_keys dpor);
-  Alcotest.(check (list (pair string string)))
-    (name ^ ": same recovery verdicts")
-    (verdict_map brute) (verdict_map dpor);
-  Alcotest.(check bool)
-    (name ^ ": strictly fewer schedules")
-    true
-    (stats.D.schedules < o.Memsim.Explore.traces);
-  (stats, o, dpor)
 
 let test_queue_equivalence_depth2 () =
   let stats, o, dpor =
@@ -298,21 +235,6 @@ let test_queue_equivalence_buggy () =
   in
   let unsafe = List.filter (fun (_, v) -> v = "unsafe") (verdict_map dpor) in
   Alcotest.(check bool) "some graph is unsafe" true (unsafe <> [])
-
-(* The acceptance-criterion topology: 2 threads x 3 inserts.  DPOR must
-   reach the same distinct-graph/verdict census as brute force with
-   strictly fewer executed traces; both counts are pinned. *)
-let test_queue_equivalence_depth3 () =
-  let stats, o, dpor =
-    check_equivalence "cwl/epoch d3" ~limit:500_000
-      (queue_run ~depth:3 Q.Epoch Ps.Config.Epoch)
-  in
-  Alcotest.(check int) "distinct graphs" 20 (Hashtbl.length dpor);
-  Alcotest.(check int) "dpor schedules" 212 stats.D.schedules;
-  Alcotest.(check int) "brute traces" 423_556 o.Memsim.Explore.traces;
-  List.iter
-    (fun (fp, v) -> Alcotest.(check string) ("verdict " ^ fp) "safe" v)
-    (verdict_map dpor)
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial KV sweep *)
@@ -551,9 +473,7 @@ let () =
         [ Alcotest.test_case "cwl depth 2 vs brute" `Quick
             test_queue_equivalence_depth2;
           Alcotest.test_case "cwl buggy depth 2 vs brute" `Quick
-            test_queue_equivalence_buggy;
-          Alcotest.test_case "cwl depth 3 vs brute (acceptance)" `Slow
-            test_queue_equivalence_depth3 ] );
+            test_queue_equivalence_buggy ] );
       ( "kv-adversarial",
         [ Alcotest.test_case "buggy-undo flagged and replayed" `Quick
             test_kv_buggy_flagged;

@@ -91,13 +91,13 @@ let test_config_names () =
 
 (* Dag *)
 
-let diamond () =
-  let g = P.Dag.create ~n:4 in
-  P.Dag.add_edge g 0 1;
-  P.Dag.add_edge g 0 2;
-  P.Dag.add_edge g 1 3;
-  P.Dag.add_edge g 2 3;
-  g
+(* The graph of [(u, v)] edges, "u before v", over nodes [0 .. n-1]. *)
+let dag_of (n, edges) =
+  let preds = Array.make n [] in
+  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) edges;
+  P.Dag.of_preds (Array.map Array.of_list preds)
+
+let diamond () = P.Dag.of_preds [| [||]; [| 0 |]; [| 0 |]; [| 1; 2 |] |]
 
 let test_dag_topo () =
   let g = diamond () in
@@ -110,9 +110,7 @@ let test_dag_topo () =
     checkb "0 before 1" true (pos.(0) < pos.(1));
     checkb "1 before 3" true (pos.(1) < pos.(3));
     checkb "2 before 3" true (pos.(2) < pos.(3)));
-  let c = P.Dag.create ~n:2 in
-  P.Dag.add_edge c 0 1;
-  P.Dag.add_edge c 1 0;
+  let c = dag_of (2, [ (0, 1); (1, 0) ]) in
   checkb "cycle" true (P.Dag.has_cycle c);
   checkb "no topo for cycle" true (P.Dag.topo_sort c = None)
 
@@ -146,22 +144,40 @@ let test_dag_random_down_closed () =
   let s = P.Dag.random_down_closed ~size:2 g rng in
   checki "size honored" 2 (P.Iset.cardinal s)
 
-(* The exhaustive scan [all_down_closed] replaced, kept as its oracle:
-   every bitmask in ascending order, each down-closed one consed, so
-   the list runs in descending bitmask order. *)
-let mask_scan_down_closed g =
-  let n = P.Dag.node_count g in
-  let result = ref [] in
-  for mask = 0 to (1 lsl n) - 1 do
-    let set = ref P.Iset.empty in
-    for v = 0 to n - 1 do
-      if mask land (1 lsl v) <> 0 then set := P.Iset.add v !set
-    done;
-    if P.Dag.is_down_closed g !set then result := !set :: !result
-  done;
-  !result
+(* An id outside [0 .. n-1] is rejected with the same message wherever
+   it appears: in a cut to check or in a predecessor list. *)
+let out_of_range what f =
+  Alcotest.check_raises what (Invalid_argument "Dag: node out of range")
+    (fun () -> ignore (f ()))
+
+let test_dag_out_of_range () =
+  let g = diamond () in
+  out_of_range "negative id" (fun () ->
+      P.Dag.is_down_closed g (P.Iset.of_list [ -1; 0 ]));
+  out_of_range "id = n" (fun () ->
+      P.Dag.is_down_closed g (P.Iset.of_list [ 0; 4 ]));
+  out_of_range "of_preds" (fun () -> P.Dag.of_preds [| [| 1 |] |])
 
 let same_cuts a b = List.equal P.Iset.equal a b
+
+(* Down-closure as every member's predecessors being members, over
+   the raw edge list; [Dag.is_down_closed] walks the complement's
+   successors instead. *)
+let naive_closed edges set =
+  List.for_all
+    (fun (u, v) -> (not (P.Iset.mem v set)) || P.Iset.mem u set)
+    edges
+
+(* The exhaustive scan [all_down_closed] replaced, kept as its oracle:
+   every subset of [0 .. n-1] in descending bitmask order, filtered. *)
+let naive_down_closed (n, edges) =
+  List.filter (naive_closed edges)
+    (List.init (1 lsl n) (fun i ->
+         let mask = (1 lsl n) - 1 - i in
+         P.Iset.of_list
+           (List.filter
+              (fun v -> mask land (1 lsl v) <> 0)
+              (List.init n Fun.id))))
 
 let test_dag_cut_order () =
   let sets = List.map P.Iset.of_list in
@@ -170,71 +186,59 @@ let test_dag_cut_order () =
     (same_cuts (P.Dag.all_down_closed g)
        (sets [ [ 0; 1; 2; 3 ]; [ 0; 1; 2 ]; [ 0; 2 ]; [ 0; 1 ]; [ 0 ]; [] ]));
   (* a coalesced node can depend on a later one: 0 <-> 1, 2 free *)
-  let c = P.Dag.create ~n:3 in
-  P.Dag.add_edge c 0 1;
-  P.Dag.add_edge c 1 0;
+  let spec = (3, [ (0, 1); (1, 0) ]) in
+  let c = dag_of spec in
   checkb "2-cycle cuts" true
     (same_cuts (P.Dag.all_down_closed c)
        (sets [ [ 0; 1; 2 ]; [ 2 ]; [ 0; 1 ]; [] ]));
-  checkb "2-cycle matches mask scan" true
-    (same_cuts (P.Dag.all_down_closed c) (mask_scan_down_closed c))
+  checkb "2-cycle matches the brute filter" true
+    (same_cuts (P.Dag.all_down_closed c) (naive_down_closed spec))
 
-(* Random graphs of at most 12 nodes; random edges make cycles and
-   self-loops common. *)
-let arbitrary_dag =
+let print_digraph (n, edges) =
+  Printf.sprintf "%d nodes: %s" n
+    (String.concat " "
+       (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
+
+(* Random graphs of at most [max_n] nodes.  Random edges make cycles
+   common, repeated edges too; [self] admits self-loops. *)
+let arbitrary_digraph ~max_n ~self =
   let gen =
     QCheck.Gen.(
-      int_range 0 12 >>= fun n ->
+      int_range 0 max_n >>= fun n ->
       if n = 0 then return (0, [])
       else
         let node = int_bound (n - 1) in
         list_size (int_range 0 (2 * n)) (pair node node) >|= fun edges ->
-        (n, edges))
+        (n, if self then edges else List.filter (fun (u, v) -> u <> v) edges))
   in
-  let print (n, edges) =
-    Printf.sprintf "%d nodes: %s" n
-      (String.concat " "
-         (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges))
-  in
-  QCheck.make ~print gen
+  QCheck.make ~print:print_digraph gen
 
-let dag_of (n, edges) =
-  let g = P.Dag.create ~n in
-  List.iter (fun (u, v) -> P.Dag.add_edge g u v) edges;
-  g
+let arbitrary_dag = arbitrary_digraph ~max_n:12 ~self:true
 
 let all_down_closed_property =
   QCheck.Test.make ~count:300 ~name:"all_down_closed matches the mask scan"
     arbitrary_dag (fun spec ->
-      let g = dag_of spec in
-      same_cuts (P.Dag.all_down_closed g) (mask_scan_down_closed g))
+      same_cuts (P.Dag.all_down_closed (dag_of spec)) (naive_down_closed spec))
 
 let of_preds_property =
-  QCheck.Test.make ~count:200 ~name:"of_preds equals add_edge" arbitrary_dag
-    (fun ((n, edges) as spec) ->
+  QCheck.Test.make ~count:200 ~name:"of_preds keeps each edge once"
+    arbitrary_dag (fun ((n, edges) as spec) ->
       let g = dag_of spec in
-      let preds = Array.make n P.Iset.empty in
-      List.iter (fun (u, v) -> preds.(v) <- P.Iset.add u preds.(v)) edges;
-      let h = P.Dag.of_preds preds in
-      P.Dag.node_count h = n
+      let ends f v = List.sort_uniq compare (List.filter_map (f v) edges) in
+      let sources v (u, w) = if w = v then Some u else None in
+      let targets v (u, w) = if u = v then Some w else None in
+      P.Dag.node_count g = n
       && List.for_all
            (fun v ->
-             P.Dag.preds g v = P.Dag.preds h v
-             && P.Dag.succs g v = P.Dag.succs h v)
+             P.Dag.preds g v = ends sources v
+             && P.Dag.succs g v = ends targets v)
            (List.init n Fun.id))
-
-(* Down-closure as every member's predecessors being members; the
-   implementation walks the complement's successors instead. *)
-let closed_by_preds g set =
-  P.Iset.for_all
-    (fun v -> List.for_all (fun u -> P.Iset.mem u set) (P.Dag.preds g v))
-    set
 
 let is_down_closed_property =
   QCheck.Test.make ~count:300
     ~name:"is_down_closed matches the predecessor form"
     QCheck.(pair arbitrary_dag int)
-    (fun (((n, _) as spec), bits) ->
+    (fun (((n, edges) as spec), bits) ->
       let g = dag_of spec in
       let set =
         P.Iset.of_list
@@ -243,7 +247,7 @@ let is_down_closed_property =
              (List.init n Fun.id))
       in
       List.for_all
-        (fun s -> P.Dag.is_down_closed g s = closed_by_preds g s)
+        (fun s -> P.Dag.is_down_closed g s = naive_closed edges s)
         [ set; P.Dag.down_closure g set ])
 
 (* [random_down_closed] as it was when it grew the cut with [Iset.add]:
@@ -285,10 +289,92 @@ let random_down_closed_property =
             (reference_draw ?size g b))
         (List.init 5 Fun.id))
 
+(* Naive fixpoints over the raw edge list: [grow edges set] adds [v]
+   for every edge [u -> v] with [u] in [set] until nothing changes;
+   flip the edges to walk backwards. *)
+let rec grow edges set =
+  let set' =
+    List.fold_left
+      (fun s (u, v) -> if P.Iset.mem u s then P.Iset.add v s else s)
+      set edges
+  in
+  if P.Iset.equal set set' then set else grow edges set'
+
+let flip edges = List.map (fun (u, v) -> (v, u)) edges
+
+(* [v] lies on a cycle iff it is reachable from one of its successors. *)
+let naive_on_cycle edges v =
+  P.Iset.mem v
+    (grow edges (P.Iset.of_list (List.filter_map
+       (fun (u, w) -> if u = v then Some w else None) edges)))
+
+(* Graphs of at most 10 nodes without self-loops, cycles allowed,
+   against the naive definitions above. *)
+let arbitrary_small = arbitrary_digraph ~max_n:10 ~self:false
+
+let naive_reach_property =
+  QCheck.Test.make ~count:300
+    ~name:"reach, ancestors, closure, topo and cycles match naive fixpoints"
+    QCheck.(pair arbitrary_small int)
+    (fun (((n, edges) as spec), bits) ->
+      let g = dag_of spec in
+      let nodes = List.init n Fun.id in
+      let set =
+        P.Iset.of_list (List.filter (fun v -> bits land (1 lsl v) <> 0) nodes)
+      in
+      let cyclic = List.exists (naive_on_cycle edges) nodes in
+      let reach_ok v =
+        let r = P.Dag.reachable_from g v in
+        let naive = grow edges (P.Iset.singleton v) in
+        List.for_all (fun w -> r.(w) = P.Iset.mem w naive) nodes
+      in
+      let ancestors_ok v =
+        let preds = P.Iset.of_list (P.Dag.preds g v) in
+        P.Iset.equal (P.Dag.ancestors g v) (grow (flip edges) preds)
+      in
+      let topo_ok =
+        match P.Dag.topo_sort g with
+        | None -> cyclic
+        | Some order ->
+          let pos = Array.make n (-1) in
+          List.iteri (fun i v -> pos.(v) <- i) order;
+          (not cyclic)
+          && List.length order = n
+          && Array.for_all (fun p -> p >= 0) pos
+          && List.for_all (fun (u, v) -> pos.(u) < pos.(v)) edges
+      in
+      List.for_all reach_ok nodes
+      && List.for_all ancestors_ok nodes
+      && P.Iset.equal (P.Dag.down_closure g set) (grow (flip edges) set)
+      && P.Dag.has_cycle g = cyclic
+      && topo_ok)
+
+(* Every draw is down-closed, and [~size:k] takes min k of the nodes
+   not on or behind a cycle. *)
+let naive_draws_property =
+  QCheck.Test.make ~count:300 ~name:"draws are legal and take every free node"
+    QCheck.(triple arbitrary_small small_nat small_nat)
+    (fun (((n, edges) as spec), seed, k) ->
+      let g = dag_of spec in
+      let blocked v =
+        List.exists (naive_on_cycle edges)
+          (P.Iset.elements (grow (flip edges) (P.Iset.singleton v)))
+      in
+      let free =
+        List.length
+          (List.filter (fun v -> not (blocked v)) (List.init n Fun.id))
+      in
+      let rng = Random.State.make [| seed |] in
+      let draws = List.init 10 (fun _ -> P.Dag.random_down_closed g rng) in
+      let sized = P.Dag.random_down_closed ~size:k g rng in
+      List.for_all (naive_closed edges) (sized :: draws)
+      && P.Iset.cardinal sized = min k free)
+
 let test_dag_too_big () =
   Alcotest.match_raises "all_down_closed bound"
     (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (P.Dag.all_down_closed (P.Dag.create ~n:25)))
+    (fun () ->
+      ignore (P.Dag.all_down_closed (P.Dag.of_preds (Array.make 25 [||]))))
 
 (* Engine: strict persistency *)
 
@@ -673,6 +759,14 @@ let test_observer_illegal_cut () =
         (P.Observer.image_of_cut g ~dag:(P.Persist_graph.to_dag g)
            (P.Iset.singleton 1) ~capacity:32))
 
+let test_observer_out_of_range () =
+  let _, g = graph_of epoch [ st 8; pb 0; st 16 ] in
+  let dag = P.Persist_graph.to_dag g in
+  out_of_range "negative id" (fun () ->
+      P.Observer.image_of_cut g ~dag (P.Iset.singleton (-1)) ~capacity:32);
+  out_of_range "id = n" (fun () ->
+      P.Observer.image_of_cut g ~dag (P.Iset.of_list [ 0; 2 ]) ~capacity:32)
+
 let test_observer_invariant_checker () =
   let _, g = graph_of epoch [ st ~value:7L 8; pb 0; st ~value:1L 16 ] in
   (* invariant: flag at 16 implies payload at 8 *)
@@ -827,7 +921,11 @@ let () =
           QCheck_alcotest.to_alcotest all_down_closed_property;
           QCheck_alcotest.to_alcotest of_preds_property;
           QCheck_alcotest.to_alcotest is_down_closed_property;
-          QCheck_alcotest.to_alcotest random_down_closed_property ] );
+          QCheck_alcotest.to_alcotest random_down_closed_property;
+          QCheck_alcotest.to_alcotest naive_reach_property;
+          QCheck_alcotest.to_alcotest naive_draws_property;
+          Alcotest.test_case "out-of-range ids" `Quick test_dag_out_of_range
+        ] );
       ( "engine-strict",
         [ Alcotest.test_case "serializes" `Quick test_strict_serializes;
           Alcotest.test_case "same-address coalescing" `Quick
@@ -902,7 +1000,9 @@ let () =
           Alcotest.test_case "images" `Quick test_observer_image;
           Alcotest.test_case "illegal cut" `Quick test_observer_illegal_cut;
           Alcotest.test_case "invariant checker" `Quick
-            test_observer_invariant_checker ] );
+            test_observer_invariant_checker;
+          Alcotest.test_case "out-of-range cut ids" `Quick
+            test_observer_out_of_range ] );
       ( "oracle",
         Alcotest.test_case "hand traces" `Quick test_oracle_verifies_hand_traces
         :: qcheck_oracle_tests

@@ -248,17 +248,43 @@ let test_cp_ordering_two_threads () =
     (Printf.sprintf "epoch (%.3f) < strict (%.3f)" epoch strict)
     true (epoch < strict)
 
-(* The perfbench recover-kv graph (2 threads x 128 ops, epoch undo),
-   pinned by the hex digest of its fingerprint as recorded with the
-   engine's former quadratic frontier reduction. *)
-let test_recorded_graph_pinned () =
+(* The perfbench recover-kv graph (2 threads x 128 ops, epoch undo). *)
+let recover_kv_graph () =
   let params = X.kv_params ~threads:2 ~total_ops:256 P.Config.Epoch in
   let _, graph, _ =
     X.analyze_with_graph params (P.Config.make P.Config.Epoch)
   in
+  graph
+
+(* Pinned by the hex digest of its fingerprint as recorded with the
+   engine's former quadratic frontier reduction. *)
+let test_recorded_graph_pinned () =
   Alcotest.(check string)
     "graph digest" "5355c1a495b131e50fe536ec0915291f"
-    (Digest.to_hex (Digest.string (P.Graph_export.fingerprint graph)))
+    (Digest.to_hex
+       (Digest.string (P.Graph_export.fingerprint (recover_kv_graph ()))))
+
+(* The crash states recover-kv samples from that graph: 30
+   [random_down_closed] draws per seed, pinned by the hex digest of
+   their id lists (one line of comma-separated ids per cut) as drawn by
+   the former set-backed DAG.  The same seed must keep giving the same
+   cuts, whatever the DAG's representation. *)
+let test_sampled_cuts_pinned () =
+  let dag = P.Persist_graph.to_dag (recover_kv_graph ()) in
+  let line cut =
+    String.concat "," (List.map string_of_int (P.Iset.elements cut))
+  in
+  List.iter
+    (fun (seed, digest) ->
+      let rng = Random.State.make [| seed |] in
+      let cuts = List.init 30 (fun _ -> P.Dag.random_down_closed dag rng) in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d cut digest" seed)
+        digest
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" (List.map line cuts)))))
+    [ (0, "81ab131964f6a64829c7b2dbecc11787");
+      (5, "033bc23a48a1b72058e0dd160be2a8a0") ]
 
 let () =
   Alcotest.run "kv"
@@ -288,4 +314,6 @@ let () =
         [ Alcotest.test_case "strand < epoch < strict at 2 threads" `Quick
             test_cp_ordering_two_threads;
           Alcotest.test_case "recorded graph pinned" `Quick
-            test_recorded_graph_pinned ] ) ]
+            test_recorded_graph_pinned;
+          Alcotest.test_case "sampled cuts pinned" `Quick
+            test_sampled_cuts_pinned ] ) ]

@@ -319,6 +319,26 @@ let test_auto_boundary () =
     Alcotest.(check int) "sampled census converges" 16 r.Recovery.prefixes
   | Error _ -> Alcotest.fail "sampled census failed"
 
+(* Every crash state of one recorded 12-node graph (CWL, 3 threads x 1
+   insert, epoch, round-robin), in [all_down_closed]'s descending
+   bitmask order: bit [v] set for each durable node [v].  The walk's
+   order, not only its count, is what Exhaustive checks follow. *)
+let test_exhaustive_cuts_pinned () =
+  let params = Q.explore_params ~threads:3 ~depth:1 Q.Epoch in
+  let inst =
+    Check.Driver.queue_instance params (P.Config.make P.Config.Epoch)
+      Memsim.Machine.Round_robin
+  in
+  let graph = inst.Check.Driver.graph in
+  Alcotest.(check int) "nodes" 12 (P.Persist_graph.node_count graph);
+  let mask cut = P.Iset.fold (fun v m -> m lor (1 lsl v)) cut 0 in
+  Alcotest.(check (list int))
+    "cuts"
+    [ 0xfff; 0x7ff; 0x6ff; 0x5ff; 0x4ff; 0x3ff; 0x2ff; 0x1ff; 0xff; 0x7f;
+      0x6f; 0x5f; 0x4f; 0x3f; 0x2f; 0x1f; 0xf; 0x7; 0x6; 0x5; 0x4; 0x3;
+      0x2; 0x1; 0x0 ]
+    (List.map mask (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
+
 let () =
   Alcotest.run "recovery"
     [ ( "failure-injection",
@@ -340,5 +360,7 @@ let () =
           Alcotest.test_case "Recovery.check matches legacy observer" `Quick
             test_verify_matches_legacy;
           Alcotest.test_case "Recovery.auto boundary" `Quick test_auto_boundary;
-          QCheck_alcotest.to_alcotest recovery_property
+          QCheck_alcotest.to_alcotest recovery_property;
+          Alcotest.test_case "exhaustive cuts pinned" `Quick
+            test_exhaustive_cuts_pinned
         ] ) ]
