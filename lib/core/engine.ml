@@ -55,27 +55,28 @@ type bstate = {
 }
 
 type open_persist = {
-  node : int;
-  level : int;
+  mutable node : int;
+  mutable lv : Level.t;  (* the persist's level, provenance [node] *)
   mutable merged : int;  (* persist events absorbed, incl. the first *)
 }
 
 type t = {
   cfg : Config.t;
-  threads : (int, tstate) Hashtbl.t;
-  blocks : (int, bstate) Hashtbl.t;  (* keyed by tracked block index *)
-  opens : (int, open_persist) Hashtbl.t;  (* keyed by atomic block index *)
+  mutable threads : tstate array;  (* by tid; [no_thread] until first use *)
+  blocks : bstate Itbl.t;  (* keyed by tracked block index *)
+  opens : open_persist Itbl.t;  (* keyed by atomic block index *)
   graph : Persist_graph.t option;
   persist_nodes : int Vec.t;  (* persist event index -> node id *)
-  closed : (int, unit) Hashtbl.t;
-      (* nodes some other persist depends on: no further coalescing *)
+  mutable closed : Bytes.t;
+      (* bitmap over node ids: nodes some other persist depends on, no
+         further coalescing *)
   labels : (string, int ref) Hashtbl.t;
   mutable durable_f : Iset.t;
       (* Px86 durable frontier: persists whose flushed lines are known
          durable (fence-committed under [Px86_sync], drained under
          [Px86_buffered]).  Every later persist is cut-ordered after
          them via order-only edges — levels are never affected. *)
-  pend : (int, Iset.t Queue.t) Hashtbl.t;
+  pend : Iset.t Queue.t Itbl.t;
       (* Px86_buffered: per cache line (8-byte base), the persist
          frontiers captured by flushes still sitting in the machine's
          persistence buffer; [Pdrain] pops the front (the machine's
@@ -87,17 +88,42 @@ type t = {
   mutable events : int;
 }
 
+let fresh_thread () =
+  { barrier = Level.bottom;
+    acc = Level.bottom;
+    ld_view = Level.bottom;
+    flush_acc = Level.bottom;
+    barrier_f = Iset.empty;
+    acc_f = Iset.empty;
+    ld_view_f = Iset.empty;
+    flush_f = Iset.empty }
+
+let fresh_block () =
+  { store_l = Level.bottom;
+    load_l = Level.bottom;
+    store_f = Iset.empty;
+    load_f = Iset.empty }
+
+(* Absent-entry markers for the tables above.  Shared by every engine and
+   never mutated: a lookup that returns one creates the real entry. *)
+let no_thread = fresh_thread ()
+let no_block = fresh_block ()
+let no_open = { node = -1; lv = Level.bottom; merged = 0 }
+let no_pend : Iset.t Queue.t = Queue.create ()
+
+(* DPOR creates one engine per execution, over a handful of events: every
+   table starts small and grows with the trace. *)
 let create cfg =
   { cfg;
-    threads = Hashtbl.create 16;
-    blocks = Hashtbl.create 1024;
-    opens = Hashtbl.create 1024;
+    threads = Array.make 4 no_thread;
+    blocks = Itbl.create ~absent:no_block 8;
+    opens = Itbl.create ~absent:no_open 8;
     graph = (if cfg.Config.record_graph then Some (Persist_graph.create ()) else None);
     persist_nodes = Vec.create ();
-    closed = Hashtbl.create 1024;
+    closed = Bytes.empty;
     labels = Hashtbl.create 4;
     durable_f = Iset.empty;
-    pend = Hashtbl.create 64;
+    pend = Itbl.create ~absent:no_pend 8;
     next_node = 0;
     max_level = 0;
     persist_events = 0;
@@ -106,35 +132,58 @@ let create cfg =
 
 let config t = t.cfg
 
+(* Thread ids index an array: the machine numbers its threads densely
+   from 0, and its drain pseudo-threads start at 2^16. *)
+let max_tid = 1 lsl 16
+
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some ts -> ts
-  | None ->
-    let ts =
-      { barrier = Level.bottom;
-        acc = Level.bottom;
-        ld_view = Level.bottom;
-        flush_acc = Level.bottom;
-        barrier_f = Iset.empty;
-        acc_f = Iset.empty;
-        ld_view_f = Iset.empty;
-        flush_f = Iset.empty }
-    in
-    Hashtbl.add t.threads tid ts;
+  let n = Array.length t.threads in
+  if tid >= n then begin
+    let a = Array.make (max (tid + 1) (2 * n)) no_thread in
+    Array.blit t.threads 0 a 0 n;
+    t.threads <- a
+  end;
+  let ts = t.threads.(tid) in
+  if ts != no_thread then ts
+  else begin
+    let ts = fresh_thread () in
+    t.threads.(tid) <- ts;
     ts
+  end
 
 let block t b =
-  match Hashtbl.find_opt t.blocks b with
-  | Some bs -> bs
-  | None ->
-    let bs =
-      { store_l = Level.bottom;
-        load_l = Level.bottom;
-        store_f = Iset.empty;
-        load_f = Iset.empty }
-    in
-    Hashtbl.add t.blocks b bs;
+  let bs = Itbl.find t.blocks b in
+  if bs != no_block then bs
+  else begin
+    let bs = fresh_block () in
+    Itbl.replace t.blocks b bs;
     bs
+  end
+
+let is_closed t node =
+  node lsr 3 < Bytes.length t.closed
+  && Char.code (Bytes.get t.closed (node lsr 3)) land (1 lsl (node land 7)) <> 0
+
+let close t node =
+  let i = node lsr 3 in
+  let n = Bytes.length t.closed in
+  if i >= n then begin
+    let b = Bytes.make (max (i + 1) (2 * n)) '\000' in
+    Bytes.blit t.closed 0 b 0 n;
+    t.closed <- b
+  end;
+  Bytes.set t.closed i
+    (Char.unsafe_chr (Char.code (Bytes.get t.closed i) lor (1 lsl (node land 7))))
+
+let rec close_all_but t node = function
+  | [] -> ()
+  | sn :: rest ->
+    if sn <> node then close t sn;
+    close_all_but t node rest
+
+(* Close every provenance node of a source level but [node] itself. *)
+let close_source t node s =
+  if Level.level s > 0 then close_all_but t node (Level.provenance s)
 
 (* Tracked blocks overlapped by an access.  Accesses are at most eight
    bytes and naturally aligned while granularities are at least eight
@@ -145,14 +194,6 @@ let tracked_block t (a : Event.access) =
   let b1 = Memsim.Addr.block ~gran:t.cfg.Config.track_gran (a.addr + a.size - 1) in
   assert (b0 = b1);
   b0
-
-let fresh_node t ~tid ~level ~deps ~order write =
-  match t.graph with
-  | Some g -> Persist_graph.add_node g ~tid ~level ~deps ~order write
-  | None ->
-    let id = t.next_node in
-    t.next_node <- id + 1;
-    id
 
 let record_graph t = t.cfg.Config.record_graph
 
@@ -177,14 +218,17 @@ let reduce t set =
     end;
     reduced
 
-(* Handle a persist-generating access whose dependence sources are
-   [sources] (levels) and [deps_f] (graph frontier). *)
-let persist t (a : Event.access) ~sources ~deps_f =
+let write_of (a : Event.access) =
+  { Persist_graph.addr = a.addr; size = a.size; value = a.value }
+
+(* Handle a persist-generating access whose dependence sources are the
+   levels [base], [st] and [ld] (bottom when absent) and the graph
+   frontier [deps_f].  Returns the block's open persist, which now holds
+   the access: its level is the access's result. *)
+let persist t (a : Event.access) ~base ~st ~ld ~deps_f =
   t.persist_events <- t.persist_events + 1;
   M.incr m_persist_events;
   let pb = Memsim.Addr.block ~gran:t.cfg.Config.persist_gran a.addr in
-  let write = { Persist_graph.addr = a.addr; size = a.size; value = a.value } in
-  let full = List.fold_left Level.merge Level.bottom sources in
   (* Px86 durability: persists already durable when this one is created
      become order-only edges — they bound recovery cuts but carry no
      level, because a line parked in the persistence buffer does not
@@ -194,23 +238,30 @@ let persist t (a : Event.access) ~sources ~deps_f =
   in
   if not (Iset.is_empty order_f) then
     M.add m_order_edges (Iset.cardinal order_f);
-  let node, level =
-    match Hashtbl.find_opt t.opens pb with
-    | Some op
-      when t.cfg.Config.coalescing
-           && (not (Hashtbl.mem t.closed op.node))
-           && Level.excluding ~node:op.node sources < op.level
-           && (match t.graph with
-              | Some g ->
-                (* an order dep at or above the open persist's level
-                   could already be ordered after it; merging would
-                   close a cycle in the cut DAG *)
-                Iset.for_all
-                  (fun d ->
-                    d = op.node
-                    || (Persist_graph.get g d).Persist_graph.level < op.level)
-                  order_f
-              | None -> true) ->
+  let op = Itbl.find t.opens pb in
+  let op =
+    if
+      op != no_open && t.cfg.Config.coalescing
+      && (not (is_closed t op.node))
+      && max
+           (Level.excluding ~node:op.node base)
+           (max
+              (Level.excluding ~node:op.node st)
+              (Level.excluding ~node:op.node ld))
+         < Level.level op.lv
+      &&
+      match t.graph with
+      | Some g ->
+        (* an order dep at or above the open persist's level could
+           already be ordered after it; merging would close a cycle in
+           the cut DAG *)
+        Iset.for_all
+          (fun d ->
+            d = op.node
+            || (Persist_graph.get g d).Persist_graph.level < Level.level op.lv)
+          order_f
+      | None -> true
+    then begin
       (* Coalesce into the block's open persist: every dependence not
          produced by that persist is strictly older, and nothing has
          been ordered after the open persist yet. *)
@@ -219,21 +270,43 @@ let persist t (a : Event.access) ~sources ~deps_f =
       op.merged <- op.merged + 1;
       (match t.graph with
       | Some g ->
-        Persist_graph.coalesce_into g op.node ~deps:deps_f ~order:order_f write
+        Persist_graph.coalesce_into g op.node ~deps:deps_f ~order:order_f
+          (write_of a)
       | None -> ());
-      (op.node, op.level)
-    | (Some _ | None) as replaced ->
-      let level = Level.level full + 1 in
-      let node = fresh_node t ~tid:a.tid ~level ~deps:deps_f ~order:order_f write in
-      (* The block's previous open persist (if any) ends its coalescing
-         run here; runs still open at end of trace go unobserved. *)
-      (match replaced with
-      | Some op -> M.observe m_coalesce_run (float_of_int op.merged)
-      | None -> ());
-      Hashtbl.replace t.opens pb { node; level; merged = 1 };
+      op
+    end
+    else begin
+      let level =
+        1 + max (Level.level base) (max (Level.level st) (Level.level ld))
+      in
+      let node =
+        match t.graph with
+        | Some g ->
+          Persist_graph.add_node g ~tid:a.tid ~level ~deps:deps_f ~order:order_f
+            (write_of a)
+        | None ->
+          let id = t.next_node in
+          t.next_node <- id + 1;
+          id
+      in
+      let lv = Level.of_node ~level ~node in
       M.incr m_persist_ops;
       M.observe m_level (float_of_int level);
-      (node, level)
+      if op == no_open then begin
+        let op = { node; lv; merged = 1 } in
+        Itbl.replace t.opens pb op;
+        op
+      end
+      else begin
+        (* The block's previous open persist ends its coalescing run
+           here; runs still open at end of trace go unobserved. *)
+        M.observe m_coalesce_run (float_of_int op.merged);
+        op.node <- node;
+        op.lv <- lv;
+        op.merged <- 1;
+        op
+      end
+    end
   in
   (* This persist is now ordered after every source persist it did not
      merge into; those persists can no longer accept coalesced writes —
@@ -241,19 +314,16 @@ let persist t (a : Event.access) ~sources ~deps_f =
      that is already ordered after them, defeating the dependence the
      recovery protocol relies on (paper Section 7: the ability to
      coalesce is itself propagated through memory and thread state). *)
-  List.iter
-    (fun s ->
-      if Level.level s > 0 then
-        List.iter
-          (fun sn -> if sn <> node then Hashtbl.replace t.closed sn ())
-          (Level.provenance s))
-    sources;
-  if record_graph t then Vec.push t.persist_nodes node;
+  close_source t op.node base;
+  close_source t op.node st;
+  close_source t op.node ld;
+  if record_graph t then Vec.push t.persist_nodes op.node;
+  let level = Level.level op.lv in
   if level > t.max_level then begin
     t.max_level <- level;
     M.observe_max m_cp (float_of_int level)
   end;
-  (Level.of_node ~level ~node, Iset.singleton node)
+  op
 
 (* Commit the flush set like an sfence: into the thread's views and —
    under synchronous Px86 — into the global durable frontier (the fence
@@ -284,6 +354,7 @@ let access t kind (a : Event.access) =
          | Config.Strict -> false) ->
     commit_flushes t ts
   | Event.Rmw | Event.Load | Event.Store -> ());
+  let recording = record_graph t in
   let conflicts_tracked =
     (not t.cfg.Config.persistent_only_conflicts)
     || Memsim.Addr.equal_space a.space Memsim.Addr.Persistent
@@ -306,31 +377,37 @@ let access t kind (a : Event.access) =
      RMWs and fences (stores may become visible past them).  A store
      also conflicts with earlier loads (SC ordering); under the
      BPFS/TSO conflict-detection ablation those load levels are
-     ignored. *)
+     ignored.  An absent source is bottom, which no merge sees. *)
   let strict_tso =
     t.cfg.Config.mode = Config.Strict && t.cfg.Config.consistency = Config.Tso
   in
-  let base, base_f =
-    if strict_tso && is_load && not is_store then (ts.ld_view, ts.ld_view_f)
-    else (ts.barrier, ts.barrier_f)
+  let load_view = strict_tso && is_load && not is_store in
+  let base = if load_view then ts.ld_view else ts.barrier in
+  let conflicts_loads =
+    conflicts_tracked && is_store && not t.cfg.Config.tso_conflicts
   in
-  let sources = ref [ base ] in
-  let deps_f = ref base_f in
-  if conflicts_tracked then begin
-    sources := bs.store_l :: !sources;
-    if record_graph t then deps_f := Iset.union !deps_f bs.store_f;
-    if is_store && not t.cfg.Config.tso_conflicts then begin
-      sources := bs.load_l :: !sources;
-      if record_graph t then deps_f := Iset.union !deps_f bs.load_f
+  let st = if conflicts_tracked then bs.store_l else Level.bottom in
+  let ld = if conflicts_loads then bs.load_l else Level.bottom in
+  let deps_f =
+    if not recording then Iset.empty
+    else begin
+      let d = if load_view then ts.ld_view_f else ts.barrier_f in
+      let d = if conflicts_tracked then Iset.union d bs.store_f else d in
+      let d = if conflicts_loads then Iset.union d bs.load_f else d in
+      reduce t d
     end
-  end;
-  let deps_f = if record_graph t then reduce t !deps_f else !deps_f in
+  in
   let is_persist =
     is_store && Memsim.Addr.equal_space a.space Memsim.Addr.Persistent
   in
-  let result, result_f =
-    if is_persist then persist t a ~sources:!sources ~deps_f
-    else (List.fold_left Level.merge Level.bottom !sources, deps_f)
+  let op = if is_persist then persist t a ~base ~st ~ld ~deps_f else no_open in
+  let result =
+    if is_persist then op.lv else Level.merge base (Level.merge st ld)
+  in
+  let result_f =
+    if not recording then Iset.empty
+    else if is_persist then Iset.singleton op.node
+    else deps_f
   in
   (* Frontier maintenance.  A store-like access's result covers (in the
      down-closure sense) everything in its dependence set, so replacing
@@ -344,18 +421,18 @@ let access t kind (a : Event.access) =
   if conflicts_tracked then begin
     if is_load && not is_store then begin
       bs.load_l <- Level.merge bs.load_l result;
-      if record_graph t then bs.load_f <- Iset.union bs.load_f result_f
+      if recording then bs.load_f <- Iset.union bs.load_f result_f
     end
     else begin
       bs.store_l <- Level.merge bs.store_l result;
-      if record_graph t then begin
+      if recording then begin
         bs.store_f <- result_f;
         if not t.cfg.Config.tso_conflicts then bs.load_f <- Iset.empty
       end
     end
   end;
   ts.acc <- Level.merge ts.acc result;
-  if record_graph t then
+  if recording then
     ts.acc_f <-
       (if is_persist then Iset.union (Iset.diff ts.acc_f deps_f) result_f
        else Iset.union ts.acc_f result_f);
@@ -370,17 +447,16 @@ let access t kind (a : Event.access) =
     | Config.Sc ->
       ts.barrier <- ts.acc;
       ts.ld_view <- ts.acc;
-      if record_graph t then begin
+      if recording then begin
         ts.barrier_f <- ts.acc_f;
         ts.ld_view_f <- ts.acc_f
       end
     | Config.Tso ->
       ts.barrier <- ts.acc;
-      if record_graph t then ts.barrier_f <- ts.acc_f;
+      if recording then ts.barrier_f <- ts.acc_f;
       if is_load then begin
         ts.ld_view <- Level.merge ts.ld_view result;
-        if record_graph t then
-          ts.ld_view_f <- Iset.union ts.ld_view_f result_f
+        if recording then ts.ld_view_f <- Iset.union ts.ld_view_f result_f
       end
     | Config.Rmo -> ()
   end
@@ -393,6 +469,11 @@ let barrier_of t (ts : tstate) =
   if record_graph t then ts.barrier_f <- ts.acc_f
 
 let observe t ev =
+  let tid = Event.tid ev in
+  if tid < 0 || tid >= max_tid then
+    invalid_arg
+      (Printf.sprintf "Engine.observe: thread id %d outside [0, %d) in event %S"
+         tid max_tid (Event.to_string ev));
   t.events <- t.events + 1;
   M.incr m_events;
   match ev with
@@ -439,27 +520,26 @@ let observe t ev =
     | Config.Epoch | Config.Strand ->
       let ts = thread t tid in
       let b = Memsim.Addr.block ~gran:t.cfg.Config.track_gran addr in
-      let capture_f =
-        match Hashtbl.find_opt t.blocks b with
-        | Some bs ->
-          ts.flush_acc <- Level.merge ts.flush_acc bs.store_l;
-          if record_graph t then ts.flush_f <- Iset.union ts.flush_f bs.store_f;
-          bs.store_f
-        | None -> Iset.empty
-      in
+      let bs = Itbl.find t.blocks b in
+      if bs != no_block then begin
+        ts.flush_acc <- Level.merge ts.flush_acc bs.store_l;
+        if record_graph t then ts.flush_f <- Iset.union ts.flush_f bs.store_f
+      end;
       if record_graph t && t.cfg.Config.px86 = Config.Px86_buffered then begin
         let line = addr asr 3 in
+        let q = Itbl.find t.pend line in
         let q =
-          match Hashtbl.find_opt t.pend line with
-          | Some q -> q
-          | None ->
+          if q != no_pend then q
+          else begin
             let q = Queue.create () in
-            Hashtbl.add t.pend line q;
+            Itbl.replace t.pend line q;
             q
+          end
         in
         (* push even when the capture is empty so queue fronts stay
-           aligned with the machine's per-line persistence-buffer FIFO *)
-        Queue.push capture_f q
+           aligned with the machine's per-line persistence-buffer FIFO;
+           an absent block's frontier is empty *)
+        Queue.push bs.store_f q
       end
     | Config.Strict -> ())
   | Event.Fence { tid; _ } ->
@@ -486,12 +566,12 @@ let observe t ev =
        from here on is cut-ordered after them *)
     M.incr m_pdrains;
     if record_graph t && t.cfg.Config.px86 = Config.Px86_buffered then begin
-      match Hashtbl.find_opt t.pend (addr asr 3) with
-      | Some q when not (Queue.is_empty q) ->
+      let q = Itbl.find t.pend (addr asr 3) in
+      if not (Queue.is_empty q) then begin
         let capture = Queue.pop q in
         if not (Iset.is_empty capture) then
           t.durable_f <- reduce t (Iset.union t.durable_f capture)
-      | Some _ | None -> ()
+      end
     end
   | Event.Label (_, name) ->
     M.incr m_labels;

@@ -32,7 +32,10 @@ type t
 val create : Config.t -> t
 
 val observe : t -> Memsim.Event.t -> unit
-(** Feed one event; also usable directly as a machine sink. *)
+(** Feed one event; also usable directly as a machine sink.
+    @raise Invalid_argument, naming the event, when its thread id is
+    negative or at least [2^16] (the machine's drain pseudo-thread
+    range); thread ids index an array. *)
 
 val observe_trace : t -> Memsim.Trace.t -> unit
 

@@ -28,25 +28,35 @@ let union a b =
   | Some l -> l
   | None -> []
 
+(* [subset a b]: every member of sorted list [a] is in sorted list [b]. *)
+let rec subset a b =
+  match a, b with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' ->
+    if x = y then subset a' b' else if x > y then subset a b' else false
+
+(* Whenever the result equals an input, the input itself is returned, so
+   the common merges — a view with itself, or with a level it already
+   covers — allocate nothing. *)
 let merge a b =
   if a.level > b.level then a
   else if b.level > a.level then b
   else if a.level = 0 then bottom
-  else if a.prov = [] || b.prov = [] then { level = a.level; prov = [] }
+  else if a == b || a.prov = [] then a
     (* at a positive level, [] means provenance overflowed to unknown,
        which absorbs *)
+  else if b.prov = [] || subset a.prov b.prov then b
+  else if subset b.prov a.prov then a
   else { level = a.level; prov = union a.prov b.prov }
 
 let level t = t.level
 let provenance t = t.prov
 
-let excluding ~node sources =
-  List.fold_left
-    (fun acc s ->
-      match s.prov with
-      | [ n ] when n = node -> acc
-      | _ -> max acc s.level)
-    0 sources
+let excluding ~node t =
+  match t.prov with
+  | [ n ] when n = node -> 0
+  | _ -> t.level
 
 let pp ppf t =
   match t.prov with

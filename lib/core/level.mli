@@ -36,15 +36,16 @@ val bottom : t
 val of_node : level:int -> node:int -> t
 
 val merge : t -> t -> t
-(** Pointwise maximum; provenance unions at equal levels (capped). *)
+(** Pointwise maximum; provenance unions at equal levels (capped).  When
+    the result equals an input, that input is returned. *)
 
 val level : t -> int
 
 val provenance : t -> int list
 
-val excluding : node:int -> t list -> int
-(** [excluding ~node sources] is the maximum level among [sources] not
-    fully attributable to [node] — the dependence a persist would
-    retain after coalescing into node [node]. *)
+val excluding : node:int -> t -> int
+(** [excluding ~node s] is the level of [s] unless it is fully
+    attributable to [node], else 0: the dependence on [s] a persist
+    would retain after coalescing into node [node]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -159,7 +159,8 @@ type t = {
   model : model;
   persistence : persistence;
   barrier : barrier_impl;
-  buffers : (int, buffer) Hashtbl.t;  (* tid -> store buffer (TSO) *)
+  mutable buffers : buffer option array;
+      (* by tid: the thread's store buffer (TSO), once it has one *)
   pbuf : pb_entry Vec.t;  (* persistence buffer (Pbuffered only) *)
   pepoch : (int, int) Hashtbl.t;  (* tid -> current fence epoch *)
   mutable pseq : int;
@@ -196,7 +197,7 @@ let create ?(policy = Round_robin) ?(model = Sc) ?(persistence = Psync)
     model;
     persistence;
     barrier;
-    buffers = Hashtbl.create 8;
+    buffers = [||];
     pbuf = Vec.create ();
     pepoch = Hashtbl.create 8;
     pseq = 0;
@@ -264,16 +265,25 @@ let emit_meta t ev = t.sink ev
    stores become visible to other threads and to the persistency
    engine. *)
 
+let find_buffer t tid =
+  if tid < Array.length t.buffers then t.buffers.(tid) else None
+
 let buffer t tid =
-  match Hashtbl.find_opt t.buffers tid with
+  match find_buffer t tid with
   | Some b -> b
   | None ->
+    let n = Array.length t.buffers in
+    if tid >= n then begin
+      let a = Array.make (max (tid + 1) (2 * n)) None in
+      Array.blit t.buffers 0 a 0 n;
+      t.buffers <- a
+    end;
     let b = { fifo = Queue.create (); bytes = Hashtbl.create 16 } in
-    Hashtbl.add t.buffers tid b;
+    t.buffers.(tid) <- Some b;
     b
 
 let buffer_nonempty t tid =
-  match Hashtbl.find_opt t.buffers tid with
+  match find_buffer t tid with
   | Some b -> not (Queue.is_empty b.fifo)
   | None -> false
 
@@ -445,7 +455,7 @@ let pdrain t i =
 (* Static footprint of the oldest buffered entry: what the next drain
    step of this thread will touch. *)
 let drain_footprint t tid =
-  match Hashtbl.find_opt t.buffers tid with
+  match find_buffer t tid with
   | None -> None
   | Some buf ->
     (match Queue.peek_opt buf.fifo with
@@ -457,7 +467,7 @@ let drain_footprint t tid =
    (or emit the flush) and emit the event — this is the point where the
    write enters the global memory order. *)
 let drain_one t tid =
-  let buf = Hashtbl.find t.buffers tid in
+  let buf = buffer t tid in
   match Queue.take buf.fifo with
   | Sb_store { addr; size; value; space } ->
     for i = 0 to size - 1 do
@@ -482,7 +492,7 @@ let drain_all t tid =
    the calling thread still has buffered (its own newest values). *)
 let load_forwarded t tid ~addr ~size =
   let v = Memory.load t.mem ~addr ~size in
-  match Hashtbl.find_opt t.buffers tid with
+  match find_buffer t tid with
   | None -> v
   | Some buf ->
     if Hashtbl.length buf.bytes = 0 then v
@@ -606,6 +616,10 @@ let static_footprint : type a. a op -> access option = function
   | Fence_op _ -> None
   | Persist_barrier | New_strand | Label _ | Malloc _ | Free _ -> None
 
+(* Only a guided run queue reads an entry's footprint; the others skip
+   building it. *)
+let footprint t op = if guided t then static_footprint op else None
+
 let dispatch : type a. t -> int -> a op -> (a, unit) continuation -> unit =
  fun t tid op k ->
   let tso = t.model = Tso in
@@ -614,7 +628,7 @@ let dispatch : type a. t -> int -> a op -> (a, unit) continuation -> unit =
     (* under TSO the acquire is a locked instruction: it waits for the
        thread's own buffer to drain first; granting commits pending
        flushes like a fence (RMW-as-fence) *)
-    schedule ~drains:tso t tid (commit_footprint t tid (static_footprint op))
+    schedule ~drains:tso t tid (commit_footprint t tid (footprint t op))
       (fun () ->
         match l.owner with
         | None ->
@@ -700,14 +714,14 @@ let dispatch : type a. t -> int -> a op -> (a, unit) continuation -> unit =
   | Rmw _ ->
     (* locked instruction: drains first (TSO) and commits pending
        flushes like a fence (RMW-as-fence) *)
-    schedule ~drains:tso t tid (commit_footprint t tid (static_footprint op))
+    schedule ~drains:tso t tid (commit_footprint t tid (footprint t op))
       (fun () -> continue k (exec t tid op))
   | Unlock_op _ ->
     (* write-through release: drains first (TSO) *)
-    schedule ~drains:tso t tid (static_footprint op) (fun () ->
+    schedule ~drains:tso t tid (footprint t op) (fun () ->
         continue k (exec t tid op))
   | Self | Load _ | Store _ | Flush_op _ | Yield ->
-    schedule t tid (static_footprint op) (fun () -> continue k (exec t tid op))
+    schedule t tid (footprint t op) (fun () -> continue k (exec t tid op))
 
 let spawn t body =
   let tid = t.next_tid in
@@ -742,19 +756,53 @@ type step = {
   exec_step : unit -> unit;
 }
 
-let picks t v =
-  let ps = Vec.create () in
-  for i = 0 to Vec.length v - 1 do
-    let e = Vec.get v i in
-    if not (e.drains && buffer_nonempty t e.tid) then Vec.push ps (Pick_entry i)
-  done;
-  for tid = 0 to t.next_tid - 1 do
-    if buffer_nonempty t tid then Vec.push ps (Pick_drain tid)
-  done;
-  for i = 0 to Vec.length t.pbuf - 1 do
-    if pb_eligible t i then Vec.push ps (Pick_persist i)
-  done;
-  ps
+(* The choice set's candidates, numbered in its fixed order: bag entries
+   [0, E), then one store-buffer drain per tid [E, E + T), then
+   persistence-buffer entries [E + T, E + T + P).  A candidate is a pick
+   when eligible.  Random and scripted runs count the picks and walk to
+   the drawn one, building no choice set. *)
+let candidates t v = Vec.length v + t.next_tid + Vec.length t.pbuf
+
+let eligible t v c =
+  let e = Vec.length v in
+  if c < e then begin
+    let en = Vec.get v c in
+    not (en.drains && buffer_nonempty t en.tid)
+  end
+  else if c < e + t.next_tid then buffer_nonempty t (c - e)
+  else pb_eligible t (c - e - t.next_tid)
+
+let pick_of t v c =
+  let e = Vec.length v in
+  if c < e then Pick_entry c
+  else if c < e + t.next_tid then Pick_drain (c - e)
+  else Pick_persist (c - e - t.next_tid)
+
+(* Only TSO stores and flushes fill store buffers, so under SC with an
+   empty persistence buffer the picks are exactly the bag entries. *)
+let entries_only t = t.model = Sc && Vec.is_empty t.pbuf
+
+let count_picks t v =
+  if entries_only t then Vec.length v
+  else begin
+    let n = ref 0 in
+    for c = 0 to candidates t v - 1 do
+      if eligible t v c then incr n
+    done;
+    !n
+  end
+
+(* The [k]-th pick, 0-based, of a choice set with more than [k] picks. *)
+let nth_pick t v k =
+  if entries_only t then Pick_entry k
+  else begin
+    let k = ref k and c = ref (-1) in
+    while !k >= 0 do
+      incr c;
+      if eligible t v !c then decr k
+    done;
+    pick_of t v !c
+  end
 
 let step_of_pick t v = function
   | Pick_entry i ->
@@ -806,16 +854,13 @@ let take_runnable t =
             { eff_tid = persist_tid (Vec.get t.pbuf i).pb_addr;
               exec_step = (fun () -> pdrain t i) }))
   | Bag (v, rng) ->
-    let ps = picks t v in
-    if Vec.is_empty ps then None
-    else
-      Some
-        (step_of_pick t v (Vec.get ps (Random.State.int rng (Vec.length ps))))
+    let n = count_picks t v in
+    if n = 0 then None
+    else Some (step_of_pick t v (nth_pick t v (Random.State.int rng n)))
   | Script_bag (v, s) ->
-    let ps = picks t v in
-    if Vec.is_empty ps then None
+    let n = count_picks t v in
+    if n = 0 then None
     else begin
-      let n = Vec.length ps in
       let idx =
         match s.forced with
         | i :: rest ->
@@ -826,16 +871,23 @@ let take_runnable t =
         | [] -> 0
       in
       s.log <- (idx, n) :: s.log;
-      Some (step_of_pick t v (Vec.get ps idx))
+      Some (step_of_pick t v (nth_pick t v idx))
     end
   | Guided_bag (v, g) ->
-    let ps = picks t v in
-    if Vec.is_empty ps then None
+    let n = count_picks t v in
+    if n = 0 then None
     else begin
-      let n = Vec.length ps in
+      let ps = Array.make n (Pick_entry 0) in
+      let j = ref 0 in
+      for c = 0 to candidates t v - 1 do
+        if eligible t v c then begin
+          ps.(!j) <- pick_of t v c;
+          incr j
+        end
+      done;
       let infos =
-        Array.init n (fun i ->
-            match Vec.get ps i with
+        Array.mapi
+          (fun i -> function
             | Pick_entry j ->
               let e = Vec.get v j in
               { tid = e.tid; index = i; next = e.next }
@@ -846,6 +898,7 @@ let take_runnable t =
                 index = i;
                 next =
                   Some { addr = 0; size = Addr.volatile_base; write = false } })
+          ps
       in
       Array.sort
         (fun (a : step_info) (b : step_info) -> compare a.tid b.tid)
@@ -854,7 +907,7 @@ let take_runnable t =
       let idx = ref (-1) in
       for i = 0 to n - 1 do
         if !idx < 0 then
-          match Vec.get ps i with
+          match ps.(i) with
           | Pick_entry j -> if (Vec.get v j).tid = tid then idx := i
           | Pick_drain t' -> if drain_tid t' = tid then idx := i
           | Pick_persist j ->
@@ -864,7 +917,7 @@ let take_runnable t =
         invalid_arg
           (Printf.sprintf "Machine: guide chose tid %d, which is not runnable"
              tid);
-      Some (step_of_pick t v (Vec.get ps !idx))
+      Some (step_of_pick t v ps.(!idx))
     end
 
 let run t =

@@ -53,12 +53,13 @@ let test_level_excluding () =
   let open P.Level in
   let s1 = of_node ~level:4 ~node:1 in
   let s2 = of_node ~level:2 ~node:2 in
-  checki "excludes own node" 2 (excluding ~node:1 [ s1; s2 ]);
-  checki "keeps other nodes" 4 (excluding ~node:2 [ s1; s2 ]);
-  checki "empty sources" 0 (excluding ~node:1 []);
+  checki "excludes own node" 0 (excluding ~node:1 s1);
+  checki "keeps other nodes" 4 (excluding ~node:2 s1);
+  checki "other node's level" 2 (excluding ~node:1 s2);
+  checki "bottom" 0 (excluding ~node:1 bottom);
   (* mixed provenance at the same level is never attributable *)
   let mixed = merge (of_node ~level:4 ~node:1) (of_node ~level:4 ~node:3) in
-  checki "mixed counts" 4 (excluding ~node:1 [ mixed ])
+  checki "mixed counts" 4 (excluding ~node:1 mixed)
 
 let test_level_provenance_cap () =
   let big =
@@ -70,6 +71,104 @@ let test_level_provenance_cap () =
   Alcotest.(check (list int)) "cap degrades to unknown" []
     (P.Level.provenance big);
   checki "level kept" 1 (P.Level.level big)
+
+(* [Level.merge] against a reference built from the plain capped sorted
+   union.  Values are (level, node ids) specs folded from [of_node];
+   the id lists include sizes around the 20-id cap, whose overflow is
+   the [] "unknown" provenance. *)
+let level_view l = (P.Level.level l, P.Level.provenance l)
+
+let capped ids =
+  let u = List.sort_uniq compare ids in
+  if List.length u > P.Level.max_provenance then [] else u
+
+let reference_merge (la, pa) (lb, pb) =
+  if la > lb then (la, pa)
+  else if lb > la then (lb, pb)
+  else if la = 0 then (0, [])
+  else if pa = [] || pb = [] then (la, [])
+  else (la, capped (pa @ pb))
+
+let level_of_spec (level, ids) =
+  if level = 0 then P.Level.bottom
+  else
+    List.fold_left
+      (fun acc node -> P.Level.merge acc (P.Level.of_node ~level ~node))
+      P.Level.bottom ids
+
+let arbitrary_level =
+  let ids =
+    QCheck.Gen.(
+      oneof
+        [ list_size (int_range 1 6) (int_bound 12);
+          list_size (int_range 15 30) (int_bound 40);
+          int_range 19 21 >|= fun k -> List.init k (fun i -> 2 * i) ])
+  in
+  QCheck.make
+    ~print:(fun (level, ids) ->
+      Printf.sprintf "%d@[%s]" level
+        (String.concat "," (List.map string_of_int ids)))
+    QCheck.Gen.(pair (int_bound 2) ids)
+
+let merge_reference_property =
+  QCheck.Test.make ~count:500 ~name:"merge equals the capped-union reference"
+    QCheck.(pair arbitrary_level arbitrary_level)
+    (fun (sa, sb) ->
+      let a = level_of_spec sa and b = level_of_spec sb in
+      let expect (level, ids) = if level = 0 then (0, []) else (level, capped ids) in
+      level_view a = expect sa
+      && level_view (P.Level.merge a b)
+         = reference_merge (level_view a) (level_view b))
+
+let merge_laws_property =
+  QCheck.Test.make ~count:500
+    ~name:"merge is commutative and associative, bottom its identity"
+    QCheck.(triple arbitrary_level arbitrary_level arbitrary_level)
+    (fun (sa, sb, sc) ->
+      let a = level_of_spec sa
+      and b = level_of_spec sb
+      and c = level_of_spec sc in
+      let open P.Level in
+      level_view (merge a b) = level_view (merge b a)
+      && level_view (merge (merge a b) c) = level_view (merge a (merge b c))
+      && level_view (merge bottom a) = level_view a
+      && level_view (merge a bottom) = level_view a)
+
+(* Itbl against a [Hashtbl] model, through growth from the smallest
+   table: keys clustered (consecutive) and far apart (a megabyte and a
+   gigabyte away, negative too), lookups of bound and unbound keys. *)
+let itbl_model_property =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [ int_bound 40;
+          map (fun i -> (1 lsl 20) + i) (int_bound 40);
+          map (fun i -> (1 lsl 30) + (i * 4096)) (int_bound 40);
+          map (fun i -> -1 - i) (int_bound 40) ])
+  in
+  let op = QCheck.Gen.(pair bool (pair key small_nat)) in
+  QCheck.Test.make ~count:300 ~name:"itbl matches a Hashtbl model"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let t = P.Itbl.create ~absent:(-1) 0 in
+      let model = Hashtbl.create 16 in
+      List.for_all
+        (fun (write, (k, v)) ->
+          if write then begin
+            P.Itbl.replace t k v;
+            Hashtbl.replace model k v
+          end;
+          P.Itbl.find t k
+          = Option.value ~default:(-1) (Hashtbl.find_opt model k))
+        ops
+      && Hashtbl.fold (fun k v ok -> ok && P.Itbl.find t k = v) model true)
+
+let test_itbl_reserved_key () =
+  let t = P.Itbl.create ~absent:0 4 in
+  checki "min_int is unbound" 0 (P.Itbl.find t min_int);
+  Alcotest.check_raises "min_int rejected"
+    (Invalid_argument "Itbl.replace: min_int is not a valid key") (fun () ->
+      P.Itbl.replace t min_int 1)
 
 (* Config *)
 
@@ -623,6 +722,29 @@ let test_engine_volatile_stores_not_persists () =
   checki "no persists" 0 (P.Engine.persist_events e);
   checki "no critical path" 0 (P.Engine.critical_path e)
 
+(* Thread ids index the engine's per-thread array: an event whose id is
+   negative (which [Event.of_string] accepts) or beyond the machine's
+   thread range is rejected with a message naming the event. *)
+let test_engine_rejects_bad_tid () =
+  List.iter
+    (fun line ->
+      let ev = E.of_string line in
+      let e = P.Engine.create epoch in
+      match P.Engine.observe e ev with
+      | () -> Alcotest.failf "%S accepted" line
+      | exception Invalid_argument msg ->
+        let named =
+          let n = String.length line and m = String.length msg in
+          let rec at i = i + n <= m && (String.sub msg i n = line || at (i + 1)) in
+          at 0
+        in
+        if not named then Alcotest.failf "message %S does not name %S" msg line)
+    [ "st -1 8 8 1"; "ld -7 8 8 0"; "pb -1"; "fl clwb -2 8"; "lb -1 insert";
+      "st 65536 8 8 1" ];
+  let e = P.Engine.create epoch in
+  P.Engine.observe e (E.of_string "st 65535 8 8 1");
+  checki "the largest thread id is accepted" 1 (P.Engine.persist_events e)
+
 (* Persist graph *)
 
 let graph_of gcfg events =
@@ -905,8 +1027,12 @@ let () =
     [ ( "level",
         [ Alcotest.test_case "merge" `Quick test_level_merge;
           Alcotest.test_case "excluding" `Quick test_level_excluding;
-          Alcotest.test_case "provenance cap" `Quick test_level_provenance_cap
-        ] );
+          Alcotest.test_case "provenance cap" `Quick test_level_provenance_cap;
+          QCheck_alcotest.to_alcotest merge_reference_property;
+          QCheck_alcotest.to_alcotest merge_laws_property ] );
+      ( "itbl",
+        [ QCheck_alcotest.to_alcotest itbl_model_property;
+          Alcotest.test_case "reserved key" `Quick test_itbl_reserved_key ] );
       ( "config",
         [ Alcotest.test_case "validation" `Quick test_config_validation;
           Alcotest.test_case "names" `Quick test_config_names ] );
@@ -988,7 +1114,9 @@ let () =
           Alcotest.test_case "deep epoch chain" `Quick test_deep_epoch_chain;
           Alcotest.test_case "counters" `Quick test_engine_counters;
           Alcotest.test_case "volatile not persists" `Quick
-            test_engine_volatile_stores_not_persists ] );
+            test_engine_volatile_stores_not_persists;
+          Alcotest.test_case "bad thread ids rejected" `Quick
+            test_engine_rejects_bad_tid ] );
       ( "graph",
         [ Alcotest.test_case "structure" `Quick test_graph_structure;
           Alcotest.test_case "coalesced writes" `Quick

@@ -39,9 +39,7 @@ let vb = Memsim.Addr.volatile_base
    block, exercising coarse granularities) and two volatile words. *)
 let addresses = [| 8; 16; 24; 32; 64; vb + 8; vb + 16 |]
 
-let gen_trace rng =
-  let threads = 2 + Random.State.int rng 3 in
-  let len = 20 + Random.State.int rng 60 in
+let gen_events rng ~threads ~len addresses =
   List.init len (fun _ ->
       let tid = Random.State.int rng threads in
       match Random.State.int rng 10 with
@@ -67,6 +65,40 @@ let gen_trace rng =
               space = Memsim.Addr.space_of addr } )
       | 8 -> E.Persist_barrier tid
       | _ -> E.New_strand tid)
+
+let gen_trace rng =
+  let threads = 2 + Random.State.int rng 3 in
+  let len = 20 + Random.State.int rng 60 in
+  gen_events rng ~threads ~len addresses
+
+(* Wide traces for the engine's int-keyed state: up to 40 threads, and
+   8 to 31 words drawn from four clusters far apart — the bottom of the
+   persistent space, just below and just above 1 MiB, and the same two
+   spots in the volatile space — so the per-thread array, the block and
+   open-persist tables and the closed-node bitmap all grow past their
+   initial sizes and the tables see keys a megabyte and more apart. *)
+let gen_wide_trace rng =
+  let threads = 1 + Random.State.int rng 40 in
+  let len = 40 + Random.State.int rng 160 in
+  let bases = [| 0; (1 lsl 20) - 128; vb; vb + (1 lsl 20) - 128 |] in
+  let addresses =
+    Array.init
+      (8 + Random.State.int rng 24)
+      (fun _ ->
+        bases.(Random.State.int rng 4) + (8 * (1 + Random.State.int rng 32)))
+  in
+  gen_events rng ~threads ~len addresses
+
+(* Tracking and persist granularities of 8 or 64 bytes, any model. *)
+let wide_cfg rng =
+  let gran () = if Random.State.bool rng then 8 else 64 in
+  let mode =
+    List.nth P.Config.all_modes
+      (Random.State.int rng (List.length P.Config.all_modes))
+  in
+  let track_gran = gran () in
+  let persist_gran = gran () in
+  P.Config.make ~track_gran ~persist_gran mode
 
 let replayable events =
   String.concat "\n" (List.map E.to_string events)
@@ -94,7 +126,7 @@ let m_iter_rate =
 (* One fuzz campaign: [count] seeded traces against one configuration.
    With METRICS_OUT set the campaign reports its iterations/sec; with
    PROGRESS=1 a long campaign heartbeats on stderr. *)
-let fuzz_config ~name ~count mk_cfg =
+let fuzz_config ~name ~count ~gen mk_cfg =
   let span =
     if Obs.Perfscope.enabled () then Some (Obs.Perfscope.start ()) else None
   in
@@ -103,9 +135,10 @@ let fuzz_config ~name ~count mk_cfg =
     Obs.Perfscope.progress_step prog;
     traced ~name ~seed @@ fun () ->
     let rng = Random.State.make [| 0x9e3779b9; seed |] in
-    let events = gen_trace rng in
+    let events = gen rng in
     let trace = Memsim.Trace.of_list events in
-    let cfg : P.Config.t = mk_cfg () in
+    let cfg : P.Config.t = mk_cfg rng in
+    let name = Format.asprintf "%s, %a" name P.Config.pp cfg in
     (* Differential critical path, coalescing off: engine vs the
        oracle's longest required-ordered persist chain. *)
     let cfg_nc = { cfg with P.Config.coalescing = false } in
@@ -433,7 +466,9 @@ let test_fenced_sync_buffered_census () =
 type campaign = {
   c_name : string;
   count : int;
-  mk_cfg : unit -> P.Config.t;
+  gen : Random.State.t -> E.t list;
+  mk_cfg : Random.State.t -> P.Config.t;
+      (* drawn after the trace, from the same generator *)
 }
 
 let campaigns =
@@ -443,34 +478,45 @@ let campaigns =
     (fun mode ->
       { c_name = P.Config.mode_name mode;
         count = traces_per_model;
-        mk_cfg = (fun () -> P.Config.make mode) })
+        gen = gen_trace;
+        mk_cfg = (fun _ -> P.Config.make mode) })
     P.Config.all_modes
   @ [ { c_name = "strict/tso";
         count = (traces_per_model + 1) / 2;
+        gen = gen_trace;
         mk_cfg =
-          (fun () -> P.Config.make ~consistency:P.Config.Tso P.Config.Strict) };
+          (fun _ -> P.Config.make ~consistency:P.Config.Tso P.Config.Strict) };
       { c_name = "strict/rmo";
         count = (traces_per_model + 1) / 2;
+        gen = gen_trace;
         mk_cfg =
-          (fun () -> P.Config.make ~consistency:P.Config.Rmo P.Config.Strict) };
+          (fun _ -> P.Config.make ~consistency:P.Config.Rmo P.Config.Strict) };
       { c_name = "epoch/tso-conflicts";
         count = (traces_per_model + 1) / 2;
-        mk_cfg = (fun () -> P.Config.make ~tso_conflicts:true P.Config.Epoch) };
+        gen = gen_trace;
+        mk_cfg = (fun _ -> P.Config.make ~tso_conflicts:true P.Config.Epoch) };
       { c_name = "epoch/persistent-only";
         count = (traces_per_model + 1) / 2;
+        gen = gen_trace;
         mk_cfg =
-          (fun () ->
+          (fun _ ->
             P.Config.make ~persistent_only_conflicts:true P.Config.Epoch) };
       { c_name = "epoch/coarse";
         count = (traces_per_model + 1) / 2;
+        gen = gen_trace;
         mk_cfg =
-          (fun () -> P.Config.make ~track_gran:16 ~persist_gran:32 P.Config.Epoch)
+          (fun _ -> P.Config.make ~track_gran:16 ~persist_gran:32 P.Config.Epoch)
       };
       { c_name = "strand/coarse";
         count = (traces_per_model + 1) / 2;
+        gen = gen_trace;
         mk_cfg =
-          (fun () ->
-            P.Config.make ~track_gran:16 ~persist_gran:32 P.Config.Strand) } ]
+          (fun _ ->
+            P.Config.make ~track_gran:16 ~persist_gran:32 P.Config.Strand) };
+      { c_name = "wide";
+        count = traces_per_model;
+        gen = gen_wide_trace;
+        mk_cfg = wide_cfg } ]
 
 (* The campaigns are independent; run them as cells on the domain
    pool.  Alcotest reports per-campaign, the pool re-raises the first
@@ -479,12 +525,13 @@ let test_all_campaigns () =
   ignore
     (Parallel.Pool.map_cells
        ~label:(fun _ c -> c.c_name)
-       (fun c -> fuzz_config ~name:c.c_name ~count:c.count c.mk_cfg)
+       (fun c -> fuzz_config ~name:c.c_name ~count:c.count ~gen:c.gen c.mk_cfg)
        campaigns)
 
 (* Single-campaign cases so `dune runtest` shows per-model results;
    these are cheap enough sequentially at the default scale. *)
-let test_one c () = fuzz_config ~name:c.c_name ~count:c.count c.mk_cfg
+let test_one c () =
+  fuzz_config ~name:c.c_name ~count:c.count ~gen:c.gen c.mk_cfg
 
 let kv_traces = max 1 (traces_per_model / 4)
 
@@ -509,7 +556,7 @@ let () =
             Alcotest.test_case
               (Printf.sprintf "%s (%d traces)" name kv_traces)
               `Quick
-              (fun () -> fuzz_kv ~name ~count:kv_traces mode))
+              (fun _ -> fuzz_kv ~name ~count:kv_traces mode))
           P.Config.all_modes );
       ( "explorer-corpus",
         [ Alcotest.test_case "replayed schedules agree with the oracle"

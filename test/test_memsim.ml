@@ -438,6 +438,35 @@ let test_machine_two_phases () =
   M.run m;
   check Alcotest.int64 "phased runs" 2L (Memsim.Memory.load memory ~addr:a ~size:8)
 
+(* Seeded random schedules, pinned event for event: a digest of every
+   [Event.to_string] line of three whole runs.  The configurations cover
+   each kind of scheduling choice the [Random] policy draws from: thread
+   steps only (queue, SC), store-buffer drains (CAS set, tso-sync), and
+   persistence-buffer drains as well (CAS set, tso-buffered). *)
+
+let trace_digest run =
+  let lines = ref [] in
+  ignore (run ~sink:(fun ev -> lines := Memsim.Event.to_string ev :: !lines));
+  let text = String.concat "\n" (List.rev !lines) in
+  (List.length !lines, Digest.to_hex (Digest.string text))
+
+let test_random_schedules_pinned () =
+  let queue =
+    Experiments.Run.queue_params ~design:Workloads.Queue.Cwl ~threads:8
+      ~total_inserts:96 ~seed:7 Experiments.Run.epoch_point
+  in
+  let set mconfig =
+    Experiments.Lockfree_exp.set_params ~threads:2 ~inserts:12 ~seed:5 ~mconfig
+      Lockfree.Cas_set.Nvtraverse
+  in
+  let pin name expected got = check Alcotest.(pair int string) name expected got in
+  pin "queue cwl 8T sc" (2304, "b33f7fac9f0cd71341f9c9d3ec5c8209")
+    (trace_digest (Workloads.Queue.run queue));
+  pin "cas set 2T tso-sync" (601, "ad1b33b415d04e1b6982c94e8a16975b")
+    (trace_digest (Lockfree.Cas_set.run (set M.tso_sync_config)));
+  pin "cas set 2T tso-buffered" (691, "d292619ecb942ff38a85d3f813e2d115")
+    (trace_digest (Lockfree.Cas_set.run (set M.tso_buffered_config)))
+
 (* Trace *)
 
 let test_trace_serialization () =
@@ -496,7 +525,9 @@ let () =
           Alcotest.test_case "interleavings differ" `Quick
             test_machine_interleaving_differs;
           Alcotest.test_case "self" `Quick test_machine_self;
-          Alcotest.test_case "two phases" `Quick test_machine_two_phases ] );
+          Alcotest.test_case "two phases" `Quick test_machine_two_phases;
+          Alcotest.test_case "random schedules pinned" `Quick
+            test_random_schedules_pinned ] );
       ( "trace",
         [ Alcotest.test_case "serialization" `Quick test_trace_serialization ] )
     ]
