@@ -2,7 +2,7 @@
 # the parallel sweeps and the fuzzer; see README "Running the
 # evaluation in parallel".
 
-.PHONY: all build test test-times bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus census ci clean
+.PHONY: all build test test-times bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
 
 all: build
 
@@ -112,8 +112,17 @@ litmus: build
 census: build
 	dune exec test/census/census.exe
 
+# Every example, run: each exits 1 when a result it prints as holding
+# (recovery safety, an ordering or critical-path claim) does not hold.
+examples: build
+	dune exec examples/quickstart.exe > /dev/null
+	dune exec examples/wal_database.exe > /dev/null
+	dune exec examples/kvstore.exe > /dev/null
+	dune exec examples/figure1_cycle.exe > /dev/null
+	dune exec examples/queue_dependences.exe > /dev/null
+
 # What .github/workflows/ci.yml runs.
-ci: fmt-check build test smoke serve explore lockfree litmus census
+ci: fmt-check build test smoke serve explore lockfree litmus census examples
 
 clean:
 	dune clean

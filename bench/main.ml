@@ -19,8 +19,8 @@
    phase (wall clock, engine events/sec, allocated words, peak RSS) and
    one per Bechamel microbench (time/run, runs/sec, allocated
    words/run, peak RSS).  `persistsim perf` compares two such files and
-   gates on regressions — BENCH_PR7.json at the repo root is the
-   committed trajectory. *)
+   gates on regressions — BENCH_PR10.json at the repo root is the
+   committed baseline. *)
 
 open Bechamel
 open Toolkit
@@ -355,25 +355,6 @@ let bench_epoch_hw =
   Test.make ~name:"cachesim:epoch-hw"
     (Staged.stage (fun () -> ignore (Cachesim.Epoch_hw.run_trace trace)))
 
-let bench_txn_commit =
-  Test.make ~name:"txn:commit"
-    (Staged.stage (fun () ->
-         let memory = Memsim.Memory.create () in
-         let machine = Memsim.Machine.create ~memory () in
-         Memsim.Machine.set_sink machine ignore;
-         let table =
-           Memsim.Memory.alloc memory Memsim.Addr.Persistent 64
-         in
-         let mgr = Txn.create machine ~log_capacity_bytes:(1 lsl 16) () in
-         ignore
-           (Memsim.Machine.spawn machine (fun () ->
-                for i = 1 to 500 do
-                  Txn.atomically mgr (fun t ->
-                      Txn.write t table (Int64.of_int i);
-                      Txn.write t (table + 8) (Int64.of_int (-i)))
-                done));
-         Memsim.Machine.run machine))
-
 (* The same 2-thread x 2-insert queue explored by DPOR and by
    brute-force DFS — the schedule-count gap (28 vs 5,918 executions)
    is the whole point of lib/check. *)
@@ -456,7 +437,7 @@ let tests =
     bench_recovery_sampling; bench_kv_store; bench_kv_recovery;
     bench_lockfree; bench_serve;
     bench_drain;
-    bench_epoch_hw; bench_txn_commit; bench_explore_dpor;
+    bench_epoch_hw; bench_explore_dpor;
     bench_explore_brute; bench_litmus_brute; bench_litmus_dpor;
     bench_litmus_buffered; bench_persist_buffer ]
 

@@ -22,7 +22,8 @@
 
    This example builds exactly that constraint set with the library's
    DAG machinery and shows the cycle being detected, then shows both
-   resolutions making the constraints satisfiable.
+   resolutions making the constraints satisfiable.  Exits 1 if any of
+   the three verdicts comes out otherwise.
 
    Run with: dune exec examples/figure1_cycle.exe *)
 
@@ -57,24 +58,38 @@ let build ~barriers ~atomicity =
                        store to A became visible late) *)
     else [])
 
+(* Prints the verdict on [g]; returns whether it is satisfiable. *)
 let report ~title g =
   Printf.printf "%s\n" title;
-  (match Dag.topo_sort g with
-  | None -> print_endline "  -> constraint CYCLE: no legal persist order exists\n"
+  match Dag.topo_sort g with
+  | None ->
+    print_endline "  -> constraint CYCLE: no legal persist order exists\n";
+    false
   | Some order ->
     Printf.printf "  -> satisfiable; one legal persist order: %s\n\n"
-      (String.concat " -> " (List.map name order)))
+      (String.concat " -> " (List.map name order));
+    true
 
 let () =
-  report
-    ~title:
-      "persist barriers + strong persist atomicity, store visibility reordered"
-    (build ~barriers:true ~atomicity:true);
-  report
-    ~title:
-      "resolution 1: couple persist and store barriers (visibility kept in \
-       program order,\nso coherence gives A1->A2 and B1->B2 instead)"
-    (of_edges [ (a1, b1); (b2, a2); (a1, a2); (b1, b2) ]);
-  report
-    ~title:"resolution 2: relax strong persist atomicity (barriers only)"
-    (build ~barriers:true ~atomicity:false)
+  let cycle =
+    report
+      ~title:
+        "persist barriers + strong persist atomicity, store visibility reordered"
+      (build ~barriers:true ~atomicity:true)
+  in
+  let coupled =
+    report
+      ~title:
+        "resolution 1: couple persist and store barriers (visibility kept in \
+         program order,\nso coherence gives A1->A2 and B1->B2 instead)"
+      (of_edges [ (a1, b1); (b2, a2); (a1, a2); (b1, b2) ])
+  in
+  let relaxed =
+    report
+      ~title:"resolution 2: relax strong persist atomicity (barriers only)"
+      (build ~barriers:true ~atomicity:false)
+  in
+  if cycle || not (coupled && relaxed) then begin
+    prerr_endline "figure1_cycle: a verdict differs from the paper's Figure 1";
+    exit 1
+  end

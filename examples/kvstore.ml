@@ -18,6 +18,9 @@
    concurrently; the critical path collapses to the hottest key's
    chain.
 
+   Exits 1 if a sampled crash state holds a lying checksum, or if strand
+   persistency does not shorten the critical path of spread updates.
+
    Run with: dune exec examples/kvstore.exe *)
 
 module M = Memsim.Machine
@@ -105,27 +108,40 @@ let check_recovery table written graph =
   (result, !torn, !total)
 
 let () =
+  let ok = ref true in
   List.iter
     (fun hot ->
       Printf.printf "--- %s ---\n"
         (if hot then "all updates to one hot key"
          else "updates spread over 16 keys");
-      List.iter
-        (fun mode ->
-          let table, written, trace = run_store mode ~hot in
-          let cfg = P.Config.make ~record_graph:true mode in
-          let engine = P.Engine.create cfg in
-          P.Engine.observe_trace engine trace;
-          let graph = Option.get (P.Engine.graph engine) in
-          Printf.printf "%-6s  critical path = %3d (%.2f per update)\n"
-            (P.Config.mode_name mode)
-            (P.Engine.critical_path engine)
-            (P.Engine.cp_per_label engine "update");
-          match check_recovery table written graph with
-          | Ok (), torn, total ->
-            Printf.printf
-              "        recovery: no lying checksum in %d crash states (%d torn slots detected & discarded)\n"
-              total torn
-          | Error msg, _, _ -> Printf.printf "        RECOVERY VIOLATION: %s\n" msg)
-        [ P.Config.Epoch; P.Config.Strand ])
-    [ false; true ]
+      let paths =
+        List.map
+          (fun mode ->
+            let table, written, trace = run_store mode ~hot in
+            let cfg = P.Config.make ~record_graph:true mode in
+            let engine = P.Engine.create cfg in
+            P.Engine.observe_trace engine trace;
+            let graph = Option.get (P.Engine.graph engine) in
+            Printf.printf "%-6s  critical path = %3d (%.2f per update)\n"
+              (P.Config.mode_name mode)
+              (P.Engine.critical_path engine)
+              (P.Engine.cp_per_label engine "update");
+            (match check_recovery table written graph with
+            | Ok (), torn, total ->
+              Printf.printf
+                "        recovery: no lying checksum in %d crash states (%d torn slots detected & discarded)\n"
+                total torn
+            | Error msg, _, _ ->
+              Printf.printf "        RECOVERY VIOLATION: %s\n" msg;
+              ok := false);
+            P.Engine.critical_path engine)
+          [ P.Config.Epoch; P.Config.Strand ]
+      in
+      match paths with
+      | [ epoch; strand ] when (not hot) && strand >= epoch ->
+        prerr_endline
+          "kvstore: strand persistency did not shorten the spread-key critical path";
+        ok := false
+      | _ -> ())
+    [ false; true ];
+  if not !ok then exit 1

@@ -10,7 +10,9 @@
    This example runs a small single-thread Copy While Locked queue
    under each model, classifies the edges of the resulting persist
    dependence graph by the kind of nodes they connect, and prints the
-   counts — watching A and then B disappear.
+   counts — watching A and then B disappear.  Exits 1 if a model keeps
+   an edge kind it should remove, removes one it should keep, or loses
+   the required data->head edges.
 
    Run with: dune exec examples/queue_dependences.exe *)
 
@@ -65,6 +67,7 @@ let classify layout graph =
   (!data_head, !head_head, !data_data, !head_data)
 
 let () =
+  let ok = ref true in
   let points =
     [ Experiments.Run.strict_point;
       Experiments.Run.epoch_point;
@@ -83,9 +86,19 @@ let () =
       let _, graph, layout = Experiments.Run.analyze_with_graph params cfg in
       let data_head, head_head, data_data, head_data = classify layout graph in
       Printf.printf "%-14s %10d %10d | %12d %12d\n"
-        point.Experiments.Run.label data_head head_head data_data head_data)
+        point.Experiments.Run.label data_head head_head data_data head_data;
+      let mode = point.Experiments.Run.mode in
+      let keeps_a = mode = P.Config.Strict
+      and keeps_b = mode <> P.Config.Strand in
+      if data_head = 0 || keeps_a <> (data_data > 0) || keeps_b <> (head_data > 0)
+      then begin
+        Printf.eprintf "queue_dependences: unexpected edge counts under %s\n"
+          point.Experiments.Run.label;
+        ok := false
+      end)
     points;
   print_endline
     "\nrequired constraints persist in every model; epoch persistency removes\n\
      the serialized data persists (A); strand persistency removes the\n\
-     inter-insert serialization (B), leaving only what recovery needs"
+     inter-insert serialization (B), leaving only what recovery needs";
+  if not !ok then exit 1

@@ -12,6 +12,8 @@
      flag — without it the persists are concurrent and recovery can
      observe the flag first.
 
+   Exits 1 if a run contradicts either point.
+
    Run with: dune exec examples/quickstart.exe *)
 
 module M = Memsim.Machine
@@ -61,6 +63,7 @@ let count_violations records graph =
   (List.length cuts, !bad)
 
 let () =
+  let ok = ref true in
   List.iter
     (fun with_barrier ->
       Printf.printf "--- %s ---\n"
@@ -81,11 +84,20 @@ let () =
              unpublished record\n"
             (P.Config.mode_name mode)
             (P.Engine.critical_path engine)
-            cuts bad)
+            cuts bad;
+          let safe = with_barrier || mode = P.Config.Strict in
+          if safe <> (bad = 0) then begin
+            Printf.eprintf "quickstart: %s %s barrier: %d torn records exposed\n"
+              (P.Config.mode_name mode)
+              (if with_barrier then "with" else "without")
+              bad;
+            ok := false
+          end)
         P.Config.all_modes;
       print_newline ())
     [ true; false ];
   print_endline
     "strict persistency never exposes a torn record (program order persists);\n\
      epoch and strand persistency are safe only with the barrier — exactly\n\
-     the annotation burden the paper trades for persist concurrency"
+     the annotation burden the paper trades for persist concurrency";
+  if not !ok then exit 1

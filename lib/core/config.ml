@@ -42,23 +42,6 @@ let consistency_name = function
   | Tso -> "tso"
   | Rmo -> "rmo"
 
-let consistency_of_name = function
-  | "sc" -> Some Sc
-  | "tso" -> Some Tso
-  | "rmo" -> Some Rmo
-  | _ -> None
-
-let all_consistencies = [ Sc; Tso; Rmo ]
-
-let px86_name = function
-  | Px86_sync -> "sync"
-  | Px86_buffered -> "buffered"
-
-let px86_of_name = function
-  | "sync" -> Some Px86_sync
-  | "buffered" -> Some Px86_buffered
-  | _ -> None
-
 let check_gran what g =
   if g < 8 || not (Memsim.Addr.is_power_of_two g) then
     invalid_arg

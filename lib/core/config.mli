@@ -78,11 +78,6 @@ val mode_of_name : string -> mode option
 val all_modes : mode list
 
 val consistency_name : consistency -> string
-val consistency_of_name : string -> consistency option
-val all_consistencies : consistency list
-
-val px86_name : px86 -> string
-val px86_of_name : string -> px86 option
 
 val check_gran : string -> int -> unit
 (** [check_gran what g] accepts what {!make} accepts: a power of two

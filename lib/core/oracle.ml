@@ -240,7 +240,6 @@ let build (cfg : Config.t) trace =
     reach = Hashtbl.create 64 }
 
 let event_count t = t.n
-let persist_event_indices t = t.persists
 
 let reach t i =
   match Hashtbl.find_opt t.reach i with

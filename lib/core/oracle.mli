@@ -23,9 +23,6 @@ val build : Config.t -> Memsim.Trace.t -> t
 
 val event_count : t -> int
 
-val persist_event_indices : t -> int list
-(** Trace indices of persist-generating events, in order. *)
-
 val required_ordered : t -> int -> int -> bool
 (** [required_ordered t i j] (trace indices, [i < j]): persistent
     memory order requires event [i]'s persist before event [j]'s. *)

@@ -213,7 +213,6 @@ let run_one ?cfg ?(verify = false) ~config t policy =
 type method_ = Brute | Dpor
 
 let method_name = function Brute -> "brute" | Dpor -> "dpor"
-let model_name = function M.Sc -> "sc" | M.Tso -> "tso"
 
 let expect_for t (c : mconfig) =
   match c.M.model, c.M.persistence with

@@ -132,7 +132,6 @@ val run_one :
 type method_ = Brute | Dpor
 
 val method_name : method_ -> string
-val model_name : Memsim.Machine.model -> string
 
 type result = {
   test : test;

@@ -48,12 +48,6 @@ let discipline_name = function
   | Nvtraverse -> "nvtraverse"
   | Buggy_traverse -> "buggy-traverse"
 
-let discipline_of_string = function
-  | "flush-all" -> Ok Flush_all
-  | "nvtraverse" -> Ok Nvtraverse
-  | "buggy-traverse" -> Ok Buggy_traverse
-  | s -> Error (Printf.sprintf "unknown lockfree discipline %S" s)
-
 let pp_params ppf p =
   Format.fprintf ppf "cas-set/%s threads=%d inserts=%d keys=%d%s%s"
     (discipline_name p.discipline)

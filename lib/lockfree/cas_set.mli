@@ -76,7 +76,6 @@ val explore_params :
     {!Workloads.Queue.explore_params}. *)
 
 val discipline_name : discipline -> string
-val discipline_of_string : string -> (discipline, string) Stdlib.result
 val validate : params -> unit
 val pp_params : Format.formatter -> params -> unit
 

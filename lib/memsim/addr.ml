@@ -7,10 +7,6 @@ let equal_space a b =
   | Volatile, Volatile | Persistent, Persistent -> true
   | Volatile, Persistent | Persistent, Volatile -> false
 
-let pp_space ppf = function
-  | Volatile -> Format.pp_print_string ppf "volatile"
-  | Persistent -> Format.pp_print_string ppf "persistent"
-
 let volatile_base = 0x4000_0000
 
 let space_of a = if a >= volatile_base then Volatile else Persistent

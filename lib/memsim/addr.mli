@@ -12,7 +12,6 @@ type space =
   | Persistent
 
 val equal_space : space -> space -> bool
-val pp_space : Format.formatter -> space -> unit
 
 (** First address of the volatile region.  Persistent addresses are
     [0 <= a < volatile_base]; volatile addresses are

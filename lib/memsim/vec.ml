@@ -55,7 +55,6 @@ let fold_left f init v =
   !acc
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
-let to_array v = Array.sub v.data 0 v.len
 
 let of_list l =
   let v = create () in

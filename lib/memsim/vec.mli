@@ -18,6 +18,5 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array
 val of_list : 'a list -> 'a t
 val clear : 'a t -> unit

@@ -59,12 +59,6 @@ let explore_params ?(threads = 2) ?(depth = 2) ?(machine = M.Sc)
     persistence;
     barrier }
 
-let annotation_for mode ~racing =
-  match mode with
-  | Persistency.Config.Strict -> Unannotated
-  | Persistency.Config.Epoch -> if racing then Racing else Epoch
-  | Persistency.Config.Strand -> Strand
-
 type layout = {
   head_addr : int;
   data_addr : int;

@@ -72,10 +72,6 @@ val default_params : params
     64-entry capacity, seed 42, round-robin, SC machine, synchronous
     persists, paper barrier. *)
 
-val annotation_for : Persistency.Config.mode -> racing:bool -> annotation
-(** The natural annotation for a model: strict → [Unannotated], epoch →
-    [Epoch] or [Racing], strand → [Strand]. *)
-
 val explore_params :
   ?threads:int -> ?depth:int -> ?machine:Memsim.Machine.model ->
   ?persistence:Memsim.Machine.persistence ->

@@ -624,6 +624,49 @@ let test_strict_rmo_equals_epoch_without_strands () =
   checki "same critical path" (cp ~cfg:epoch events) (cp ~cfg:strict_rmo events);
   checki "same ops" (ops ~cfg:epoch events) (ops ~cfg:strict_rmo events)
 
+(* The repo has two TSO notions, and neither derives from the other.
+   The engine's [Config.consistency = Tso] relaxes persist order over a
+   given trace (strict persistency under TSO, Section 5.1); the
+   machine's [Memsim.Machine.Tso] decides which trace a run yields.
+   Program: T0 [st x; ld y], T1 [st y], x and y persistent, the load
+   reading 0 in every run below. *)
+let test_two_tso_notions () =
+  let x = 8 and y = 16 in
+  let sc_trace = [ st ~tid:0 x; ld ~tid:0 y ~value:0L; st ~tid:1 y ] in
+  checki "engine strict/sc" 2 (cp ~cfg:strict sc_trace);
+  checki "engine strict/tso" 1 (cp ~cfg:strict_tso sc_trace);
+  checki "engine strict/rmo" 1 (cp ~cfg:strict_rmo sc_trace);
+  let machine_tso seed =
+    let memory = Memsim.Memory.create () in
+    let m =
+      Memsim.Machine.create ~policy:(Memsim.Machine.Random seed)
+        ~model:Memsim.Machine.Tso ~memory ()
+    in
+    let read = ref (-1L) in
+    ignore
+      (Memsim.Machine.spawn m (fun () ->
+           Memsim.Machine.store x 1L;
+           read := Memsim.Machine.load y));
+    ignore (Memsim.Machine.spawn m (fun () -> Memsim.Machine.store y 1L));
+    let trace = Memsim.Trace.create () in
+    Memsim.Machine.set_sink m (Memsim.Trace.sink trace);
+    Memsim.Machine.run m;
+    Alcotest.(check int64) "load reads 0" 0L !read;
+    Memsim.Trace.to_list trace
+  in
+  let show = List.map E.to_string in
+  (* Random 0 drains T0's store before its load: the machine yields the
+     SC trace itself, on which strict/sc keeps the order strict/tso
+     drops *)
+  let drained_first = machine_tso 0 in
+  Alcotest.(check (list string)) "store drains first" (show sc_trace)
+    (show drained_first);
+  checki "machine tso, store drains first, strict/sc" 2
+    (cp ~cfg:strict drained_first);
+  (* Random 1 drains it after the load *)
+  checki "machine tso, load first, strict/sc" 1
+    (cp ~cfg:strict (machine_tso 1))
+
 (* Engine: ablation flags *)
 
 let test_tso_misses_load_before_store () =
@@ -1085,7 +1128,8 @@ let () =
           Alcotest.test_case "rmo reorders persists" `Quick
             test_strict_rmo_reorders_persists;
           Alcotest.test_case "rmo equals epoch" `Quick
-            test_strict_rmo_equals_epoch_without_strands ] );
+            test_strict_rmo_equals_epoch_without_strands;
+          Alcotest.test_case "two tso notions" `Quick test_two_tso_notions ] );
       ( "engine-strand",
         [ Alcotest.test_case "new strand clears" `Quick
             test_strand_new_strand_clears;
