@@ -1,8 +1,14 @@
 # Convenience targets around dune.  JOBS/BENCH_JOBS/FUZZ_TRACES tune
 # the parallel sweeps and the fuzzer; see README "Running the
 # evaluation in parallel".
+#
+# Timing lives in one place: perfbench/ (python3 perfbench/run.py,
+# described by BENCHMARK.json).  `make bench` prints the reproduction
+# and times only the micro-benchmarks no perfbench workload covers; CI
+# gates on perfbench by running the parent commit and the change side
+# by side (python3 .github/perf_gate.py PARENT_DIR CHANGE_DIR).
 
-.PHONY: all build test test-times bench bench-quick bench-json fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
+.PHONY: all build test test-times bench bench-quick fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
 
 all: build
 
@@ -26,21 +32,14 @@ test-times: build
 	done && \
 	printf '%-20s %7s s\n' total "$$total" && exit $$status
 
-# Full evaluation reproduction + Bechamel microbenchmarks.
+# Full evaluation reproduction + the Bechamel micro-benchmarks that
+# perfbench does not cover.
 bench: build
 	dune exec bench/main.exe
 
 # Shrunk smoke run of the same.
 bench-quick: build
 	BENCH_QUICK=1 dune exec bench/main.exe
-
-# Machine-readable bench manifest for the perf trajectory: the quick
-# run, serialized to BENCH_JSON (schema persistsim-bench/1).  Compare
-# two manifests with `persistsim perf old.json new.json`.
-BENCH_JSON ?= /tmp/persistsim-bench.json
-bench-json: build
-	BENCH_QUICK=1 BENCH_OUT=$(BENCH_JSON) dune exec bench/main.exe > /dev/null
-	python3 -m json.tool $(BENCH_JSON) > /dev/null
 
 # Long differential fuzz of the persist engine against the oracle:
 # 2000 traces per model (the test suite's default is 200).
@@ -69,8 +68,6 @@ smoke: build
 	dune exec bin/persistsim.exe -- kv --recovery --buggy | grep -q "RECOVERY VIOLATION"
 	dune exec bin/persistsim.exe -- recovery > /dev/null
 	dune exec bin/persistsim.exe -- recovery --buggy | grep -q "RECOVERY VIOLATION"
-	dune exec bin/persistsim.exe -- perf BENCH_PR10.json > /dev/null
-	dune exec bin/persistsim.exe -- perf BENCH_PR9.json BENCH_PR10.json --report-only > /dev/null
 
 # Served KV smoke: a small sweep (the amortization table), group-commit
 # recovery injection, and the buggy batcher must be caught.

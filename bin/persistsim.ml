@@ -2,9 +2,9 @@
    (Pelley, Chen, Wenisch — ISCA 2014) from the command line.
 
    Exit codes: 0 for a clean run or a caught --buggy demonstration; 1
-   for a violation, a missed bug or a perf regression; 2 for bad input
-   that only shows in a combination of flags (or a bad file / test
-   name); 124 for a usage error, which every converter below reports
+   for a violation or a missed bug; 2 for bad input that only shows in
+   a combination of flags (or an unwritable output file or an unknown
+   test name); 124 for a usage error, which every converter below reports
    through cmdliner. *)
 
 open Cmdliner
@@ -95,6 +95,19 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Every rate and latency: zero, a negative value, nan or infinity
+   would surface as an exception inside a workload or as a nonsense
+   figure, so reject it here. *)
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "expected a finite positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let count_t names default doc =
   Arg.(value & opt pos_int default & info names ~docv:"N" ~doc)
 
@@ -118,7 +131,7 @@ let samples_t = count_t [ "samples" ]
 
 let capacity_t =
   let doc = "Data segment capacity in entries." in
-  Arg.(value & opt int Experiments.Run.default_capacity
+  Arg.(value & opt pos_int Experiments.Run.default_capacity
        & info [ "capacity" ] ~docv:"N" ~doc)
 
 let csv_t =
@@ -131,11 +144,11 @@ let jobs_t =
      Table output is byte-identical for any value; only wall clock \
      changes."
   in
-  Arg.(value & opt int (Parallel.Pool.default_domains ())
+  Arg.(value & opt pos_int (Parallel.Pool.default_domains ())
        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let latency_t =
-  Arg.(value & opt float 500. & info [ "latency" ] ~docv:"NS"
+  Arg.(value & opt pos_float 500. & info [ "latency" ] ~docv:"NS"
          ~doc:"Persist latency in nanoseconds.")
 
 let buggy_t doc = Arg.(value & flag & info [ "buggy" ] ~doc)
@@ -329,7 +342,7 @@ let dpor_check o ~command ~machine ~holds ~summary ~clean instance_of =
         command o.threads o.depth o.samples o.seed
         (Check.Schedule.to_string sched)
     in
-    verdict ~buggy:o.buggy ~ok:clean
+    verdict ~buggy:o.buggy ~ok:(fun () -> clean report)
       ?repro:(Option.map (fun (sched, _) -> reproducer sched) report.failure)
       (match report.failure with None -> Ok () | Some (_, f) -> Error f)
 
@@ -671,11 +684,22 @@ let serve_cmd =
            ~doc:"Concurrent client sessions.")
   in
   let rate_t =
-    Arg.(value & opt float 96. & info [ "rate" ] ~docv:"R"
+    Arg.(value & opt pos_float 96. & info [ "rate" ] ~docv:"R"
            ~doc:"Mean arrivals per persist-critical-path unit.")
   in
   let mix_t =
-    Arg.(value & opt int 25 & info [ "mix" ] ~docv:"PCT"
+    let percent =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 0 && n <= 100 -> Ok n
+        | _ ->
+          Error
+            (`Msg
+              (Printf.sprintf "expected a percentage from 0 to 100, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt percent 25 & info [ "mix" ] ~docv:"PCT"
            ~doc:"Read percentage of the request mix.")
   in
   let zipf_t =
@@ -1122,11 +1146,19 @@ let lockfree_cmd =
           (if r.stats.complete then " (complete)" else " (budget hit)")
           r.distinct r.checked r.prefixes
       in
-      let clean () =
+      (* only an exhausted schedule space makes the line a verdict *)
+      let clean (r : Check.Driver.report) =
         if not o.buggy then
-          print_endline
-            "recovery and durable linearizability hold in every durable \
-             prefix of every explored interleaving"
+          if r.stats.complete then
+            print_endline
+              "recovery and durable linearizability hold in every durable \
+               prefix of every explored interleaving"
+          else
+            Printf.printf
+              "recovery and durable linearizability hold in every durable \
+               prefix of the %d schedules explored (schedule budget hit; \
+               space not exhausted)\n"
+              r.stats.schedules
       in
       dpor_check o ~machine:(", " ^ mc.mlabel)
         ~holds:"recovery and durable linearizability hold" ~summary ~clean
@@ -1316,124 +1348,6 @@ let litmus_cmd =
              oracle.")
     Term.(const run $ obs_t $ models_t $ dpor_t $ test_t $ verbose_t $ csv_t)
 
-(* perf: the regression gate over BENCH_*.json files *)
-
-let perf_cmd =
-  let fmt_secs s =
-    if s >= 1. then Printf.sprintf "%.3f s" s
-    else if s >= 1e-3 then Printf.sprintf "%.3f ms" (s *. 1e3)
-    else if s >= 1e-6 then Printf.sprintf "%.3f us" (s *. 1e6)
-    else Printf.sprintf "%.0f ns" (s *. 1e9)
-  in
-  let fmt_words w =
-    if w >= 1e9 then Printf.sprintf "%.2fG" (w /. 1e9)
-    else if w >= 1e6 then Printf.sprintf "%.2fM" (w /. 1e6)
-    else if w >= 1e3 then Printf.sprintf "%.1fk" (w /. 1e3)
-    else Printf.sprintf "%.0f" w
-  in
-  let load path =
-    match Obs.Runinfo.load_bench path with
-    | Ok b -> b
-    | Error msg ->
-      Printf.eprintf "perf: %s\n" msg;
-      exit 2
-  in
-  let print_table columns row items =
-    let t = Report.Table.create ~columns in
-    List.iter (fun x -> Report.Table.add_row t (row x)) items;
-    Report.Table.print t
-  in
-  let render_entries (b : Obs.Runinfo.bench) =
-    print_table
-      [ ("entry", Report.Table.Left); ("kind", Report.Table.Left);
-        ("wall", Report.Table.Right); ("rate", Report.Table.Right);
-        ("alloc words", Report.Table.Right); ("peak rss", Report.Table.Right) ]
-      (fun (e : Obs.Runinfo.entry) ->
-        [ e.name; e.kind; fmt_secs e.wall_s;
-          Printf.sprintf "%s %s" (fmt_words e.rate) e.rate_unit;
-          fmt_words e.alloc_words;
-          Printf.sprintf "%d kB" e.peak_rss_kb ])
-      b.entries
-  in
-  let render_comparison (c : Obs.Runinfo.comparison) =
-    print_table
-      [ ("entry", Report.Table.Left); ("wall base", Report.Table.Right);
-        ("wall cand", Report.Table.Right); ("d wall", Report.Table.Right);
-        ("rate base", Report.Table.Right); ("rate cand", Report.Table.Right);
-        ("d rate", Report.Table.Right); ("status", Report.Table.Left) ]
-      (fun (d : Obs.Runinfo.delta) ->
-        [ d.d_name; fmt_secs d.base.wall_s; fmt_secs d.cand.wall_s;
-          Printf.sprintf "%+.1f%%" d.wall_pct;
-          fmt_words d.base.rate; fmt_words d.cand.rate;
-          Printf.sprintf "%+.1f%%" d.rate_pct;
-          (if d.regressed then "REGRESSED" else "ok") ])
-      c.deltas
-  in
-  let run () files threshold report_only =
-    match files with
-    | [] -> assert false (* non_empty *)
-    | [ path ] ->
-      let b = load path in
-      Printf.printf "%s: %s\n" path (Obs.Runinfo.summary b.Obs.Runinfo.run);
-      render_entries b
-    | base_path :: cand_paths ->
-      let base = load base_path in
-      Printf.printf "base %s: %s\n" base_path
-        (Obs.Runinfo.summary base.Obs.Runinfo.run);
-      let regressed = ref false in
-      List.iter
-        (fun cand_path ->
-          let cand = load cand_path in
-          Printf.printf "cand %s: %s\n" cand_path
-            (Obs.Runinfo.summary cand.Obs.Runinfo.run);
-          let c =
-            Obs.Runinfo.compare_benches ~threshold_pct:threshold base cand
-          in
-          render_comparison c;
-          List.iter
-            (fun (side, l) ->
-              if l <> [] then
-                Printf.printf "entries only in %s: %s\n" side
-                  (String.concat ", " l))
-            [ ("base", c.Obs.Runinfo.only_base); ("cand", c.Obs.Runinfo.only_cand) ];
-          Printf.printf
-            "%s: %d/%d entries regressed beyond +-%.0f%% (wall-clock up or \
-             throughput down)\n"
-            cand_path
-            (List.length c.Obs.Runinfo.regressions)
-            (List.length c.Obs.Runinfo.deltas)
-            threshold;
-          if c.Obs.Runinfo.regressions <> [] then regressed := true)
-        cand_paths;
-      if !regressed && not report_only then exit 1
-  in
-  let files_t =
-    Arg.(non_empty & pos_all file []
-         & info [] ~docv:"BENCH_JSON"
-             ~doc:"Bench manifests (BENCH_*.json, from BENCH_OUT=<path> \
-                   bench runs).  One file: print its entries.  Two or more: \
-                   compare each later file against the first.")
-  in
-  let threshold_t =
-    Arg.(value & opt float 10.
-         & info [ "threshold" ] ~docv:"PCT"
-             ~doc:"Regression threshold in percent: an entry regresses when \
-                   its wall clock grows or its throughput drops by more than \
-                   $(docv)%.")
-  in
-  let report_only_t =
-    Arg.(value & flag
-         & info [ "report-only" ]
-             ~doc:"Render the comparison but always exit 0 (for CI runs \
-                   whose hardware differs from the committed baseline).")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Compare machine-readable bench manifests (BENCH_*.json) and \
-             gate on wall-clock/throughput regressions: exit 1 when any \
-             entry regressed beyond the threshold.")
-    Term.(const run $ obs_t $ files_t $ threshold_t $ report_only_t)
-
 let main =
   let doc =
     "reproduction of 'Memory Persistency' (ISCA 2014): persistency models, \
@@ -1444,6 +1358,6 @@ let main =
     [ table1_cmd; fig3_cmd; fig4_cmd; fig5_cmd; validate_cmd; recovery_cmd;
       kv_cmd; trace_cmd; analyze_cmd; graph_cmd; ablation_cmd; calibrate_cmd;
       cache_cmd; wear_cmd; consistency_cmd; explore_cmd; lockfree_cmd;
-      litmus_cmd; machine_cmd; perf_cmd; serve_cmd ]
+      litmus_cmd; machine_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval main)

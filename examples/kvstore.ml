@@ -2,11 +2,14 @@
 
    Each slot is three words: key, value, checksum(key, value).  An
    update writes key and value, then — after a persist barrier — the
-   checksum.  A crash can tear an in-flight update (value durable,
-   checksum not), but the checksum detects it: recovery discards torn
-   slots.  The safety invariant is that a {e matching} checksum never
-   lies — it always certifies a (key, value) pair some update really
-   produced.
+   checksum.  A crash can tear an in-flight update (a newer value
+   durable, its checksum not), but the checksum detects it: recovery
+   discards torn slots.  The safety invariant is the one the barrier
+   buys: a checksum never becomes durable before the value it
+   certifies.  If a slot's checksum word certifies the slot's update
+   i, its value word holds update i (the slot is intact) or a later
+   one (torn, discarded), never an older update or none.  Each slot's
+   updates are numbered in the order they take its lock.
 
    Updates to different keys are logically independent.  Under epoch
    persistency they still serialize through each thread's program
@@ -18,8 +21,9 @@
    concurrently; the critical path collapses to the hottest key's
    chain.
 
-   Exits 1 if a sampled crash state holds a lying checksum, or if strand
-   persistency does not shorten the critical path of spread updates.
+   Exits 1 if a sampled crash state holds a checksum whose value is not
+   durable, or if strand persistency does not shorten the critical path
+   of spread updates.
 
    Run with: dune exec examples/kvstore.exe *)
 
@@ -40,7 +44,8 @@ let run_store mode ~hot =
   M.set_sink machine (Memsim.Trace.sink trace);
   let table = Memsim.Memory.alloc memory Memsim.Addr.Persistent (24 * slots) in
   let locks = Array.init slots (fun _ -> M.mutex machine) in
-  let written = Hashtbl.create 64 in
+  (* per slot, its updates' (key, value) pairs, newest first *)
+  let history = Array.make slots [] in
   let strand = mode = P.Config.Strand in
   for t = 0 to threads - 1 do
     ignore
@@ -51,9 +56,9 @@ let run_store mode ~hot =
              let k = if hot then 0 else (n * 7) mod slots in
              let key = Int64.of_int (k + 1) in
              let value = Int64.of_int ((n * 100) + k) in
-             Hashtbl.replace written (key, value) ();
              M.label "update";
              M.lock locks.(k);
+             history.(k) <- (key, value) :: history.(k);
              let slot = table + (24 * k) in
              if strand then begin
                (* begin a strand; order it after this slot's previous
@@ -70,9 +75,9 @@ let run_store mode ~hot =
            done))
   done;
   M.run machine;
-  (table, written, trace)
+  (table, Array.map (fun h -> Array.of_list (List.rev h)) history, trace)
 
-let check_recovery table written graph =
+let check_recovery table history graph =
   let capacity = table + (24 * slots) in
   let torn = ref 0 and total = ref 0 in
   let check image =
@@ -84,18 +89,37 @@ let check_recovery table written graph =
         let key = Bytes.get_int64_le image slot in
         let value = Bytes.get_int64_le image (slot + 8) in
         let sum = Bytes.get_int64_le image (slot + 16) in
-        if not (Int64.equal sum (checksum key value)) then begin
-          (* torn update: detected and discarded by recovery *)
-          if not (Int64.equal sum 0L) then incr torn;
-          go (k + 1)
-        end
-        else if Int64.equal key 0L || Hashtbl.mem written (key, value) then
-          go (k + 1)
-        else
-          Error
-            (Printf.sprintf
-               "slot %d: checksum certifies (%Ld, %Ld), which was never written"
-               k key value)
+        (* the number of the slot's first update satisfying [p] *)
+        let update p =
+          let rec find i =
+            if i = Array.length history.(k) then None
+            else if p history.(k).(i) then Some i
+            else find (i + 1)
+          in
+          find 0
+        in
+        let held = update (fun (k', v') -> k' = key && v' = value) in
+        let certified = update (fun (k', v') -> checksum k' v' = sum) in
+        match certified with
+        | None when Int64.equal sum 0L -> go (k + 1)
+        | None ->
+          Error (Printf.sprintf "slot %d: checksum certifies no update" k)
+        | Some i -> (
+          match held with
+          | Some j when j >= i ->
+            (* a later value than the checksum's: a torn update,
+               detected and discarded by recovery *)
+            if j > i then incr torn;
+            go (k + 1)
+          | _ ->
+            Error
+              (Printf.sprintf
+                 "slot %d: checksum of update %d durable before its value \
+                  (value word holds %s)"
+                 k i
+                 (match held with
+                 | Some j -> Printf.sprintf "update %d" j
+                 | None -> "no update")))
       end
     in
     go 0
@@ -117,7 +141,7 @@ let () =
       let paths =
         List.map
           (fun mode ->
-            let table, written, trace = run_store mode ~hot in
+            let table, history, trace = run_store mode ~hot in
             let cfg = P.Config.make ~record_graph:true mode in
             let engine = P.Engine.create cfg in
             P.Engine.observe_trace engine trace;
@@ -126,7 +150,7 @@ let () =
               (P.Config.mode_name mode)
               (P.Engine.critical_path engine)
               (P.Engine.cp_per_label engine "update");
-            (match check_recovery table written graph with
+            (match check_recovery table history graph with
             | Ok (), torn, total ->
               Printf.printf
                 "        recovery: no lying checksum in %d crash states (%d torn slots detected & discarded)\n"

@@ -4,8 +4,8 @@
     Two layers:
 
     - the {e measurement} layer ({!start}/{!finish}/{!measure}) always
-      measures — the bench harness uses it to stamp wall clock and
-      allocation into [BENCH_*.json] entries;
+      measures — perfbench uses it to time each round's wall clock and
+      allocation;
     - the {e instrumentation} layer ({!with_span}, {!throughput},
       {!progress_start}) lives in hot paths (engine trace replay, pool
       sweep cells, DPOR exploration, recovery injection) and costs one
@@ -53,10 +53,6 @@ val measure : (unit -> 'a) -> 'a * gc_delta
 (** Runs the thunk between {!start} and {!finish}; measures even when
     the thunk raises (the exception propagates). *)
 
-val rate : int -> float -> float
-(** [rate items seconds] = items per second; 0 when [seconds] is 0 (a
-    timer-granularity wall clock yields no meaningful rate). *)
-
 (** {1 Instrumentation (zero-cost when disabled)} *)
 
 val enabled : unit -> bool
@@ -69,8 +65,9 @@ val with_span :
     registry and the tracer are off. *)
 
 val throughput : Metrics.gauge -> items:int -> seconds:float -> unit
-(** [observe_max] of [rate items seconds] — the gauge keeps the best
-    rate the process reached. *)
+(** [observe_max] of [items / seconds] (0 when [seconds] is 0: a
+    timer-granularity wall clock yields no meaningful rate) — the gauge
+    keeps the best rate the process reached. *)
 
 (** {1 Live progress heartbeat} *)
 

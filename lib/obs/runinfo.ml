@@ -1,16 +1,3 @@
-type t = {
-  tool : string;
-  argv : string list;
-  created_unix : float;
-  git : string;
-  ocaml : string;
-  os : string;
-  word_size : int;
-  cores : int;
-  jobs : int;
-  knobs : (string * string) list;
-}
-
 (* First stdout line of a shell command, or None on any failure — the
    manifest must never make a run fail. *)
 let command_line cmd =
@@ -27,248 +14,26 @@ let git_describe () =
   | Some d -> d
   | None -> "unknown"
 
-let capture ~tool ?(jobs = 0) ?(knobs = []) () =
-  { tool;
-    argv = Array.to_list Sys.argv;
-    created_unix = Unix.time ();
-    git = git_describe ();
-    ocaml = Sys.ocaml_version;
-    os = Sys.os_type;
-    word_size = Sys.word_size;
-    cores = Domain.recommended_domain_count ();
-    jobs;
-    knobs }
+let run_schema = "persistsim-run/2"
 
-let summary t =
-  Printf.sprintf "%s @ %s, ocaml %s, %d cores%s%s" t.tool t.git t.ocaml t.cores
-    (if t.jobs > 0 then Printf.sprintf ", %d jobs" t.jobs else "")
-    (match t.knobs with
-    | [] -> ""
-    | ks ->
-      ", " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) ks))
-
-let run_schema = "persistsim-run/1"
-
-let to_json t =
-  Json.Obj
-    [ ("schema", Json.Str run_schema);
-      ("tool", Json.Str t.tool);
-      ("argv", Json.List (List.map (fun a -> Json.Str a) t.argv));
-      ("created_unix", Json.Float t.created_unix);
-      ("git", Json.Str t.git);
-      ("ocaml", Json.Str t.ocaml);
-      ("os", Json.Str t.os);
-      ("word_size", Json.Int t.word_size);
-      ("cores", Json.Int t.cores);
-      ("jobs", Json.Int t.jobs);
-      ( "knobs",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.knobs) ) ]
-
-(* Decoding helpers: every accessor names the missing/mistyped field so
-   a truncated file fails with a usable message. *)
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let as_str name = function
-  | Json.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let as_float name j =
-  match Json.to_float j with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: expected a number" name)
-
-let str_field name j = let* v = field name j in as_str name v
-let int_field name j = let* v = field name j in as_int name v
-let float_field name j = let* v = field name j in as_float name v
-
-let of_json j =
-  let* tool = str_field "tool" j in
-  let* argv =
-    let* v = field "argv" j in
-    match v with
-    | Json.List items ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* s = as_str "argv" item in
-          Ok (s :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-    | _ -> Error "field \"argv\": expected a list"
+let write_file ~tool path =
+  let j =
+    Json.Obj
+      [ ("schema", Json.Str run_schema);
+        ("tool", Json.Str tool);
+        ( "argv",
+          Json.List
+            (List.map (fun a -> Json.Str a) (Array.to_list Sys.argv)) );
+        ("created_unix", Json.Float (Unix.time ()));
+        ("git", Json.Str (git_describe ()));
+        ("ocaml", Json.Str Sys.ocaml_version);
+        ("os", Json.Str Sys.os_type);
+        ("word_size", Json.Int Sys.word_size);
+        ("cores", Json.Int (Domain.recommended_domain_count ())) ]
   in
-  let* created_unix = float_field "created_unix" j in
-  let* git = str_field "git" j in
-  let* ocaml = str_field "ocaml" j in
-  let* os = str_field "os" j in
-  let* word_size = int_field "word_size" j in
-  let* cores = int_field "cores" j in
-  let* jobs = int_field "jobs" j in
-  let* knobs =
-    let* v = field "knobs" j in
-    match v with
-    | Json.Obj fields ->
-      List.fold_left
-        (fun acc (k, item) ->
-          let* acc = acc in
-          let* s = as_str k item in
-          Ok ((k, s) :: acc))
-        (Ok []) fields
-      |> Result.map List.rev
-    | _ -> Error "field \"knobs\": expected an object"
-  in
-  Ok { tool; argv; created_unix; git; ocaml; os; word_size; cores; jobs; knobs }
-
-let write_json_file j path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (Json.to_string j);
       output_char oc '\n')
-
-let write_file t path = write_json_file (to_json t) path
-
-(* ------------------------------------------------------------------ *)
-(* Bench files *)
-
-type entry = {
-  name : string;
-  kind : string;
-  wall_s : float;
-  rate : float;
-  rate_unit : string;
-  alloc_words : float;
-  peak_rss_kb : int;
-}
-
-type bench = {
-  run : t;
-  entries : entry list;
-}
-
-let bench_schema = "persistsim-bench/1"
-
-let entry_to_json e =
-  Json.Obj
-    [ ("name", Json.Str e.name);
-      ("kind", Json.Str e.kind);
-      ("wall_s", Json.Float e.wall_s);
-      ("rate", Json.Float e.rate);
-      ("rate_unit", Json.Str e.rate_unit);
-      ("alloc_words", Json.Float e.alloc_words);
-      ("peak_rss_kb", Json.Int e.peak_rss_kb) ]
-
-let entry_of_json j =
-  let* name = str_field "name" j in
-  let* kind = str_field "kind" j in
-  let* wall_s = float_field "wall_s" j in
-  let* rate = float_field "rate" j in
-  let* rate_unit = str_field "rate_unit" j in
-  let* alloc_words = float_field "alloc_words" j in
-  let* peak_rss_kb = int_field "peak_rss_kb" j in
-  Ok { name; kind; wall_s; rate; rate_unit; alloc_words; peak_rss_kb }
-
-let bench_to_json b =
-  Json.Obj
-    [ ("schema", Json.Str bench_schema);
-      ("run", to_json b.run);
-      ("entries", Json.List (List.map entry_to_json b.entries)) ]
-
-let bench_of_json j =
-  let* schema = str_field "schema" j in
-  if schema <> bench_schema then
-    Error (Printf.sprintf "unsupported schema %S (want %S)" schema bench_schema)
-  else
-    let* run_j = field "run" j in
-    let* run = of_json run_j in
-    let* entries_j = field "entries" j in
-    match entries_j with
-    | Json.List items ->
-      let* entries =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* e = entry_of_json item in
-            Ok (e :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-      in
-      Ok { run; entries }
-    | _ -> Error "field \"entries\": expected a list"
-
-let write_bench b path = write_json_file (bench_to_json b) path
-
-let load_bench path =
-  let annotate = Result.map_error (Printf.sprintf "%s: %s" path) in
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents ->
-    annotate
-      (let* j = Json.of_string contents in
-       bench_of_json j)
-
-(* ------------------------------------------------------------------ *)
-(* Comparison: the regression gate *)
-
-type delta = {
-  d_name : string;
-  base : entry;
-  cand : entry;
-  wall_pct : float;
-  rate_pct : float;
-  regressed : bool;
-}
-
-type comparison = {
-  deltas : delta list;
-  only_base : string list;
-  only_cand : string list;
-  regressions : delta list;
-}
-
-let pct base cand = if base > 0. then (cand -. base) /. base *. 100. else 0.
-
-let compare_benches ~threshold_pct base cand =
-  let cand_tbl = Hashtbl.create 32 in
-  List.iter (fun e -> Hashtbl.replace cand_tbl e.name e) cand.entries;
-  let base_names = Hashtbl.create 32 in
-  List.iter (fun e -> Hashtbl.replace base_names e.name ()) base.entries;
-  let deltas =
-    List.filter_map
-      (fun (b : entry) ->
-        match Hashtbl.find_opt cand_tbl b.name with
-        | None -> None
-        | Some c ->
-          let wall_pct = pct b.wall_s c.wall_s in
-          let rate_pct = pct b.rate c.rate in
-          Some
-            { d_name = b.name;
-              base = b;
-              cand = c;
-              wall_pct;
-              rate_pct;
-              regressed =
-                wall_pct > threshold_pct || rate_pct < -.threshold_pct })
-      base.entries
-  in
-  { deltas;
-    only_base =
-      List.filter_map
-        (fun (e : entry) ->
-          if Hashtbl.mem cand_tbl e.name then None else Some e.name)
-        base.entries;
-    only_cand =
-      List.filter_map
-        (fun (e : entry) ->
-          if Hashtbl.mem base_names e.name then None else Some e.name)
-        cand.entries;
-    regressions = List.filter (fun d -> d.regressed) deltas }

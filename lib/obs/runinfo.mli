@@ -1,98 +1,14 @@
-(** Self-describing run manifests and machine-readable bench files.
+(** Self-describing run manifests ([--manifest-out]).
 
-    A {!t} records everything needed to interpret a measurement later:
+    A manifest records what is needed to interpret a measurement later:
     which tool produced it, with which arguments, at which commit, on
-    which OCaml and how many cores.  The bench harness attaches a
-    manifest to every [BENCH_*.json] it writes ({!bench}), and
-    [persistsim perf] reads two or more such files back and compares
-    them entry-by-entry ({!compare_benches}) — the regression gate is
-    pure logic here so it is unit-testable on synthetic manifests.
+    which OCaml and how many cores.  It serializes through the
+    dependency-free {!Json} codec as one object whose ["schema"] field
+    is ["persistsim-run/2"]. *)
 
-    Everything serializes through the dependency-free {!Json} codec;
-    [of_json] round-trips [to_json] exactly. *)
-
-type t = {
-  tool : string;  (** e.g. ["bench"] or ["persistsim"] *)
-  argv : string list;
-  created_unix : float;  (** seconds since the epoch *)
-  git : string;  (** [git describe --always --dirty], or ["unknown"] *)
-  ocaml : string;  (** [Sys.ocaml_version] *)
-  os : string;  (** [Sys.os_type] *)
-  word_size : int;
-  cores : int;  (** [Domain.recommended_domain_count ()] *)
-  jobs : int;  (** worker domains the run was configured for *)
-  knobs : (string * string) list;
-      (** scale knobs ([BENCH_QUICK], insert counts, …) in emit order *)
-}
-
-val capture : tool:string -> ?jobs:int -> ?knobs:(string * string) list ->
-  unit -> t
-(** Snapshot the current process and repository state.  [jobs] defaults
-    to 0 (= unspecified); the git description degrades to ["unknown"]
-    outside a repository or without a [git] binary. *)
-
-val summary : t -> string
-(** One line: tool, git, OCaml, cores/jobs — for table headers. *)
-
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
-
-val write_file : t -> string -> unit
-(** The manifest alone, as one line of JSON ([--manifest-out]). *)
-
-(** {1 Bench files}
-
-    The stable [BENCH_*.json] schema: a manifest plus one {!entry} per
-    measured phase.  Every entry carries the four quantities the perf
-    trajectory tracks — wall clock, a throughput rate, allocated words
-    and peak RSS. *)
-
-type entry = {
-  name : string;  (** ["repro:table1"], ["micro:engine:epoch"], … *)
-  kind : string;  (** ["reproduction"] or ["micro"] *)
-  wall_s : float;
-  rate : float;  (** items per second; see [rate_unit] *)
-  rate_unit : string;  (** ["events/s"], ["runs/s"], … *)
-  alloc_words : float;  (** GC-allocated words during the phase *)
-  peak_rss_kb : int;  (** process high-water RSS when the phase ended *)
-}
-
-type bench = {
-  run : t;
-  entries : entry list;
-}
-
-val bench_schema : string
-(** ["persistsim-bench/1"], stamped into every file. *)
-
-val bench_to_json : bench -> Json.t
-val bench_of_json : Json.t -> (bench, string) result
-
-val write_bench : bench -> string -> unit
-
-val load_bench : string -> (bench, string) result
-(** Read and decode one [BENCH_*.json]; the error mentions the path. *)
-
-(** {1 Comparison (the regression gate)} *)
-
-type delta = {
-  d_name : string;
-  base : entry;
-  cand : entry;
-  wall_pct : float;  (** (cand - base) / base * 100; positive = slower *)
-  rate_pct : float;  (** (cand - base) / base * 100; negative = slower *)
-  regressed : bool;
-}
-
-type comparison = {
-  deltas : delta list;  (** entries present on both sides, in base order *)
-  only_base : string list;  (** entries the candidate dropped *)
-  only_cand : string list;  (** entries new in the candidate *)
-  regressions : delta list;  (** the subset of [deltas] that regressed *)
-}
-
-val compare_benches : threshold_pct:float -> bench -> bench -> comparison
-(** An entry regresses when its wall clock grew by more than
-    [threshold_pct] percent {e or} its rate dropped by more than
-    [threshold_pct] percent.  Zero or negative baselines contribute a
-    0% delta (nothing meaningful to gate on). *)
+val write_file : tool:string -> string -> unit
+(** [write_file ~tool path] snapshots the current process ([tool],
+    argv, creation time, [git describe --always --dirty --tags] or
+    ["unknown"] outside a repository or without a [git] binary, OCaml
+    version, OS, word size, [Domain.recommended_domain_count ()]) and
+    writes it to [path] as one line of JSON. *)

@@ -11,12 +11,8 @@ let activate ?metrics_out ?trace_out ?manifest_out ?(progress = false) () =
   | None -> ());
   (match manifest_out with
   | Some path ->
-    (* Captured at exit so a late [set_progress]/jobs decision cannot
-       race it; argv is the full self-description either way. *)
     at_exit (fun () ->
-        Runinfo.write_file
-          (Runinfo.capture ~tool:(Filename.basename Sys.executable_name) ())
-          path)
+        Runinfo.write_file ~tool:(Filename.basename Sys.executable_name) path)
   | None -> ());
   if progress then Perfscope.set_progress true
 

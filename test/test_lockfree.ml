@@ -281,6 +281,54 @@ let test_exp_sweep () =
          < c.Experiments.Lockfree_exp.cp_flush_all))
     cells
 
+(* EXPERIMENTS' lock-free claims over the sixteen sweep seeds it
+   reports (1-16, 128 inserts per thread as `persistsim lockfree`
+   runs): one thread ties on every seed; from two threads up
+   NVTraverse is cheaper in the median of every machine row, and on
+   every seed under sc; the median saving grows from two threads to
+   four on every machine.  Single tso seeds go the other way (e.g.
+   tso-buffered at two threads, seed 8), so no per-seed claim is made
+   there. *)
+let test_seed_sweep_claims () =
+  let module E = Experiments.Lockfree_exp in
+  let sweeps =
+    List.init 16 (fun i ->
+        E.cells (E.run ~inserts:128 ~seed:(i + 1) ~jobs:2 ()))
+  in
+  let savings machine threads =
+    List.map
+      (fun cells ->
+        (List.find
+           (fun (c : E.cell) -> c.E.machine = machine && c.E.threads = threads)
+           cells)
+          .E.saving)
+      sweeps
+  in
+  let median machine threads =
+    Pstats.Summary.percentile 0.5 (savings machine threads)
+  in
+  List.iter
+    (fun machine ->
+      checkb (machine ^ ": one thread ties on every seed") true
+        (List.for_all (fun s -> s = 0.) (savings machine 1));
+      List.iter
+        (fun threads ->
+          checkb
+            (Printf.sprintf "%s/%d: median saving positive" machine threads)
+            true
+            (median machine threads > 0.))
+        [ 2; 4 ];
+      checkb (machine ^ ": median saving grows with threads") true
+        (median machine 4 > median machine 2))
+    [ "sc"; "tso-sync"; "tso-buffered" ];
+  List.iter
+    (fun threads ->
+      checkb
+        (Printf.sprintf "sc/%d: cheaper on every seed" threads)
+        true
+        (List.for_all (fun s -> s > 0.) (savings "sc" threads)))
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "lockfree"
     [ ( "cas-set",
@@ -299,5 +347,7 @@ let () =
           Alcotest.test_case "buggy-traverse caught (tso-buffered)" `Quick
             test_buggy_traverse_caught_buffered ] );
       ( "experiment",
-        [ Alcotest.test_case "sweep shape" `Quick test_exp_sweep ] )
+        [ Alcotest.test_case "sweep shape" `Quick test_exp_sweep;
+          Alcotest.test_case "seed-sweep claims" `Quick
+            test_seed_sweep_claims ] )
     ]

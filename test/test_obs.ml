@@ -586,10 +586,14 @@ let test_span_accounts_gc () =
         (M.gauge_value (M.gauge_max M.default "proc.peak_rss_kb") > 0.))
 
 let test_rate_and_rss () =
-  Alcotest.(check (float 0.)) "items per second" 50.
-    (Obs.Perfscope.rate 100 2.0);
+  let r = M.create () in
+  M.set_enabled r true;
+  let g = M.gauge_max r "rate" in
+  Obs.Perfscope.throughput g ~items:5 ~seconds:0.;
   Alcotest.(check (float 0.)) "zero wall clock yields no rate" 0.
-    (Obs.Perfscope.rate 5 0.);
+    (M.gauge_value g);
+  Obs.Perfscope.throughput g ~items:100 ~seconds:2.0;
+  Alcotest.(check (float 0.)) "items per second" 50. (M.gauge_value g);
   (* Linux: /proc/self/status is present and VmHWM is positive *)
   Alcotest.(check bool) "peak rss positive" true
     (Obs.Perfscope.peak_rss_kb () > 0)
@@ -664,110 +668,32 @@ let test_histogram_percentiles () =
   Alcotest.(check int) "reset drops samples" 0
     (List.length (M.histogram_samples h))
 
-(* Runinfo: manifests, bench files, the regression gate *)
-
-module R = Obs.Runinfo
+(* Runinfo: the --manifest-out file is one line of JSON describing the
+   process that wrote it *)
 
 let test_manifest_roundtrip () =
-  let m = R.capture ~tool:"test" ~jobs:2 ~knobs:[ ("quick", "1") ] () in
-  Alcotest.(check bool) "summary mentions the tool" true
-    (String.length (R.summary m) > 4);
-  Alcotest.(check string) "ocaml version captured" Sys.ocaml_version
-    m.R.ocaml;
-  Alcotest.(check bool) "cores positive" true (m.R.cores > 0);
-  match R.of_json (parse (J.to_string (R.to_json m))) with
-  | Ok m' -> Alcotest.(check bool) "manifest round-trips" true (m = m')
-  | Error e -> Alcotest.failf "manifest decode: %s" e
-
-let mk_entry ?(kind = "micro") ?(rate_unit = "runs/s") name wall_s rate =
-  { R.name; kind; wall_s; rate; rate_unit;
-    alloc_words = 1234.5; peak_rss_kb = 4096 }
-
-let test_bench_roundtrip () =
-  let b =
-    { R.run = R.capture ~tool:"bench" ();
-      entries =
-        [ mk_entry "repro:table1" 1.25 1.0e6 ~kind:"reproduction"
-            ~rate_unit:"events/s";
-          mk_entry "micro:engine \"quoted\"" 0.001 980.7 ] }
-  in
-  match R.bench_of_json (parse (J.to_string (R.bench_to_json b))) with
-  | Ok b' -> Alcotest.(check bool) "bench round-trips" true (b = b')
-  | Error e -> Alcotest.failf "bench decode: %s" e
-
-let test_bench_schema_guard () =
-  match R.bench_of_json (parse "{\"schema\": \"something-else/9\"}") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong schema accepted"
-
-(* The regression gate on synthetic manifests: within threshold, wall
-   regression, rate regression, improvement, dropped/new entries and a
-   zero baseline. *)
-let test_compare_benches () =
-  let run = R.capture ~tool:"bench" () in
-  let base =
-    { R.run;
-      entries =
-        [ mk_entry "ok" 1.0 100.; mk_entry "slow-wall" 1.0 100.;
-          mk_entry "slow-rate" 1.0 100.; mk_entry "improved" 1.0 100.;
-          mk_entry "dropped" 1.0 100.; mk_entry "zero-base" 0. 0. ] }
-  in
-  let cand =
-    { R.run;
-      entries =
-        [ mk_entry "ok" 1.05 99.; mk_entry "slow-wall" 1.5 100.;
-          mk_entry "slow-rate" 1.0 80.; mk_entry "improved" 0.5 200.;
-          mk_entry "added" 1.0 100.; mk_entry "zero-base" 5.0 50. ] }
-  in
-  let c = R.compare_benches ~threshold_pct:10. base cand in
-  Alcotest.(check int) "shared entries compared" 5 (List.length c.R.deltas);
-  Alcotest.(check (list string)) "dropped entry noticed" [ "dropped" ]
-    c.R.only_base;
-  Alcotest.(check (list string)) "new entry noticed" [ "added" ] c.R.only_cand;
-  Alcotest.(check (list string)) "exactly the regressions flagged"
-    [ "slow-wall"; "slow-rate" ]
-    (List.map (fun d -> d.R.d_name) c.R.regressions);
-  let delta name = List.find (fun d -> d.R.d_name = name) c.R.deltas in
-  Alcotest.(check (float 1e-9)) "wall delta" 50. (delta "slow-wall").R.wall_pct;
-  Alcotest.(check (float 1e-9)) "rate delta" (-20.)
-    (delta "slow-rate").R.rate_pct;
-  Alcotest.(check bool) "within threshold passes" false (delta "ok").R.regressed;
-  Alcotest.(check bool) "improvement passes" false
-    (delta "improved").R.regressed;
-  (* a zero baseline yields 0% deltas — nothing meaningful to gate on *)
-  Alcotest.(check (float 0.)) "zero baseline wall" 0.
-    (delta "zero-base").R.wall_pct;
-  Alcotest.(check bool) "zero baseline never regresses" false
-    (delta "zero-base").R.regressed;
-  (* a -20% doctored candidate trips the default 10% gate everywhere *)
-  let doctored =
-    { R.run;
-      entries =
-        List.map
-          (fun (e : R.entry) ->
-            { e with R.wall_s = e.R.wall_s *. 1.25; rate = e.R.rate *. 0.8 })
-          base.R.entries }
-  in
-  let c2 = R.compare_benches ~threshold_pct:10. base doctored in
-  Alcotest.(check int) "doctored copy regresses every gated entry" 5
-    (List.length c2.R.regressions)
-
-let test_load_bench_errors () =
-  (match R.load_bench "/nonexistent/bench.json" with
-  | Error msg ->
-    Alcotest.(check bool) "error mentions path" true
-      (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "missing file loaded");
-  let tmp = Filename.temp_file "bench" ".json" in
+  let tmp = Filename.temp_file "manifest" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      let oc = open_out tmp in
-      output_string oc "not json";
-      close_out oc;
-      match R.load_bench tmp with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "garbage loaded")
+      Obs.Runinfo.write_file ~tool:"test" tmp;
+      let m = parse (In_channel.with_open_text tmp In_channel.input_all) in
+      let str name =
+        match member name m with
+        | J.Str s -> s
+        | j -> Alcotest.failf "field %S: %s" name (J.to_string j)
+      in
+      Alcotest.(check string) "schema" "persistsim-run/2" (str "schema");
+      Alcotest.(check string) "tool" "test" (str "tool");
+      Alcotest.(check string) "ocaml version captured" Sys.ocaml_version
+        (str "ocaml");
+      Alcotest.(check bool) "git described" true (str "git" <> "");
+      (match member "argv" m with
+      | J.List (J.Str _ :: _) -> ()
+      | j -> Alcotest.failf "argv: %s" (J.to_string j));
+      match member "cores" m with
+      | J.Int n -> Alcotest.(check bool) "cores positive" true (n > 0)
+      | j -> Alcotest.failf "cores: %s" (J.to_string j))
 
 (* CLI surface: every persistsim subcommand must expose the
    observability flags.  Enumerate the subcommands from the main help
@@ -822,7 +748,6 @@ let subcommands () =
 let test_subcommands_expose_obs_flags () =
   let cmds = subcommands () in
   Alcotest.(check bool) "subcommands enumerated" true (List.length cmds >= 18);
-  Alcotest.(check bool) "perf is registered" true (List.mem "perf" cmds);
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -895,7 +820,13 @@ let test_exit_codes () =
       "lockfree --inserts 0"; "serve --batch 0"; "serve --shards 1,0";
       "explore --max-schedules 0"; "recovery --samples 0";
       "serve --requests 0"; "kv --ops=-4"; "ablation --which nope";
-      "analyze --track-gran 3"; "analyze --persist-gran 4" ];
+      "analyze --track-gran 3"; "analyze --persist-gran 4";
+      (* a percentage outside 0..100, a rate or latency that is not a
+         finite positive number, a negative capacity or job count *)
+      "serve --mix 150"; "serve --mix=-1"; "serve --rate=0";
+      "serve --rate=-3"; "serve --recovery --rate=0";
+      "analyze --latency=-1"; "analyze --latency=nan"; "table1 --latency=0";
+      "table1 --capacity=-4"; "table1 --jobs=-3" ];
   (* ...and a total that does not split evenly over --threads, or over
      a sweep's thread counts, is bad input naming both flags *)
   List.iter
@@ -945,6 +876,34 @@ let test_single_run_coverage () =
     "group-commit recovery holds: 2434 distinct crash states (sampled: 2000 \
      draws per graph) over 172 persists across 2 shards land on a batch \
      boundary"
+
+(* A clean lock-free injection run claims every interleaving only when
+   DPOR exhausted the schedule space; a run cut by --max-schedules names
+   the schedules it explored instead. *)
+let test_budget_hit_wording () =
+  let lines cmd = run_lines (persistsim ^ " " ^ cmd) in
+  let exhaustive =
+    "recovery and durable linearizability hold in every durable prefix of \
+     every explored interleaving"
+  in
+  let complete =
+    lines "lockfree --recovery --discipline nvtraverse --depth 1 --model sc"
+  in
+  Alcotest.(check bool) "complete run claims every interleaving" true
+    (List.mem exhaustive complete);
+  let cut =
+    lines
+      "lockfree --recovery --discipline nvtraverse --depth 2 --model sc \
+       --max-schedules 16"
+  in
+  Alcotest.(check bool) "budget-hit run names its bound" true
+    (List.mem
+       "recovery and durable linearizability hold in every durable prefix \
+        of the 16 schedules explored (schedule budget hit; space not \
+        exhausted)"
+       cut);
+  Alcotest.(check bool) "budget-hit run claims no exhaustiveness" false
+    (List.mem exhaustive cut)
 
 (* The line a caught violation prints after "reproduce with:" must
    replay that violation verbatim. *)
@@ -1024,18 +983,14 @@ let () =
             test_histogram_percentiles ] );
       ( "runinfo",
         [ Alcotest.test_case "manifest round-trip" `Quick
-            test_manifest_roundtrip;
-          Alcotest.test_case "bench round-trip" `Quick test_bench_roundtrip;
-          Alcotest.test_case "schema guard" `Quick test_bench_schema_guard;
-          Alcotest.test_case "regression gate on synthetic manifests" `Quick
-            test_compare_benches;
-          Alcotest.test_case "load errors mention the path" `Quick
-            test_load_bench_errors ] );
+            test_manifest_roundtrip ] );
       ( "cli",
         [ Alcotest.test_case "subcommands expose obs flags" `Quick
             test_subcommands_expose_obs_flags;
           Alcotest.test_case "violation exit codes" `Quick test_exit_codes;
           Alcotest.test_case "single-run coverage" `Quick
             test_single_run_coverage;
+          Alcotest.test_case "budget-hit wording" `Quick
+            test_budget_hit_wording;
           Alcotest.test_case "reproducer round-trip" `Quick
             test_reproducer_roundtrip ] ) ]
