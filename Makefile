@@ -1,14 +1,14 @@
-# Convenience targets around dune.  JOBS/BENCH_JOBS/FUZZ_TRACES tune
-# the parallel sweeps and the fuzzer; see README "Running the
-# evaluation in parallel".
+# Convenience targets around dune.  `make repro` regenerates the
+# evaluation's tables and figures through the persistsim CLI;
+# FUZZ_TRACES sets the long fuzz run's trace count.
 #
 # Timing lives in one place: perfbench/ (python3 perfbench/run.py,
-# described by BENCHMARK.json).  `make bench` prints the reproduction
-# and times only the micro-benchmarks no perfbench workload covers; CI
-# gates on perfbench by running the parent commit and the change side
-# by side (python3 .github/perf_gate.py PARENT_DIR CHANGE_DIR).
+# described by BENCHMARK.json).  `make bench` times only the
+# micro-benchmarks no perfbench workload covers; CI gates on perfbench
+# by running the parent commit and the change side by side (python3
+# .github/perf_gate.py PARENT_DIR CHANGE_DIR).
 
-.PHONY: all build test test-times bench bench-quick fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
+.PHONY: all build test test-times repro bench bench-quick fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
 
 all: build
 
@@ -32,8 +32,26 @@ test-times: build
 	done && \
 	printf '%-20s %7s s\n' total "$$total" && exit $$status
 
-# Full evaluation reproduction + the Bechamel micro-benchmarks that
-# perfbench does not cover.
+# The paper's evaluation (Table 1, Figures 3-5, the Section 7
+# validation) and the extension tables: the persistsim command each
+# EXPERIMENTS.md section cites, at the size it quotes.  Tables go to
+# stdout, byte-identical for any --jobs; sweep profiles go to stderr.
+repro: build
+	dune exec bin/persistsim.exe -- table1
+	dune exec bin/persistsim.exe -- fig3
+	dune exec bin/persistsim.exe -- fig4
+	dune exec bin/persistsim.exe -- fig5
+	dune exec bin/persistsim.exe -- validate --inserts 8000
+	dune exec bin/persistsim.exe -- machine
+	dune exec bin/persistsim.exe -- ablation
+	dune exec bin/persistsim.exe -- cache
+	dune exec bin/persistsim.exe -- wear
+	dune exec bin/persistsim.exe -- consistency
+	dune exec bin/persistsim.exe -- kv
+	dune exec bin/persistsim.exe -- serve --requests 768 --rate 64 --keys 96 --shards 1,2 --batch 1,8,32
+	dune exec bin/persistsim.exe -- lockfree
+
+# The Bechamel micro-benchmarks that perfbench does not cover.
 bench: build
 	dune exec bench/main.exe
 
@@ -77,19 +95,22 @@ serve: build
 	dune exec bin/persistsim.exe -- serve --recovery --buggy --shards 1 --batch 3 --requests 24 --keys 16 --rate 1000 | grep -q "RECOVERY VIOLATION"
 
 # DPOR exploration smoke: the queue sweep against the brute-force
-# oracle (same graph census, far fewer schedules), and the buggy KV
-# discipline must be flagged with a replayable counter-example.
+# oracle (same graph census, far fewer schedules), a complete KV
+# exploration must end in its every-interleaving verdict, and the buggy
+# KV discipline must be flagged with a replayable counter-example.
 explore: build
 	dune exec bin/persistsim.exe -- explore --workload queue --depth 2 --oracle --csv
-	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 --jobs 2 > /dev/null
+	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 --jobs 2 | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (.*) of every interleaving$$"
 	dune exec bin/persistsim.exe -- explore --workload kv --buggy --depth 2 | grep -q "RECOVERY VIOLATION"
 
 # Lock-free CAS set: the flush-all vs NVTraverse sweep, recovery
-# injection of the correct discipline, and the buggy traversal (no
-# pre-CAS destination flush) must be caught.
+# injection of the correct discipline (a complete exploration claims
+# every interleaving, a bounded one names its bound), and the buggy
+# traversal (no pre-CAS destination flush) must be caught.
 lockfree: build
 	dune exec bin/persistsim.exe -- lockfree --inserts 64 > /dev/null
-	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 2 --model sc --max-schedules 2048 > /dev/null
+	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"
+	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 2 --model sc --max-schedules 2048 | grep -q "of the 2048 schedules run before --max-schedules 2048 stopped the search$$"
 	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model tso-buffered > /dev/null
 	dune exec bin/persistsim.exe -- lockfree --buggy --depth 2 --model sc | grep -q "RECOVERY VIOLATION"
 

@@ -1,158 +1,28 @@
-(* Reproduction harness: regenerates every table and figure of the
-   paper's evaluation, then times with Bechamel the simulator
-   components that perfbench does not.
+(* Bechamel micro-benchmarks for the simulator components that
+   perfbench does not time.
 
    perfbench/ (BENCHMARK.json) is the one timing harness: its
    repro-sweep, crash-lockfree and recover-kv workloads time Table 1's
    and the lock-free sweep's cells, DPOR x failure injection and crash
    state sampling, and CI gates on them by running the parent commit
    and the change side by side (.github/perf_gate.py).  This program
-   writes no timing file.  The REPRODUCTION section prints Table 1,
-   Figures 3, 4 and 5, the Section 7 validation and the extension
-   experiments exactly as `persistsim <cmd>` would; the MICROBENCHMARK
-   section prints a time per run for the subjects no perfbench
-   workload covers (the figure pipelines, the drain and cache
-   simulators, exploration, the litmus suite, ...).
+   writes no timing file and regenerates no table: `make repro` runs
+   the persistsim subcommands that print the paper's evaluation.  It
+   prints a time per run for the subjects no perfbench workload covers
+   (the figure pipelines, the drain and cache simulators, exploration,
+   the litmus suite, ...).
 
-   Scale knobs: BENCH_INSERTS (default 20000 for the reproduction),
-   BENCH_QUICK=1 to shrink everything for smoke runs, and BENCH_JOBS to
-   run the reproduction sweeps on that many domains (default: cores -
-   1; output is byte-identical for any value, sweep profiles go to
-   stderr).  A knob that is not a positive integer exits 2. *)
+   BENCH_QUICK=1 shrinks the workloads and the time quota for smoke
+   runs. *)
 
 open Bechamel
 open Toolkit
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> n
-    | _ ->
-      Printf.eprintf "bench: %s=%S is not a positive integer\n" name v;
-      exit 2)
-
 let quick = Sys.getenv_opt "BENCH_QUICK" = Some "1"
-let repro_inserts = getenv_int "BENCH_INSERTS" (if quick then 2400 else 20_000)
 let micro_inserts = if quick then 400 else 1200
-let jobs = getenv_int "BENCH_JOBS" (Parallel.Pool.default_domains ())
-let on_profile p = prerr_string (Parallel.Pool.render_profile p)
-
-(* ------------------------------------------------------------------ *)
-(* Reproduction *)
 
 let banner title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
-
-let reproduce () =
-  banner "REPRODUCTION: Memory Persistency (ISCA 2014) evaluation";
-  Printf.printf
-    "scale: %d inserts per configuration, %d-entry data segment, \
-     %d sweep domain(s)\n"
-    repro_inserts Experiments.Run.default_capacity jobs;
-  banner "Table 1";
-  let t1 = Experiments.Table1.run ~jobs ~total_inserts:repro_inserts () in
-  on_profile t1.Experiments.Table1.profile;
-  print_string (Experiments.Table1.render t1);
-  banner "Figure 3";
-  let f3 = Experiments.Fig3.run ~jobs ~total_inserts:repro_inserts () in
-  on_profile f3.Experiments.Fig3.profile;
-  print_string (Experiments.Fig3.render f3);
-  banner "Figure 4";
-  let f4 =
-    Experiments.Granularity.run ~jobs ~total_inserts:repro_inserts
-      Experiments.Granularity.Atomic_persist
-  in
-  on_profile f4.Experiments.Granularity.profile;
-  print_string (Experiments.Granularity.render f4);
-  banner "Figure 5";
-  let f5 =
-    Experiments.Granularity.run ~jobs ~total_inserts:repro_inserts
-      Experiments.Granularity.Tracking
-  in
-  on_profile f5.Experiments.Granularity.profile;
-  print_string (Experiments.Granularity.render f5);
-  banner "Section 7 validation (insert distance)";
-  let v =
-    Experiments.Validation.run ~jobs
-      ~total_inserts:(min repro_inserts 8000) ()
-  in
-  on_profile v.Experiments.Validation.profile;
-  print_string (Experiments.Validation.render v);
-  banner "Ablations (A1-A5)";
-  print_string
-    (Experiments.Ablation.render_comparisons
-       ~title:"A1: SC vs TSO (BPFS) conflict detection, cp/insert"
-       (Experiments.Ablation.tso_conflicts ~jobs ~on_profile
-          ~total_inserts:micro_inserts ()));
-  print_string
-    (Experiments.Ablation.render_comparisons
-       ~title:"\nA2: both spaces vs persistent-only conflicts, cp/insert"
-       (Experiments.Ablation.conflict_spaces ~jobs ~on_profile
-          ~total_inserts:micro_inserts ()));
-  print_string
-    (Experiments.Ablation.render_comparisons
-       ~title:"\nA4: coalescing on vs off, cp/insert"
-       (Experiments.Ablation.coalescing ~jobs ~on_profile
-          ~total_inserts:micro_inserts ()));
-  print_string
-    (Experiments.Ablation.render_buffer
-       (Experiments.Ablation.buffer_depth ~jobs ~on_profile
-          ~total_inserts:micro_inserts ()));
-  print_string
-    (Experiments.Ablation.render_capacity
-       (Experiments.Ablation.capacity ~jobs ~on_profile
-          ~total_inserts:(4 * micro_inserts) ()));
-  print_string
-    (Experiments.Ablation.render_sync
-       (Experiments.Ablation.persist_sync ~jobs ~on_profile
-          ~total_inserts:micro_inserts ()));
-  banner "Relaxing consistency vs relaxing persistency (Section 5.1)";
-  let cx =
-    Experiments.Consistency_exp.run ~jobs ~total_inserts:repro_inserts ()
-  in
-  on_profile cx.Experiments.Consistency_exp.profile;
-  print_string (Experiments.Consistency_exp.render cx);
-  banner "KV store (persist critical path per operation)";
-  let kv =
-    Experiments.Kv_exp.run ~jobs ~total_ops:(min repro_inserts 4096) ()
-  in
-  on_profile kv.Experiments.Kv_exp.profile;
-  print_string (Experiments.Kv_exp.render kv);
-  banner "Served KV (group-commit amortization under open-loop load)";
-  let sv =
-    Experiments.Serve_exp.run ~jobs ~requests:(min repro_inserts 4096)
-      ~shards_list:[ 1; 2 ] ()
-  in
-  on_profile sv.Experiments.Serve_exp.profile;
-  print_string (Experiments.Serve_exp.render sv);
-  banner "Lock-free CAS set (flush-all vs NVTraverse destination window)";
-  let lf =
-    Experiments.Lockfree_exp.run ~jobs
-      ~inserts:(min repro_inserts 4096 / 4)
-      ()
-  in
-  on_profile lf.Experiments.Lockfree_exp.profile;
-  print_string (Experiments.Lockfree_exp.render lf);
-  banner "Model vs cache implementation";
-  print_string
-    (Experiments.Cache_impl.render
-       (Experiments.Cache_impl.run ~total_inserts:(4 * micro_inserts) ()));
-  banner "NVRAM wear";
-  let w =
-    Experiments.Wear_exp.run ~jobs ~total_inserts:(2 * micro_inserts) ()
-  in
-  on_profile w.Experiments.Wear_exp.profile;
-  print_string (Experiments.Wear_exp.render w);
-  banner "Queue under SC vs TSO machine";
-  let m =
-    Experiments.Machine_exp.run ~jobs ~total_inserts:(2 * micro_inserts) ()
-  in
-  print_string (Experiments.Machine_exp.render m)
-
-(* ------------------------------------------------------------------ *)
-(* Microbenchmarks *)
 
 let bench_recovery_sampling =
   let params =
@@ -373,6 +243,5 @@ let () =
   (* METRICS_OUT / TRACE_OUT dump the instrumentation registry and the
      span timeline at exit, as in persistsim. *)
   Obs.Setup.from_env ();
-  reproduce ();
   run_benchmarks ();
   print_endline "\nbench: done"

@@ -217,45 +217,54 @@ let verdict ~buggy ~ok ?(at = "") ?repro = function
     Option.iter (Printf.printf "reproduce with:\n  %s\n") repro;
     if not buggy then exit 1
 
-let exhaustive_limit = 20
+(* How a check walks its crash states: [Recovery.auto]'s strategy per
+   graph, counting the graphs it samples, and the coverage its verdict
+   line quotes once [graphs] graphs were checked. *)
+let auto_cuts ~samples ~seed =
+  let sampled = Atomic.make 0 in
+  let strategy g =
+    let s = Recovery.auto ~samples ~seed g in
+    (match s with Recovery.Sampled _ -> Atomic.incr sampled | Exhaustive -> ());
+    s
+  in
+  let coverage graphs =
+    match Atomic.get sampled with
+    | 0 -> "exhaustive"
+    | _ when graphs = 1 -> Printf.sprintf "sampled: %d draws" samples
+    | m -> Printf.sprintf "sampled: %d draws on %d of %d graphs" samples m graphs
+  in
+  (strategy, coverage)
+
+(* The one clean line of every check: what holds, in how many distinct
+   crash states, how they were walked and, for an exploration, over
+   which schedules. *)
+let holds ?(what = "recovery and durable linearizability hold") ?(scope = "")
+    coverage prefixes =
+  Printf.printf "%s in all %d distinct crash states (%s)%s\n" what prefixes
+    coverage scope
 
 (* Single-run failure injection, shared by recovery, kv --recovery and
    serve --recovery: each instance (one per serve shard) goes through
-   the driver's single-run entry with the strategy its graph size
-   admits, stopping at the first unrecoverable crash state.  Returns
-   how the crash states were walked, then the reports summed over the
-   instances or the failing instance's index and failure. *)
-let check_runs ~samples ~seed instances =
-  let strategy = Recovery.auto ~exhaustive_limit ~samples ~seed in
-  let coverage =
-    if
-      List.for_all
-        (fun (i : Check.Driver.instance) ->
-          strategy i.graph = Recovery.Exhaustive)
-        instances
-    then "exhaustive"
-    else
-      Printf.sprintf "sampled: %d draws%s" samples
-        (if List.compare_length_with instances 1 > 0 then " per graph"
-         else "")
-  in
-  let rec go i (acc : Recovery.report) = function
-    | [] -> Ok acc
+   the driver's single-run entry, stopping at the first unrecoverable
+   crash state, and the run ends in one verdict.  A violation names
+   the failing instance as [part] (serve's "shard") and its index. *)
+let check_runs ?what ?part ~buggy ~samples ~seed instances =
+  let strategy, coverage = auto_cuts ~samples ~seed in
+  let rec go i prefixes = function
+    | [] -> Ok prefixes
     | inst :: rest -> (
       match Check.Driver.check_run ~strategy inst with
-      | Ok r ->
-        go (i + 1)
-          { prefixes = acc.prefixes + r.prefixes; nodes = acc.nodes + r.nodes }
-          rest
+      | Ok (r : Recovery.report) -> go (i + 1) (prefixes + r.prefixes) rest
       | Error f -> Error (i, f))
   in
-  (coverage, go 0 { prefixes = 0; nodes = 0 } instances)
-
-let dlin_ok coverage (r : Recovery.report) =
-  Printf.printf
-    "recovery and durable linearizability hold in all %d distinct crash \
-     states (%s)\n"
-    r.prefixes coverage
+  let result = go 0 0 instances in
+  verdict ~buggy
+    ?at:
+      (match (result, part) with
+      | Error (i, _), Some part -> Some (Printf.sprintf " (%s %d)" part i)
+      | _ -> None)
+    ~ok:(holds ?what (coverage (List.length instances)))
+    (Result.map_error snd result)
 
 (* DPOR failure injection, shared by explore and lockfree --recovery:
    explore every interleaving (or replay one), failure-injecting every
@@ -303,38 +312,59 @@ let dpor_t ~buggy_doc =
         $ count_t [ "depth" ] 2 "Operations per thread."
         $ jobs_t
         $ count_t [ "max-schedules" ] 100_000
-            "Schedule budget; exceeding it reports an incomplete \
-             exploration."
+            "Budget of runs started, redundant runs aborted by sleep sets \
+             included; exhausting it reports an incomplete exploration."
         $ samples_t 64
-            (Printf.sprintf
-               "Crash states sampled per distinct persist graph larger than \
-                %d nodes (smaller graphs are checked exhaustively)."
-               exhaustive_limit)
+            "Crash states sampled per distinct persist graph too large to \
+             enumerate (smaller graphs are checked exhaustively)."
         $ seed_t $ replay_t)
+
+(* The summary every exploration prints under its [header]: how the
+   search ended, what it pruned and what it checked. *)
+let exploration_summary o header (r : Check.Driver.report) =
+  Printf.printf
+    "%s\n\
+    \  schedules executed    %d (%s)\n\
+    \  redundant runs pruned %d aborted, %d skipped before starting\n\
+    \  scheduling decisions  %d\n\
+    \  distinct persist graphs %d (%d recovery-checked, %d durable \
+     prefixes)\n"
+    header r.stats.schedules
+    (if r.stats.complete then "complete"
+     else if r.failure <> None then "stopped at the first violation"
+     else Printf.sprintf "--max-schedules %d hit" o.max_schedules)
+    r.stats.sleep_aborts r.stats.sleep_skips r.stats.steps r.distinct
+    r.checked r.prefixes
 
 (* [command] is the subcommand and the flags that pick the
    configuration; the reproducer line re-runs exactly one failing
    schedule with the same sampling seed — paste it verbatim to replay
-   a CI counter-example locally.  [machine] and [holds] word the
-   replay's clean line, [summary] prints an exploration's report and
-   [clean] its clean outcome. *)
-let dpor_check o ~command ~machine ~holds ~summary ~clean instance_of =
-  let strategy = Recovery.auto ~exhaustive_limit ~samples:o.samples ~seed:o.seed in
+   a CI counter-example locally.  [header] names the run, [summary]
+   prints an exploration's report (default: {!exploration_summary}) and
+   [quiet] leaves the clean line to it. *)
+let dpor_check ?summary ?(quiet = false) o ~command ~header instance_of =
+  let strategy, coverage = auto_cuts ~samples:o.samples ~seed:o.seed in
   match o.replay with
   | Some sched ->
-    verdict ~buggy:o.buggy ~at:" on replayed schedule"
-      ~ok:(fun (r : Recovery.report) ->
-        Printf.printf
-          "replayed schedule (%d decisions%s): %s in all %d durable \
-           prefixes of %d persists\n"
-          (Check.Schedule.length sched) machine holds r.prefixes r.nodes)
-      (Check.Driver.check_schedule ~strategy sched instance_of)
+    Printf.printf "%s, replaying a %d-decision schedule\n" header
+      (Check.Schedule.length sched);
+    let result = Check.Driver.check_schedule ~strategy sched instance_of in
+    verdict ~buggy:o.buggy ~at:" on replayed schedule" ~ok:(holds (coverage 1))
+      (Result.map (fun (r : Recovery.report) -> r.prefixes) result)
   | None ->
-    let report =
+    let r =
       Check.Driver.check ~max_schedules:o.max_schedules ~jobs:o.jobs ~strategy
         instance_of
     in
-    summary report;
+    (Option.value summary ~default:(exploration_summary o header)) r;
+    let scope =
+      if r.stats.complete then " of every interleaving"
+      else
+        Printf.sprintf
+          " of the %d schedules run before --max-schedules %d stopped the \
+           search"
+          r.stats.schedules o.max_schedules
+    in
     let reproducer sched =
       Printf.sprintf
         "persistsim %s --threads %d --depth %d --samples %d --seed %d \
@@ -342,9 +372,10 @@ let dpor_check o ~command ~machine ~holds ~summary ~clean instance_of =
         command o.threads o.depth o.samples o.seed
         (Check.Schedule.to_string sched)
     in
-    verdict ~buggy:o.buggy ~ok:(fun () -> clean report)
-      ?repro:(Option.map (fun (sched, _) -> reproducer sched) report.failure)
-      (match report.failure with None -> Ok () | Some (_, f) -> Error f)
+    verdict ~buggy:o.buggy
+      ~ok:(if quiet then ignore else holds ~scope (coverage r.checked))
+      ?repro:(Option.map (fun (sched, _) -> reproducer sched) r.failure)
+      (match r.failure with None -> Ok r.prefixes | Some (_, f) -> Error f)
 
 (* table1 *)
 
@@ -524,10 +555,7 @@ let recovery_cmd =
       (if buggy then " (buggy: data->head barrier removed)" else "")
       threads inserts
       (Persistency.Persist_graph.node_count inst.graph);
-    let coverage, result =
-      check_runs ~samples ~seed:params.Workloads.Queue.seed [ inst ]
-    in
-    verdict ~buggy ~ok:(dlin_ok coverage) (Result.map_error snd result)
+    check_runs ~buggy ~samples ~seed:params.Workloads.Queue.seed [ inst ]
   in
   Cmd.v
     (Cmd.info "recovery"
@@ -566,8 +594,7 @@ let kv_cmd =
       (if buggy then " (buggy: seal->slot barrier removed)" else "")
       threads params.Kv.ops_per_thread
       (Persistency.Persist_graph.node_count inst.graph);
-    let coverage, result = check_runs ~samples ~seed:params.Kv.seed [ inst ] in
-    verdict ~buggy ~ok:(dlin_ok coverage) (Result.map_error snd result)
+    check_runs ~buggy ~samples ~seed:params.Kv.seed [ inst ]
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
     if recovery || buggy then failure_inject total_ops model threads samples buggy
@@ -618,7 +645,7 @@ let serve_cmd =
     Arg.enum
       (List.map
          (fun (m : Serve.Sim.model) -> (m.Serve.Sim.label, m))
-         (Serve.Sim.buggy_model :: Serve.Sim.models))
+         Serve.Sim.models)
   in
   let failure_inject requests clients rate mix dist key_space shards batches
       samples (model : Serve.Sim.model) buggy =
@@ -636,26 +663,13 @@ let serve_cmd =
       "served %d (%d shed), %d group commits, mean fill %.2f, cp/put %.3f\n"
       report.Serve.Sim.served report.Serve.Sim.shed report.Serve.Sim.batches
       report.Serve.Sim.mean_fill report.Serve.Sim.cp_per_put;
-    let coverage, result =
-      check_runs ~samples ~seed:p.Serve.Sim.load.Serve.Loadgen.seed
-        (List.map
-           (fun (r : Serve.Sim.shard_result) ->
-             Check.Driver.group_instance ~layout:r.layout
-               ~batches:r.put_batches (Option.get r.graph))
-           report.Serve.Sim.shard_results)
-    in
-    verdict
-      ~buggy:(String.equal model.Serve.Sim.label "epoch-buggy")
-      ?at:
-        (match result with
-        | Error (shard, _) -> Some (Printf.sprintf " (shard %d)" shard)
-        | Ok _ -> None)
-      ~ok:(fun (r : Recovery.report) ->
-        Printf.printf
-          "group-commit recovery holds: %d distinct crash states (%s) over \
-           %d persists across %d shards land on a batch boundary\n"
-          r.prefixes coverage r.nodes shards)
-      (Result.map_error snd result)
+    check_runs ~what:"recovery to a group-commit batch boundary holds"
+      ~part:"shard" ~buggy ~samples ~seed:p.Serve.Sim.load.Serve.Loadgen.seed
+      (List.map
+         (fun (r : Serve.Sim.shard_result) ->
+           Check.Driver.group_instance ~layout:r.layout
+             ~batches:r.put_batches (Option.get r.graph))
+         report.Serve.Sim.shard_results)
   in
   let run () requests clients rate mix dist key_space shards batches csv jobs
       recovery samples model buggy =
@@ -719,8 +733,7 @@ let serve_cmd =
   let smodel_t =
     Arg.(value & opt model_conv Serve.Sim.epoch_model
          & info [ "model" ] ~docv:"MODEL"
-             ~doc:"Model for --recovery: strict, epoch, strand or \
-                   epoch-buggy.")
+             ~doc:"Model for --recovery: strict, epoch or strand.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -901,48 +914,52 @@ let graph_cmd =
 let ablation_cmd =
   let module A = Experiments.Ablation in
   let on_profile = print_profile in
-  (* one section per --which name, in print order *)
+  (* one section per --which name, in print order; each keeps its own
+     default size unless --inserts is given *)
   let sections =
     [ ( "tso",
-        fun ~jobs ~inserts ->
+        fun ~jobs ?total_inserts () ->
           A.render_comparisons
             ~title:
               "Ablation A1: SC conflict ordering (baseline) vs BPFS/TSO \
                conflict detection (variant), cp/insert"
-            (A.tso_conflicts ~jobs ~on_profile ~total_inserts:inserts ()) );
+            (A.tso_conflicts ~jobs ~on_profile ?total_inserts ()) );
       ( "spaces",
-        fun ~jobs ~inserts ->
+        fun ~jobs ?total_inserts () ->
           A.render_comparisons
             ~title:
               "\nAblation A2: conflicts in both spaces (baseline) vs \
                persistent-only (variant), cp/insert"
-            (A.conflict_spaces ~jobs ~on_profile ~total_inserts:inserts ()) );
+            (A.conflict_spaces ~jobs ~on_profile ?total_inserts ()) );
       ( "coalesce",
-        fun ~jobs ~inserts ->
+        fun ~jobs ?total_inserts () ->
           A.render_comparisons
             ~title:
               "\nAblation A4: coalescing on (baseline) vs off (variant), \
                cp/insert, CWL 1 thread"
-            (A.coalescing ~jobs ~on_profile ~total_inserts:inserts ()) );
+            (A.coalescing ~jobs ~on_profile ?total_inserts ()) );
       ( "buffer",
-        fun ~jobs ~inserts:_ ->
-          A.render_buffer (A.buffer_depth ~jobs ~on_profile ()) );
-      ( "sync",
-        fun ~jobs ~inserts:_ -> A.render_sync (A.persist_sync ~jobs ~on_profile ())
+        fun ~jobs ?total_inserts () ->
+          A.render_buffer (A.buffer_depth ~jobs ~on_profile ?total_inserts ())
       );
+      ( "sync",
+        fun ~jobs ?total_inserts () ->
+          A.render_sync (A.persist_sync ~jobs ~on_profile ?total_inserts ()) );
       ( "capacity",
-        fun ~jobs ~inserts ->
-          A.render_capacity
-            (A.capacity ~jobs ~on_profile ~total_inserts:inserts ()) ) ]
+        fun ~jobs ?total_inserts () ->
+          A.render_capacity (A.capacity ~jobs ~on_profile ?total_inserts ()) )
+    ]
   in
-  let run () which inserts jobs =
+  let run () which total_inserts jobs =
     (* A1 and A2 split --inserts over their threads *)
     if List.mem which [ "all"; "tso"; "spaces" ] then
-      check_divides ~flag:"--inserts" inserts A.comparison_threads;
+      Option.iter
+        (fun n -> check_divides ~flag:"--inserts" n A.comparison_threads)
+        total_inserts;
     List.iter
       (fun (name, section) ->
         if which = "all" || which = name then
-          print_string (section ~jobs ~inserts))
+          print_string (section ~jobs ?total_inserts ()))
       sections
   in
   let which_t =
@@ -951,9 +968,14 @@ let ablation_cmd =
          & info [ "which" ] ~docv:"NAME"
              ~doc:"One of: tso, spaces, coalesce, buffer, sync, capacity, all.")
   in
+  let inserts_t =
+    Arg.(value & opt (some pos_int) None & info [ "inserts" ] ~docv:"N"
+           ~doc:"Total inserts per configuration (default: each section's \
+                 own size).")
+  in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the DESIGN.md ablations (A1-A5).")
-    Term.(const run $ obs_t $ which_t $ total_inserts_t $ jobs_t)
+    Term.(const run $ obs_t $ which_t $ inserts_t $ jobs_t)
 
 (* calibrate *)
 
@@ -1020,6 +1042,10 @@ let explore_cmd =
         (Check.Driver.kv_instance params cfg, Kv.discipline_name discipline)
     in
     let workload_name = match workload with `Queue -> "queue" | `Kv -> "kv" in
+    let header =
+      Printf.sprintf "explore %s / %s / %s / %s: %d threads x %d ops"
+        workload_name label model.label machine.mlabel threads depth
+    in
     let summary (report : Check.Driver.report) =
       let brute =
         if not oracle then None
@@ -1038,9 +1064,6 @@ let explore_cmd =
           Some (o, Hashtbl.length fps)
         end
       in
-      let verdict =
-        match report.failure with Some _ -> "violated" | None -> "safe"
-      in
       if csv then begin
         print_string
           "workload,discipline,model,machine,threads,depth,schedules,\
@@ -1051,36 +1074,29 @@ let explore_cmd =
           report.stats.schedules
           report.stats.sleep_skips report.stats.sleep_aborts
           report.stats.steps report.stats.complete report.distinct
-          report.checked report.prefixes verdict
+          report.checked report.prefixes
+          (match report.failure with
+          | Some _ -> "violated"
+          | None -> if report.stats.complete then "safe" else "bounded")
           (match brute with
           | Some (o, _) -> string_of_int o.Memsim.Explore.traces
           | None -> "")
           (match brute with Some (_, g) -> string_of_int g | None -> "")
       end
       else begin
-        Printf.printf
-          "explore %s / %s / %s / %s: %d threads x %d ops\n\
-          \  schedules executed    %d%s\n\
-          \  redundant runs pruned %d aborted, %d skipped before starting\n\
-          \  scheduling decisions  %d\n\
-          \  distinct persist graphs %d (%d recovery-checked, %d durable \
-           prefixes)\n"
-          workload_name label model.label machine.mlabel threads depth
-          report.stats.schedules
-          (if report.stats.complete then " (complete)" else " (budget hit)")
-          report.stats.sleep_aborts report.stats.sleep_skips
-          report.stats.steps report.distinct report.checked report.prefixes;
+        exploration_summary o header report;
         match brute with
-        | Some (o, g) ->
+        | Some (b, g) ->
           Printf.printf
             "  brute-force oracle    %d traces%s, %d distinct graphs\n"
-            o.Memsim.Explore.traces
-            (if o.Memsim.Explore.complete then "" else " (limit hit)")
+            b.Memsim.Explore.traces
+            (if b.Memsim.Explore.complete then ""
+             else Printf.sprintf " (--max-schedules %d hit)" max_schedules)
             g
         | None -> ()
       end
     in
-    dpor_check o ~machine:"" ~holds:"recovery holds" ~summary ~clean:ignore
+    dpor_check o ~header ~summary ~quiet:csv
       ~command:
         (Printf.sprintf "explore --workload %s --model %s --machine %s%s"
            workload_name model.label machine.mlabel
@@ -1128,7 +1144,6 @@ let lockfree_cmd =
   let module E = Experiments.Lockfree_exp in
   let module C = Lockfree.Cas_set in
   let failure_inject o discipline mconfigs =
-    let o = { o with buggy = discipline = C.Buggy_traverse } in
     let dname = C.discipline_name discipline in
     let check (mc : E.mconfig) =
       let params =
@@ -1136,35 +1151,14 @@ let lockfree_cmd =
              ~machine:mc.model ~persistence:mc.persistence discipline)
           with C.seed = o.seed }
       in
-      let summary (r : Check.Driver.report) =
-        Printf.printf
-          "lockfree / %s / %s: %d threads x %d inserts\n\
-          \  schedules executed    %d%s\n\
-          \  distinct persist graphs %d (%d recovery-checked, %d durable \
-           prefixes)\n"
-          dname mc.mlabel o.threads o.depth r.stats.schedules
-          (if r.stats.complete then " (complete)" else " (budget hit)")
-          r.distinct r.checked r.prefixes
-      in
-      (* only an exhausted schedule space makes the line a verdict *)
-      let clean (r : Check.Driver.report) =
-        if not o.buggy then
-          if r.stats.complete then
-            print_endline
-              "recovery and durable linearizability hold in every durable \
-               prefix of every explored interleaving"
-          else
-            Printf.printf
-              "recovery and durable linearizability hold in every durable \
-               prefix of the %d schedules explored (schedule budget hit; \
-               space not exhausted)\n"
-              r.stats.schedules
-      in
-      dpor_check o ~machine:(", " ^ mc.mlabel)
-        ~holds:"recovery and durable linearizability hold" ~summary ~clean
+      dpor_check o
+        ~header:
+          (Printf.sprintf "lockfree / %s / %s: %d threads x %d inserts" dname
+             mc.mlabel o.threads o.depth)
         ~command:
-          (Printf.sprintf "lockfree --recovery --discipline %s --model %s"
-             dname mc.mlabel)
+          (Printf.sprintf "lockfree --recovery %s --model %s"
+             (if o.buggy then "--buggy" else "--discipline " ^ dname)
+             mc.mlabel)
         (Check.Driver.lockfree_instance params
            (Persistency.Config.make Persistency.Config.Epoch))
     in
@@ -1194,15 +1188,10 @@ let lockfree_cmd =
                    failure-injected under --recovery.")
   in
   let discipline_t =
-    let doc =
-      "Persistence discipline: $(b,flush-all), $(b,nvtraverse) or \
-       $(b,buggy-traverse)."
-    in
+    let doc = "Persistence discipline: $(b,flush-all) or $(b,nvtraverse)." in
     Arg.(value
          & opt
-             (enum
-                [ ("flush-all", C.Flush_all); ("nvtraverse", C.Nvtraverse);
-                  ("buggy-traverse", C.Buggy_traverse) ])
+             (enum [ ("flush-all", C.Flush_all); ("nvtraverse", C.Nvtraverse) ])
              C.Nvtraverse
          & info [ "discipline" ] ~docv:"D" ~doc)
   in
@@ -1226,9 +1215,8 @@ let lockfree_cmd =
                and held to durable linearizability."
           $ dpor_t
               ~buggy_doc:
-                "With --recovery: use the buggy-traverse discipline (no \
-                 pre-CAS destination flush) to demonstrate a detectable \
-                 violation."
+                "Failure-inject the buggy-traverse discipline (no pre-CAS \
+                 destination flush) to demonstrate a detectable violation."
           $ discipline_t
           $ inserts_t 128 ~doc:"Inserts per thread for the sweep."
           $ sweep_seed_t $ csv_t $ mconfigs_t)

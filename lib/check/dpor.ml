@@ -30,16 +30,19 @@ exception Prune
    granularity and at least one writes.  Granularity matters: the
    persistency engine detects conflicts per tracked block, so treating
    block-mates as independent would under-approximate the persist
-   graphs reachable from a trace class. *)
-let conflict gran (a : M.access) (b : M.access) =
+   graphs reachable from a trace class.  Every explored workload runs
+   under the engine's default tracking granularity. *)
+let gran = Persistency.Config.default_track_gran
+
+let conflict (a : M.access) (b : M.access) =
   (a.write || b.write)
   && a.addr / gran <= (b.addr + b.size - 1) / gran
   && b.addr / gran <= (a.addr + a.size - 1) / gran
 
-let conflicts_step gran (next : M.access option) accs =
+let conflicts_step (next : M.access option) accs =
   match next with
   | None -> false  (* no shared footprint: independent of everything *)
-  | Some a -> List.exists (fun b -> conflict gran a b) accs
+  | Some a -> List.exists (fun b -> conflict a b) accs
 
 (* One scheduling decision of the current (or a previous) execution. *)
 type point = {
@@ -53,7 +56,6 @@ type point = {
 }
 
 type explorer = {
-  gran : int;
   pin : int option;  (* forced root choice (parallel subtree worker) *)
   isolate_root : bool;  (* root backtracking handled by sibling workers *)
   stack : point Vec.t;
@@ -153,7 +155,7 @@ let race_detect e k tid accs =
       if
         (not (same_logical_thread pi.chosen tid))
         && List.exists
-             (fun a -> List.exists (fun b -> conflict e.gran a b) pi.accesses)
+             (fun a -> List.exists (fun b -> conflict a b) pi.accesses)
              accs
       then found := true
       else decr i
@@ -184,7 +186,7 @@ let on_step e tid accs =
         q <> tid
         &&
         match next_of pt q with
-        | Some next -> not (conflicts_step e.gran next accs)
+        | Some next -> not (conflicts_step next accs)
         | None -> false (* vanished from the enabled set: wake it *))
       eff;
   e.depth <- k + 1
@@ -225,10 +227,9 @@ let schedule_of_stack e =
   { Schedule.tids = Array.init n (fun i -> (Vec.get e.stack i).chosen);
     indices = Array.init n (fun i -> (Vec.get e.stack i).chosen_index) }
 
-let explore_gen ~gran ~pin ~isolate_root ~ticket ~stopped ~on_exec run_fn =
+let explore_gen ~pin ~isolate_root ~ticket ~stopped ~on_exec run_fn =
   let e =
-    { gran;
-      pin;
+    { pin;
       isolate_root;
       stack = Vec.create ();
       depth = 0;
@@ -283,10 +284,9 @@ let ticket_of_budget max_schedules =
       end
       else false
 
-let explore ?(gran = 8) ?max_schedules ~on_exec run_fn =
-  if gran < 1 then invalid_arg "Check.Dpor.explore: gran must be >= 1";
+let explore ?max_schedules ~on_exec run_fn =
   Ot.with_span ~cat:"check" "check.explore" (fun () ->
-      explore_gen ~gran ~pin:None ~isolate_root:false
+      explore_gen ~pin:None ~isolate_root:false
         ~ticket:(ticket_of_budget max_schedules)
         ~stopped:(fun () -> false)
         ~on_exec run_fn)
@@ -307,14 +307,13 @@ let probe_roots run_fn =
   ignore (run_fn (M.Guided guide));
   Array.to_list !roots
 
-let explore_par ?(gran = 8) ?max_schedules ?jobs ~on_exec run_fn =
-  if gran < 1 then invalid_arg "Check.Dpor.explore_par: gran must be >= 1";
+let explore_par ?max_schedules ?jobs ~on_exec run_fn =
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_domains ()
   in
   let roots = probe_roots run_fn in
   if jobs <= 1 || List.length roots <= 1 then
-    explore ~gran ?max_schedules ~on_exec run_fn
+    explore ?max_schedules ~on_exec run_fn
   else
     Ot.with_span ~cat:"check" "check.explore" (fun () ->
         let budget = Atomic.make (Option.value max_schedules ~default:max_int) in
@@ -332,7 +331,7 @@ let explore_par ?(gran = 8) ?max_schedules ?jobs ~on_exec run_fn =
           Parallel.Pool.map_cells ~domains:jobs
             ~label:(fun _ t -> Printf.sprintf "dpor subtree, root tid %d" t)
             (fun t ->
-              explore_gen ~gran ~pin:(Some t) ~isolate_root:true ~ticket
+              explore_gen ~pin:(Some t) ~isolate_root:true ~ticket
                 ~stopped:(fun () -> Atomic.get stop)
                 ~on_exec:(fun sched v ->
                   match on_exec sched v with

@@ -43,7 +43,6 @@ type decision =
   | Stop  (** abort the exploration (e.g. counter-example found) *)
 
 val explore :
-  ?gran:int ->
   ?max_schedules:int ->
   on_exec:(Schedule.t -> 'a -> decision) ->
   (Memsim.Machine.policy -> 'a) ->
@@ -54,14 +53,14 @@ val explore :
     (alongside the replayable schedule).  The workload must be
     deterministic given the scheduling decisions.
 
-    [gran] is the conflict-detection granularity in bytes (default 8 —
-    keep it at least the persistency engine's [track_gran], or the
-    explorer may treat persistency-conflicting steps as independent).
-    [max_schedules] bounds the number of executions started (default
-    unlimited); hitting it returns [complete = false]. *)
+    Conflicts are detected at {!Persistency.Config.default_track_gran},
+    the persistency engine's default: a workload explored under a coarser
+    [track_gran] could have persistency-conflicting steps treated as
+    independent.  [max_schedules] bounds the number of executions
+    started (default unlimited); hitting it returns
+    [complete = false]. *)
 
 val explore_par :
-  ?gran:int ->
   ?max_schedules:int ->
   ?jobs:int ->
   on_exec:(Schedule.t -> 'a -> decision) ->

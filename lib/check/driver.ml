@@ -24,8 +24,7 @@ let check_run ~strategy inst =
   Recovery.check_cuts ~graph:inst.graph ~capacity:inst.capacity
     ~strategy:(strategy inst.graph) inst.observer
 
-let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
-    run =
+let check ?max_schedules ?(jobs = 1) ~strategy run =
   let mu = Mutex.create () in
   let seen = Hashtbl.create 64 in
   let checked = ref 0 in
@@ -64,14 +63,14 @@ let check ?gran ?max_schedules ?(jobs = 1) ?(stop_on_failure = true) ~strategy
           | Error f ->
             prefixes := !prefixes + f.Recovery.prefixes_ok + 1;
             if !failure = None then failure := Some (sched, f);
-            if stop_on_failure then Dpor.Stop else Dpor.Continue)
+            Dpor.Stop)
     end
   in
   let stats, span =
     let span = Obs.Perfscope.start () in
     let stats =
-      if jobs > 1 then Dpor.explore_par ?gran ?max_schedules ~jobs ~on_exec run
-      else Dpor.explore ?gran ?max_schedules ~on_exec run
+      if jobs > 1 then Dpor.explore_par ?max_schedules ~jobs ~on_exec run
+      else Dpor.explore ?max_schedules ~on_exec run
     in
     (stats, Obs.Perfscope.finish span)
   in

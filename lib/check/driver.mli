@@ -44,10 +44,8 @@ val check_run :
     workload's own policy. *)
 
 val check :
-  ?gran:int ->
   ?max_schedules:int ->
   ?jobs:int ->
-  ?stop_on_failure:bool ->
   strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
   (Memsim.Machine.policy -> instance) ->
   report
@@ -56,9 +54,10 @@ val check :
     failure-injects every distinct persist graph.  [strategy] picks the
     prefix-walk strategy per graph — pass [Recovery.auto ~samples ~seed]
     partially applied, or [fun _ -> Exhaustive] for small fixed-size
-    graphs.  [stop_on_failure] (default true) aborts the exploration at
-    the first unrecoverable crash state; the failing schedule is
-    reported either way. *)
+    graphs.  The exploration stops at the first unrecoverable crash
+    state and reports its schedule: when [stats.complete] is false, a
+    [failure] means the search stopped there, and none means it hit
+    [max_schedules]. *)
 
 val queue_instance :
   Workloads.Queue.params ->

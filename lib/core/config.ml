@@ -48,7 +48,10 @@ let check_gran what g =
       (Printf.sprintf "Config: %s granularity must be a power of two >= 8 (got %d)"
          what g)
 
-let make ?(consistency = Sc) ?(track_gran = 8) ?(persist_gran = 8)
+let default_track_gran = 8
+
+let make ?(consistency = Sc) ?(track_gran = default_track_gran)
+    ?(persist_gran = 8)
     ?(coalescing = true) ?(tso_conflicts = false)
     ?(persistent_only_conflicts = false) ?(record_graph = false)
     ?(px86 = Px86_sync) mode =

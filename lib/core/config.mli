@@ -83,6 +83,9 @@ val check_gran : string -> int -> unit
 (** [check_gran what g] accepts what {!make} accepts: a power of two
     >= 8.  @raise Invalid_argument naming [what] otherwise. *)
 
+val default_track_gran : int
+(** The tracking granularity {!make} uses when none is given: 8 bytes. *)
+
 val make :
   ?consistency:consistency ->
   ?track_gran:int ->

@@ -250,7 +250,7 @@ let check ?cfg ?(verify = false) ?(how = Brute) ?(limit = 200_000) ~config t =
       (o.Memsim.Explore.traces, o.Memsim.Explore.complete)
     | Dpor ->
       let s =
-        Check.Dpor.explore ~gran:8 ~max_schedules:limit
+        Check.Dpor.explore ~max_schedules:limit
           ~on_exec:(fun _ () -> Check.Dpor.Continue)
           record
       in

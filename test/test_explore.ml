@@ -194,12 +194,10 @@ let test_scripted_out_of_range () =
 (* The headline: exhaustive verification of a tiny queue.  Every
    interleaving of 2 threads x [inserts_per_thread] inserts of a
    16-byte entry; for each trace, every legal crash state of the
-   persist dependence graph — or, when the graph outgrows
-   [Dag.all_down_closed] (more than 24 persist nodes, as with 3
-   inserts per thread), [sample_cuts] seeded random down-closed cuts
-   per trace.  CWL's single lock keeps the interleaving space
-   exhaustively small; 2LC's concurrent copies blow it past 2M, so for
-   2LC we bound the depth-first search too
+   persist dependence graph — or [sample_cuts] seeded random
+   down-closed cuts per trace.  CWL's single lock keeps the
+   interleaving space exhaustively small; 2LC's concurrent copies blow
+   it past 2M, so for 2LC we bound the depth-first search too
    ([require_complete = false]).
 
    When a violation is expected ([expect_safe = false]) the first one
@@ -285,15 +283,28 @@ let test_exhaustive_tlc_buggy () =
   exhaustive_queue ~design:Q.Tlc ~limit:800 ~require_complete:false
     Q.Buggy_epoch P.Config.Epoch ~expect_safe:false ()
 
-(* Deeper CWL runs: 2 threads x 3 inserts each — 423,556 interleavings,
-   all explored.  The interleaving space stays exhaustively enumerable
-   (the lock serializes inserts, branching only at acquisition), but
-   each trace's persist graph reaches the 24-node [Dag.all_down_closed]
-   ceiling, so crash states are sampled per trace instead; the buggy
-   variant aborts at the first violation. *)
+(* Deeper CWL runs: 2 threads x 3 inserts each.  The safe case goes
+   through DPOR and the failure-injection driver: 212 schedules cover
+   every trace class of the 423,556 interleavings (`make census` checks
+   that equivalence against brute force, graph for graph), and each of
+   the 20 distinct 24-persist graphs — within [Dag.all_down_closed]'s
+   24-node ceiling — has every one of its 49 crash states checked,
+   through the structural invariant and the durable-linearizability
+   observer.  The buggy variant brute-forces interleavings and aborts
+   at the first violation. *)
 let test_exhaustive_three_inserts_epoch () =
-  exhaustive_queue ~inserts_per_thread:3 ~capacity_entries:6 ~limit:500_000
-    ~sample_cuts:4 Q.Epoch P.Config.Epoch ~expect_safe:true ()
+  let params = Q.explore_params ~threads:2 ~depth:3 Q.Epoch in
+  let r =
+    Check.Driver.check
+      ~strategy:(fun _ -> Recovery.Exhaustive)
+      (Check.Driver.queue_instance params (P.Config.make P.Config.Epoch))
+  in
+  checkb "every trace class explored" true r.stats.complete;
+  checki "schedules" 212 r.stats.schedules;
+  checki "distinct persist graphs" 20 r.distinct;
+  checki "every graph recovery-checked" 20 r.checked;
+  checki "every crash state of every graph" 980 r.prefixes;
+  checkb "no violation" true (r.failure = None)
 
 let test_exhaustive_three_inserts_buggy () =
   exhaustive_queue ~inserts_per_thread:3 ~capacity_entries:6 ~limit:500_000

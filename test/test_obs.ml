@@ -826,7 +826,10 @@ let test_exit_codes () =
       "serve --mix 150"; "serve --mix=-1"; "serve --rate=0";
       "serve --rate=-3"; "serve --recovery --rate=0";
       "analyze --latency=-1"; "analyze --latency=nan"; "table1 --latency=0";
-      "table1 --capacity=-4"; "table1 --jobs=-3" ];
+      "table1 --capacity=-4"; "table1 --jobs=-3";
+      (* --buggy is the one selector of a deliberately broken variant *)
+      "serve --recovery --model epoch-buggy";
+      "lockfree --recovery --discipline buggy-traverse" ];
   (* ...and a total that does not split evenly over --threads, or over
      a sweep's thread counts, is bad input naming both flags *)
   List.iter
@@ -853,7 +856,10 @@ let test_exit_codes () =
 (* Single-run failure injection reports the distinct crash states it
    checked and how they were walked, not the --samples budget: cwl
    2 x 16 under strict persistency draws 500 cuts but only 300 are
-   distinct, and a graph within the exhaustive limit is enumerated. *)
+   distinct, and a graph within the exhaustive limit is enumerated.
+   Serve's shards and a replayed schedule print the same line; a
+   replayed KV graph is too large to enumerate, so its cuts are
+   sampled and the line says so. *)
 let test_single_run_coverage () =
   let expect cmd line =
     Alcotest.(check bool)
@@ -873,37 +879,77 @@ let test_single_run_coverage () =
   expect "kv --recovery --threads 1 --ops 1" (dlin 24 "exhaustive");
   expect
     "serve --recovery --shards 2 --batch 3 --requests 24 --keys 16 --rate 1000"
-    "group-commit recovery holds: 2434 distinct crash states (sampled: 2000 \
-     draws per graph) over 172 persists across 2 shards land on a batch \
-     boundary"
+    "recovery to a group-commit batch boundary holds in all 2434 distinct \
+     crash states (sampled: 2000 draws on 2 of 2 graphs)";
+  expect "explore --workload kv --depth 2 --replay 0"
+    (dlin 58 "sampled: 64 draws");
+  expect "lockfree --recovery --model sc --replay 0" (dlin 48 "exhaustive")
 
-(* A clean lock-free injection run claims every interleaving only when
-   DPOR exhausted the schedule space; a run cut by --max-schedules names
-   the schedules it explored instead. *)
+(* An exploration's summary says how the search ended — complete, cut
+   by --max-schedules, or stopped at the first violation — and its
+   clean line claims every interleaving only when DPOR exhausted the
+   schedule space; a run cut by --max-schedules names the schedules it
+   ran and the bound that stopped it, and its CSV verdict is
+   "bounded", not "safe".  Both explorers share the wording.  (The
+   budget counts sleep-set-aborted runs too, so 8 runs leave 4
+   schedules.) *)
 let test_budget_hit_wording () =
   let lines cmd = run_lines (persistsim ^ " " ^ cmd) in
-  let exhaustive =
-    "recovery and durable linearizability hold in every durable prefix of \
-     every explored interleaving"
+  let has cmd out line =
+    Alcotest.(check bool) (Printf.sprintf "%s prints %S" cmd line) true
+      (List.mem line out)
   in
-  let complete =
-    lines "lockfree --recovery --discipline nvtraverse --depth 1 --model sc"
+  let expect ?(bounded = false) cmd expected =
+    let out = lines cmd in
+    List.iter (has cmd out) expected;
+    if bounded then
+      Alcotest.(check bool)
+        (cmd ^ " claims no interleaving it did not run")
+        false
+        (List.exists (String.ends_with ~suffix:"of every interleaving") out)
   in
-  Alcotest.(check bool) "complete run claims every interleaving" true
-    (List.mem exhaustive complete);
-  let cut =
-    lines
-      "lockfree --recovery --discipline nvtraverse --depth 2 --model sc \
-       --max-schedules 16"
-  in
-  Alcotest.(check bool) "budget-hit run names its bound" true
-    (List.mem
-       "recovery and durable linearizability hold in every durable prefix \
-        of the 16 schedules explored (schedule budget hit; space not \
-        exhausted)"
-       cut);
-  Alcotest.(check bool) "budget-hit run claims no exhaustiveness" false
-    (List.mem exhaustive cut)
+  expect "lockfree --recovery --discipline nvtraverse --depth 1 --model sc"
+    [ "  schedules executed    185 (complete)";
+      "recovery and durable linearizability hold in all 962 distinct crash \
+       states (exhaustive) of every interleaving" ];
+  expect ~bounded:true
+    "lockfree --recovery --discipline nvtraverse --depth 2 --model sc \
+     --max-schedules 16"
+    [ "  schedules executed    16 (--max-schedules 16 hit)";
+      "recovery and durable linearizability hold in all 125 distinct crash \
+       states (exhaustive) of the 16 schedules run before --max-schedules 16 \
+       stopped the search" ];
+  expect ~bounded:true "explore --workload kv --depth 2 --max-schedules 8"
+    [ "  schedules executed    4 (--max-schedules 8 hit)";
+      "recovery and durable linearizability hold in all 113 distinct crash \
+       states (sampled: 64 draws on 2 of 2 graphs) of the 4 schedules run \
+       before --max-schedules 8 stopped the search" ];
+  expect "explore --workload kv --depth 2 --max-schedules 8 --csv"
+    [ "kv,epoch-undo,epoch,sc,2,2,4,1,4,326,false,2,2,113,bounded,," ];
+  List.iter
+    (fun cmd ->
+      let out = lines cmd in
+      has cmd out "  schedules executed    1 (stopped at the first violation)";
+      Alcotest.(check bool) (cmd ^ " prints no clean line") false
+        (List.exists (String.starts_with ~prefix:"recovery and") out))
+    [ "explore --workload kv --buggy --depth 2";
+      "lockfree --buggy --depth 2 --model sc" ]
+
+(* An explicit --inserts reaches every ablation section, including the
+   two that keep a default of their own. *)
+let test_ablation_inserts () =
+  List.iter
+    (fun which ->
+      let table n =
+        run_lines
+          (Printf.sprintf "%s ablation --which %s --inserts %d 2>/dev/null"
+             persistsim which n)
+      in
+      Alcotest.(check bool)
+        (which ^ ": --inserts 400 and 4000 print different tables")
+        false
+        (table 400 = table 4000))
+    [ "buffer"; "sync" ]
 
 (* The line a caught violation prints after "reproduce with:" must
    replay that violation verbatim. *)
@@ -993,4 +1039,6 @@ let () =
           Alcotest.test_case "budget-hit wording" `Quick
             test_budget_hit_wording;
           Alcotest.test_case "reproducer round-trip" `Quick
-            test_reproducer_roundtrip ] ) ]
+            test_reproducer_roundtrip;
+          Alcotest.test_case "ablation --inserts" `Quick
+            test_ablation_inserts ] ) ]
