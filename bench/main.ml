@@ -13,7 +13,7 @@
    the litmus suite, ...).
 
    BENCH_QUICK=1 shrinks the workloads and the time quota for smoke
-   runs. *)
+   runs.  The program exits 1 when a row has no finite time per run. *)
 
 open Bechamel
 open Toolkit
@@ -204,8 +204,11 @@ let run_benchmarks () =
       ~columns:
         [ ("benchmark", Report.Table.Left);
           ("time/run", Report.Table.Right);
-          ("r^2", Report.Table.Right) ]
+          ("samples", Report.Table.Right);
+          ("r^2", Report.Table.Right);
+          ("", Report.Table.Left) ]
   in
+  let untimed = ref [] in
   List.iter
     (fun test ->
       List.iter
@@ -222,26 +225,38 @@ let run_benchmarks () =
             | Some (t :: _) -> t
             | Some [] | None -> Float.nan
           in
-          let r2 =
+          (* a least-squares line through fewer than 3 runs fits them
+             exactly or not at all: its r^2 says nothing *)
+          let samples = Array.length raw.Benchmark.lr in
+          let r2, note =
             match Analyze.OLS.r_square ols with
-            | Some r -> Printf.sprintf "%.4f" r
-            | None -> "-"
+            | Some r when samples >= 3 && Float.is_finite r ->
+              (Printf.sprintf "%.4f" r, "")
+            | Some _ | None -> ("-", "too few runs")
           in
+          if not (Float.is_finite time_ns) then
+            untimed := Test.Elt.name elt :: !untimed;
           let human =
-            if Float.is_nan time_ns then "-"
+            if not (Float.is_finite time_ns) then "-"
             else if time_ns >= 1e9 then Printf.sprintf "%.2f s" (time_ns /. 1e9)
             else if time_ns >= 1e6 then Printf.sprintf "%.2f ms" (time_ns /. 1e6)
             else if time_ns >= 1e3 then Printf.sprintf "%.2f us" (time_ns /. 1e3)
             else Printf.sprintf "%.0f ns" time_ns
           in
-          Report.Table.add_row table [ Test.Elt.name elt; human; r2 ])
+          Report.Table.add_row table
+            [ Test.Elt.name elt; human; string_of_int samples; r2; note ])
         (Test.elements test))
     tests;
-  Report.Table.print table
+  Report.Table.print table;
+  List.rev !untimed
 
 let () =
   (* METRICS_OUT / TRACE_OUT dump the instrumentation registry and the
      span timeline at exit, as in persistsim. *)
   Obs.Setup.from_env ();
-  run_benchmarks ();
-  print_endline "\nbench: done"
+  match run_benchmarks () with
+  | [] -> print_endline "\nbench: done"
+  | untimed ->
+    Printf.eprintf "bench: no finite time per run for %s\n"
+      (String.concat ", " untimed);
+    exit 1

@@ -176,24 +176,37 @@ let fingerprint g =
   let canon = Array.make n 0 in
   Array.iteri (fun new_id old_id -> canon.(old_id) <- new_id) order;
   let buf = Buffer.create 256 in
+  let int i = Buffer.add_string buf (string_of_int i) in
+  let edges tag set =
+    List.iter
+      (fun d ->
+        Buffer.add_char buf tag;
+        int d;
+        Buffer.add_char buf ';')
+      (List.sort compare (List.map (fun d -> canon.(d)) (Iset.elements set)))
+  in
   Array.iter
     (fun old_id ->
       let node = Pg.get g old_id in
-      Printf.bprintf buf "n%d t%d l%d:" canon.(old_id) node.Pg.tid
-        node.Pg.level;
+      Buffer.add_char buf 'n';
+      int canon.(old_id);
+      Buffer.add_string buf " t";
+      int node.Pg.tid;
+      Buffer.add_string buf " l";
+      int node.Pg.level;
+      Buffer.add_char buf ':';
       Memsim.Vec.iter
         (fun (w : Pg.write) ->
-          Printf.bprintf buf "w%d.%d=%Ld;" w.Pg.addr w.Pg.size w.Pg.value)
+          Buffer.add_char buf 'w';
+          int w.Pg.addr;
+          Buffer.add_char buf '.';
+          int w.Pg.size;
+          Buffer.add_char buf '=';
+          Buffer.add_string buf (Int64.to_string w.Pg.value);
+          Buffer.add_char buf ';')
         node.Pg.writes;
-      let deps =
-        List.sort compare (List.map (fun d -> canon.(d)) (Iset.elements node.Pg.deps))
-      in
-      List.iter (fun d -> Printf.bprintf buf "d%d;" d) deps;
-      let order =
-        List.sort compare
-          (List.map (fun d -> canon.(d)) (Iset.elements node.Pg.order))
-      in
-      List.iter (fun d -> Printf.bprintf buf "o%d;" d) order;
+      edges 'd' node.Pg.deps;
+      edges 'o' node.Pg.order;
       Buffer.add_char buf '\n')
     order;
   Digest.to_hex (Digest.string (Buffer.contents buf))

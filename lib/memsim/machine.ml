@@ -119,18 +119,10 @@ type entry = {
   thunk : unit -> unit;
 }
 
-(* One FIFO store buffer (TSO).  [bytes] indexes the buffered bytes for
-   load forwarding: newest buffered value of each byte plus how many
-   buffered stores cover it, so draining keeps the newest value visible
-   until the last covering store leaves the buffer. *)
+(* One entry of a thread's FIFO store buffer (TSO). *)
 type sb_entry =
   | Sb_store of { addr : int; size : int; value : int64; space : Addr.space }
   | Sb_flush of { kind : Event.flush_kind; addr : int }
-
-type buffer = {
-  fifo : sb_entry Queue.t;
-  bytes : (int, int * int) Hashtbl.t;  (* byte addr -> (value, count) *)
-}
 
 (* One pending entry of the (global) persistence buffer: a line whose
    contents were captured by a flush but have not yet reached NVRAM.
@@ -138,13 +130,15 @@ type buffer = {
    entries of an earlier epoch of the same thread must drain first
    (sfence/mfence/locked RMWs only *order* the buffer, they never
    force a drain).  [pb_seq] is a global enqueue stamp giving same-line
-   entries their FIFO order. *)
+   entries their FIFO order; [pb_head] marks the pending entry of its
+   line with the smallest stamp. *)
 type pb_entry = {
   pb_tid : int;
   pb_kind : Event.flush_kind;
   pb_addr : int;
   pb_epoch : int;
   pb_seq : int;
+  mutable pb_head : bool;
 }
 
 type runq =
@@ -159,9 +153,15 @@ type t = {
   model : model;
   persistence : persistence;
   barrier : barrier_impl;
-  mutable buffers : buffer option array;
+  mutable buffers : sb_entry Queue.t option array;
       (* by tid: the thread's store buffer (TSO), once it has one *)
   pbuf : pb_entry Vec.t;  (* persistence buffer (Pbuffered only) *)
+  mutable pb_ok : bool array;
+      (* by [pbuf] index: the entry may drain at this step *)
+  mutable least_epoch : int array;
+      (* by tid: the smallest fence epoch among its pending entries *)
+  mutable cand : int array;
+      (* by choice-set position: the candidate it offers (Guided) *)
   pepoch : (int, int) Hashtbl.t;  (* tid -> current fence epoch *)
   mutable pseq : int;
   dirty : (int, (int, unit) Hashtbl.t) Hashtbl.t;
@@ -199,6 +199,9 @@ let create ?(policy = Round_robin) ?(model = Sc) ?(persistence = Psync)
     barrier;
     buffers = [||];
     pbuf = Vec.create ();
+    pb_ok = [||];
+    least_epoch = [||];
+    cand = [||];
     pepoch = Hashtbl.create 8;
     pseq = 0;
     dirty = Hashtbl.create 8;
@@ -278,13 +281,13 @@ let buffer t tid =
       Array.blit t.buffers 0 a 0 n;
       t.buffers <- a
     end;
-    let b = { fifo = Queue.create (); bytes = Hashtbl.create 16 } in
+    let b = Queue.create () in
     t.buffers.(tid) <- Some b;
     b
 
 let buffer_nonempty t tid =
   match find_buffer t tid with
-  | Some b -> not (Queue.is_empty b.fifo)
+  | Some b -> not (Queue.is_empty b)
   | None -> false
 
 (* Dirty persistent-line tracking for the Flush_sfence barrier
@@ -317,20 +320,8 @@ let take_dirty t tid =
 let push_store t tid ~addr ~size ~value =
   note_dirty t tid ~addr ~size;
   let buf = buffer t tid in
-  Queue.push (Sb_store { addr; size; value; space = Addr.space_of addr })
-    buf.fifo;
-  for i = 0 to size - 1 do
-    let byte =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical value (8 * i)) 0xFFL)
-    in
-    let count =
-      match Hashtbl.find_opt buf.bytes (addr + i) with
-      | Some (_, n) -> n
-      | None -> 0
-    in
-    Hashtbl.replace buf.bytes (addr + i) (byte, count + 1)
-  done;
-  Om.observe m_occupancy (float_of_int (Queue.length buf.fifo))
+  Queue.push (Sb_store { addr; size; value; space = Addr.space_of addr }) buf;
+  Om.observe m_occupancy (float_of_int (Queue.length buf))
 
 let mark_unfenced t tid ~addr =
   let lines =
@@ -346,8 +337,8 @@ let mark_unfenced t tid ~addr =
 let push_flush t tid ~kind ~addr =
   mark_unfenced t tid ~addr;
   let buf = buffer t tid in
-  Queue.push (Sb_flush { kind; addr }) buf.fifo;
-  Om.observe m_occupancy (float_of_int (Queue.length buf.fifo))
+  Queue.push (Sb_flush { kind; addr }) buf;
+  Om.observe m_occupancy (float_of_int (Queue.length buf))
 
 (* Synchronous-Px86 flush commit (see [unfenced]).  The commit moves
    the durable frontier: every persist node created after it — i.e.
@@ -404,6 +395,24 @@ let bump_epoch t tid =
   if t.persistence = Pbuffered then
     Hashtbl.replace t.pepoch tid (cur_epoch t tid + 1)
 
+let pb_line e = e.pb_addr asr 3
+
+(* [a] when it has at least [n] slots, else a larger array of [x]s. *)
+let grow a n x =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) x
+
+(* The pending entry of [line] with the smallest stamp, or -1. *)
+let pb_line_head t line =
+  let best = ref (-1) in
+  for i = 0 to Vec.length t.pbuf - 1 do
+    let f = Vec.get t.pbuf i in
+    if
+      pb_line f = line
+      && (!best < 0 || f.pb_seq < (Vec.get t.pbuf !best).pb_seq)
+    then best := i
+  done;
+  !best
+
 let note_flush t tid ~kind ~addr =
   Om.incr m_flushes;
   mark_unfenced t tid ~addr;
@@ -413,28 +422,31 @@ let note_flush t tid ~kind ~addr =
     Om.incr m_pb_enqueues;
     Vec.push t.pbuf
       { pb_tid = tid; pb_kind = kind; pb_addr = addr;
-        pb_epoch = cur_epoch t tid; pb_seq = t.pseq };
+        pb_epoch = cur_epoch t tid; pb_seq = t.pseq;
+        pb_head = pb_line_head t (addr asr 3) < 0 };
     Om.observe m_pb_occupancy (float_of_int (Vec.length t.pbuf))
   end
 
-let pb_line e = e.pb_addr asr 3
-
 (* An entry may drain when no pending same-line entry precedes it
-   (per-line FIFO) and no pending entry of its thread carries an
-   earlier fence epoch (the frontier a fence marked). *)
-let pb_eligible t i =
-  let e = Vec.get t.pbuf i in
-  let ok = ref true in
-  for j = 0 to Vec.length t.pbuf - 1 do
-    if j <> i then begin
-      let f = Vec.get t.pbuf j in
-      if
-        (pb_line f = pb_line e && f.pb_seq < e.pb_seq)
-        || (f.pb_tid = e.pb_tid && f.pb_epoch < e.pb_epoch)
-      then ok := false
-    end
-  done;
-  !ok
+   (per-line FIFO: it is its line's head) and no pending entry of its
+   thread carries an earlier fence epoch (the frontier a fence marked).
+   One O(P) pass per scheduling step fills [pb_ok] for every entry. *)
+let mark_pb_eligible t =
+  let np = Vec.length t.pbuf in
+  if np > 0 then begin
+    t.pb_ok <- grow t.pb_ok np false;
+    t.least_epoch <- grow t.least_epoch t.next_tid 0;
+    let least = t.least_epoch in
+    Array.fill least 0 t.next_tid max_int;
+    for i = 0 to np - 1 do
+      let e = Vec.get t.pbuf i in
+      if e.pb_epoch < least.(e.pb_tid) then least.(e.pb_tid) <- e.pb_epoch
+    done;
+    for i = 0 to np - 1 do
+      let e = Vec.get t.pbuf i in
+      t.pb_ok.(i) <- e.pb_head && e.pb_epoch = least.(e.pb_tid)
+    done
+  end
 
 (* The entry with the globally smallest enqueue stamp is always
    eligible: any blocker would have to precede it. *)
@@ -449,6 +461,9 @@ let pb_oldest t =
 
 let pdrain t i =
   let e = Vec.swap_remove t.pbuf i in
+  (match pb_line_head t (pb_line e) with
+  | -1 -> ()
+  | j -> (Vec.get t.pbuf j).pb_head <- true);
   Om.incr m_pb_drains;
   emit t (Event.Pdrain { tid = e.pb_tid; kind = e.pb_kind; addr = e.pb_addr })
 
@@ -458,7 +473,7 @@ let drain_footprint t tid =
   match find_buffer t tid with
   | None -> None
   | Some buf ->
-    (match Queue.peek_opt buf.fifo with
+    (match Queue.peek_opt buf with
     | None -> None
     | Some (Sb_store { addr; size; _ }) -> Some { addr; size; write = true }
     | Some (Sb_flush { addr; _ }) -> Some { addr; size = 8; write = false })
@@ -467,15 +482,8 @@ let drain_footprint t tid =
    (or emit the flush) and emit the event — this is the point where the
    write enters the global memory order. *)
 let drain_one t tid =
-  let buf = buffer t tid in
-  match Queue.take buf.fifo with
+  match Queue.take (buffer t tid) with
   | Sb_store { addr; size; value; space } ->
-    for i = 0 to size - 1 do
-      (match Hashtbl.find_opt buf.bytes (addr + i) with
-      | Some (_, 1) -> Hashtbl.remove buf.bytes (addr + i)
-      | Some (v, n) -> Hashtbl.replace buf.bytes (addr + i) (v, n - 1)
-      | None -> assert false)
-    done;
     Memory.store t.mem ~addr ~size value;
     Om.incr m_drains;
     emit t (Event.Access (Event.Store, { tid; addr; size; value; space }))
@@ -488,29 +496,35 @@ let drain_all t tid =
     drain_one t tid
   done
 
-(* Load forwarding: a TSO load reads memory, then overlays any bytes
-   the calling thread still has buffered (its own newest values). *)
+(* Load forwarding: a TSO load reads memory, then overlays the bytes
+   of every overlapping store the calling thread still has buffered,
+   oldest to newest, so each byte shows its newest buffered value. *)
 let load_forwarded t tid ~addr ~size =
   let v = Memory.load t.mem ~addr ~size in
   match find_buffer t tid with
   | None -> v
+  | Some buf when Queue.is_empty buf -> v
   | Some buf ->
-    if Hashtbl.length buf.bytes = 0 then v
-    else begin
-      let v = ref v in
-      for i = 0 to size - 1 do
-        match Hashtbl.find_opt buf.bytes (addr + i) with
-        | Some (byte, _) ->
-          let shift = 8 * i in
-          let mask = Int64.shift_left 0xFFL shift in
-          v :=
-            Int64.logor
-              (Int64.logand !v (Int64.lognot mask))
-              (Int64.shift_left (Int64.of_int byte) shift)
-        | None -> ()
-      done;
-      !v
-    end
+    Queue.fold
+      (fun v -> function
+        | Sb_store s when s.addr < addr + size && addr < s.addr + s.size ->
+          let lo = max addr s.addr
+          and hi = min (addr + size) (s.addr + s.size) in
+          let mask =
+            if hi - lo = 8 then -1L
+            else Int64.pred (Int64.shift_left 1L (8 * (hi - lo)))
+          in
+          let bytes =
+            Int64.logand
+              (Int64.shift_right_logical s.value (8 * (lo - s.addr)))
+              mask
+          in
+          let shift = 8 * (lo - addr) in
+          Int64.logor
+            (Int64.logand v (Int64.lognot (Int64.shift_left mask shift)))
+            (Int64.shift_left bytes shift)
+        | Sb_store _ | Sb_flush _ -> v)
+      v buf
 
 (* Grant [l] to [tid]: update the lock word and emit the acquire RMW
    event that makes the acquisition visible to conflict analyses. *)
@@ -740,17 +754,13 @@ let spawn t body =
   schedule t tid None start;
   tid
 
-(* A scheduling choice: run a thread's next operation, or drain the
-   oldest store-buffer entry of a thread.  Thread entries whose
-   operation needs an empty buffer ([drains]) are withheld from the
-   choice set while their buffer is non-empty — their drain agent is
-   offered instead, so every chosen step performs at most one shared
-   access (what DPOR's footprints assume). *)
-type pick =
-  | Pick_entry of int  (* index into the bag *)
-  | Pick_drain of int  (* tid whose buffer drains one entry *)
-  | Pick_persist of int  (* index into the persistence buffer *)
-
+(* A scheduling choice: run a thread's next operation, drain the
+   oldest store-buffer entry of a thread, or retire a persistence-buffer
+   entry.  Thread entries whose operation needs an empty buffer
+   ([drains]) are withheld from the choice set while their buffer is
+   non-empty — their drain agent is offered instead, so every chosen
+   step performs at most one shared access (what DPOR's footprints
+   assume). *)
 type step = {
   eff_tid : int;  (* drain pseudo-tid for drain steps *)
   exec_step : unit -> unit;
@@ -759,8 +769,10 @@ type step = {
 (* The choice set's candidates, numbered in its fixed order: bag entries
    [0, E), then one store-buffer drain per tid [E, E + T), then
    persistence-buffer entries [E + T, E + T + P).  A candidate is a pick
-   when eligible.  Random and scripted runs count the picks and walk to
-   the drawn one, building no choice set. *)
+   when eligible, and a pick's rank in this order is the index a
+   [Scripted] policy forces.  [count_picks] makes the step's one
+   eligibility pass over the persistence buffer, which [eligible] then
+   reads: every policy but round-robin calls it first. *)
 let candidates t v = Vec.length v + t.next_tid + Vec.length t.pbuf
 
 let eligible t v c =
@@ -770,13 +782,7 @@ let eligible t v c =
     not (en.drains && buffer_nonempty t en.tid)
   end
   else if c < e + t.next_tid then buffer_nonempty t (c - e)
-  else pb_eligible t (c - e - t.next_tid)
-
-let pick_of t v c =
-  let e = Vec.length v in
-  if c < e then Pick_entry c
-  else if c < e + t.next_tid then Pick_drain (c - e)
-  else Pick_persist (c - e - t.next_tid)
+  else t.pb_ok.(c - e - t.next_tid)
 
 (* Only TSO stores and flushes fill store buffers, so under SC with an
    empty persistence buffer the picks are exactly the bag entries. *)
@@ -785,6 +791,7 @@ let entries_only t = t.model = Sc && Vec.is_empty t.pbuf
 let count_picks t v =
   if entries_only t then Vec.length v
   else begin
+    mark_pb_eligible t;
     let n = ref 0 in
     for c = 0 to candidates t v - 1 do
       if eligible t v c then incr n
@@ -792,31 +799,95 @@ let count_picks t v =
     !n
   end
 
-(* The [k]-th pick, 0-based, of a choice set with more than [k] picks. *)
+(* The candidate of the [k]-th pick, 0-based, of a choice set with more
+   than [k] picks.  Random and scripted runs walk to it, building no
+   choice set. *)
 let nth_pick t v k =
-  if entries_only t then Pick_entry k
+  if entries_only t then k
   else begin
     let k = ref k and c = ref (-1) in
     while !k >= 0 do
       incr c;
       if eligible t v !c then decr k
     done;
-    pick_of t v !c
+    !c
   end
 
-let step_of_pick t v = function
-  | Pick_entry i ->
-    let e = Vec.get v i in
-    { eff_tid = e.tid;
+let step_of_candidate t v c =
+  let e = Vec.length v in
+  if c < e then begin
+    let en = Vec.get v c in
+    { eff_tid = en.tid;
       exec_step =
         (fun () ->
-          ignore (Vec.swap_remove v i);
-          e.thunk ()) }
-  | Pick_drain tid ->
+          ignore (Vec.swap_remove v c);
+          en.thunk ()) }
+  end
+  else if c < e + t.next_tid then begin
+    let tid = c - e in
     { eff_tid = drain_tid tid; exec_step = (fun () -> drain_one t tid) }
-  | Pick_persist i ->
+  end
+  else begin
+    let i = c - e - t.next_tid in
     { eff_tid = persist_tid (Vec.get t.pbuf i).pb_addr;
       exec_step = (fun () -> pdrain t i) }
+  end
+
+let no_info = { tid = -1; index = -1; next = None }
+let pdrain_next = Some frontier_read  (* a drain's footprint: see [emit] *)
+
+(* Insert [info], which offers candidate [c], into the tid-sorted run
+   [infos.(lo) .. infos.(k - 1)]. *)
+let insert_info (infos : step_info array) cand ~lo k (info : step_info) c =
+  let j = ref k in
+  while !j > lo && infos.(!j - 1).tid > info.tid do
+    infos.(!j) <- infos.(!j - 1);
+    cand.(!j) <- cand.(!j - 1);
+    decr j
+  done;
+  infos.(!j) <- info;
+  cand.(!j) <- c
+
+(* The [n] picks as the guide sees them, in one pass over the
+   candidates and sorted by tid: bag entries (at most one per thread),
+   then drains, then persistence-buffer entries (at most one per line),
+   each run kept sorted by insertion.  [t.cand] records the candidate
+   behind each position. *)
+let guided_infos t v n =
+  let infos = Array.make n no_info in
+  t.cand <- grow t.cand n 0;
+  let cand = t.cand in
+  let e = Vec.length v and nt = t.next_tid in
+  let k = ref 0 in
+  for c = 0 to e - 1 do
+    if eligible t v c then begin
+      let en = Vec.get v c in
+      insert_info infos cand ~lo:0 !k
+        { tid = en.tid; index = !k; next = en.next }
+        c;
+      incr k
+    end
+  done;
+  for tid = 0 to nt - 1 do
+    if buffer_nonempty t tid then begin
+      insert_info infos cand ~lo:!k !k
+        { tid = drain_tid tid; index = !k; next = drain_footprint t tid }
+        (e + tid);
+      incr k
+    end
+  done;
+  let lo = !k in
+  for i = 0 to Vec.length t.pbuf - 1 do
+    if t.pb_ok.(i) then begin
+      insert_info infos cand ~lo !k
+        { tid = persist_tid (Vec.get t.pbuf i).pb_addr;
+          index = !k;
+          next = pdrain_next }
+        (e + nt + i);
+      incr k
+    end
+  done;
+  infos
 
 (* Fifo (round-robin) keeps its deterministic shape under TSO: a
    drain-requiring operation first drains its own buffer in place, and
@@ -856,7 +927,7 @@ let take_runnable t =
   | Bag (v, rng) ->
     let n = count_picks t v in
     if n = 0 then None
-    else Some (step_of_pick t v (nth_pick t v (Random.State.int rng n)))
+    else Some (step_of_candidate t v (nth_pick t v (Random.State.int rng n)))
   | Script_bag (v, s) ->
     let n = count_picks t v in
     if n = 0 then None
@@ -871,53 +942,23 @@ let take_runnable t =
         | [] -> 0
       in
       s.log <- (idx, n) :: s.log;
-      Some (step_of_pick t v (nth_pick t v idx))
+      Some (step_of_candidate t v (nth_pick t v idx))
     end
   | Guided_bag (v, g) ->
     let n = count_picks t v in
     if n = 0 then None
     else begin
-      let ps = Array.make n (Pick_entry 0) in
-      let j = ref 0 in
-      for c = 0 to candidates t v - 1 do
-        if eligible t v c then begin
-          ps.(!j) <- pick_of t v c;
-          incr j
-        end
-      done;
-      let infos =
-        Array.mapi
-          (fun i -> function
-            | Pick_entry j ->
-              let e = Vec.get v j in
-              { tid = e.tid; index = i; next = e.next }
-            | Pick_drain tid ->
-              { tid = drain_tid tid; index = i; next = drain_footprint t tid }
-            | Pick_persist j ->
-              { tid = persist_tid (Vec.get t.pbuf j).pb_addr;
-                index = i;
-                next =
-                  Some { addr = 0; size = Addr.volatile_base; write = false } })
-          ps
-      in
-      Array.sort
-        (fun (a : step_info) (b : step_info) -> compare a.tid b.tid)
-        infos;
+      let infos = guided_infos t v n in
       let tid = g.choose infos in
-      let idx = ref (-1) in
-      for i = 0 to n - 1 do
-        if !idx < 0 then
-          match ps.(i) with
-          | Pick_entry j -> if (Vec.get v j).tid = tid then idx := i
-          | Pick_drain t' -> if drain_tid t' = tid then idx := i
-          | Pick_persist j ->
-            if persist_tid (Vec.get t.pbuf j).pb_addr = tid then idx := i
-      done;
-      if !idx < 0 then
-        invalid_arg
-          (Printf.sprintf "Machine: guide chose tid %d, which is not runnable"
-             tid);
-      Some (step_of_pick t v ps.(!idx))
+      let rec find i =
+        if i >= n then
+          invalid_arg
+            (Printf.sprintf "Machine: guide chose tid %d, which is not runnable"
+               tid)
+        else if infos.(i).tid = tid then t.cand.(i)
+        else find (i + 1)
+      in
+      Some (step_of_candidate t v (find 0))
     end
 
 let run t =

@@ -457,6 +457,86 @@ let test_buffered_counterexample_replay () =
     replay (M.Scripted (S.to_script (S.of_string (S.to_string sched))));
     replay (M.Scripted (S.to_script sched))
 
+(* ------------------------------------------------------------------ *)
+(* What the guide sees, pinned *)
+
+(* A digest of every choice set DPOR's guide receives — each step's
+   tid, its [Scripted] index and its static footprint — plus the
+   search's stats, for three explorations: the NVTraverse set under
+   tso-buffered (persistence-buffer drains in the choice set) and
+   under SC, and one litmus shape under tso-buffered.  The machine may
+   build the choice set any way it likes; these bytes must not move. *)
+let guide_digest ?max_schedules run =
+  let buf = Buffer.create 4096 in
+  let record (infos : M.step_info array) =
+    Array.iter
+      (fun (s : M.step_info) ->
+        Buffer.add_string buf
+          (match s.next with
+          | None -> Printf.sprintf "%d@%d;" s.tid s.index
+          | Some a ->
+            Printf.sprintf "%d@%d:%d+%d%c;" s.tid s.index a.addr a.size
+              (if a.write then 'w' else 'r')))
+      infos;
+    Buffer.add_char buf '\n'
+  in
+  let spy = function
+    | M.Guided g ->
+      M.Guided
+        { g with
+          M.choose =
+            (fun infos ->
+              record infos;
+              g.M.choose infos) }
+    | p -> p
+  in
+  let st =
+    D.explore ?max_schedules
+      ~on_exec:(fun _ () -> D.Continue)
+      (fun policy -> run (spy policy))
+  in
+  ( Printf.sprintf "schedules=%d steps=%d sleep_skips=%d sleep_aborts=%d \
+                    complete=%b"
+      st.D.schedules st.D.steps st.D.sleep_skips st.D.sleep_aborts
+      st.D.complete,
+    Digest.to_hex (Digest.string (Buffer.contents buf)) )
+
+let test_guide_choice_sets_pinned () =
+  let set ~depth ~machine ~persistence policy =
+    let p =
+      Lockfree.Cas_set.explore_params ~threads:2 ~depth ~machine ~persistence
+        Lockfree.Cas_set.Nvtraverse
+    in
+    ignore
+      (Lockfree.Cas_set.run { p with Lockfree.Cas_set.policy } ~sink:ignore)
+  in
+  let pin name expected got =
+    Alcotest.(check (pair string string)) name expected got
+  in
+  pin "nvtraverse set, tso-buffered, depth 1, budget 1000"
+    ( "schedules=1000 steps=44000 sleep_skips=1009 sleep_aborts=0 \
+       complete=false",
+      "29f3c065339b35c4076f460edef6876a" )
+    (guide_digest ~max_schedules:1000
+       (set ~depth:1 ~machine:M.Tso ~persistence:M.Pbuffered));
+  pin "nvtraverse set, sc, depth 2, budget 64"
+    ( "schedules=64 steps=3787 sleep_skips=52 sleep_aborts=0 \
+       complete=false",
+      "f1cc5a130345d01f929adaacb42b98fd" )
+    (guide_digest ~max_schedules:64
+       (set ~depth:2 ~machine:M.Sc ~persistence:M.Psync));
+  let litmus =
+    match Litmus.find "cross-thread-flush-async" with
+    | Some t -> t
+    | None -> Alcotest.fail "litmus shape missing"
+  in
+  pin "litmus cross-thread-flush-async, tso-buffered"
+    ( "schedules=7 steps=67 sleep_skips=3 sleep_aborts=1 complete=true",
+      "95097e0ffdc89cdd192ae3b01cb8192e" )
+    (guide_digest (fun policy ->
+         ignore
+           (Litmus.run_one ~config:M.tso_buffered_config litmus policy)))
+
 let () =
   Alcotest.run "check"
     [ ( "schedule",
@@ -486,5 +566,8 @@ let () =
         [ Alcotest.test_case "counter-example replay" `Quick
             test_buffered_counterexample_replay ] );
       ( "parallel",
-        [ Alcotest.test_case "jobs=2 same census" `Quick test_explore_par ] )
+        [ Alcotest.test_case "jobs=2 same census" `Quick test_explore_par ] );
+      ( "guide",
+        [ Alcotest.test_case "choice sets pinned" `Quick
+            test_guide_choice_sets_pinned ] )
     ]

@@ -887,6 +887,103 @@ let reduce_property =
             !frontiers)
         script)
 
+(* [Graph_export.fingerprint] against a [Printf] rendering of the same
+   canonical form: nodes renumbered by (tid, creation order), then per
+   node its tid, level, writes, and sorted deps and order edges. *)
+let reference_fingerprint g =
+  let module Pg = P.Persist_graph in
+  let n = Pg.node_count g in
+  let order = Array.init n (fun id -> id) in
+  Array.sort
+    (fun a b ->
+      match compare (Pg.get g a).Pg.tid (Pg.get g b).Pg.tid with
+      | 0 -> compare a b
+      | c -> c)
+    order;
+  let canon = Array.make n 0 in
+  Array.iteri (fun new_id old_id -> canon.(old_id) <- new_id) order;
+  let buf = Buffer.create 256 in
+  Array.iter
+    (fun old_id ->
+      let node = Pg.get g old_id in
+      Printf.bprintf buf "n%d t%d l%d:" canon.(old_id) node.Pg.tid
+        node.Pg.level;
+      Memsim.Vec.iter
+        (fun (w : Pg.write) ->
+          Printf.bprintf buf "w%d.%d=%Ld;" w.Pg.addr w.Pg.size w.Pg.value)
+        node.Pg.writes;
+      let sorted s =
+        List.sort compare (List.map (fun d -> canon.(d)) (P.Iset.elements s))
+      in
+      List.iter (fun d -> Printf.bprintf buf "d%d;" d) (sorted node.Pg.deps);
+      List.iter (fun d -> Printf.bprintf buf "o%d;" d) (sorted node.Pg.order);
+      Buffer.add_char buf '\n')
+    order;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A node: tid, level, its writes (the first creates it, the rest
+   coalesce into it), and dep and order ids taken modulo the nodes
+   created before it — often none. *)
+let arbitrary_fingerprint_graph =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ ui64;
+        map Int64.neg ui64;
+        oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ] ]
+  in
+  let write =
+    triple (int_range (-64) 4096) (oneofl [ 1; 2; 4; 8 ]) value
+  in
+  let ids = list_size (int_range 0 3) (int_bound 1_000) in
+  let node =
+    pair
+      (triple (int_bound 3) (int_range (-2) 40)
+         (list_size (int_range 1 3) write))
+      (pair ids ids)
+  in
+  let print nodes =
+    String.concat "; "
+      (List.map
+         (fun ((tid, level, ws), (deps, order)) ->
+           Printf.sprintf "t%d l%d [%s] d[%s] o[%s]" tid level
+             (String.concat ","
+                (List.map
+                   (fun (a, s, v) -> Printf.sprintf "%d.%d=%Ld" a s v)
+                   ws))
+             (String.concat "," (List.map string_of_int deps))
+             (String.concat "," (List.map string_of_int order)))
+         nodes)
+  in
+  QCheck.make ~print (list_size (int_range 0 12) node)
+
+let fingerprint_reference_property =
+  QCheck.Test.make ~count:300
+    ~name:"fingerprint equals the Printf reference"
+    arbitrary_fingerprint_graph (fun nodes ->
+      let module Pg = P.Persist_graph in
+      let g = Pg.create () in
+      List.iter
+        (fun ((tid, level, ws), (deps, order)) ->
+          let n = Pg.node_count g in
+          let ids l =
+            if n = 0 then P.Iset.empty
+            else P.Iset.of_list (List.map (fun i -> i mod n) l)
+          in
+          let write (addr, size, value) = { Pg.addr; size; value } in
+          match ws with
+          | [] -> ()
+          | w :: rest ->
+            let id =
+              Pg.add_node g ~tid ~level ~deps:(ids deps) ~order:(ids order)
+                (write w)
+            in
+            List.iter
+              (fun w' -> Pg.coalesce_into g id ~deps:P.Iset.empty (write w'))
+              rest)
+        nodes;
+      P.Graph_export.fingerprint g = reference_fingerprint g)
+
 (* Observer *)
 
 let test_observer_cut_count () =
@@ -1166,7 +1263,8 @@ let () =
           Alcotest.test_case "coalesced writes" `Quick
             test_graph_coalesced_writes_merge;
           Alcotest.test_case "node mapping" `Quick test_graph_node_mapping;
-          QCheck_alcotest.to_alcotest reduce_property ] );
+          QCheck_alcotest.to_alcotest reduce_property;
+          QCheck_alcotest.to_alcotest fingerprint_reference_property ] );
       ( "observer",
         [ Alcotest.test_case "cut count" `Quick test_observer_cut_count;
           Alcotest.test_case "images" `Quick test_observer_image;

@@ -438,6 +438,56 @@ let test_machine_two_phases () =
   M.run m;
   check Alcotest.int64 "phased runs" 2L (Memsim.Memory.load memory ~addr:a ~size:8)
 
+(* TSO load forwarding across mixed-size buffered stores: the newest
+   buffered byte wins, a drained store leaves the newer ones visible to
+   their thread, and another thread sees memory only.  Choices, in
+   candidate order (bag entries, then store-buffer drains): start t0
+   (its three stores issue into its buffer, its first load waits);
+   run t0's first load; drain t0's oldest entry (the word); run t0's
+   two other loads; start t1; run t1's load. *)
+let test_machine_tso_mixed_forwarding () =
+  let memory = Memsim.Memory.create () in
+  let m =
+    M.create ~policy:(M.Scripted (M.script ~forced:[ 0; 1; 2; 1; 1; 0; 0 ]))
+      ~model:M.Tso ~memory ()
+  in
+  let trace = Memsim.Trace.create () in
+  M.set_sink m (Memsim.Trace.sink trace);
+  let a = Memsim.Memory.alloc memory A.Persistent 8 in
+  let before = ref 0L and upper = ref 0L and after = ref 0L in
+  let other = ref 0L and drained_before_other = ref 0 in
+  ignore
+    (M.spawn m (fun () ->
+         M.store a 0x1122334455667788L;
+         M.store_sz ~size:4 (a + 4) 0xAABBCCDDL;
+         M.store_sz ~size:2 (a + 6) 0xEEFFL;
+         before := M.load a;
+         upper := M.load_sz ~size:4 (a + 4);
+         after := M.load a));
+  ignore
+    (M.spawn m (fun () ->
+         drained_before_other := Memsim.Trace.length trace;
+         other := M.load a));
+  M.run m;
+  (* bytes a..a+3 from the word, a+4..a+5 from the 4-byte store, a+6..a+7
+     from the 2-byte store *)
+  check Alcotest.int64 "load before any drain" 0xEEFFCCDD55667788L !before;
+  check Alcotest.int64 "upper half" 0xEEFFCCDDL !upper;
+  check Alcotest.int64 "load after the word drained" 0xEEFFCCDD55667788L !after;
+  check Alcotest.int64 "other thread sees memory only" 0x1122334455667788L
+    !other;
+  (match Memsim.Trace.to_list trace with
+  | Memsim.Event.Access (Memsim.Event.Load, l1)
+    :: Memsim.Event.Access (Memsim.Event.Store, s1)
+    :: _ ->
+    checki "first load by t0" 0 l1.Memsim.Event.tid;
+    checki "first drain is the word" 8 s1.Memsim.Event.size
+  | _ -> Alcotest.fail "expected a load, then the word's drain");
+  checki "events before t1 ran: three loads, one drain" 4
+    !drained_before_other;
+  check Alcotest.int64 "memory after every drain" 0xEEFFCCDD55667788L
+    (Memsim.Memory.load memory ~addr:a ~size:8)
+
 (* Seeded random schedules, pinned event for event: a digest of every
    [Event.to_string] line of three whole runs.  The configurations cover
    each kind of scheduling choice the [Random] policy draws from: thread
@@ -527,7 +577,9 @@ let () =
           Alcotest.test_case "self" `Quick test_machine_self;
           Alcotest.test_case "two phases" `Quick test_machine_two_phases;
           Alcotest.test_case "random schedules pinned" `Quick
-            test_random_schedules_pinned ] );
+            test_random_schedules_pinned;
+          Alcotest.test_case "tso mixed-size forwarding" `Quick
+            test_machine_tso_mixed_forwarding ] );
       ( "trace",
         [ Alcotest.test_case "serialization" `Quick test_trace_serialization ] )
     ]
