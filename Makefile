@@ -101,7 +101,7 @@ serve: build
 # KV discipline must be flagged with a replayable counter-example.
 explore: build
 	dune exec bin/persistsim.exe -- explore --workload queue --depth 2 --oracle --csv
-	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 --jobs 2 | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (.*) of every interleaving$$"
+	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (.*) of every interleaving$$"
 	dune exec bin/persistsim.exe -- explore --workload kv --buggy --depth 2 | grep -q "RECOVERY VIOLATION"
 
 # Lock-free CAS set: the flush-all vs NVTraverse sweep, recovery
@@ -112,7 +112,7 @@ lockfree: build
 	dune exec bin/persistsim.exe -- lockfree --inserts 64 > /dev/null
 	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"
 	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 2 --model sc --max-schedules 2048 | grep -q "of the 2048 schedules run before --max-schedules 2048 stopped the search$$"
-	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model tso-buffered > /dev/null
+	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model tso-buffered | grep -q "of the 100000 schedules run before --max-schedules 100000 stopped the search$$"
 	dune exec bin/persistsim.exe -- lockfree --buggy --depth 2 --model sc | grep -q "RECOVERY VIOLATION"
 
 # Litmus suite: every program's outcome set checked exhaustively under

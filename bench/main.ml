@@ -39,12 +39,12 @@ let bench_recovery_sampling =
   Test.make ~name:"observer:recovery-sampling"
     (Staged.stage (fun () ->
          match
-           Recovery.check_invariant ~graph ~capacity
+           Recovery.check ~graph ~capacity
              ~strategy:(Recovery.Sampled { samples = 20; seed = 1 })
              (Workloads.Queue_recovery.check ~params ~layout)
          with
-         | Ok () -> ()
-         | Error msg -> failwith msg))
+         | Ok _ -> ()
+         | Error f -> failwith (Recovery.render_failure f)))
 
 let bench_kv_store =
   Test.make ~name:"workload:kv-store"

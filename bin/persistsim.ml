@@ -221,14 +221,14 @@ let verdict ~buggy ~ok ?(at = "") ?repro = function
    graph, counting the graphs it samples, and the coverage its verdict
    line quotes once [graphs] graphs were checked. *)
 let auto_cuts ~samples ~seed =
-  let sampled = Atomic.make 0 in
+  let sampled = ref 0 in
   let strategy g =
     let s = Recovery.auto ~samples ~seed g in
-    (match s with Recovery.Sampled _ -> Atomic.incr sampled | Exhaustive -> ());
+    (match s with Recovery.Sampled _ -> incr sampled | Exhaustive -> ());
     s
   in
   let coverage graphs =
-    match Atomic.get sampled with
+    match !sampled with
     | 0 -> "exhaustive"
     | _ when graphs = 1 -> Printf.sprintf "sampled: %d draws" samples
     | m -> Printf.sprintf "sampled: %d draws on %d of %d graphs" samples m graphs
@@ -274,7 +274,6 @@ type dpor = {
   buggy : bool;
   threads : int;
   depth : int;
-  jobs : int;
   max_schedules : int;
   samples : int;
   seed : int;
@@ -282,8 +281,8 @@ type dpor = {
 }
 
 let dpor_t ~buggy_doc =
-  let make buggy threads depth jobs max_schedules samples seed replay =
-    { buggy; threads; depth; jobs; max_schedules; samples; seed; replay }
+  let make buggy threads depth max_schedules samples seed replay =
+    { buggy; threads; depth; max_schedules; samples; seed; replay }
   in
   let schedule_conv =
     let parse s =
@@ -310,7 +309,6 @@ let dpor_t ~buggy_doc =
   in
   Term.(const make $ buggy_t buggy_doc $ threads_t 2
         $ count_t [ "depth" ] 2 "Operations per thread."
-        $ jobs_t
         $ count_t [ "max-schedules" ] 100_000
             "Budget of runs started, redundant runs aborted by sleep sets \
              included; exhausting it reports an incomplete exploration."
@@ -348,13 +346,17 @@ let dpor_check ?summary ?(quiet = false) o ~command ~header instance_of =
   | Some sched ->
     Printf.printf "%s, replaying a %d-decision schedule\n" header
       (Check.Schedule.length sched);
-    let result = Check.Driver.check_schedule ~strategy sched instance_of in
+    let result =
+      try Check.Driver.check_schedule ~strategy sched instance_of
+      with Check.Driver.Bad_schedule msg ->
+        Printf.eprintf "persistsim: --replay: %s\n" msg;
+        exit 2
+    in
     verdict ~buggy:o.buggy ~at:" on replayed schedule" ~ok:(holds (coverage 1))
       (Result.map (fun (r : Recovery.report) -> r.prefixes) result)
   | None ->
     let r =
-      Check.Driver.check ~max_schedules:o.max_schedules ~jobs:o.jobs ~strategy
-        instance_of
+      Check.Driver.check ~max_schedules:o.max_schedules ~strategy instance_of
     in
     (Option.value summary ~default:(exploration_summary o header)) r;
     let scope =
@@ -1167,12 +1169,12 @@ let lockfree_cmd =
     List.iter check
       (if o.replay = None then mconfigs else [ List.hd mconfigs ])
   in
-  let run () recovery o discipline inserts sweep_seed csv mconfigs =
+  let run () recovery o discipline inserts sweep_seed csv jobs mconfigs =
     let discipline = if o.buggy then C.Buggy_traverse else discipline in
     if recovery || o.buggy || o.replay <> None then
       failure_inject o discipline mconfigs
     else
-      let t = E.run ~jobs:o.jobs ~inserts ~seed:sweep_seed ~mconfigs () in
+      let t = E.run ~jobs ~inserts ~seed:sweep_seed ~mconfigs () in
       emit_sweep ~csv:(csv, E.to_csv) E.render t.E.profile t
   in
   let mconfigs_t =
@@ -1219,7 +1221,7 @@ let lockfree_cmd =
                  destination flush) to demonstrate a detectable violation."
           $ discipline_t
           $ inserts_t 128 ~doc:"Inserts per thread for the sweep."
-          $ sweep_seed_t $ csv_t $ mconfigs_t)
+          $ sweep_seed_t $ csv_t $ jobs_t $ mconfigs_t)
 
 (* machine (SC vs TSO) *)
 

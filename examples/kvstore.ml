@@ -125,9 +125,10 @@ let check_recovery table history graph =
     go 0
   in
   let result =
-    Recovery.check_invariant ~graph ~capacity
+    Recovery.check ~graph ~capacity
       ~strategy:(Recovery.Sampled { samples = 300; seed = 17 })
       check
+    |> Result.map_error Recovery.render_failure
   in
   (result, !torn, !total)
 
@@ -151,7 +152,7 @@ let () =
               (P.Engine.critical_path engine)
               (P.Engine.cp_per_label engine "update");
             (match check_recovery table history graph with
-            | Ok (), torn, total ->
+            | Ok _, torn, total ->
               Printf.printf
                 "        recovery: no lying checksum in %d crash states (%d torn slots detected & discarded)\n"
                 total torn

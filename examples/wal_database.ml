@@ -146,9 +146,10 @@ let check_recovery db graph =
       pages_ok 0
     end
   in
-  Recovery.check_invariant ~graph ~capacity
+  Recovery.check ~graph ~capacity
     ~strategy:(Recovery.Sampled { samples = 400; seed = 9 })
     check
+  |> Result.map_error Recovery.render_failure
 
 let () =
   let ok = ref true in
@@ -168,7 +169,7 @@ let () =
           (P.Engine.cp_per_label engine "txn")
           (P.Engine.persist_ops engine);
         (match check_recovery db graph with
-        | Ok () ->
+        | Ok _ ->
           print_endline "        recovery: log replay consistent in every sampled crash state"
         | Error msg ->
           Printf.printf "        RECOVERY VIOLATION: %s\n" msg;

@@ -45,7 +45,6 @@ val insert : 'a t -> int -> meta:'a -> 'a line * 'a line option
 val evict : 'a t -> int -> 'a line option
 (** Remove the line containing the address, returning it. *)
 
-val iter_lines : ('a line -> unit) -> 'a t -> unit
 val dirty_lines : 'a t -> 'a line list
 val occupancy : 'a t -> int
 (** Number of resident lines. *)

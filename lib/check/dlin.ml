@@ -32,11 +32,6 @@ let classify ~cut op =
   else if Ps.Iset.disjoint op.persists cut then Excluded
   else Optional
 
-let klass_name = function
-  | Required -> "required"
-  | Optional -> "optional"
-  | Excluded -> "excluded"
-
 (* Real-time precedence: [a] returned before [b] was invoked. *)
 let rt_before a b = a.finish < b.start_
 

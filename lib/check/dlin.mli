@@ -50,10 +50,6 @@ type klass =
   | Excluded  (** no persist durable (or no persists at all) *)
 
 val classify : cut:Persistency.Iset.t -> op -> klass
-val klass_name : klass -> string
-
-val rt_before : op -> op -> bool
-(** [rt_before a b]: [a] returned before [b] was invoked. *)
 
 (** Operation-history recorder, built as a sink tee. *)
 module History : sig
@@ -92,8 +88,8 @@ val check_map :
   (unit, string) result
 (** Per-key map with lock-serialized puts: a recovered binding must
     come from a non-[Excluded] put that no [Required] put to the same
-    key real-time supersedes ({!rt_before} — overlapping puts may
-    serialize in either order), and a key with a [Required] put must
+    key real-time supersedes (returned before it was invoked —
+    overlapping puts may serialize in either order), and a key with a [Required] put must
     be bound. *)
 
 val check_fifo :
@@ -116,7 +112,8 @@ val check_linearization :
   (unit, string) result
 (** Reference semantics, by search: does some subset of operations —
     all [Required], any [Optional], no [Excluded] — closed under
-    {!rt_before} admit a linearization (respecting {!rt_before}) whose
-    final state equals [recovered]?  Exponential; unit-test sized
+    real-time precedence (one operation returned before another was
+    invoked) admit a linearization respecting it whose final state
+    equals [recovered]?  Exponential; unit-test sized
     histories only.
     @raise Invalid_argument beyond 12 effectful operations. *)

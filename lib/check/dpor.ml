@@ -56,8 +56,6 @@ type point = {
 }
 
 type explorer = {
-  pin : int option;  (* forced root choice (parallel subtree worker) *)
-  isolate_root : bool;  (* root backtracking handled by sibling workers *)
   stack : point Vec.t;
   mutable depth : int;  (* decisions taken in the current run *)
   mutable prefix_len : int;  (* points [0, prefix_len) replay [chosen] *)
@@ -103,18 +101,10 @@ let choose e (infos : M.step_info array) =
   end
   else begin
     (* fresh decision: default to the lowest-tid awake thread *)
-    let pick =
-      match e.pin with
-      | Some t when k = 0 ->
-        if not (Array.exists (fun (s : M.step_info) -> s.tid = t) infos) then
-          nondet ();
-        Array.find_opt (fun (s : M.step_info) -> s.tid = t) infos
-      | _ ->
-        Array.find_opt
-          (fun (s : M.step_info) -> not (Iset.mem s.tid e.sleep))
-          infos
-    in
-    match pick with
+    match
+      Array.find_opt (fun (s : M.step_info) -> not (Iset.mem s.tid e.sleep))
+        infos
+    with
     | None -> raise Prune
     | Some s ->
       Vec.push e.stack
@@ -160,7 +150,7 @@ let race_detect e k tid accs =
       then found := true
       else decr i
     done;
-    if !found && not (e.isolate_root && !i = 0) then begin
+    if !found then begin
       let pi = Vec.get e.stack !i in
       let add q =
         if q <> pi.chosen && not (Iset.mem q pi.explored) then
@@ -227,11 +217,23 @@ let schedule_of_stack e =
   { Schedule.tids = Array.init n (fun i -> (Vec.get e.stack i).chosen);
     indices = Array.init n (fun i -> (Vec.get e.stack i).chosen_index) }
 
-let explore_gen ~pin ~isolate_root ~ticket ~stopped ~on_exec run_fn =
+let ticket_of_budget max_schedules =
+  match max_schedules with
+  | None -> fun () -> true
+  | Some n ->
+    let left = ref n in
+    fun () ->
+      if !left > 0 then begin
+        decr left;
+        true
+      end
+      else false
+
+let explore ?max_schedules ~on_exec run_fn =
+  Ot.with_span ~cat:"check" "check.explore" @@ fun () ->
+  let ticket = ticket_of_budget max_schedules in
   let e =
-    { pin;
-      isolate_root;
-      stack = Vec.create ();
+    { stack = Vec.create ();
       depth = 0;
       prefix_len = 0;
       race_from = 0;
@@ -247,7 +249,7 @@ let explore_gen ~pin ~isolate_root ~ticket ~stopped ~on_exec run_fn =
   in
   let halted = ref false in
   let rec loop () =
-    if stopped () || not (ticket ()) then halted := true
+    if not (ticket ()) then halted := true
     else begin
       e.depth <- 0;
       e.sleep <- Iset.empty;
@@ -271,87 +273,3 @@ let explore_gen ~pin ~isolate_root ~ticket ~stopped ~on_exec run_fn =
     sleep_aborts = e.sleep_aborts;
     steps = e.steps;
     complete = not !halted }
-
-let ticket_of_budget max_schedules =
-  match max_schedules with
-  | None -> fun () -> true
-  | Some n ->
-    let left = ref n in
-    fun () ->
-      if !left > 0 then begin
-        decr left;
-        true
-      end
-      else false
-
-let explore ?max_schedules ~on_exec run_fn =
-  Ot.with_span ~cat:"check" "check.explore" (fun () ->
-      explore_gen ~pin:None ~isolate_root:false
-        ~ticket:(ticket_of_budget max_schedules)
-        ~stopped:(fun () -> false)
-        ~on_exec run_fn)
-
-(* Discover the root enabled set with one default-scheduled probe
-   execution; its [on_exec] is NOT called (the pinned worker for the
-   lowest root tid re-executes the same schedule as its first run). *)
-let probe_roots run_fn =
-  let roots = ref [||] in
-  let guide =
-    { M.choose =
-        (fun infos ->
-          if Array.length !roots = 0 then
-            roots := Array.map (fun (s : M.step_info) -> s.tid) infos;
-          infos.(0).M.tid);
-      on_step = (fun _ _ -> ()) }
-  in
-  ignore (run_fn (M.Guided guide));
-  Array.to_list !roots
-
-let explore_par ?max_schedules ?jobs ~on_exec run_fn =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.Pool.default_domains ()
-  in
-  let roots = probe_roots run_fn in
-  if jobs <= 1 || List.length roots <= 1 then
-    explore ?max_schedules ~on_exec run_fn
-  else
-    Ot.with_span ~cat:"check" "check.explore" (fun () ->
-        let budget = Atomic.make (Option.value max_schedules ~default:max_int) in
-        let stop = Atomic.make false in
-        let ticket () =
-          let rec take () =
-            let v = Atomic.get budget in
-            if v <= 0 then false
-            else if Atomic.compare_and_set budget v (v - 1) then true
-            else take ()
-          in
-          take ()
-        in
-        let per_root =
-          Parallel.Pool.map_cells ~domains:jobs
-            ~label:(fun _ t -> Printf.sprintf "dpor subtree, root tid %d" t)
-            (fun t ->
-              explore_gen ~pin:(Some t) ~isolate_root:true ~ticket
-                ~stopped:(fun () -> Atomic.get stop)
-                ~on_exec:(fun sched v ->
-                  match on_exec sched v with
-                  | Stop ->
-                    Atomic.set stop true;
-                    Stop
-                  | Continue -> Continue)
-                run_fn)
-            roots
-        in
-        List.fold_left
-          (fun (acc : stats) (s : stats) ->
-            { schedules = acc.schedules + s.schedules;
-              sleep_skips = acc.sleep_skips + s.sleep_skips;
-              sleep_aborts = acc.sleep_aborts + s.sleep_aborts;
-              steps = acc.steps + s.steps;
-              complete = acc.complete && s.complete })
-          { schedules = 0;
-            sleep_skips = 0;
-            sleep_aborts = 0;
-            steps = 0;
-            complete = true }
-          per_root)

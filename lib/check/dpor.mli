@@ -17,6 +17,10 @@
       them; backtrack candidates still asleep are skipped, and a run
       whose every enabled thread is asleep is aborted as redundant.
 
+    The root is never a branch point: every thread's first step is its
+    start, which has no memory footprint, so no later step races with
+    it and the search never backtracks there.
+
     Each explored schedule is handed to [on_exec] together with the
     value the workload run produced, so a driver can check recovery at
     every interleaving (see {!Driver}).  The explored schedule set
@@ -59,19 +63,3 @@ val explore :
     independent.  [max_schedules] bounds the number of executions
     started (default unlimited); hitting it returns
     [complete = false]. *)
-
-val explore_par :
-  ?max_schedules:int ->
-  ?jobs:int ->
-  on_exec:(Schedule.t -> 'a -> decision) ->
-  (Memsim.Machine.policy -> 'a) ->
-  stats
-(** {!explore} with the subtrees under the first scheduling decision
-    explored in parallel on {!Parallel.Pool} (default [jobs]:
-    {!Parallel.Pool.default_domains}[ ()]).  The root choices are
-    independent DPOR searches, so no exploration state is shared;
-    [on_exec] however is called from worker domains concurrently and
-    must be domain-safe.  Root-level sleep pruning is lost, so the
-    union may execute somewhat more schedules than the sequential
-    search — never fewer, and covering the same trace classes.
-    [max_schedules] is a shared budget across workers. *)

@@ -24,54 +24,36 @@ let check_run ~strategy inst =
   Recovery.check_cuts ~graph:inst.graph ~capacity:inst.capacity
     ~strategy:(strategy inst.graph) inst.observer
 
-let check ?max_schedules ?(jobs = 1) ~strategy run =
-  let mu = Mutex.create () in
+let check ?max_schedules ~strategy run =
   let seen = Hashtbl.create 64 in
-  let checked = ref 0 in
   let prefixes = ref 0 in
   let failure = ref None in
-  (* Called from worker domains under [explore_par]: the fingerprint
-     set and accounting are mutex-protected; the recovery check itself
-     runs outside the lock (each instance is worker-private). *)
   (* Total schedules are unknown up front, so the heartbeat shows a
      running count and rate rather than an ETA. *)
   let prog = Obs.Perfscope.progress_start "dpor schedules" in
   let on_exec sched inst =
     Obs.Perfscope.progress_step prog;
     let fp = Ps.Graph_export.fingerprint inst.graph in
-    let fresh =
-      Mutex.protect mu (fun () ->
-          if Hashtbl.mem seen fp then false
-          else begin
-            Hashtbl.add seen fp ();
-            true
-          end)
-    in
-    if not fresh then begin
+    if Hashtbl.mem seen fp then begin
       Om.incr m_duplicates;
       Dpor.Continue
     end
     else begin
+      Hashtbl.add seen fp ();
       Om.incr m_distinct;
-      let verdict = check_run ~strategy inst in
-      Mutex.protect mu (fun () ->
-          incr checked;
-          match verdict with
-          | Ok r ->
-            prefixes := !prefixes + r.Recovery.prefixes;
-            Dpor.Continue
-          | Error f ->
-            prefixes := !prefixes + f.Recovery.prefixes_ok + 1;
-            if !failure = None then failure := Some (sched, f);
-            Dpor.Stop)
+      match check_run ~strategy inst with
+      | Ok r ->
+        prefixes := !prefixes + r.Recovery.prefixes;
+        Dpor.Continue
+      | Error f ->
+        prefixes := !prefixes + f.Recovery.prefixes_ok + 1;
+        failure := Some (sched, f);
+        Dpor.Stop
     end
   in
   let stats, span =
     let span = Obs.Perfscope.start () in
-    let stats =
-      if jobs > 1 then Dpor.explore_par ?max_schedules ~jobs ~on_exec run
-      else Dpor.explore ?max_schedules ~on_exec run
-    in
+    let stats = Dpor.explore ?max_schedules ~on_exec run in
     (stats, Obs.Perfscope.finish span)
   in
   Obs.Perfscope.progress_finish prog;
@@ -79,7 +61,7 @@ let check ?max_schedules ?(jobs = 1) ~strategy run =
     ~seconds:span.Obs.Perfscope.wall_s;
   { stats;
     distinct = Hashtbl.length seen;
-    checked = !checked;
+    checked = Hashtbl.length seen;
     prefixes = !prefixes;
     failure = !failure }
 
@@ -172,6 +154,23 @@ let group_instance ~layout ~batches graph =
     observer =
       (fun ~cut:_ image -> Kv_recovery.check_group ~layout ~batches image) }
 
-let replay sched run = run (M.Scripted (Schedule.to_script sched))
+exception Bad_schedule of string
+
+let replay sched run =
+  let script = Schedule.to_script sched in
+  let n = Schedule.length sched in
+  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_schedule msg)) fmt in
+  match run (M.Scripted script) with
+  | exception M.Script_out_of_range { decision; choice; runnable } ->
+    bad
+      "decision %d of %d is index %d, but only %d steps were runnable there \
+       (%d decisions consumed)"
+      (decision + 1) n choice runnable decision
+  | inst ->
+    let consumed = List.length (M.script_choices script) in
+    if consumed < n then
+      bad "the run ended after consuming %d of the schedule's %d decisions"
+        consumed n
+    else inst
 
 let check_schedule ~strategy sched run = check_run ~strategy (replay sched run)

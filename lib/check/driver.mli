@@ -45,12 +45,11 @@ val check_run :
 
 val check :
   ?max_schedules:int ->
-  ?jobs:int ->
   strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
   (Memsim.Machine.policy -> instance) ->
   report
 (** [check ~strategy run] explores [run]'s interleavings
-    ({!Dpor.explore}; {!Dpor.explore_par} when [jobs > 1]) and
+    ({!Dpor.explore}) and
     failure-injects every distinct persist graph.  [strategy] picks the
     prefix-walk strategy per graph — pass [Recovery.auto ~samples ~seed]
     partially applied, or [fun _ -> Exhaustive] for small fixed-size
@@ -92,9 +91,16 @@ val group_instance :
     observer is {!Kv_recovery.check_group}: every crash image must
     recover to exactly the batch boundary its commit marker names. *)
 
+exception Bad_schedule of string
+(** A schedule that does not fit the run it replays; the message names
+    the offending decision and how many decisions were consumed. *)
+
 val replay : Schedule.t -> (Memsim.Machine.policy -> instance) -> instance
 (** Re-execute one schedule deterministically ([Scripted] policy with
-    the schedule's forced indices). *)
+    the schedule's forced indices).  A schedule shorter than the run
+    replays as a prefix, the rest taking the first runnable pick.
+    @raise Bad_schedule when a decision's index is out of range, or
+    when the run ends with decisions left over. *)
 
 val check_schedule :
   strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
@@ -103,4 +109,5 @@ val check_schedule :
   (Recovery.report, Recovery.failure) result
 (** {!replay} one schedule and failure-inject it — how a persisted
     counter-example is validated in the test suite and by
-    [persistsim explore --replay]. *)
+    [persistsim explore --replay].
+    @raise Bad_schedule as {!replay} does. *)

@@ -77,8 +77,6 @@ val mode_name : mode -> string
 val mode_of_name : string -> mode option
 val all_modes : mode list
 
-val consistency_name : consistency -> string
-
 val check_gran : string -> int -> unit
 (** [check_gran what g] accepts what {!make} accepts: a power of two
     >= 8.  @raise Invalid_argument naming [what] otherwise. *)

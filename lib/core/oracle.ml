@@ -249,6 +249,8 @@ let reach t i =
     Hashtbl.add t.reach i r;
     r
 
+(* Trace indices [i < j]: persistent memory order requires event [i]'s
+   persist before event [j]'s. *)
 let required_ordered t i j = i <> j && (reach t i).(j)
 
 let critical_path t =

@@ -23,10 +23,6 @@ val build : Config.t -> Memsim.Trace.t -> t
 
 val event_count : t -> int
 
-val required_ordered : t -> int -> int -> bool
-(** [required_ordered t i j] (trace indices, [i < j]): persistent
-    memory order requires event [i]'s persist before event [j]'s. *)
-
 val critical_path : t -> int
 (** Longest chain of required-ordered persist events — the persist
     ordering-constraint critical path computed independently of the

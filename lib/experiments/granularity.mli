@@ -37,7 +37,6 @@ val run :
     domains for the sweep (default 1, results identical for any
     value). *)
 
-val figure_name : which -> string
 val render : t -> string
 val to_csv : t -> string
 

@@ -64,9 +64,6 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
-val kv_models : Run.model_point list
-(** Strict, Epoch, Strand. *)
-
 val sweep_threads : int list
 (** 1, 2 and 4, the default [threads_list]; each splits [total_ops]. *)
 

@@ -19,8 +19,6 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
-val machine_label : Memsim.Machine.model -> string
-
 val sweep_threads : int list
 (** 1, 2 and 8; each splits [total_inserts]. *)
 

@@ -33,9 +33,6 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
-val serve_models : Serve.Sim.model list
-(** Strict, epoch, strand. *)
-
 val serve_params :
   ?requests:int ->
   ?clients:int ->

@@ -132,10 +132,6 @@ val key_groups : params -> int array
     [1 .. key_space]).  Group occupancy never exceeds [group_size], so
     an in-group probe always terminates. *)
 
-val key_of : params -> draw:int -> int
-(** Key for draw index [draw] under [p.dist], in [1, key_space].  Puts
-    draw at even indices, gets at odd ones. *)
-
 val op_of : params -> tid:int -> seq:int -> op
 
 val written : params -> (int * int64) list

@@ -73,14 +73,11 @@ val buffered_weaker : test -> bool
     TSO-sync set — the witnesses that the persistence buffer actually
     weakens the persistency model. *)
 
-val obs_label : obs -> string
 val one : (obs * int) list -> string
 (** Render an outcome, e.g. [one [(Reg (0, "r0"), 1)]] = ["0:r0=1"]. *)
 
 val outcomes : (obs * int list) list -> string list
 (** Cartesian product of per-observable domains. *)
-
-val minus : string list -> string list -> string list
 
 val validate : test -> unit
 (** @raise Invalid_argument on duplicate variables, overlapping

@@ -84,9 +84,6 @@ val keys_for : params -> int array
     recovery decoder can re-derive every pooled node's expected key.
     Index is the global insert index [tid * inserts_per_thread + seq]. *)
 
-val node_addr : layout -> int -> int
-(** Address of pooled node [i]. *)
-
 val image_capacity : layout -> int
 (** Bytes of persistent address space a crash image must cover. *)
 

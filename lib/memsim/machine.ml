@@ -80,6 +80,12 @@ let is_persist_tid tid = tid >= persist_tid_base
 
 exception Deadlock of int list
 
+exception Script_out_of_range of {
+  decision : int;
+  choice : int;
+  runnable : int;
+}
+
 (* A parked continuation waiting for a lock hand-off. *)
 type waiter = Waiter : int * (unit, unit) continuation -> waiter
 
@@ -937,7 +943,9 @@ let take_runnable t =
         | i :: rest ->
           s.forced <- rest;
           if i < 0 || i >= n then
-            invalid_arg "Machine: script choice out of range";
+            raise
+              (Script_out_of_range
+                 { decision = List.length s.log; choice = i; runnable = n });
           i
         | [] -> 0
       in

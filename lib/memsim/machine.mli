@@ -165,6 +165,14 @@ exception Deadlock of int list
 (** Raised by {!run} when unfinished threads remain but all are parked
     on locks; carries the blocked thread ids. *)
 
+exception Script_out_of_range of {
+  decision : int;  (** 0-based: the decisions taken before this one *)
+  choice : int;  (** the forced index *)
+  runnable : int;  (** how many picks were runnable there *)
+}
+(** Raised by {!run} when a [Scripted] policy forces an index that is
+    not below the number of runnable picks at that decision. *)
+
 val create :
   ?policy:policy ->
   ?model:model ->

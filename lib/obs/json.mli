@@ -27,6 +27,3 @@ val member : string -> t -> t option
 
 val to_float : t -> float option
 (** [Int] or [Float] as a float. *)
-
-val escape_string : string -> string
-(** The quoted, escaped JSON form of a string. *)

@@ -51,9 +51,6 @@ val map_cells_profiled :
   'b list * profile
 (** Like {!map_cells}, also returning per-cell timing. *)
 
-val profile_summary : profile -> Pstats.Summary.t
-(** Per-cell wall-clock summary statistics. *)
-
 val render_profile : profile -> string
 (** The sweep-profile footer: cell count, domains, wall clock, the sum
     of per-cell times (sequential-equivalent), speedup ([n/a] when the

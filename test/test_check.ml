@@ -278,32 +278,6 @@ let test_kv_correct_disciplines () =
       (Kv.Strand_ops, Ps.Config.Strand) ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration *)
-
-let test_explore_par () =
-  let instance_of = queue_run Q.Epoch Ps.Config.Epoch in
-  let _, seq_reps = dpor_census instance_of in
-  let mu = Mutex.create () in
-  let par = Hashtbl.create 64 in
-  let stats =
-    D.explore_par ~jobs:2
-      ~on_exec:(fun _ inst ->
-        let fp = Ps.Graph_export.fingerprint inst.Dr.graph in
-        Mutex.protect mu (fun () -> Hashtbl.replace par fp ());
-        D.Continue)
-      instance_of
-  in
-  Alcotest.(check bool) "complete" true stats.D.complete;
-  Alcotest.(check (list string))
-    "same fingerprint set as sequential"
-    (sorted_keys seq_reps) (sorted_keys par);
-  (* root-level sleep pruning is lost, never gained *)
-  Alcotest.(check bool)
-    "at least as many schedules as classes"
-    true
-    (stats.D.schedules >= Hashtbl.length par)
-
-(* ------------------------------------------------------------------ *)
 (* TSO counter-example capture and deterministic replay *)
 
 (* Store buffering on a TSO machine, the canonical weak behavior: DPOR
@@ -565,8 +539,6 @@ let () =
       ( "tso-buffered",
         [ Alcotest.test_case "counter-example replay" `Quick
             test_buffered_counterexample_replay ] );
-      ( "parallel",
-        [ Alcotest.test_case "jobs=2 same census" `Quick test_explore_par ] );
       ( "guide",
         [ Alcotest.test_case "choice sets pinned" `Quick
             test_guide_choice_sets_pinned ] )

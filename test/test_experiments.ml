@@ -252,12 +252,12 @@ let test_fang_recovers_prefix () =
     layout.Workloads.Queue.data_addr + layout.Workloads.Queue.data_bytes
   in
   match
-    Recovery.check_invariant ~graph ~capacity
+    Recovery.check ~graph ~capacity
       ~strategy:(Recovery.Sampled { samples = 300; seed = 9 })
       (Workloads.Queue_recovery.check ~params ~layout)
   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  | Ok _ -> ()
+  | Error f -> Alcotest.fail (Recovery.render_failure f)
 
 let test_cache_impl () =
   let rows = Experiments.Cache_impl.run ~total_inserts:800 ~threads:2 () in

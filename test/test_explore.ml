@@ -186,7 +186,10 @@ let test_tso_scripted_replay () =
 
 let test_scripted_out_of_range () =
   Alcotest.match_raises "bad script index"
-    (function Invalid_argument _ -> true | _ -> false)
+    (function
+      | M.Script_out_of_range { decision = 0; choice = 99; runnable = 2 } ->
+        true
+      | _ -> false)
     (fun () ->
       let s = M.script ~forced:[ 99 ] in
       two_threads_n_ops 1 (M.Scripted s))

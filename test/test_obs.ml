@@ -827,6 +827,8 @@ let test_exit_codes () =
       "serve --rate=-3"; "serve --recovery --rate=0";
       "analyze --latency=-1"; "analyze --latency=nan"; "table1 --latency=0";
       "table1 --capacity=-4"; "table1 --jobs=-3";
+      (* --jobs sizes sweeps; an exploration has no such flag *)
+      "explore --jobs 2";
       (* --buggy is the one selector of a deliberately broken variant *)
       "serve --recovery --model epoch-buggy";
       "lockfree --recovery --discipline buggy-traverse" ];
@@ -951,6 +953,28 @@ let test_ablation_inserts () =
         (table 400 = table 4000))
     [ "buffer"; "sync" ]
 
+(* A --replay schedule that does not fit the run is bad input: one
+   line naming the decision and how many were consumed, exit 2 — not
+   an uncaught exception (an index out of range) and not a clean
+   verdict on a silently truncated schedule (decisions left over). *)
+let test_replay_misfit () =
+  let zeros = String.concat "," (List.init 500 (fun _ -> "0")) in
+  List.iter
+    (fun (cmd, message) ->
+      match exit_and_output (persistsim ^ " " ^ cmd) with
+      | 2, lines when List.mem ("persistsim: --replay: " ^ message) lines -> ()
+      | code, lines ->
+        Alcotest.failf "%s: exit %d, output %S" cmd code
+          (String.concat "\n" lines))
+    [ ("explore --replay 99 --depth 1",
+       "decision 1 of 1 is index 99, but only 2 steps were runnable there \
+        (0 decisions consumed)");
+      ("lockfree --recovery --replay 9 --depth 1 --model sc",
+       "decision 1 of 1 is index 9, but only 2 steps were runnable there \
+        (0 decisions consumed)");
+      ("explore --workload kv --depth 1 --replay " ^ zeros,
+       "the run ended after consuming 30 of the schedule's 500 decisions") ]
+
 (* The line a caught violation prints after "reproduce with:" must
    replay that violation verbatim. *)
 let test_reproducer_roundtrip () =
@@ -1038,6 +1062,8 @@ let () =
             test_single_run_coverage;
           Alcotest.test_case "budget-hit wording" `Quick
             test_budget_hit_wording;
+          Alcotest.test_case "replay misfit exits 2" `Quick
+            test_replay_misfit;
           Alcotest.test_case "reproducer round-trip" `Quick
             test_reproducer_roundtrip;
           Alcotest.test_case "ablation --inserts" `Quick
