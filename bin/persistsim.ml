@@ -138,14 +138,29 @@ let csv_t =
   let doc = "Emit CSV instead of a formatted table." in
   Arg.(value & flag & info [ "csv" ] ~doc)
 
-let jobs_t =
+(* [None] when --jobs is absent, for the subcommands whose
+   failure-injection mode has no sweep to size and rejects the flag. *)
+let jobs_opt_t =
   let doc =
     "Worker domains for the configuration sweep (default: cores - 1). \
      Table output is byte-identical for any value; only wall clock \
      changes."
   in
-  Arg.(value & opt pos_int (Parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+let default_jobs = Option.value ~default:(Parallel.Pool.default_domains ())
+let jobs_t = Term.(const default_jobs $ jobs_opt_t)
+
+(* Under --recovery (and --buggy or --replay) a subcommand runs failure
+   injection instead of its sweep, so a flag that only shapes the sweep
+   would be ignored: giving one is a usage error that names it.  [given]
+   pairs each such flag with whether the command line has it. *)
+let without_sweep_flags given inject =
+  match List.find_opt snd given with
+  | Some (flag, _) ->
+    `Error
+      (true, flag ^ " shapes the sweep, which failure injection does not run")
+  | None -> `Ok (inject ())
 
 let latency_t =
   Arg.(value & opt pos_float 500. & info [ "latency" ] ~docv:"NS"
@@ -599,20 +614,28 @@ let kv_cmd =
     check_runs ~buggy ~samples ~seed:params.Kv.seed [ inst ]
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
-    if recovery || buggy then failure_inject total_ops model threads samples buggy
+    if recovery || buggy then
+      without_sweep_flags
+        [ ("--csv", csv); ("--jobs", jobs <> None); ("--dist", dist <> None) ]
+        (fun () -> failure_inject total_ops model threads samples buggy)
     else
       let total_ops =
         Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
       in
       List.iter (check_divides ~flag:"--ops" total_ops)
         Experiments.Kv_exp.sweep_threads;
-      let t = Experiments.Kv_exp.run ~jobs ~total_ops ~dist () in
-      emit_sweep ~csv:(csv, Experiments.Kv_exp.to_csv) Experiments.Kv_exp.render
-        t.Experiments.Kv_exp.profile t
+      let dist = Option.value ~default:Workloads.Keygen.Uniform dist in
+      let t =
+        Experiments.Kv_exp.run ~jobs:(default_jobs jobs) ~total_ops ~dist ()
+      in
+      `Ok
+        (emit_sweep
+           ~csv:(csv, Experiments.Kv_exp.to_csv)
+           Experiments.Kv_exp.render t.Experiments.Kv_exp.profile t)
   in
   let dist_t =
     Arg.(value
-         & opt dist_conv Workloads.Keygen.Uniform
+         & opt (some ~none:"uniform" dist_conv) None
          & info [ "dist" ] ~docv:"DIST"
              ~doc:"Key popularity for the sweep: $(b,uniform), \
                    $(b,zipf:THETA) or $(b,hotset:KEYS:PCT).")
@@ -627,7 +650,7 @@ let kv_cmd =
        ~doc:"KV store workload: sweep persist critical path per operation \
              over models x threads x load, or failure-inject one \
              configuration (--recovery).")
-    Term.(const run $ obs_t $ ops_t $ dist_t $ csv_t $ jobs_t
+    Term.(ret (const run $ obs_t $ ops_t $ dist_t $ csv_t $ jobs_opt_t
           $ recovery_t
               "Failure injection instead of the sweep: check KV recovery and \
                durable linearizability in legal crash states of one \
@@ -638,7 +661,7 @@ let kv_cmd =
                most 20 persists are checked exhaustively)."
           $ buggy_t
               "With --recovery: drop the seal->slot persist barrier to \
-               demonstrate a detectable crash-consistency bug.")
+               demonstrate a detectable crash-consistency bug."))
 
 (* serve *)
 
@@ -676,18 +699,22 @@ let serve_cmd =
   let run () requests clients rate mix dist key_space shards batches csv jobs
       recovery samples model buggy =
     if recovery || buggy then
-      failure_inject requests clients rate mix dist key_space shards batches
-        samples model buggy
+      without_sweep_flags
+        [ ("--csv", csv); ("--jobs", jobs <> None) ]
+        (fun () ->
+          failure_inject requests clients rate mix dist key_space shards
+            batches samples model buggy)
     else
       let t =
-        Experiments.Serve_exp.run ~jobs
+        Experiments.Serve_exp.run ~jobs:(default_jobs jobs)
           ~requests:(Option.value ~default:4096 requests)
           ~clients ~rate ~read_pct:mix ~dist ~key_space ~shards_list:shards
           ~batches ()
       in
-      emit_sweep
-        ~csv:(csv, Experiments.Serve_exp.to_csv)
-        Experiments.Serve_exp.render t.Experiments.Serve_exp.profile t
+      `Ok
+        (emit_sweep
+           ~csv:(csv, Experiments.Serve_exp.to_csv)
+           Experiments.Serve_exp.render t.Experiments.Serve_exp.profile t)
   in
   let requests_t =
     Arg.(value & opt (some pos_int) None & info [ "requests" ] ~docv:"N"
@@ -743,7 +770,7 @@ let serve_cmd =
              Sweep persist-barrier cost and latency percentiles over models \
              x shards x batch sizes, or failure-inject one configuration \
              (--recovery).")
-    Term.(const run $ obs_t $ requests_t $ clients_t $ rate_t $ mix_t
+    Term.(ret (const run $ obs_t $ requests_t $ clients_t $ rate_t $ mix_t
           $ zipf_t $ key_space_t
           $ sizes_t "shards" [ 1; 2; 4 ]
               "Shard counts to sweep (comma-separated); --recovery uses the \
@@ -751,7 +778,7 @@ let serve_cmd =
           $ sizes_t "batch" [ 1; 8; 32 ]
               "Group-commit batch sizes to sweep (comma-separated); \
                --recovery uses the first."
-          $ csv_t $ jobs_t
+          $ csv_t $ jobs_opt_t
           $ recovery_t
               "Failure injection instead of the sweep: record every shard's \
                persist graph and check that each legal crash state recovers \
@@ -763,7 +790,7 @@ let serve_cmd =
           $ buggy_t
               "With --recovery: use the batcher that seals the commit marker \
                without the slots->marker barrier, to demonstrate a \
-               detectable group-commit bug.")
+               detectable group-commit bug."))
 
 (* trace *)
 
@@ -1172,10 +1199,18 @@ let lockfree_cmd =
   let run () recovery o discipline inserts sweep_seed csv jobs mconfigs =
     let discipline = if o.buggy then C.Buggy_traverse else discipline in
     if recovery || o.buggy || o.replay <> None then
-      failure_inject o discipline mconfigs
+      without_sweep_flags
+        [ ("--jobs", jobs <> None); ("--inserts", inserts <> None);
+          ("--sweep-seed", sweep_seed <> None); ("--csv", csv) ]
+        (fun () -> failure_inject o discipline mconfigs)
     else
-      let t = E.run ~jobs ~inserts ~seed:sweep_seed ~mconfigs () in
-      emit_sweep ~csv:(csv, E.to_csv) E.render t.E.profile t
+      let t =
+        E.run ~jobs:(default_jobs jobs)
+          ~inserts:(Option.value ~default:128 inserts)
+          ~seed:(Option.value ~default:42 sweep_seed)
+          ~mconfigs ()
+      in
+      `Ok (emit_sweep ~csv:(csv, E.to_csv) E.render t.E.profile t)
   in
   let mconfigs_t =
     let mconv =
@@ -1198,9 +1233,14 @@ let lockfree_cmd =
          & info [ "discipline" ] ~docv:"D" ~doc)
   in
   let sweep_seed_t =
-    Arg.(value & opt int 42
+    Arg.(value & opt (some ~none:"42" int) None
          & info [ "sweep-seed" ] ~docv:"N"
              ~doc:"Key-schedule seed for the sweep.")
+  in
+  let inserts_t =
+    Arg.(value & opt (some ~none:"128" pos_int) None
+         & info [ "inserts" ] ~docv:"N"
+             ~doc:"Inserts per thread for the sweep.")
   in
   Cmd.v
     (Cmd.info "lockfree"
@@ -1210,7 +1250,7 @@ let lockfree_cmd =
              tso-sync, tso-buffered), or exhaustively failure-inject one \
              discipline (--recovery) under the durable-linearizability \
              oracle.")
-    Term.(const run $ obs_t
+    Term.(ret (const run $ obs_t
           $ recovery_t
               "Exhaustive failure injection instead of the sweep: DPOR over \
                interleavings, every distinct persist graph recovery-checked \
@@ -1219,9 +1259,8 @@ let lockfree_cmd =
               ~buggy_doc:
                 "Failure-inject the buggy-traverse discipline (no pre-CAS \
                  destination flush) to demonstrate a detectable violation."
-          $ discipline_t
-          $ inserts_t 128 ~doc:"Inserts per thread for the sweep."
-          $ sweep_seed_t $ csv_t $ jobs_t $ mconfigs_t)
+          $ discipline_t $ inserts_t $ sweep_seed_t $ csv_t $ jobs_opt_t
+          $ mconfigs_t))
 
 (* machine (SC vs TSO) *)
 

@@ -117,8 +117,9 @@ let kv_instance params cfg policy =
         | Kv.Put { key; value } -> Dlin.Put { key; value }
         | Kv.Get _ -> Dlin.Read)
   in
+  let recover = Kv_recovery.recover ~params ~layout in
   let observer ~cut image =
-    match Kv_recovery.recover ~params ~layout image with
+    match recover image with
     | Error _ as e -> e
     | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings
   in
@@ -149,10 +150,10 @@ let lockfree_instance params cfg policy =
    pins the exact recovered state, so the batch-boundary equality is
    the whole observer. *)
 let group_instance ~layout ~batches graph =
+  let check = Kv_recovery.check_group ~layout ~batches in
   { graph;
     capacity = Kv_recovery.group_image_capacity layout;
-    observer =
-      (fun ~cut:_ image -> Kv_recovery.check_group ~layout ~batches image) }
+    observer = (fun ~cut:_ image -> check image) }
 
 exception Bad_schedule of string
 

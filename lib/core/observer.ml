@@ -7,20 +7,26 @@ let apply_write image (w : Persist_graph.write) =
     | 1 -> Bytes.set_uint8 image w.addr (Int64.to_int w.value land 0xff)
     | _ -> invalid_arg "Observer: bad write size"
 
-let image_of_cut g ~dag cut ~capacity =
+let image_of_mask g ~dag mask ~capacity =
   if Dag.node_count dag <> Persist_graph.node_count g then
     invalid_arg "Observer.image_of_cut: dag is not the graph's";
-  if not (Dag.is_down_closed dag cut) then
+  if not (Dag.is_down_closed_mask dag mask) then
     invalid_arg "Observer.image_of_cut: cut is not down-closed";
   let image = Bytes.make capacity '\000' in
-  (* Node ids increase in SC store order, so id order (the order
-     [Iset.iter] visits) gives last-writer-wins semantics consistent
-     with strong persist atomicity. *)
+  (* Node ids increase in SC store order, so id order gives
+     last-writer-wins semantics consistent with strong persist
+     atomicity. *)
   let apply = apply_write image in
-  Iset.iter
-    (fun id -> Memsim.Vec.iter apply (Persist_graph.get g id).writes)
-    cut;
+  for id = 0 to Bytes.length mask - 1 do
+    if Bytes.get mask id <> '\000' then
+      Memsim.Vec.iter apply (Persist_graph.get g id).writes
+  done;
   image
+
+let image_of_cut g ~dag cut ~capacity =
+  let mask = Bytes.create (Dag.node_count dag) in
+  Dag.fill_mask dag cut mask;
+  image_of_mask g ~dag mask ~capacity
 
 let final_image g ~capacity =
   let image = Bytes.make capacity '\000' in

@@ -17,10 +17,15 @@ val image_of_cut :
   Persist_graph.t -> dag:Dag.t -> Iset.t -> capacity:int -> bytes
 (** Persistent memory image after a crash in state [cut]: zeros
     overwritten by the writes of the cut's nodes in node-id order.
-    [dag] is the graph's {!Persist_graph.to_dag}, built once by the
-    caller and shared by every cut it checks.
+    [dag] is the graph's {!Persist_graph.to_dag} or
+    {!Persist_graph.to_reduced_dag}, built once by the caller and
+    shared by every cut it checks.
     @raise Invalid_argument if [dag] has another node count or [cut]
     is not down-closed in it. *)
+
+val image_of_mask :
+  Persist_graph.t -> dag:Dag.t -> Bytes.t -> capacity:int -> bytes
+(** {!image_of_cut} of a cut given as a {!Dag} mask. *)
 
 val final_image : Persist_graph.t -> capacity:int -> bytes
 (** Image when every persist completed. *)

@@ -69,11 +69,21 @@ let reduce t set =
 
 let iter f t = Memsim.Vec.iter f t.nodes
 
-let to_dag t =
-  Dag.of_preds
-    (Array.init (node_count t) (fun id ->
-         let n = get t id in
-         Array.of_list (Iset.elements (Iset.union n.deps n.order))))
+(* Each node's [deps] and [order] ids, ascending. *)
+let preds t =
+  Array.init (node_count t) (fun id ->
+      let n = get t id in
+      let s = Iset.union n.deps n.order in
+      let a = Array.make (Iset.cardinal s) 0 and i = ref 0 in
+      Iset.iter
+        (fun u ->
+          a.(!i) <- u;
+          incr i)
+        s;
+      a)
+
+let to_dag t = Dag.of_preds (preds t)
+let to_reduced_dag t = Dag.of_preds_reduced (preds t)
 
 let pp ppf t =
   iter

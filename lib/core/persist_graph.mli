@@ -64,4 +64,10 @@ val to_dag : t -> Dag.t
 (** Dependence DAG over node ids ([dep -> node] edges), including
     order-only edges — so {!Observer} crash cuts respect both. *)
 
+val to_reduced_dag : t -> Dag.t
+(** The transitive reduction of {!to_dag} ({!Dag.of_preds_reduced}):
+    the same crash cuts, drawn and enumerated in the same order, from
+    only the edges no other path implies.  A cyclic graph keeps every
+    recorded edge. *)
+
 val pp : Format.formatter -> t -> unit

@@ -34,9 +34,8 @@ let put_schedule (params : Kv.params) =
    seal word is 0 (record ignored) or the one-based position (record
    sealed, fields must be intact).  Strand runs legitimately seal out
    of order, so unlike the queue checker we never stop at a hole. *)
-let scan_logs ~(params : Kv.params) ~(layout : Kv.layout) ~kgroups ~written
-    image =
-  let puts = put_schedule params in
+let scan_logs ~(params : Kv.params) ~(layout : Kv.layout) ~puts ~kgroups
+    ~written image =
   let slots = layout.groups * layout.group_size in
   let by_slot = Array.make slots [] in
   let sealed = ref 0 in
@@ -106,12 +105,18 @@ let rollback_record recs =
   | [ r ] -> Some r
   | _ :: _ :: _ -> bad "ambiguous undo chain — two unsuperseded sealed records"
 
-let recover ~(params : Kv.params) ~(layout : Kv.layout) image =
+(* The put schedule, key groups and written pairs are functions of the
+   parameters alone: built once, before the image is supplied. *)
+let recover ~(params : Kv.params) ~(layout : Kv.layout) =
+  let puts = put_schedule params in
   let kgroups = Kv.key_groups params in
   let written = Hashtbl.create 64 in
   List.iter (fun kv -> Hashtbl.replace written kv ()) (Kv.written params);
+  fun image ->
   try
-    let by_slot, sealed = scan_logs ~params ~layout ~kgroups ~written image in
+    let by_slot, sealed =
+      scan_logs ~params ~layout ~puts ~kgroups ~written image
+    in
     let bindings = ref [] in
     let rolled_back = ref 0 in
     for s = 0 to (layout.groups * layout.group_size) - 1 do
@@ -152,10 +157,12 @@ let recover ~(params : Kv.params) ~(layout : Kv.layout) image =
     Ok { bindings = sorted; sealed; rolled_back = !rolled_back }
   with Bad msg -> Error msg
 
-let checker ~params ~layout image =
-  match recover ~params ~layout image with
-  | Ok _ -> Ok ()
-  | Error msg -> Error msg
+let checker ~params ~layout =
+  let recover = recover ~params ~layout in
+  fun image ->
+    match recover image with
+    | Ok _ -> Ok ()
+    | Error msg -> Error msg
 
 let image_capacity (layout : Kv.layout) =
   max
@@ -258,17 +265,20 @@ let read_grec ~(layout : Kv_group.layout) ~group_of image (batch, pos, put) =
         { batch; pos; put; r_slot = slot; r_old_key; r_old_value; r_old_sum }
   end
 
-let recover_group ~(layout : Kv_group.layout) ~batches image =
+(* As in [recover], the tables that do not depend on the image are
+   built before it is supplied. *)
+let recover_group ~(layout : Kv_group.layout) ~batches =
   let group_of = Hashtbl.create 64 in
   Array.iteri
     (fun i key -> Hashtbl.replace group_of key layout.kgroups.(i))
     layout.keys;
+  let total = List.length batches in
+  let flat = flat_records batches in
+  fun image ->
   try
     let marker = Int64.to_int (get64 image layout.marker_addr) in
-    let total = List.length batches in
     if marker < 0 || marker > total then
       bad "commit marker %d outside [0, %d] — torn marker" marker total;
-    let flat = flat_records batches in
     let recs =
       List.map (fun r -> (r, read_grec ~layout ~group_of image r)) flat
     in
@@ -373,10 +383,12 @@ let recover_group ~(layout : Kv_group.layout) ~batches image =
     Ok { g_bindings = sorted; g_committed = marker; g_rolled_back = !rolled }
   with Bad msg -> Error msg
 
-let check_group ~layout ~batches image =
-  match recover_group ~layout ~batches image with
-  | Ok _ -> Ok ()
-  | Error msg -> Error msg
+let check_group ~layout ~batches =
+  let recover = recover_group ~layout ~batches in
+  fun image ->
+    match recover image with
+    | Ok _ -> Ok ()
+    | Error msg -> Error msg
 
 let group_image_capacity (layout : Kv_group.layout) =
   max

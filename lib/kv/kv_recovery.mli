@@ -37,9 +37,13 @@ type recovered = {
 
 val recover :
   params:Kv.params -> layout:Kv.layout -> bytes -> (recovered, string) result
+(** Applied to [~params ~layout] alone, it builds the put schedule, the
+    key groups and the written-pair table once; the function it returns
+    reuses them for every image. *)
 
 val checker : params:Kv.params -> layout:Kv.layout -> Recovery.observer
-(** {!recover} as a pass/fail observer, shaped for {!Recovery.check}. *)
+(** {!recover} as a pass/fail observer, shaped for {!Recovery.check};
+    its tables, too, are built when it is applied to [~params ~layout]. *)
 
 val image_capacity : Kv.layout -> int
 (** Bytes of persistent address space the image must cover. *)
@@ -83,7 +87,9 @@ val recover_group :
   bytes ->
   (group_recovered, string) result
 (** [batches] is the shard's committed put-batch schedule in commit
-    order ({!Kv_group.batches}); the image is not mutated. *)
+    order ({!Kv_group.batches}); the image is not mutated.  As with
+    {!recover}, the tables drawn from [~layout ~batches] are built once
+    when the function is applied to them. *)
 
 val check_group :
   layout:Kv_group.layout ->

@@ -51,60 +51,81 @@ let traced ~strategy ~graph f =
 
 (* Walk the prefixes the strategy yields, checking each one.  The two
    strategies share the per-prefix body so accounting and failure
-   reporting cannot drift, and one DAG built up front serves both the
-   walk and every prefix's legality check. *)
-let check_cuts ~graph ~capacity ~strategy observer =
+   reporting cannot drift.  One reduced DAG built up front serves the
+   walk and every prefix's legality check, and one byte mask holds the
+   prefix being checked: its dedup key, legality check and image all
+   read the mask.  [observe] gets the prefix's set as a thunk, which a
+   sampled walk forces only for an observer that reads the cut. *)
+let check_masks ~graph ~capacity ~strategy observe =
   traced ~strategy ~graph @@ fun () ->
   Om.incr m_checks;
   let span =
     if Om.enabled Om.default then Some (Obs.Perfscope.start ()) else None
   in
   let total = P.Persist_graph.node_count graph in
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.to_reduced_dag graph in
+  let mask = Bytes.make total '\000' in
+  let durable () =
+    let k = ref 0 in
+    Bytes.iter (fun b -> if b <> '\000' then incr k) mask;
+    !k
+  in
   let checked = ref 0 in
   let injected = ref 0 in
-  (* [Some failure] if the prefix does not recover *)
+  (* [Some failure] if the prefix held in [mask] does not recover *)
   let try_prefix cut =
     incr injected;
-    let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
+    let image = P.Observer.image_of_mask graph ~dag mask ~capacity in
     Om.incr m_prefixes;
     if Om.enabled Om.default then
-      Om.observe m_prefix_size (float_of_int (P.Iset.cardinal cut));
-    match observer ~cut image with
+      Om.observe m_prefix_size (float_of_int (durable ()));
+    match observe cut image with
     | Ok () ->
       incr checked;
       None
     | Error message ->
       Om.incr m_violations;
-      Some
-        { durable = P.Iset.cardinal cut;
-          total;
-          prefixes_ok = !checked;
-          message }
+      Some { durable = durable (); total; prefixes_ok = !checked; message }
   in
-  let cuts =
+  let result =
     match strategy with
-    | Exhaustive -> List.to_seq (P.Dag.all_down_closed dag)
+    | Exhaustive ->
+      List.find_map
+        (fun cut ->
+          P.Dag.fill_mask dag cut mask;
+          try_prefix (fun () -> cut))
+        (P.Dag.all_down_closed dag)
     | Sampled { samples; seed } ->
       (* The rng draws exactly [samples] cuts in a seed-stable order,
          but a duplicate of an already-checked cut is only counted as
          a duplicate, not re-checked: the verdict cannot change (its
          first occurrence already passed) and re-checking would let
          [report.prefixes] overstate distinct crash-state coverage.
-         The sequence is lazy, so drawing stops at the first failure.
-         The key has a byte per node: hashing an id list reads only the
-         first few ids, which nearly every cut shares. *)
+         Drawing stops at the first failure.  The key is the mask, a
+         byte per node: hashing an id list reads only the first few
+         ids, which nearly every cut shares. *)
       let rng = Random.State.make [| seed |] in
+      let draw_into = P.Dag.sampler dag in
       let seen = Hashtbl.create 64 in
-      Seq.init (max samples 0) (fun _ -> P.Dag.random_down_closed dag rng)
-      |> Seq.filter (fun cut ->
-             let key = Bytes.make total '\000' in
-             P.Iset.iter (fun v -> Bytes.set key v '\001') cut;
-             let dup = Hashtbl.mem seen key in
-             if dup then Om.incr m_dup_cuts else Hashtbl.add seen key ();
-             not dup)
+      let cut () = P.Dag.set_of_mask dag mask in
+      let rec draw i =
+        if i >= samples then None
+        else begin
+          draw_into rng mask;
+          if Hashtbl.mem seen mask then begin
+            Om.incr m_dup_cuts;
+            draw (i + 1)
+          end
+          else begin
+            Hashtbl.add seen (Bytes.copy mask) ();
+            match try_prefix cut with
+            | None -> draw (i + 1)
+            | Some _ as failure -> failure
+          end
+        end
+      in
+      draw 0
   in
-  let result = Seq.find_map try_prefix cuts in
   (match span with
   | Some s ->
     let d = Obs.Perfscope.finish s in
@@ -115,8 +136,12 @@ let check_cuts ~graph ~capacity ~strategy observer =
   | None -> Ok { prefixes = !checked; nodes = total }
   | Some f -> Error f
 
+let check_cuts ~graph ~capacity ~strategy observer =
+  check_masks ~graph ~capacity ~strategy (fun cut image ->
+      observer ~cut:(cut ()) image)
+
 let check ~graph ~capacity ~strategy observer =
-  check_cuts ~graph ~capacity ~strategy (fun ~cut:_ image -> observer image)
+  check_masks ~graph ~capacity ~strategy (fun _ image -> observer image)
 
 (* 2^20 prefixes is the most an exhaustive walk should attempt; the
    [all_down_closed] hard ceiling is 24 nodes, but graphs that dense

@@ -62,11 +62,15 @@ val check_cuts :
     cuts are skipped (counted under the [recovery.duplicate_cuts]
     metric) rather than re-checked.
 
-    Cost: one {!Persistency.Dag} array build per call, O(n + edges) for
-    a graph of n persists.  Each sampled draw and each prefix's legality
-    check then walks those arrays in O(n + edges), and each image
-    applies the prefix's writes; exhaustive cuts cost O(n) each.  The
-    [recovery.prefix_size] histogram is fed only while metrics are on. *)
+    Cost: one build per call of the transitive reduction of the
+    graph's order ({!Persistency.Persist_graph.to_reduced_dag}), which
+    leaves every cut, draw and enumeration order as on
+    {!Persistency.Persist_graph.to_dag}.  Each sampled draw and each
+    prefix's legality check then walks it in O(n + reduced edges), on
+    one reused byte mask, and each image applies the prefix's writes;
+    exhaustive cuts cost O(n) each.  The prefix's [Iset.t] is built
+    for [observer] alone.  The [recovery.prefix_size] histogram is fed
+    only while metrics are on. *)
 
 val check :
   graph:Persistency.Persist_graph.t ->
@@ -74,7 +78,8 @@ val check :
   strategy:strategy ->
   observer ->
   (report, failure) result
-(** {!check_cuts} for observers that do not need the prefix itself. *)
+(** {!check_cuts} for observers that do not need the prefix itself; a
+    sampled check builds no prefix set at all. *)
 
 val render_failure : failure -> string
 (** ["crash state with N/M persists durable: ..."]. *)

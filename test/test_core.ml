@@ -469,6 +469,129 @@ let naive_draws_property =
       List.for_all (naive_closed edges) (sized :: draws)
       && P.Iset.cardinal sized = min k free)
 
+(* [of_preds_reduced] against the recorded DAG it reduces. *)
+let reduced_of (n, edges) =
+  let preds = Array.make n [] in
+  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) edges;
+  P.Dag.of_preds_reduced (Array.map Array.of_list preds)
+
+let edges_of g =
+  List.concat_map
+    (fun v -> List.map (fun u -> (u, v)) (P.Dag.preds g v))
+    (List.init (P.Dag.node_count g) Fun.id)
+
+(* The same spec with every edge turned to run up a seeded random
+   order of the nodes (self-loops dropped): acyclic, but, unless that
+   order is the ids', with some predecessors above their node. *)
+let acyclic_variant seed (n, edges) =
+  let rank = Array.init n Fun.id in
+  let rng = Random.State.make [| seed |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = rank.(i) in
+    rank.(i) <- rank.(j);
+    rank.(j) <- t
+  done;
+  ( n,
+    List.filter_map
+      (fun (u, v) ->
+        if u = v then None
+        else if rank.(u) < rank.(v) then Some (u, v)
+        else Some (v, u))
+      edges )
+
+let reduced_property =
+  QCheck.Test.make ~count:300
+    ~name:"of_preds_reduced keeps ancestors, cuts and draws"
+    QCheck.(pair arbitrary_dag small_nat)
+    (fun (spec, seed) ->
+      let holds ((n, edges) as spec) =
+        let g = dag_of spec and r = reduced_of spec in
+        let nodes = List.init n Fun.id in
+        if P.Dag.has_cycle g then
+          List.for_all
+            (fun v ->
+              P.Dag.preds r v = P.Dag.preds g v
+              && P.Dag.succs r v = P.Dag.succs g v)
+            nodes
+        else begin
+          let kept = edges_of r in
+          let ancestors edges v =
+            grow (flip edges)
+              (P.Iset.of_list
+                 (List.filter_map
+                    (fun (u, w) -> if w = v then Some u else None)
+                    edges))
+          in
+          (* [u -> v] is implied when [u] precedes another predecessor *)
+          let implied (u, v) =
+            List.exists
+              (fun w -> w <> u && P.Iset.mem u (ancestors kept w))
+              (P.Dag.preds r v)
+          in
+          let draws g =
+            let rng = Random.State.make [| seed |] in
+            List.init 50 (fun i ->
+                let size = if i mod 2 = 0 then None else Some (i mod 7) in
+                P.Dag.random_down_closed ?size g rng)
+          in
+          List.for_all
+            (fun v -> P.Iset.equal (ancestors kept v) (ancestors edges v))
+            nodes
+          && (not (List.exists implied kept))
+          && same_cuts (P.Dag.all_down_closed r) (P.Dag.all_down_closed g)
+          && same_cuts (draws r) (draws g)
+        end
+      in
+      holds spec && holds (acyclic_variant seed spec))
+
+(* A graph wide enough for the reduction to work in three column
+   blocks, under a shuffled labelling: each node keeps the ancestors it
+   has in the recorded DAG, no kept edge is implied by the others, and
+   draws are unchanged. *)
+let test_reduced_blocks () =
+  let n = 2_200 in
+  let rng = Random.State.make [| 17 |] in
+  let edges =
+    List.concat
+      (List.init n (fun v ->
+           if v = 0 then []
+           else
+             List.init 6 (fun k ->
+                 let back =
+                   if k < 4 then 1 + Random.State.int rng (min v 40)
+                   else 1 + Random.State.int rng v
+                 in
+                 (v - back, v))))
+  in
+  List.iter
+    (fun spec ->
+      let g = dag_of spec and r = reduced_of spec in
+      checkb "fewer edges" true
+        (List.length (edges_of r) < List.length (edges_of g));
+      for u = 0 to n - 1 do
+        let reach = P.Dag.reachable_from r u in
+        if reach <> P.Dag.reachable_from g u then
+          Alcotest.failf "node %d reaches other nodes" u;
+        List.iter
+          (fun v ->
+            if List.exists (fun w -> w <> u && reach.(w)) (P.Dag.preds r v)
+            then Alcotest.failf "kept edge %d -> %d is implied" u v)
+          (P.Dag.succs r u)
+      done;
+      List.iter
+        (fun seed ->
+          let a = Random.State.make [| seed |]
+          and b = Random.State.make [| seed |] in
+          for _ = 1 to 10 do
+            checkb "same draw" true
+              (P.Iset.equal
+                 (P.Dag.random_down_closed r a)
+                 (P.Dag.random_down_closed g b))
+          done)
+        [ 0; 1; 2 ])
+    [ (n, edges); acyclic_variant 3 (n, edges) ]
+
 let test_dag_too_big () =
   Alcotest.match_raises "all_down_closed bound"
     (function Invalid_argument _ -> true | _ -> false)
@@ -1190,6 +1313,9 @@ let () =
           QCheck_alcotest.to_alcotest random_down_closed_property;
           QCheck_alcotest.to_alcotest naive_reach_property;
           QCheck_alcotest.to_alcotest naive_draws_property;
+          QCheck_alcotest.to_alcotest reduced_property;
+          Alcotest.test_case "reduction in column blocks" `Quick
+            test_reduced_blocks;
           Alcotest.test_case "out-of-range ids" `Quick test_dag_out_of_range
         ] );
       ( "engine-strict",

@@ -270,19 +270,40 @@ let test_recorded_graph_pinned () =
    the former set-backed DAG.  The same seed must keep giving the same
    cuts, whatever the DAG's representation. *)
 let test_sampled_cuts_pinned () =
-  let dag = P.Persist_graph.to_dag (recover_kv_graph ()) in
+  let graph = recover_kv_graph () in
+  let dag = P.Persist_graph.to_dag graph in
   let line cut =
     String.concat "," (List.map string_of_int (P.Iset.elements cut))
   in
+  let digest cuts =
+    Digest.to_hex (Digest.string (String.concat "\n" (List.map line cuts)))
+  in
   List.iter
-    (fun (seed, digest) ->
+    (fun (seed, pinned) ->
       let rng = Random.State.make [| seed |] in
       let cuts = List.init 30 (fun _ -> P.Dag.random_down_closed dag rng) in
       Alcotest.(check string)
         (Printf.sprintf "seed %d cut digest" seed)
-        digest
-        (Digest.to_hex
-           (Digest.string (String.concat "\n" (List.map line cuts)))))
+        pinned (digest cuts);
+      (* the path recovery takes: [Recovery.check_cuts] draws from the
+         reduced DAG, and its 30 draws are distinct, so the observer
+         sees every one of them, in order *)
+      let seen = ref [] in
+      let observer ~cut _ =
+        seen := cut :: !seen;
+        Ok ()
+      in
+      (match
+         Recovery.check_cuts ~graph ~capacity:0
+           ~strategy:(Recovery.Sampled { samples = 30; seed })
+           observer
+       with
+      | Ok r -> Alcotest.(check int) "distinct draws" 30 r.Recovery.prefixes
+      | Error f -> Alcotest.fail (Recovery.render_failure f));
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d cut digest through Recovery.check_cuts" seed)
+        pinned
+        (digest (List.rev !seen)))
     [ (0, "81ab131964f6a64829c7b2dbecc11787");
       (5, "033bc23a48a1b72058e0dd160be2a8a0") ]
 

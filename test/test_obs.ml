@@ -829,9 +829,33 @@ let test_exit_codes () =
       "table1 --capacity=-4"; "table1 --jobs=-3";
       (* --jobs sizes sweeps; an exploration has no such flag *)
       "explore --jobs 2";
+
       (* --buggy is the one selector of a deliberately broken variant *)
       "serve --recovery --model epoch-buggy";
       "lockfree --recovery --discipline buggy-traverse" ];
+  (* ...and failure injection runs no sweep, so a flag that only shapes
+     one is refused, by name, rather than ignored *)
+  List.iter
+    (fun (flag, cmd) ->
+      match exit_and_output (persistsim ^ " " ^ cmd) with
+      | 124, line :: _
+        when String.starts_with ~prefix:("persistsim: " ^ flag ^ " ") line ->
+        ()
+      | code, lines ->
+        Alcotest.failf "%s: exit %d, output %S" cmd code
+          (String.concat "\n" lines))
+    [ ("--jobs", "lockfree --recovery --depth 1 --model sc --jobs 2");
+      ("--inserts", "lockfree --recovery --depth 1 --model sc --inserts 7");
+      ( "--sweep-seed",
+        "lockfree --recovery --depth 1 --model sc --sweep-seed 3" );
+      ("--csv", "lockfree --recovery --depth 1 --model sc --csv");
+      ("--csv", "lockfree --buggy --depth 1 --model sc --csv");
+      ("--csv", "kv --recovery --samples 50 --csv");
+      ("--jobs", "kv --recovery --samples 50 --jobs 2");
+      ("--dist", "kv --recovery --samples 50 --dist zipf:0.9");
+      ("--jobs", "kv --buggy -j 2");
+      ("--csv", "serve --recovery --csv"); ("--jobs", "serve --buggy --jobs 2")
+    ];
   (* ...and a total that does not split evenly over --threads, or over
      a sweep's thread counts, is bad input naming both flags *)
   List.iter
