@@ -24,28 +24,6 @@ let micro_inserts = if quick then 400 else 1200
 let banner title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
 
-let bench_recovery_sampling =
-  let params =
-    Experiments.Run.queue_params ~total_inserts:64
-      ~capacity_entries:64 Experiments.Run.epoch_point
-  in
-  let _, graph, layout =
-    Experiments.Run.analyze_with_graph params
-      (Persistency.Config.make Persistency.Config.Epoch)
-  in
-  let capacity =
-    layout.Workloads.Queue.data_addr + layout.Workloads.Queue.data_bytes
-  in
-  Test.make ~name:"observer:recovery-sampling"
-    (Staged.stage (fun () ->
-         match
-           Recovery.check ~graph ~capacity
-             ~strategy:(Recovery.Sampled { samples = 20; seed = 1 })
-             (Workloads.Queue_recovery.check ~params ~layout)
-         with
-         | Ok _ -> ()
-         | Error f -> failwith (Recovery.render_failure f)))
-
 let bench_kv_store =
   Test.make ~name:"workload:kv-store"
     (Staged.stage (fun () ->
@@ -187,8 +165,8 @@ let bench_persist_buffer =
          Memsim.Machine.run m))
 
 let tests =
-  [ bench_fig3; bench_fig4; bench_fig5; bench_recovery_sampling;
-    bench_kv_store; bench_serve; bench_drain; bench_epoch_hw;
+  [ bench_fig3; bench_fig4; bench_fig5; bench_kv_store; bench_serve;
+    bench_drain; bench_epoch_hw;
     bench_explore_dpor; bench_explore_brute; bench_litmus_brute;
     bench_litmus_dpor; bench_litmus_buffered; bench_persist_buffer ]
 

@@ -183,7 +183,7 @@ let rec close_all_but t node = function
 
 (* Close every provenance node of a source level but [node] itself. *)
 let close_source t node s =
-  if Level.level s > 0 then close_all_but t node (Level.provenance s)
+  if Level.level s > 0 then close_all_but t node s.Level.prov
 
 (* Tracked blocks overlapped by an access.  Accesses are at most eight
    bytes and naturally aligned while granularities are at least eight

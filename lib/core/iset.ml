@@ -1,9 +1,2 @@
 (** Integer sets, used for persist-node frontier tracking. *)
 include Set.Make (Int)
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (elements s)

@@ -1,5 +1,3 @@
-(** Integer sets (persist node ids); [Set.Make(Int)] plus a printer. *)
+(** Integer sets (persist node ids): [Set.Make(Int)]. *)
 
 include Set.S with type elt = int
-
-val pp : Format.formatter -> t -> unit

@@ -21,11 +21,16 @@
 
     Provenance is bounded: past {!max_provenance} nodes it degrades to
     "unknown", which is conservative for exclusion (the level always
-    counts) and merely optimistic for closing. *)
+    counts) and merely optimistic for closing.  It is held newest first
+    (descending ids) with its size.  Ids are issued in increasing order,
+    so the engine's common merge, a view absorbing the persist just
+    created at its level, is one cons, and turns "unknown" at the cap
+    exactly as a full union does. *)
 
 type t = private {
   level : int;
-  prov : int list;  (** sorted, distinct node ids; [] = unknown/none *)
+  prov : int list;  (** distinct node ids, newest first; [] = unknown/none *)
+  size : int;  (** the length of [prov]; a subset test checks it first *)
 }
 
 val max_provenance : int
@@ -42,10 +47,9 @@ val merge : t -> t -> t
 val level : t -> int
 
 val provenance : t -> int list
+(** The provenance node ids in ascending order. *)
 
 val excluding : node:int -> t -> int
 (** [excluding ~node s] is the level of [s] unless it is fully
     attributable to [node], else 0: the dependence on [s] a persist
     would retain after coalescing into node [node]. *)
-
-val pp : Format.formatter -> t -> unit

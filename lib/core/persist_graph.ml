@@ -84,12 +84,3 @@ let preds t =
 
 let to_dag t = Dag.of_preds (preds t)
 let to_reduced_dag t = Dag.of_preds_reduced (preds t)
-
-let pp ppf t =
-  iter
-    (fun n ->
-      Format.fprintf ppf "n%d level=%d writes=%d deps=%a order=%a@." n.id
-        n.level
-        (Memsim.Vec.length n.writes)
-        Iset.pp n.deps Iset.pp n.order)
-    t

@@ -69,5 +69,3 @@ val to_reduced_dag : t -> Dag.t
     the same crash cuts, drawn and enumerated in the same order, from
     only the edges no other path implies.  A cyclic graph keeps every
     recorded edge. *)
-
-val pp : Format.formatter -> t -> unit

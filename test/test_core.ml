@@ -89,12 +89,18 @@ let reference_merge (la, pa) (lb, pb) =
   else if pa = [] || pb = [] then (la, [])
   else (la, capped (pa @ pb))
 
+let model_of_spec (level, ids) =
+  if level = 0 then (0, []) else (level, capped ids)
+
 let level_of_spec (level, ids) =
   if level = 0 then P.Level.bottom
   else
     List.fold_left
       (fun acc node -> P.Level.merge acc (P.Level.of_node ~level ~node))
       P.Level.bottom ids
+
+let print_spec (level, ids) =
+  Printf.sprintf "%d@[%s]" level (String.concat "," (List.map string_of_int ids))
 
 let arbitrary_level =
   let ids =
@@ -104,19 +110,14 @@ let arbitrary_level =
           list_size (int_range 15 30) (int_bound 40);
           int_range 19 21 >|= fun k -> List.init k (fun i -> 2 * i) ])
   in
-  QCheck.make
-    ~print:(fun (level, ids) ->
-      Printf.sprintf "%d@[%s]" level
-        (String.concat "," (List.map string_of_int ids)))
-    QCheck.Gen.(pair (int_bound 2) ids)
+  QCheck.make ~print:print_spec QCheck.Gen.(pair (int_bound 2) ids)
 
 let merge_reference_property =
   QCheck.Test.make ~count:500 ~name:"merge equals the capped-union reference"
     QCheck.(pair arbitrary_level arbitrary_level)
     (fun (sa, sb) ->
       let a = level_of_spec sa and b = level_of_spec sb in
-      let expect (level, ids) = if level = 0 then (0, []) else (level, capped ids) in
-      level_view a = expect sa
+      level_view a = model_of_spec sa
       && level_view (P.Level.merge a b)
          = reference_merge (level_view a) (level_view b))
 
@@ -133,6 +134,91 @@ let merge_laws_property =
       && level_view (merge (merge a b) c) = level_view (merge a (merge b c))
       && level_view (merge bottom a) = level_view a
       && level_view (merge a bottom) = level_view a)
+
+(* [merge]'s one-cons path: a node newer than every node of a view at
+   its level is appended, up to the cap, past which the view is
+   unknown. *)
+let test_level_push () =
+  let open P.Level in
+  let view k =
+    List.fold_left
+      (fun acc node -> merge acc (of_node ~level:2 ~node))
+      bottom (List.init k Fun.id)
+  in
+  let ids = Alcotest.(check (list int)) in
+  let v = view 3 in
+  ids "appended" [ 0; 1; 2; 7 ]
+    (provenance (merge v (of_node ~level:2 ~node:7)));
+  ids "appended from the left" [ 0; 1; 2; 7 ]
+    (provenance (merge (of_node ~level:2 ~node:7) v));
+  checkb "a held node returns the view" true
+    (merge v (of_node ~level:2 ~node:1) == v);
+  checkb "the newest held node returns the view" true
+    (merge v (of_node ~level:2 ~node:2) == v);
+  checkb "a lower level returns the view" true
+    (merge v (of_node ~level:1 ~node:9) == v);
+  let full = merge (view 19) (of_node ~level:2 ~node:30) in
+  checki "20 kept" 20 (List.length (provenance full));
+  checki "size" 20 full.size;
+  let over = merge full (of_node ~level:2 ~node:31) in
+  ids "21 is unknown" [] (provenance over);
+  checki "overflow keeps the level" 2 (level over);
+  checkb "unknown absorbs" true
+    (merge over (of_node ~level:2 ~node:32) == over);
+  checki "unknown is never excluded" 2 (excluding ~node:31 over)
+
+(* [merge] against the reference model, on pairs aimed at both of its
+   paths: [a] is folded from distinct ids, ascending (every step a
+   cons) or shuffled; [b] is either newer than all of [a] (often one
+   node: the cons path) or drawn among [a]'s ids and a few above.
+   Sizes run around the cap, and levels are equal or not.  Level,
+   provenance as a set and [excluding] must agree with the model, the
+   size field must be the provenance's length, and a result equal to
+   an input must be that input. *)
+let arbitrary_merge_pair =
+  let open QCheck.Gen in
+  let size = oneof [ int_range 1 6; oneofl [ 19; 20; 21 ] ] in
+  let ids ~lo ~span k =
+    shuffle_l (List.init span (fun i -> lo + i)) >|= fun l ->
+    List.filteri (fun i _ -> i < k) l
+  in
+  let gen =
+    size >>= fun ka ->
+    ids ~lo:0 ~span:48 ka >>= fun a ->
+    bool >>= fun sorted ->
+    let order l = if sorted then List.sort compare l else l in
+    let top = List.fold_left max 0 a in
+    bool >>= fun newest ->
+    (if newest then oneof [ return 1; size ] >>= ids ~lo:(top + 1) ~span:30
+     else size >>= ids ~lo:0 ~span:(max 30 (top + 6)))
+    >>= fun b ->
+    oneof
+      [ (int_range 1 2 >|= fun l -> (l, l));
+        (int_bound 3 >>= fun la ->
+         int_range 1 3 >|= fun d -> (la, (la + d) mod 4)) ]
+    >|= fun (la, lb) -> ((la, order a), (lb, order b))
+  in
+  QCheck.make ~print:(fun (a, b) -> print_spec a ^ " + " ^ print_spec b) gen
+
+let merge_model_property =
+  QCheck.Test.make ~count:1000 ~name:"merge matches the model on both paths"
+    arbitrary_merge_pair (fun (sa, sb) ->
+      let a = level_of_spec sa and b = level_of_spec sb in
+      let ((level, prov) as expect) =
+        reference_merge (model_of_spec sa) (model_of_spec sb)
+      in
+      let r = P.Level.merge a b in
+      let model_excluding node =
+        match prov with [ n ] when n = node -> 0 | _ -> level
+      in
+      P.Level.level r = level
+      && List.sort_uniq compare (P.Level.provenance r) = prov
+      && r.P.Level.size = List.length (P.Level.provenance r)
+      && List.for_all
+           (fun node -> P.Level.excluding ~node r = model_excluding node)
+           (99 :: (snd sa @ snd sb))
+      && (expect <> level_view a || r == a || r == b)
+      && (expect <> level_view b || r == b || r == a))
 
 (* Itbl against a [Hashtbl] model, through growth from the smallest
    table: keys clustered (consecutive) and far apart (a megabyte and a
@@ -1291,7 +1377,9 @@ let () =
         [ Alcotest.test_case "merge" `Quick test_level_merge;
           Alcotest.test_case "excluding" `Quick test_level_excluding;
           Alcotest.test_case "provenance cap" `Quick test_level_provenance_cap;
+          Alcotest.test_case "append newest" `Quick test_level_push;
           QCheck_alcotest.to_alcotest merge_reference_property;
+          QCheck_alcotest.to_alcotest merge_model_property;
           QCheck_alcotest.to_alcotest merge_laws_property ] );
       ( "itbl",
         [ QCheck_alcotest.to_alcotest itbl_model_property;
