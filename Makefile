@@ -96,13 +96,16 @@ serve: build
 	dune exec bin/persistsim.exe -- serve --recovery --buggy --shards 1 --batch 3 --requests 24 --keys 16 --rate 1000 | grep -q "RECOVERY VIOLATION"
 
 # DPOR exploration smoke: the queue sweep against the brute-force
-# oracle (same graph census, far fewer schedules), a complete KV
-# exploration must end in its every-interleaving verdict, and the buggy
-# KV discipline must be flagged with a replayable counter-example.
+# oracle (same graph census, far fewer schedules), complete KV and
+# lock-free explorations must end in their every-interleaving verdicts,
+# and the buggy KV discipline and lock-free traversal must be flagged
+# with a replayable counter-example.
 explore: build
 	dune exec bin/persistsim.exe -- explore --workload queue --depth 2 --oracle --csv
 	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (.*) of every interleaving$$"
 	dune exec bin/persistsim.exe -- explore --workload kv --buggy --depth 2 | grep -q "RECOVERY VIOLATION"
+	dune exec bin/persistsim.exe -- explore --workload lockfree --depth 1 --model epoch --machine sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"
+	dune exec bin/persistsim.exe -- explore --workload lockfree --buggy --depth 2 | grep -q "RECOVERY VIOLATION"
 
 # Lock-free CAS set: the flush-all vs NVTraverse sweep, recovery
 # injection of the correct discipline (a complete exploration claims

@@ -95,7 +95,8 @@ let bench_epoch_hw =
    is the whole point of lib/check. *)
 let explore_run policy =
   let params =
-    Workloads.Queue.explore_params ~threads:2 ~depth:2 Workloads.Queue.Epoch
+    Check.Driver.queue.params ~threads:2 ~depth:2 ~seed:1
+      Memsim.Machine.sc_config Workloads.Queue.Epoch
   in
   ignore
     (Workloads.Queue.run

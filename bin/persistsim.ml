@@ -394,6 +394,13 @@ let dpor_check ?summary ?(quiet = false) o ~command ~header instance_of =
       ?repro:(Option.map (fun (sched, _) -> reproducer sched) r.failure)
       (match r.failure with None -> Ok r.prefixes | Some (_, f) -> Error f)
 
+(* The run both explorers check: one family's explore-sized params in
+   one variant, under one engine mode and machine configuration. *)
+let family_run o (f : (_, _, _, _) Check.Driver.family) variant mode machine =
+  Check.Driver.instance f
+    (f.params ~threads:o.threads ~depth:o.depth ~seed:o.seed machine variant)
+    (Persistency.Config.make mode)
+
 (* table1 *)
 
 let table1_cmd =
@@ -553,7 +560,8 @@ let validate_cmd =
 let recovery_cmd =
   let run () design model threads inserts samples buggy =
     let annotation =
-      if buggy then Workloads.Queue.Buggy_epoch else model.Experiments.Run.annotation
+      if buggy then Check.Driver.queue.drop
+      else model.Experiments.Run.annotation
     in
     let params =
       { (Experiments.Run.queue_params ~design ~threads
@@ -562,7 +570,7 @@ let recovery_cmd =
         with Workloads.Queue.annotation }
     in
     let inst =
-      Check.Driver.queue_instance params
+      Check.Driver.instance Check.Driver.queue params
         (Persistency.Config.make model.Experiments.Run.mode)
         params.Workloads.Queue.policy
     in
@@ -600,11 +608,12 @@ let kv_cmd =
       Experiments.Kv_exp.kv_params ~threads ~total_ops model.mode
     in
     let params =
-      if buggy then { params with Kv.discipline = Kv.Buggy_undo } else params
+      if buggy then { params with Kv.discipline = Check.Driver.kv.drop }
+      else params
     in
     let inst =
-      Check.Driver.kv_instance params (Persistency.Config.make model.mode)
-        params.Kv.policy
+      Check.Driver.instance Check.Driver.kv params
+        (Persistency.Config.make model.mode) params.Kv.policy
     in
     Printf.printf "kv / %s%s: %d threads x %d ops, %d atomic persists\n"
       (Kv.discipline_name params.Kv.discipline)
@@ -1033,47 +1042,17 @@ let calibrate_cmd =
 (* explore *)
 
 let explore_cmd =
-  let run () workload (model : Experiments.Run.model_point)
+  let run () (Check.Driver.Family f) (model : Experiments.Run.model_point)
       (machine : Memsim.Machine.mconfig) o oracle csv =
-    (* on the TSO machine the paper's atomic persist barrier is not an
-       instruction x86 offers — realize it as the Px86 flush+sfence
-       annotation instead *)
-    let barrier =
-      match machine.model with
-      | Memsim.Machine.Sc -> Memsim.Machine.Pbarrier
-      | Memsim.Machine.Tso -> Memsim.Machine.Flush_sfence
+    let { buggy; threads; depth; max_schedules; _ } = o in
+    let variant =
+      if buggy then f.drop else f.clean model.mode model.annotation
     in
-    let { buggy; threads; depth; seed; max_schedules; _ } = o in
-    let cfg = Persistency.Config.make model.mode in
-    let instance_of, label =
-      match workload with
-      | `Queue ->
-        let annotation =
-          if buggy then Workloads.Queue.Buggy_epoch else model.annotation
-        in
-        let params =
-          { (Workloads.Queue.explore_params ~threads ~depth
-               ~machine:machine.model ~persistence:machine.persistence
-               ~barrier annotation)
-            with Workloads.Queue.seed }
-        in
-        ( Check.Driver.queue_instance params cfg,
-          Workloads.Queue.annotation_name annotation )
-      | `Kv ->
-        let discipline =
-          if buggy then Kv.Buggy_undo else Kv.discipline_for model.mode
-        in
-        let params =
-          { (Kv.explore_params ~threads ~depth ~machine:machine.model
-               ~persistence:machine.persistence ~barrier discipline)
-            with Kv.seed }
-        in
-        (Check.Driver.kv_instance params cfg, Kv.discipline_name discipline)
-    in
-    let workload_name = match workload with `Queue -> "queue" | `Kv -> "kv" in
+    let label = f.variant_name variant in
+    let instance_of = family_run o f variant model.mode machine in
     let header =
       Printf.sprintf "explore %s / %s / %s / %s: %d threads x %d ops"
-        workload_name label model.label machine.mlabel threads depth
+        f.name label model.label machine.mlabel threads depth
     in
     let summary (report : Check.Driver.report) =
       let brute =
@@ -1099,7 +1078,7 @@ let explore_cmd =
            sleep_skips,sleep_aborts,steps,complete,distinct_graphs,\
            recovery_checks,prefixes,verdict,brute_traces,brute_graphs\n";
         Printf.printf "%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d,%d,%s,%s,%s\n"
-          workload_name label model.label machine.mlabel threads depth
+          f.name label model.label machine.mlabel threads depth
           report.stats.schedules
           report.stats.sleep_skips report.stats.sleep_aborts
           report.stats.steps report.stats.complete report.distinct
@@ -1128,15 +1107,32 @@ let explore_cmd =
     dpor_check o ~header ~summary ~quiet:csv
       ~command:
         (Printf.sprintf "explore --workload %s --model %s --machine %s%s"
-           workload_name model.label machine.mlabel
+           f.name model.label machine.mlabel
            (if buggy then " --buggy" else ""))
       instance_of
   in
+  (* the enum maps names to names: cmdliner compares values to print
+     them, and a family holds closures *)
+  let families =
+    List.map (fun (Check.Driver.Family f as w) -> (f.name, w))
+      Check.Driver.families
+  in
   let workload_t =
-    let doc = "Workload to explore: $(b,queue) (CWL) or $(b,kv)." in
-    Arg.(value
-         & opt (enum [ ("queue", `Queue); ("kv", `Kv) ]) `Queue
-         & info [ "workload" ] ~docv:"W" ~doc)
+    let doc = "Workload family to explore: " ^ Arg.doc_alts_enum families in
+    let names = Arg.enum (List.map (fun (n, _) -> (n, n)) families) in
+    Term.(const (fun n -> List.assoc n families)
+          $ Arg.(value & opt names "queue"
+                 & info [ "workload" ] ~docv:"W" ~doc))
+  in
+  let buggy_doc =
+    Printf.sprintf
+      "Drop the family's recovery-critical barrier or flush so the \
+       explorer can demonstrate the resulting violation: %s."
+      (String.concat "; "
+         (List.map
+            (fun (n, Check.Driver.Family f) ->
+              n ^ " runs " ^ f.variant_name f.drop)
+            families))
   in
   let machine_t =
     Arg.(value
@@ -1160,49 +1156,36 @@ let explore_cmd =
              partial-order reduction, failure-injecting recovery on every \
              distinct persist graph.")
     Term.(const run $ obs_t $ workload_t $ model_t $ machine_t
-          $ dpor_t
-              ~buggy_doc:
-                "Drop the recovery-critical barrier (queue: data->head; kv: \
-                 seal->slot) so the explorer can demonstrate the resulting \
-                 violation."
-          $ oracle_t $ csv_t)
+          $ dpor_t ~buggy_doc $ oracle_t $ csv_t)
 
 (* lockfree *)
 
 let lockfree_cmd =
   let module E = Experiments.Lockfree_exp in
   let module C = Lockfree.Cas_set in
-  let failure_inject o discipline mconfigs =
-    let dname = C.discipline_name discipline in
-    let check (mc : E.mconfig) =
-      let params =
-        { (C.explore_params ~threads:o.threads ~depth:o.depth
-             ~machine:mc.model ~persistence:mc.persistence discipline)
-          with C.seed = o.seed }
-      in
-      dpor_check o
-        ~header:
-          (Printf.sprintf "lockfree / %s / %s: %d threads x %d inserts" dname
-             mc.mlabel o.threads o.depth)
-        ~command:
-          (Printf.sprintf "lockfree --recovery %s --model %s"
-             (if o.buggy then "--buggy" else "--discipline " ^ dname)
-             mc.mlabel)
-        (Check.Driver.lockfree_instance params
-           (Persistency.Config.make Persistency.Config.Epoch))
-    in
-    (* a reproducer line always stamps a single machine configuration;
-       replay the schedule under the first one given *)
-    List.iter check
-      (if o.replay = None then mconfigs else [ List.hd mconfigs ])
-  in
   let run () recovery o discipline inserts sweep_seed csv jobs mconfigs =
-    let discipline = if o.buggy then C.Buggy_traverse else discipline in
     if recovery || o.buggy || o.replay <> None then
       without_sweep_flags
         [ ("--jobs", jobs <> None); ("--inserts", inserts <> None);
           ("--sweep-seed", sweep_seed <> None); ("--csv", csv) ]
-        (fun () -> failure_inject o discipline mconfigs)
+        (fun () ->
+          let d = if o.buggy then Check.Driver.lockfree.drop else discipline in
+          let dname = C.discipline_name d in
+          (* a reproducer line always stamps a single machine
+             configuration; replay the schedule under the first one *)
+          List.iter
+            (fun (mc : E.mconfig) ->
+              dpor_check o
+                ~header:
+                  (Printf.sprintf "lockfree / %s / %s: %d threads x %d inserts"
+                     dname mc.mlabel o.threads o.depth)
+                ~command:
+                  (Printf.sprintf "lockfree --recovery %s --model %s"
+                     (if o.buggy then "--buggy" else "--discipline " ^ dname)
+                     mc.mlabel)
+                (family_run o Check.Driver.lockfree d Persistency.Config.Epoch
+                   mc))
+            (if o.replay = None then mconfigs else [ List.hd mconfigs ]))
     else
       let t =
         E.run ~jobs:(default_jobs jobs)

@@ -110,7 +110,7 @@ module History = struct
         start_ = o.o_start;
         finish = o.o_finish;
         persists;
-        effect_ = effect_of ~tid:o.o_tid ~index:o.o_index ~label:o.o_label }
+        effect_ = effect_of ~tid:o.o_tid ~index:o.o_index }
     in
     List.sort
       (fun a b -> compare a.start_ b.start_)

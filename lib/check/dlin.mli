@@ -64,12 +64,12 @@ module History : sig
   val ops :
     t ->
     node_of_persist:(int -> int) ->
-    effect_of:(tid:int -> index:int -> label:string -> effect_) ->
+    effect_of:(tid:int -> index:int -> effect_) ->
     op list
   (** Close all open operations and return the history, ordered by
       start.  [node_of_persist] is
       {!Persistency.Engine.node_of_persist_event} partially applied;
-      [effect_of] assigns each (thread, per-thread index, label) its
+      [effect_of] assigns each (thread, per-thread index) its
       abstract effect — a pure function of workload params. *)
 end
 

@@ -65,86 +65,127 @@ let check ?max_schedules ~strategy run =
     prefixes = !prefixes;
     failure = !failure }
 
-(* Every instance runs its workload with a history tee, so the
-   observer can layer the durable-linearizability oracle ({!Dlin})
-   over the family's structural invariant: the invariant runs first
-   (its failure messages are the pinned, replayable ones), then the
-   recovered abstract state is checked against the operations the cut
-   classifies as fully / partially / not durable. *)
-let instrumented_run run cfg =
+type ('v, 'p, 'r, 'a) family = {
+  name : string;
+  variant_name : 'v -> string;
+  clean : Ps.Config.mode -> Workloads.Queue.annotation -> 'v;
+  drop : 'v;
+  params : threads:int -> depth:int -> seed:int -> M.mconfig -> 'v -> 'p;
+  run : 'p -> M.policy -> sink:(Memsim.Event.t -> unit) -> 'r;
+  recover : 'p -> 'r -> bytes -> ('a, string) result;
+  image_capacity : 'r -> int;
+  effect_of : 'p -> 'r -> tid:int -> index:int -> Dlin.effect_;
+  dlin :
+    ops:Dlin.op list -> cut:Ps.Iset.t -> recovered:'a -> (unit, string) result;
+}
+
+type packed = Family : (_, _, _, _) family -> packed
+
+(* The history tee lets the observer layer the durable-linearizability
+   oracle over the structural invariant: [recover] runs first (its
+   failure messages are the pinned, replayable ones), then [dlin]. *)
+let instance f params cfg policy =
   let hist = Dlin.History.create () in
   let engine, result =
     Ps.Engine.run { cfg with Ps.Config.record_graph = true } (fun ~sink ->
-        run ~sink:(Dlin.History.sink hist sink))
+        f.run params policy ~sink:(Dlin.History.sink hist sink))
   in
-  let ops effect_of =
+  let ops =
     Dlin.History.ops hist
       ~node_of_persist:(Ps.Engine.node_of_persist_event engine)
-      ~effect_of
+      ~effect_of:(f.effect_of params result)
   in
-  (result, Option.get (Ps.Engine.graph engine), ops)
+  let recover = f.recover params result in
+  { graph = Option.get (Ps.Engine.graph engine);
+    capacity = f.image_capacity result;
+    observer =
+      (fun ~cut image ->
+        match recover image with
+        | Error _ as e -> e
+        | Ok recovered -> f.dlin ~ops ~cut ~recovered) }
 
-let queue_instance params cfg policy =
-  let params = { params with Workloads.Queue.policy } in
-  let result, graph, history =
-    instrumented_run (Workloads.Queue.run params) cfg
-  in
-  let layout = result.Workloads.Queue.layout in
-  let ops =
-    history (fun ~tid ~index ~label:_ -> Dlin.Enq { etid = tid; eseq = index })
-  in
-  let observer ~cut image =
-    match Workloads.Queue_recovery.recover ~params ~layout image with
-    | Error _ as e -> e
-    | Ok { entries; _ } -> (
-      match Workloads.Queue_recovery.check_fifo entries with
-      | Error _ as e -> e
-      | Ok () -> Dlin.check_fifo ~ops ~cut ~recovered:entries)
-  in
-  { graph;
-    capacity = Workloads.Queue_recovery.image_capacity layout;
-    observer }
+(* On a TSO machine the paper's atomic persist barrier is not an
+   instruction x86 offers: realize it as the Px86 flush+sfence
+   annotation instead. *)
+let barrier_for = function M.Sc -> M.Pbarrier | M.Tso -> M.Flush_sfence
 
-let kv_instance params cfg policy =
-  let params = { params with Kv.policy } in
-  let result, graph, history =
-    instrumented_run (Kv.run params) cfg
-  in
-  let layout = result.Kv.layout in
-  let ops =
-    history (fun ~tid ~index ~label:_ ->
+let queue =
+  let module Q = Workloads.Queue in
+  let module R = Workloads.Queue_recovery in
+  { name = "queue"; variant_name = Q.annotation_name;
+    clean = (fun _ annotation -> annotation);
+    drop = Q.Buggy_epoch;
+    (* CWL, 16-byte entries, capacity exactly threads x depth: no
+       wrap-around, as Queue_recovery requires *)
+    params =
+      (fun ~threads ~depth ~seed (mc : M.mconfig) annotation ->
+        { Q.design = Cwl; annotation; threads; inserts_per_thread = depth;
+          entry_size = 16; capacity_entries = threads * depth; seed;
+          policy = M.Round_robin; machine = mc.model;
+          persistence = mc.persistence; barrier = barrier_for mc.model });
+    run = (fun params policy -> Q.run { params with Q.policy });
+    recover =
+      (fun params r image ->
+        Result.bind (R.recover ~params ~layout:r.Q.layout image)
+          (fun { entries; _ } ->
+            Result.map (fun () -> entries) (R.check_fifo entries)));
+    image_capacity = (fun r -> R.image_capacity r.Q.layout);
+    effect_of = (fun _ _ ~tid ~index -> Dlin.Enq { etid = tid; eseq = index });
+    dlin = Dlin.check_fifo }
+
+let kv =
+  { name = "kv"; variant_name = Kv.discipline_name;
+    clean = (fun mode _ -> Kv.discipline_for mode);
+    drop = Kv.Buggy_undo;
+    (* puts over 2 keys hashed into a single bucket group: maximal lock
+       and slot contention, so the adversarial interleavings (the ones
+       that expose Buggy_undo) come within a small schedule budget *)
+    params =
+      (fun ~threads ~depth ~seed (mc : M.mconfig) discipline ->
+        { Kv.discipline; threads; ops_per_thread = depth; get_every = 0;
+          key_space = 2; groups = 1; group_size = 4; seed;
+          policy = M.Round_robin; dist = Workloads.Keygen.Uniform;
+          machine = mc.model; persistence = mc.persistence;
+          barrier = barrier_for mc.model });
+    run = (fun params policy -> Kv.run { params with Kv.policy });
+    recover =
+      (fun params r ->
+        let recover = Kv_recovery.recover ~params ~layout:r.Kv.layout in
+        fun image ->
+          Result.map (fun r -> r.Kv_recovery.bindings) (recover image));
+    image_capacity = (fun r -> Kv_recovery.image_capacity r.Kv.layout);
+    effect_of =
+      (fun params _ ~tid ~index ->
         match Kv.op_of params ~tid ~seq:index with
         | Kv.Put { key; value } -> Dlin.Put { key; value }
-        | Kv.Get _ -> Dlin.Read)
-  in
-  let recover = Kv_recovery.recover ~params ~layout in
-  let observer ~cut image =
-    match recover image with
-    | Error _ as e -> e
-    | Ok r -> Dlin.check_map ~ops ~cut ~recovered:r.Kv_recovery.bindings
-  in
-  { graph; capacity = Kv_recovery.image_capacity layout; observer }
+        | Kv.Get _ -> Dlin.Read);
+    dlin = Dlin.check_map }
 
-let lockfree_instance params cfg policy =
-  let params = { params with Lockfree.Cas_set.policy } in
-  let result, graph, history =
-    instrumented_run (Lockfree.Cas_set.run params) cfg
-  in
-  let layout = result.Lockfree.Cas_set.layout in
-  let keys = result.Lockfree.Cas_set.keys in
-  let ops =
-    history (fun ~tid ~index ~label:_ ->
+let lockfree =
+  let module C = Lockfree.Cas_set in
+  let module R = Lockfree.Set_recovery in
+  { name = "lockfree"; variant_name = C.discipline_name;
+    clean = (fun _ _ -> C.Nvtraverse);
+    drop = C.Buggy_traverse;
+    params =
+      (fun ~threads ~depth ~seed (mc : M.mconfig) discipline ->
+        { (C.explore_params ~threads ~depth ~machine:mc.model
+             ~persistence:mc.persistence discipline)
+          with C.seed });
+    run = (fun params policy -> C.run { params with C.policy });
+    recover =
+      (fun params r image ->
+        Result.map (fun r -> r.R.keys)
+          (R.recover ~params ~layout:r.C.layout image));
+    image_capacity = (fun r -> R.image_capacity r.C.layout);
+    effect_of =
+      (fun params r ~tid ~index ->
         Dlin.Add
-          { key = keys.((tid * params.Lockfree.Cas_set.inserts_per_thread)
-                        + index) })
-  in
-  let observer ~cut image =
-    match Lockfree.Set_recovery.recover ~params ~layout image with
-    | Error _ as e -> e
-    | Ok r ->
-      Dlin.check_set ~ops ~cut ~recovered:r.Lockfree.Set_recovery.keys
-  in
-  { graph; capacity = Lockfree.Set_recovery.image_capacity layout; observer }
+          { key = r.C.keys.((tid * params.C.inserts_per_thread) + index) });
+    dlin = Dlin.check_set }
+
+let families = [ Family queue; Family kv; Family lockfree ]
+let lockfree_instance params = instance lockfree params
 
 (* Group commit has no operation history to linearize: the marker
    pins the exact recovered state, so the batch-boundary equality is
@@ -157,7 +198,7 @@ let group_instance ~layout ~batches graph =
 
 exception Bad_schedule of string
 
-let replay sched run =
+let check_schedule ~strategy sched run =
   let script = Schedule.to_script sched in
   let n = Schedule.length sched in
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_schedule msg)) fmt in
@@ -172,6 +213,4 @@ let replay sched run =
     if consumed < n then
       bad "the run ended after consuming %d of the schedule's %d decisions"
         consumed n
-    else inst
-
-let check_schedule ~strategy sched run = check_run ~strategy (replay sched run)
+    else check_run ~strategy inst

@@ -58,28 +58,60 @@ val check :
     [failure] means the search stopped there, and none means it hit
     [max_schedules]. *)
 
-val queue_instance :
-  Workloads.Queue.params ->
-  Persistency.Config.t ->
-  Memsim.Machine.policy ->
-  instance
-(** Run the persistent queue workload once under [policy] (the params'
-    own policy is ignored), with graph recording forced on, and package
-    the run for {!check}.  Partially applied to params and config, this
-    is the [run] argument. *)
+type ('v, 'p, 'r, 'a) family = {
+  name : string;  (** the [explore --workload] name *)
+  variant_name : 'v -> string;  (** annotation or discipline name *)
+  clean : Persistency.Config.mode -> Workloads.Queue.annotation -> 'v;
+      (** the correct variant at a model point: its engine mode and the
+          queue annotation it implies *)
+  drop : 'v;
+      (** the canonical [--buggy] variant: the correct one less the
+          barrier or flush recovery needs *)
+  params :
+    threads:int -> depth:int -> seed:int -> Memsim.Machine.mconfig -> 'v -> 'p;
+      (** explore-sized params (a TSO machine gets flush+sfence barriers) *)
+  run : 'p -> Memsim.Machine.policy -> sink:(Memsim.Event.t -> unit) -> 'r;
+  recover : 'p -> 'r -> bytes -> ('a, string) result;
+      (** decode a crash image and check the structural invariant;
+          applied to a run once, before its images *)
+  image_capacity : 'r -> int;
+  effect_of : 'p -> 'r -> tid:int -> index:int -> Dlin.effect_;
+  dlin :
+    ops:Dlin.op list -> cut:Persistency.Iset.t -> recovered:'a ->
+    (unit, string) result;
+}
+(** A workload family: all DPOR exploration, failure injection and
+    {!Dlin} need from it.  ['v] is the variant, ['p] the params, ['r]
+    a run's result and ['a] the recovered abstract state. *)
 
-val kv_instance :
-  Kv.params -> Persistency.Config.t -> Memsim.Machine.policy -> instance
-(** Same for the KV store workload. *)
+type packed = Family : (_, _, _, _) family -> packed
+
+val queue :
+  ( Workloads.Queue.annotation, Workloads.Queue.params,
+    Workloads.Queue.result, (int * int) list ) family
+
+val kv : (Kv.discipline, Kv.params, Kv.result, (int * int64) list) family
+
+val lockfree :
+  ( Lockfree.Cas_set.discipline, Lockfree.Cas_set.params,
+    Lockfree.Cas_set.result, int list ) family
+(** {!Dlin.check_set} catches the silent truncation [Buggy_traverse] can
+    produce, which the structural decoder alone cannot see. *)
+
+val families : packed list
+(** Every family, in [--workload] order: queue, kv, lockfree. *)
+
+val instance :
+  (_, 'p, _, _) family -> 'p -> Persistency.Config.t ->
+  Memsim.Machine.policy -> instance
+(** Run a family once under [policy] with graph recording forced on and
+    a {!Dlin} history tee, and package the run for {!check}: partially
+    applied to family, params and config, this is the [run] argument. *)
 
 val lockfree_instance :
-  Lockfree.Cas_set.params ->
-  Persistency.Config.t ->
-  Memsim.Machine.policy ->
-  instance
-(** Same for the lock-free CAS-set workload ({!Dlin.check_set} catches
-    the silent truncation {!Lockfree.Cas_set.discipline.Buggy_traverse}
-    can produce, which the structural decoder alone cannot see). *)
+  Lockfree.Cas_set.params -> Persistency.Config.t ->
+  Memsim.Machine.policy -> instance
+(** [instance lockfree]. *)
 
 val group_instance :
   layout:Kv_group.layout ->
@@ -95,19 +127,15 @@ exception Bad_schedule of string
 (** A schedule that does not fit the run it replays; the message names
     the offending decision and how many decisions were consumed. *)
 
-val replay : Schedule.t -> (Memsim.Machine.policy -> instance) -> instance
-(** Re-execute one schedule deterministically ([Scripted] policy with
-    the schedule's forced indices).  A schedule shorter than the run
-    replays as a prefix, the rest taking the first runnable pick.
-    @raise Bad_schedule when a decision's index is out of range, or
-    when the run ends with decisions left over. *)
-
 val check_schedule :
   strategy:(Persistency.Persist_graph.t -> Recovery.strategy) ->
   Schedule.t ->
   (Memsim.Machine.policy -> instance) ->
   (Recovery.report, Recovery.failure) result
-(** {!replay} one schedule and failure-inject it — how a persisted
-    counter-example is validated in the test suite and by
-    [persistsim explore --replay].
-    @raise Bad_schedule as {!replay} does. *)
+(** Re-execute one schedule deterministically ([Scripted] policy with
+    the schedule's forced indices) and failure-inject it — how a
+    persisted counter-example is validated in the test suite and by
+    [persistsim explore --replay].  A schedule shorter than the run
+    replays as a prefix, the rest taking the first runnable pick.
+    @raise Bad_schedule when a decision's index is out of range, or
+    when the run ends with decisions left over. *)

@@ -12,8 +12,9 @@ val critical_chain : Persist_graph.t -> int list
     when the graph was recorded by an engine.  Ties are broken toward
     the smallest node id at every step, so the chain is deterministic.
     [[]] for an empty graph.
-    @raise Invalid_argument when the graph is cyclic (a recorded
-    persist graph never is). *)
+    @raise Invalid_argument when the graph is cyclic, as a recorded
+    graph is when a write coalesces into an open persist its own
+    dependences are already ordered after (Px86 order-only edges). *)
 
 val to_dot : Format.formatter -> Persist_graph.t -> unit
 (** Graphviz DOT.  Nodes are annotated with level and thread id and

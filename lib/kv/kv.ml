@@ -69,22 +69,6 @@ let default_params =
     persistence = M.Psync;
     barrier = M.Pbarrier }
 
-let explore_params ?(threads = 2) ?(depth = 2) ?(machine = M.Sc)
-    ?(persistence = M.Psync) ?(barrier = M.Pbarrier) discipline =
-  { discipline;
-    threads;
-    ops_per_thread = depth;
-    get_every = 0;
-    key_space = 2;
-    groups = 1;
-    group_size = 4;
-    seed = 1;
-    policy = M.Round_robin;
-    dist = Workloads.Keygen.Uniform;
-    machine;
-    persistence;
-    barrier }
-
 let discipline_name = function
   | Strict_stores -> "strict-stores"
   | Epoch_undo -> "epoch-undo"

@@ -88,21 +88,6 @@ val default_params : params
 (** 2 threads x 64 ops, a get every 4th op, 24 keys over 8 groups of 8
     slots (37% load), seeded random scheduling, epoch discipline. *)
 
-val explore_params :
-  ?threads:int ->
-  ?depth:int ->
-  ?machine:Memsim.Machine.model ->
-  ?persistence:Memsim.Machine.persistence ->
-  ?barrier:Memsim.Machine.barrier_impl ->
-  discipline ->
-  params
-(** An instance sized for systematic exploration ({!Check}): [threads]
-    (default 2) threads of [depth] (default 2) puts over 2 keys hashed
-    into a {e single} bucket group — maximal lock and slot contention,
-    so adversarial interleavings (the ones that expose
-    {!discipline.Buggy_undo}) are reached within a small schedule
-    budget.  The caller overrides [policy] per execution. *)
-
 val discipline_name : discipline -> string
 
 val discipline_for : Persistency.Config.mode -> discipline

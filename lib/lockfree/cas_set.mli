@@ -72,8 +72,8 @@ val explore_params :
   discipline ->
   params
 (** Small fixed shape for systematic exploration (2 threads x [depth]
-    inserts, round-robin seed 1) — the lockfree analogue of
-    {!Workloads.Queue.explore_params}. *)
+    inserts, round-robin seed 1): the lock-free family's explore-sized
+    params in [Check.Driver]. *)
 
 val discipline_name : discipline -> string
 val validate : params -> unit

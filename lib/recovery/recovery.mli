@@ -27,7 +27,8 @@ type cut_observer = cut:Persistency.Iset.t -> bytes -> (unit, string) result
 type strategy =
   | Sampled of { samples : int; seed : int }
       (** Random legal prefixes (every prefix has non-zero
-          probability); the only option for large graphs. *)
+          probability); the only option for large graphs.  A draw
+          never makes a node on a persist-order cycle durable. *)
   | Exhaustive
       (** Every durable prefix, in descending bitmask order, at a cost
           per prefix rather than per subset of nodes.  Small graphs only:

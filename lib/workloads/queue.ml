@@ -45,20 +45,6 @@ let default_params =
     persistence = M.Psync;
     barrier = M.Pbarrier }
 
-let explore_params ?(threads = 2) ?(depth = 2) ?(machine = M.Sc)
-    ?(persistence = M.Psync) ?(barrier = M.Pbarrier) annotation =
-  { design = Cwl;
-    annotation;
-    threads;
-    inserts_per_thread = depth;
-    entry_size = 16;
-    capacity_entries = threads * depth;
-    seed = 1;
-    policy = M.Round_robin;
-    machine;
-    persistence;
-    barrier }
-
 type layout = {
   head_addr : int;
   data_addr : int;

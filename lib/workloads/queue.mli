@@ -72,17 +72,6 @@ val default_params : params
     64-entry capacity, seed 42, round-robin, SC machine, synchronous
     persists, paper barrier. *)
 
-val explore_params :
-  ?threads:int -> ?depth:int -> ?machine:Memsim.Machine.model ->
-  ?persistence:Memsim.Machine.persistence ->
-  ?barrier:Memsim.Machine.barrier_impl ->
-  annotation -> params
-(** A CWL instance sized for systematic exploration ({!Check}):
-    [threads] (default 2) threads of [depth] (default 2) inserts of a
-    16-byte entry, capacity exactly [threads * depth] (no wrap-around,
-    as {!Queue_recovery} requires), deterministic seed.  The caller
-    overrides [policy] per execution. *)
-
 type layout = {
   head_addr : int;  (** persistent 8-byte head pointer (unused by
                         [Fang], which has no head) *)

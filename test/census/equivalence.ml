@@ -15,8 +15,11 @@ let sorted_keys tbl =
 let strategy = Recovery.auto ~samples:64 ~seed:1
 
 let queue_run ?(depth = 2) annotation mode =
-  let params = Q.explore_params ~threads:2 ~depth annotation in
-  Dr.queue_instance params (Ps.Config.make mode)
+  let params =
+    Dr.queue.params ~threads:2 ~depth ~seed:1 Memsim.Machine.sc_config
+      annotation
+  in
+  Dr.instance Dr.queue params (Ps.Config.make mode)
 
 (* Collect one representative instance per distinct graph fingerprint. *)
 let dpor_census instance_of =

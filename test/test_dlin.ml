@@ -254,7 +254,8 @@ let test_history () =
   let ops =
     D.History.ops h
       ~node_of_persist:(fun i -> 100 + i)
-      ~effect_of:(fun ~tid ~index ~label:_ -> D.Put { key = (10 * tid) + index; value = 0L })
+      ~effect_of:(fun ~tid ~index ->
+        D.Put { key = (10 * tid) + index; value = 0L })
   in
   checkb "forwards every event" true (!forwarded = 7);
   Alcotest.(check int) "three ops" 3 (List.length ops);

@@ -296,11 +296,15 @@ let test_exhaustive_tlc_buggy () =
    observer.  The buggy variant brute-forces interleavings and aborts
    at the first violation. *)
 let test_exhaustive_three_inserts_epoch () =
-  let params = Q.explore_params ~threads:2 ~depth:3 Q.Epoch in
+  let params =
+    Check.Driver.queue.params ~threads:2 ~depth:3 ~seed:1
+      Memsim.Machine.sc_config Q.Epoch
+  in
   let r =
     Check.Driver.check
       ~strategy:(fun _ -> Recovery.Exhaustive)
-      (Check.Driver.queue_instance params (P.Config.make P.Config.Epoch))
+      (Check.Driver.instance Check.Driver.queue params
+         (P.Config.make P.Config.Epoch))
   in
   checkb "every trace class explored" true r.stats.complete;
   checki "schedules" 212 r.stats.schedules;

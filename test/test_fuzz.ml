@@ -235,16 +235,13 @@ let fuzz_kv ~name ~count mode =
 
 module Q = Workloads.Queue
 
-let queue_events annotation policy =
-  let params = Q.explore_params ~threads:2 ~depth:2 annotation in
-  let trace = Memsim.Trace.create () in
-  ignore (Q.run { params with Q.policy } ~sink:(Memsim.Trace.sink trace));
-  Memsim.Trace.to_list trace
+(* A family's 2-thread, depth-2 explore shape on the SC machine. *)
+let sc_params (f : (_, _, _, _) Check.Driver.family) =
+  f.params ~threads:2 ~depth:2 ~seed:1 Memsim.Machine.sc_config
 
-let kv_events discipline policy =
-  let params = Kv.explore_params discipline in
+let events (f : (_, _, _, _) Check.Driver.family) variant policy =
   let trace = Memsim.Trace.create () in
-  ignore (Kv.run { params with Kv.policy } ~sink:(Memsim.Trace.sink trace));
+  ignore (f.run (sc_params f variant) policy ~sink:(Memsim.Trace.sink trace));
   Memsim.Trace.to_list trace
 
 let check_corpus_trace ~what mode trace =
@@ -265,7 +262,7 @@ let check_corpus_trace ~what mode trace =
 let test_explorer_corpus () =
   let entries = ref [] in
   (* a slice of the safe workload's explored schedules *)
-  let run = queue_events Q.Epoch in
+  let run = events Check.Driver.queue Q.Epoch in
   ignore
     (Check.Dpor.explore ~max_schedules:12
        ~on_exec:(fun sched evs ->
@@ -289,12 +286,13 @@ let test_explorer_corpus () =
       entries := (what, events_of, sched, explored) :: !entries
   in
   let epoch_cfg = P.Config.make P.Config.Epoch in
-  add_failure "cwl/buggy-epoch"
-    (Check.Driver.queue_instance (Q.explore_params Q.Buggy_epoch) epoch_cfg)
-    (queue_events Q.Buggy_epoch);
-  add_failure "kv/buggy-undo"
-    (Check.Driver.kv_instance (Kv.explore_params Kv.Buggy_undo) epoch_cfg)
-    (kv_events Kv.Buggy_undo);
+  let add_drop (f : (_, _, _, _) Check.Driver.family) what =
+    add_failure what
+      (Check.Driver.instance f (sc_params f f.drop) epoch_cfg)
+      (events f f.drop)
+  in
+  add_drop Check.Driver.queue "cwl/buggy-epoch";
+  add_drop Check.Driver.kv "kv/buggy-undo";
   Alcotest.(check bool) "corpus populated" true (List.length !entries >= 10);
   List.iter
     (fun (what, events_of, sched, explored) ->

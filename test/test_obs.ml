@@ -331,11 +331,14 @@ let test_tracer_branch_equivalence () =
      counter-example; every execution opens a generation span, those
      run to completion an analysis span *)
   let dpor () =
-    let params = Kv.explore_params ~threads:2 ~depth:2 Kv.Buggy_undo in
+    let params =
+      Check.Driver.kv.params ~threads:2 ~depth:2 ~seed:1
+        Memsim.Machine.sc_config Kv.Buggy_undo
+    in
     let r =
       Check.Driver.check ~max_schedules:512
         ~strategy:(Recovery.auto ~samples:64 ~seed:1)
-        (Check.Driver.kv_instance params cfg)
+        (Check.Driver.instance Check.Driver.kv params cfg)
     in
     ( r.Check.Driver.stats,
       (r.distinct, r.checked, r.prefixes),
@@ -800,6 +803,9 @@ let test_exit_codes () =
   (* a caught bug is a successful demonstration *)
   checke "explore buggy caught" 0 "explore --workload kv --buggy --depth 2";
   checke "lockfree buggy caught" 0 "lockfree --buggy --depth 1 --model sc";
+  checke "explore lockfree safe" 0 "explore --workload lockfree --depth 1";
+  checke "explore lockfree buggy caught" 0
+    "explore --workload lockfree --buggy --depth 2";
   checke "recovery buggy caught" 0 "recovery --buggy";
   (* a missed bug must not exit clean: Buggy_undo's dropped seal->slot
      barrier is masked by strict persistency, so the demonstration
@@ -808,6 +814,10 @@ let test_exit_codes () =
     "explore --workload kv --model strict --buggy --depth 2";
   (* likewise Buggy_epoch's dropped data->head barrier under strict *)
   checke "recovery buggy missed" 1 "recovery --buggy --model strict";
+  (* and the lock-free set's dropped pre-CAS flush: explore runs every
+     family under the --model point's engine mode *)
+  checke "explore lockfree buggy missed" 1
+    "explore --workload lockfree --model strict --buggy --depth 2";
   (* unknown litmus test is a usage error *)
   checke "litmus unknown" 2 "litmus --test no-such-test";
   (* bad input never escapes as an uncaught exception (cmdliner's 125):
@@ -938,6 +948,17 @@ let test_budget_hit_wording () =
     [ "  schedules executed    185 (complete)";
       "recovery and durable linearizability hold in all 962 distinct crash \
        states (exhaustive) of every interleaving" ];
+  (* explore's lock-free set is the same search; its --model point sets
+     the engine mode, and strict persistency orders every persist *)
+  expect "explore --workload lockfree --depth 1"
+    [ "explore lockfree / nvtraverse / epoch / sc: 2 threads x 1 ops";
+      "  schedules executed    185 (complete)";
+      "recovery and durable linearizability hold in all 962 distinct crash \
+       states (exhaustive) of every interleaving" ];
+  expect "explore --workload lockfree --depth 1 --model strict"
+    [ "explore lockfree / nvtraverse / strict / sc: 2 threads x 1 ops";
+      "recovery and durable linearizability hold in all 44 distinct crash \
+       states (exhaustive) of every interleaving" ];
   expect ~bounded:true
     "lockfree --recovery --discipline nvtraverse --depth 2 --model sc \
      --max-schedules 16"
@@ -996,6 +1017,9 @@ let test_replay_misfit () =
       ("lockfree --recovery --replay 9 --depth 1 --model sc",
        "decision 1 of 1 is index 9, but only 2 steps were runnable there \
         (0 decisions consumed)");
+      ("explore --workload lockfree --depth 1 --replay 9",
+       "decision 1 of 1 is index 9, but only 2 steps were runnable there \
+        (0 decisions consumed)");
       ("explore --workload kv --depth 1 --replay " ^ zeros,
        "the run ended after consuming 30 of the schedule's 500 decisions") ]
 
@@ -1025,6 +1049,7 @@ let test_reproducer_roundtrip () =
            (String.starts_with ~prefix:"RECOVERY VIOLATION on replayed schedule")
            replayed))
     [ "explore --workload kv --buggy --depth 2";
+      "explore --workload lockfree --buggy --depth 2";
       "lockfree --buggy --depth 1 --model sc" ]
 
 let () =

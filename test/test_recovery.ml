@@ -40,7 +40,8 @@ let run_and_graph ~design ~annotation ~mode ~threads ~inserts ~seed =
 (* The same run as a driver instance, under the params' own policy. *)
 let instance ~design ~annotation ~mode ~threads ~inserts ~seed =
   let params = queue_params ~design ~annotation ~threads ~inserts ~seed in
-  Check.Driver.queue_instance params (P.Config.make mode) params.Q.policy
+  Check.Driver.instance Check.Driver.queue params (P.Config.make mode)
+    params.Q.policy
 
 let driver_check ~samples ~seed inst =
   match
@@ -324,10 +325,13 @@ let test_auto_boundary () =
    bitmask order: bit [v] set for each durable node [v].  The walk's
    order, not only its count, is what Exhaustive checks follow. *)
 let test_exhaustive_cuts_pinned () =
-  let params = Q.explore_params ~threads:3 ~depth:1 Q.Epoch in
+  let params =
+    Check.Driver.queue.params ~threads:3 ~depth:1 ~seed:1
+      Memsim.Machine.sc_config Q.Epoch
+  in
   let inst =
-    Check.Driver.queue_instance params (P.Config.make P.Config.Epoch)
-      Memsim.Machine.Round_robin
+    Check.Driver.instance Check.Driver.queue params
+      (P.Config.make P.Config.Epoch) Memsim.Machine.Round_robin
   in
   let graph = inst.Check.Driver.graph in
   Alcotest.(check int) "nodes" 12 (P.Persist_graph.node_count graph);
