@@ -8,7 +8,7 @@
 # by running the parent commit and the change side by side (python3
 # .github/perf_gate.py PARENT_DIR CHANGE_DIR).
 
-.PHONY: all build test test-times repro bench bench-quick fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
+.PHONY: all build test test-times repro repro-times bench bench-quick fuzz fmt-check smoke serve explore lockfree litmus census examples ci clean
 
 all: build
 
@@ -34,22 +34,33 @@ test-times: build
 
 # The paper's evaluation (Table 1, Figures 3-5, the Section 7
 # validation) and the extension tables: the persistsim command each
-# EXPERIMENTS.md section cites, at the size it quotes.  Tables go to
-# stdout, byte-identical for any --jobs; sweep profiles go to stderr.
+# EXPERIMENTS.md section cites, at the size it quotes, one per word.
+# Tables go to stdout, byte-identical for any --jobs; sweep profiles go
+# to stderr.
+REPRO = table1 fig3 fig4 fig5 "validate --inserts 8000" machine ablation \
+	cache wear consistency kv \
+	"serve --requests 768 --rate 64 --keys 96 --shards 1,2 --batch 1,8,32" \
+	lockfree
+
 repro: build
-	dune exec bin/persistsim.exe -- table1
-	dune exec bin/persistsim.exe -- fig3
-	dune exec bin/persistsim.exe -- fig4
-	dune exec bin/persistsim.exe -- fig5
-	dune exec bin/persistsim.exe -- validate --inserts 8000
-	dune exec bin/persistsim.exe -- machine
-	dune exec bin/persistsim.exe -- ablation
-	dune exec bin/persistsim.exe -- cache
-	dune exec bin/persistsim.exe -- wear
-	dune exec bin/persistsim.exe -- consistency
-	dune exec bin/persistsim.exe -- kv
-	dune exec bin/persistsim.exe -- serve --requests 768 --rate 64 --keys 96 --shards 1,2 --batch 1,8,32
-	dune exec bin/persistsim.exe -- lockfree
+	@for c in $(REPRO); do \
+	  echo "dune exec bin/persistsim.exe -- $$c"; \
+	  dune exec bin/persistsim.exe -- $$c || exit 1; \
+	done
+
+# Wall time of each `make repro` command, run once, one after another
+# (tables discarded); the last line is their sum.  Exits 1 if any
+# command failed (its time is still printed).
+repro-times: build
+	@status=0 && total=0 && \
+	for c in $(REPRO); do \
+	  s=$$(date +%s.%N); \
+	  if ./_build/default/bin/persistsim.exe $$c > /dev/null 2>&1; then r=ok; else r=FAILED; status=1; fi; \
+	  d=$$(echo "$$(date +%s.%N) $$s" | awk '{printf "%.1f", $$1 - $$2}'); \
+	  total=$$(echo "$$total $$d" | awk '{printf "%.1f", $$1 + $$2}'); \
+	  printf '%-20s %7s s  %s\n' "$${c%% *}" "$$d" "$$r"; \
+	done && \
+	printf '%-20s %7s s\n' total "$$total" && exit $$status
 
 # The Bechamel micro-benchmarks that perfbench does not cover.
 bench: build

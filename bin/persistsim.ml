@@ -951,40 +951,39 @@ let graph_cmd =
 
 let ablation_cmd =
   let module A = Experiments.Ablation in
-  let on_profile = print_profile in
   (* one section per --which name, in print order; each keeps its own
-     default size unless --inserts is given *)
-  let sections =
+     default size unless --inserts is given.  A1 and A2 read one sweep,
+     and A3 and the sync ablation one set of graphs: each is computed
+     once, when a section first needs it. *)
+  let sections ~jobs ?total_inserts () =
+    let on_profile = print_profile in
+    let conflicts = lazy (A.conflicts ~jobs ~on_profile ?total_inserts ()) in
+    let graphs = lazy (A.model_graphs ~jobs ~on_profile ?total_inserts ()) in
     [ ( "tso",
-        fun ~jobs ?total_inserts () ->
+        fun () ->
           A.render_comparisons
             ~title:
               "Ablation A1: SC conflict ordering (baseline) vs BPFS/TSO \
                conflict detection (variant), cp/insert"
-            (A.tso_conflicts ~jobs ~on_profile ?total_inserts ()) );
+            (Lazy.force conflicts).A.tso );
       ( "spaces",
-        fun ~jobs ?total_inserts () ->
+        fun () ->
           A.render_comparisons
             ~title:
               "\nAblation A2: conflicts in both spaces (baseline) vs \
                persistent-only (variant), cp/insert"
-            (A.conflict_spaces ~jobs ~on_profile ?total_inserts ()) );
+            (Lazy.force conflicts).A.spaces );
       ( "coalesce",
-        fun ~jobs ?total_inserts () ->
+        fun () ->
           A.render_comparisons
             ~title:
               "\nAblation A4: coalescing on (baseline) vs off (variant), \
                cp/insert, CWL 1 thread"
             (A.coalescing ~jobs ~on_profile ?total_inserts ()) );
-      ( "buffer",
-        fun ~jobs ?total_inserts () ->
-          A.render_buffer (A.buffer_depth ~jobs ~on_profile ?total_inserts ())
-      );
-      ( "sync",
-        fun ~jobs ?total_inserts () ->
-          A.render_sync (A.persist_sync ~jobs ~on_profile ?total_inserts ()) );
+      ("buffer", fun () -> A.render_buffer (A.buffer_depth (Lazy.force graphs)));
+      ("sync", fun () -> A.render_sync (A.persist_sync (Lazy.force graphs)));
       ( "capacity",
-        fun ~jobs ?total_inserts () ->
+        fun () ->
           A.render_capacity (A.capacity ~jobs ~on_profile ?total_inserts ()) )
     ]
   in
@@ -996,12 +995,13 @@ let ablation_cmd =
         total_inserts;
     List.iter
       (fun (name, section) ->
-        if which = "all" || which = name then
-          print_string (section ~jobs ?total_inserts ()))
-      sections
+        if which = "all" || which = name then print_string (section ()))
+      (sections ~jobs ?total_inserts ())
   in
   let which_t =
-    let names = List.map (fun (n, _) -> (n, n)) sections @ [ ("all", "all") ] in
+    let names =
+      List.map (fun (n, _) -> (n, n)) (sections ~jobs:1 ()) @ [ ("all", "all") ]
+    in
     Arg.(value & opt (enum names) "all"
          & info [ "which" ] ~docv:"NAME"
              ~doc:"One of: tso, spaces, coalesce, buffer, sync, capacity, all.")

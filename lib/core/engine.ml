@@ -599,8 +599,9 @@ let observe_trace t trace =
    materialized so that generation and analysis appear as distinct
    phases in the timeline — the engine sees the same events in the
    same order, so results are identical. *)
-let run cfg produce =
-  let t = create cfg in
+(* [produce]'s one run, fed to [sink]; with the tracer on, the trace is
+   materialized so that generation and analysis are separate spans. *)
+let feed produce sink =
   if Obs.Tracer.enabled () then begin
     let trace = Memsim.Trace.create () in
     let r =
@@ -610,12 +611,26 @@ let run cfg produce =
     Obs.Tracer.with_span ~cat:"phase"
       ~args:[ ("events", string_of_int (Memsim.Trace.length trace)) ]
       "engine analysis"
-      (fun () -> Memsim.Trace.iter (observe t) trace);
-    (t, r)
+      (fun () -> Memsim.Trace.iter sink trace);
+    r
   end
-  else
-    let r = produce ~sink:(observe t) in
-    (t, r)
+  else produce ~sink
+
+let run cfg produce =
+  let t = create cfg in
+  let r = feed produce (observe t) in
+  (t, r)
+
+let run_many cfgs produce =
+  let ts = List.map create cfgs in
+  let rec fan ev = function
+    | [] -> ()
+    | t :: rest ->
+      observe t ev;
+      fan ev rest
+  in
+  let r = feed produce (fun ev -> fan ev ts) in
+  (ts, r)
 
 let critical_path t = t.max_level
 let persist_events t = t.persist_events

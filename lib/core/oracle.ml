@@ -239,8 +239,6 @@ let build (cfg : Config.t) trace =
     persists = List.rev !persists;
     reach = Hashtbl.create 64 }
 
-let event_count t = t.n
-
 let reach t i =
   match Hashtbl.find_opt t.reach i with
   | Some r -> r

@@ -21,8 +21,6 @@ type t
 
 val build : Config.t -> Memsim.Trace.t -> t
 
-val event_count : t -> int
-
 val critical_path : t -> int
 (** Longest chain of required-ordered persist events — the persist
     ordering-constraint critical path computed independently of the

@@ -20,86 +20,101 @@ let pool_map ?(jobs = 1) ?(on_profile = fun _ -> ()) ~label f cells =
 
 let comparison_threads = 4
 
-let flag_comparison ~make_variant ?jobs ?on_profile
-    ?(threads = comparison_threads) ?total_inserts () =
+(* Baseline and variants are engine settings, so they read one run. *)
+let comparison label (baseline : Run.metrics) (variant : Run.metrics) =
+  { label;
+    baseline = baseline.Run.cp_per_insert;
+    variant = variant.Run.cp_per_insert }
+
+type conflicts = {
+  tso : comparison list;
+  spaces : comparison list;
+}
+
+let conflicts ?jobs ?on_profile ?(threads = comparison_threads)
+    ?total_inserts () =
   let sweep =
     List.concat_map
       (fun design -> List.map (fun p -> (design, p)) epoch_points)
       [ Workloads.Queue.Cwl; Workloads.Queue.Tlc ]
   in
-  pool_map ?jobs ?on_profile
-    ~label:(fun _ (design, (point : Run.model_point)) ->
-      Printf.sprintf "%s/%s/%dT"
-        (Workloads.Queue.design_name design)
-        point.Run.label threads)
-    (fun (design, (point : Run.model_point)) ->
-      let params = Run.queue_params ~design ~threads ?total_inserts point in
-      let base_cfg = Persistency.Config.make point.Run.mode in
-      { label =
-          Printf.sprintf "%s/%s/%dT"
-            (Workloads.Queue.design_name design)
-            point.Run.label threads;
-        baseline = cp params base_cfg;
-        variant = cp params (make_variant point.Run.mode) })
-    sweep
-
-let tso_conflicts ?jobs ?on_profile ?threads ?total_inserts () =
-  flag_comparison
-    ~make_variant:(Persistency.Config.make ~tso_conflicts:true)
-    ?jobs ?on_profile ?threads ?total_inserts ()
-
-let conflict_spaces ?jobs ?on_profile ?threads ?total_inserts () =
-  flag_comparison
-    ~make_variant:(Persistency.Config.make ~persistent_only_conflicts:true)
-    ?jobs ?on_profile ?threads ?total_inserts ()
+  let label (design, (point : Run.model_point)) =
+    Printf.sprintf "%s/%s/%dT"
+      (Workloads.Queue.design_name design)
+      point.Run.label threads
+  in
+  let cells =
+    pool_map ?jobs ?on_profile
+      ~label:(fun _ cell -> label cell)
+      (fun ((design, (point : Run.model_point)) as cell) ->
+        let params = Run.queue_params ~design ~threads ?total_inserts point in
+        let cfg = Persistency.Config.make in
+        match
+          Run.analyze_many params
+            [ cfg point.Run.mode;
+              cfg ~tso_conflicts:true point.Run.mode;
+              cfg ~persistent_only_conflicts:true point.Run.mode ]
+        with
+        | [ base; tso; spaces ] ->
+          let versus = comparison (label cell) base in
+          (versus tso, versus spaces)
+        | _ -> assert false)
+      sweep
+  in
+  { tso = List.map fst cells; spaces = List.map snd cells }
 
 let coalescing ?jobs ?on_profile ?total_inserts () =
   pool_map ?jobs ?on_profile
     ~label:(fun _ (point : Run.model_point) -> point.Run.label)
     (fun (point : Run.model_point) ->
       let params = Run.queue_params ?total_inserts point in
-      { label = point.Run.label;
-        baseline = cp params (Persistency.Config.make point.Run.mode);
-        variant =
-          cp params (Persistency.Config.make ~coalescing:false point.Run.mode) })
+      let cfg coalescing = Persistency.Config.make ~coalescing point.Run.mode in
+      match Run.analyze_many params [ cfg true; cfg false ] with
+      | [ on; off ] -> comparison point.Run.label on off
+      | _ -> assert false)
     Run.table1_models
+
+type graphs = {
+  total_inserts : int;
+  by_model : (string * Persistency.Persist_graph.t) list;
+}
+
+let model_graphs ?jobs ?on_profile ?(total_inserts = 2000) () =
+  { total_inserts;
+    by_model =
+      pool_map ?jobs ?on_profile
+        ~label:(fun _ (point : Run.model_point) -> point.Run.label)
+        (fun (point : Run.model_point) ->
+          let params = Run.queue_params ~total_inserts point in
+          let _, graph, _ =
+            Run.analyze_with_graph params
+              (Persistency.Config.make point.Run.mode)
+          in
+          (point.Run.label, graph))
+        Run.fig3_models }
+
+(* Drain-simulated inserts/s of each model's graph. *)
+let rates ?sync_every ~latency_ns ~depth (g : graphs) =
+  let insn_ns_per_op =
+    Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl ~threads:1
+  in
+  List.map
+    (fun (label, graph) ->
+      ( label,
+        (Nvram.Drain.simulate ?sync_every graph ~ops:g.total_inserts
+           ~insn_ns_per_op ~latency_ns ~depth)
+          .Nvram.Drain.ops_per_sec ))
+    g.by_model
 
 type buffer_point = {
   depth : int;
   by_model : (string * float) list;
 }
 
-(* Graph-recording analysis cells shared by A3 and the sync ablation:
-   one per Fig3 model, the expensive part of both sweeps. *)
-let model_graphs ?jobs ?on_profile ~total_inserts () =
-  pool_map ?jobs ?on_profile
-    ~label:(fun _ (point : Run.model_point) -> point.Run.label)
-    (fun (point : Run.model_point) ->
-      let params = Run.queue_params ~total_inserts point in
-      let _, graph, _ =
-        Run.analyze_with_graph params (Persistency.Config.make point.Run.mode)
-      in
-      (point.Run.label, graph))
-    Run.fig3_models
-
-let buffer_depth ?jobs ?on_profile ?(total_inserts = 2000)
-    ?(depths = [ 1; 2; 4; 8; 16; 64; 256 ]) ?(latency_ns = 500.) () =
-  let insn_ns =
-    Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl ~threads:1
-  in
-  let graphs = model_graphs ?jobs ?on_profile ~total_inserts () in
+let buffer_depth ?(depths = [ 1; 2; 4; 8; 16; 64; 256 ]) ?(latency_ns = 500.) g
+    =
   List.map
-    (fun depth ->
-      { depth;
-        by_model =
-          List.map
-            (fun (label, graph) ->
-              let r =
-                Nvram.Drain.simulate graph ~ops:total_inserts
-                  ~insn_ns_per_op:insn_ns ~latency_ns ~depth
-              in
-              (label, r.Nvram.Drain.ops_per_sec))
-            graphs })
+    (fun depth -> { depth; by_model = rates ~latency_ns ~depth g })
     depths
 
 type sync_point = {
@@ -107,25 +122,11 @@ type sync_point = {
   by_model : (string * float) list;
 }
 
-let persist_sync ?jobs ?on_profile ?(total_inserts = 2000)
-    ?(intervals = [ Some 1; Some 4; Some 16; Some 64; None ])
-    ?(latency_ns = 500.) () =
-  let insn_ns =
-    Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl ~threads:1
-  in
-  let graphs = model_graphs ?jobs ?on_profile ~total_inserts () in
+let persist_sync ?(intervals = [ Some 1; Some 4; Some 16; Some 64; None ])
+    ?(latency_ns = 500.) g =
   List.map
     (fun sync_every ->
-      { sync_every;
-        by_model =
-          List.map
-            (fun (label, graph) ->
-              let r =
-                Nvram.Drain.simulate ?sync_every graph ~ops:total_inserts
-                  ~insn_ns_per_op:insn_ns ~latency_ns ~depth:max_int
-              in
-              (label, r.Nvram.Drain.ops_per_sec))
-            graphs })
+      { sync_every; by_model = rates ?sync_every ~latency_ns ~depth:max_int g })
     intervals
 
 let render_sync (points : sync_point list) =

@@ -30,25 +30,37 @@ type comparison = {
     prints it as the sweep-profile footer). *)
 
 val comparison_threads : int
-(** 4, the default [threads] of {!tso_conflicts} and {!conflict_spaces}. *)
+(** 4, the default [threads] of {!conflicts}. *)
 
-val tso_conflicts :
-  ?jobs:int -> ?on_profile:(Parallel.Pool.profile -> unit) ->
-  ?threads:int -> ?total_inserts:int -> unit -> comparison list
-(** cp/insert, SC conflicts (baseline) vs TSO conflicts (variant), for
-    the epoch-model points on both queue designs. *)
+type conflicts = {
+  tso : comparison list;
+      (** A1: SC conflicts (baseline) vs TSO conflicts (variant) *)
+  spaces : comparison list;
+      (** A2: both-spaces conflicts (baseline) vs persistent-only
+          (variant) *)
+}
 
-val conflict_spaces :
+val conflicts :
   ?jobs:int -> ?on_profile:(Parallel.Pool.profile -> unit) ->
-  ?threads:int -> ?total_inserts:int -> unit -> comparison list
-(** cp/insert, both-spaces conflicts (baseline) vs persistent-only
-    (variant). *)
+  ?threads:int -> ?total_inserts:int -> unit -> conflicts
+(** cp/insert for the epoch-model points on both queue designs: one
+    cell per point, whose one run is analyzed under the baseline and
+    both variants. *)
 
 val coalescing :
   ?jobs:int -> ?on_profile:(Parallel.Pool.profile -> unit) ->
   ?total_inserts:int -> unit -> comparison list
 (** cp/insert with coalescing (baseline) vs without (variant), per
-    model, CWL 1 thread. *)
+    model, CWL 1 thread; both from the model's one run. *)
+
+type graphs
+(** The recorded persist graph of each Fig3 model's CWL/1T run, read by
+    both {!buffer_depth} and {!persist_sync}. *)
+
+val model_graphs :
+  ?jobs:int -> ?on_profile:(Parallel.Pool.profile -> unit) ->
+  ?total_inserts:int -> unit -> graphs
+(** One graph-recording cell per model; 2000 inserts by default. *)
 
 type buffer_point = {
   depth : int;
@@ -56,13 +68,7 @@ type buffer_point = {
 }
 
 val buffer_depth :
-  ?jobs:int ->
-  ?on_profile:(Parallel.Pool.profile -> unit) ->
-  ?total_inserts:int ->
-  ?depths:int list ->
-  ?latency_ns:float ->
-  unit ->
-  buffer_point list
+  ?depths:int list -> ?latency_ns:float -> graphs -> buffer_point list
 (** Drain-simulated throughput of CWL/1T per persist-buffer depth. *)
 
 type sync_point = {
@@ -71,13 +77,7 @@ type sync_point = {
 }
 
 val persist_sync :
-  ?jobs:int ->
-  ?on_profile:(Parallel.Pool.profile -> unit) ->
-  ?total_inserts:int ->
-  ?intervals:int option list ->
-  ?latency_ns:float ->
-  unit ->
-  sync_point list
+  ?intervals:int option list -> ?latency_ns:float -> graphs -> sync_point list
 (** Buffered persistency with persist sync (paper Section 4.1): a sync
     after every n-th insert stalls execution until outstanding persists
     drain — the cost of making each insert externally durable before

@@ -5,32 +5,17 @@ type row = {
   normalized : float;
 }
 
-type point = {
-  label : string;
-  cfg : Persistency.Config.t;
-  annotation : Workloads.Queue.annotation;
-}
-
-let points =
-  [ { label = "strict/SC";
-      cfg = Persistency.Config.make Persistency.Config.Strict;
-      annotation = Workloads.Queue.Unannotated };
-    { label = "strict/TSO";
-      cfg =
-        Persistency.Config.make ~consistency:Persistency.Config.Tso
-          Persistency.Config.Strict;
-      annotation = Workloads.Queue.Epoch };
-    { label = "strict/RMO+fences";
-      cfg =
-        Persistency.Config.make ~consistency:Persistency.Config.Rmo
-          Persistency.Config.Strict;
-      annotation = Workloads.Queue.Epoch };
-    { label = "epoch/SC";
-      cfg = Persistency.Config.make Persistency.Config.Epoch;
-      annotation = Workloads.Queue.Epoch };
-    { label = "strand/SC";
-      cfg = Persistency.Config.make Persistency.Config.Strand;
-      annotation = Workloads.Queue.Strand } ]
+(* Labelled configs, grouped by the run they read: the model point
+   fixes the queue annotation, the only part the machine sees, so
+   strict/TSO, strict/RMO and epoch/SC share the epoch-annotated run. *)
+let groups =
+  let open Persistency.Config in
+  [ (Run.strict_point, [ ("strict/SC", make Strict) ]);
+    ( Run.epoch_point,
+      [ ("strict/TSO", make ~consistency:Tso Strict);
+        ("strict/RMO+fences", make ~consistency:Rmo Strict);
+        ("epoch/SC", make Epoch) ] );
+    (Run.strand_point, [ ("strand/SC", make Strand) ]) ]
 
 type t = {
   rows : row list;
@@ -42,35 +27,38 @@ let sweep_threads = [ 1; 8 ]
 let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.) () =
   let sweep =
     List.concat_map
-      (fun threads -> List.map (fun point -> (threads, point)) points)
+      (fun threads -> List.map (fun group -> (threads, group)) groups)
       sweep_threads
   in
   let rows, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (threads, point) ->
-        Printf.sprintf "%s/%dT" point.label threads)
-      (fun (threads, point) ->
+      ~label:(fun _ (threads, ((shared : Run.model_point), _)) ->
+        Printf.sprintf "%s/%dT"
+          (Workloads.Queue.annotation_name shared.Run.annotation)
+          threads)
+      (fun (threads, (shared, points)) ->
         let params =
-          Run.queue_params ~threads ?total_inserts ?capacity_entries
-            { Run.label = point.label;
-              mode = point.cfg.Persistency.Config.mode;
-              annotation = point.annotation }
+          Run.queue_params ~threads ?total_inserts ?capacity_entries shared
         in
-        let m = Run.analyze params point.cfg in
-        let timing =
-          { Nvram.Timing.ops = m.Run.inserts;
-            critical_path = m.Run.critical_path;
-            insn_ns_per_op =
-              Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl ~threads;
-            persist_latency_ns = latency_ns }
-        in
-        { label = point.label;
-          threads;
-          cp_per_insert = m.Run.cp_per_insert;
-          normalized = Nvram.Timing.normalized timing })
+        List.map2
+          (fun (label, _) (m : Run.metrics) ->
+            let timing =
+              { Nvram.Timing.ops = m.Run.inserts;
+                critical_path = m.Run.critical_path;
+                insn_ns_per_op =
+                  Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl
+                    ~threads;
+                persist_latency_ns = latency_ns }
+            in
+            { label;
+              threads;
+              cp_per_insert = m.Run.cp_per_insert;
+              normalized = Nvram.Timing.normalized timing })
+          points
+          (Run.analyze_many params (List.map snd points)))
       sweep
   in
-  { rows; profile }
+  { rows = List.concat rows; profile }
 
 let render { rows; _ } =
   let table =

@@ -21,7 +21,8 @@ type row = {
 
 type t = {
   rows : row list;
-  profile : Parallel.Pool.profile;  (** one cell per threads×point *)
+  profile : Parallel.Pool.profile;
+      (** one cell per threads×annotation: the points sharing a run *)
 }
 
 val sweep_threads : int list

@@ -26,28 +26,22 @@ let config_for which point gran =
 
 let run ?(jobs = 1) ?total_inserts ?capacity_entries
     ?(grans = [ 8; 16; 32; 64; 128; 256 ]) which =
-  (* One cell per granularity × model; regrouped into rows afterwards. *)
-  let sweep =
-    List.concat_map (fun gran -> List.map (fun p -> (gran, p)) models) grans
-  in
-  let values, profile =
+  (* One cell per model: granularity is an engine setting, so each
+     model's one run is analyzed at every granularity. *)
+  let columns, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (gran, (point : Run.model_point)) ->
-        Printf.sprintf "%dB/%s" gran point.Run.label)
-      (fun (gran, (point : Run.model_point)) ->
+      ~label:(fun _ (point : Run.model_point) -> point.Run.label)
+      (fun (point : Run.model_point) ->
         let params = Run.queue_params ?total_inserts ?capacity_entries point in
-        let m = Run.analyze params (config_for which point gran) in
-        (gran, point.Run.label, m.Run.cp_per_insert))
-      sweep
+        Run.analyze_many params (List.map (config_for which point) grans)
+        |> List.map2
+             (fun gran m -> (gran, (point.Run.label, m.Run.cp_per_insert)))
+             grans)
+      models
   in
   let points =
     List.map
-      (fun gran ->
-        { gran;
-          by_model =
-            List.filter_map
-              (fun (g, label, cp) -> if g = gran then Some (label, cp) else None)
-              values })
+      (fun gran -> { gran; by_model = List.map (List.assoc gran) columns })
       grans
   in
   { which; points; profile }

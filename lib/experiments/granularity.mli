@@ -23,7 +23,8 @@ type point = {
 type t = {
   which : which;
   points : point list;
-  profile : Parallel.Pool.profile;  (** one cell per granularity×model *)
+  profile : Parallel.Pool.profile;
+      (** one cell per model, analyzed at every granularity *)
 }
 
 val run :

@@ -34,6 +34,20 @@ let analyze_with_graph params cfg =
   (metrics_of engine result, Option.get (Persistency.Engine.graph engine),
    result.Workloads.Queue.layout)
 
+let analyze_many params cfgs =
+  let engines, result =
+    Persistency.Engine.run_many cfgs (Workloads.Queue.run params)
+  in
+  List.map (fun e -> metrics_of e result) engines
+
+let graphs params cfgs =
+  let engines, _ =
+    Persistency.Engine.run_many
+      (List.map (fun c -> { c with Persistency.Config.record_graph = true }) cfgs)
+      (Workloads.Queue.run params)
+  in
+  List.map (fun e -> Option.get (Persistency.Engine.graph e)) engines
+
 type model_point = {
   label : string;
   mode : Persistency.Config.mode;

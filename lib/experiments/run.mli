@@ -21,6 +21,19 @@ val analyze_with_graph :
   metrics * Persistency.Persist_graph.t * Workloads.Queue.layout
 (** Same, with [record_graph] forced on — use small runs. *)
 
+val analyze_many :
+  Workloads.Queue.params -> Persistency.Config.t list -> metrics list
+(** [List.map (analyze params) cfgs] from one machine run: the trace
+    depends on [params] alone, so a sweep cell is one run, analyzed
+    under every engine config that reads it. *)
+
+val graphs :
+  Workloads.Queue.params ->
+  Persistency.Config.t list ->
+  Persistency.Persist_graph.t list
+(** The persist graph per config, from one run ([record_graph] forced
+    on). *)
+
 (** A "model point" of the evaluation: a persistency model together
     with the queue annotation the paper pairs it with. *)
 type model_point = {

@@ -9,38 +9,24 @@ type t = {
   profile : Parallel.Pool.profile;
 }
 
-let wear_of params cfg =
-  let _, graph, _ = Run.analyze_with_graph params cfg in
-  Nvram.Wear.of_graph graph
-
 let run ?(jobs = 1) ?(total_inserts = 2000) () =
-  (* One cell per model × coalescing flag: the graph-recording runs are
-     the expensive part and are independent. *)
-  let sweep =
-    List.concat_map
+  (* One graph-recording cell per model: coalescing is an engine
+     setting, so both graphs come from the model's one run. *)
+  let rows, profile =
+    Parallel.Pool.map_cells_profiled ~domains:jobs
+      ~label:(fun _ (point : Run.model_point) -> point.Run.label)
       (fun (point : Run.model_point) ->
-        [ (point, true); (point, false) ])
+        let params = Run.queue_params ~total_inserts point in
+        let cfg coalescing = Persistency.Config.make ~coalescing point.Run.mode in
+        match Run.graphs params [ cfg true; cfg false ] with
+        | [ on; off ] ->
+          { label = point.Run.label;
+            coalescing = Nvram.Wear.of_graph on;
+            no_coalescing = Nvram.Wear.of_graph off }
+        | _ -> assert false)
       Run.table1_models
   in
-  let wears, profile =
-    Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ ((point : Run.model_point), coalescing) ->
-        Printf.sprintf "%s%s" point.Run.label
-          (if coalescing then "" else "/no-coalesce"))
-      (fun ((point : Run.model_point), coalescing) ->
-        let params = Run.queue_params ~total_inserts point in
-        wear_of params (Persistency.Config.make ~coalescing point.Run.mode))
-      sweep
-  in
-  let rec pair_up points wears =
-    match points, wears with
-    | [], [] -> []
-    | (point : Run.model_point) :: ps, w_on :: w_off :: ws ->
-      { label = point.Run.label; coalescing = w_on; no_coalescing = w_off }
-      :: pair_up ps ws
-    | _ -> assert false
-  in
-  { rows = pair_up Run.table1_models wears; profile }
+  { rows; profile }
 
 let render { rows; _ } =
   let table =

@@ -14,7 +14,8 @@ type row = {
 
 type t = {
   rows : row list;
-  profile : Parallel.Pool.profile;  (** one cell per model×coalescing *)
+  profile : Parallel.Pool.profile;
+      (** one cell per model, with and without coalescing *)
 }
 
 val run : ?jobs:int -> ?total_inserts:int -> unit -> t

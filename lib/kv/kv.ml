@@ -54,21 +54,6 @@ type result = {
 let slot_bytes = 24
 let rec_bytes = 40
 
-let default_params =
-  { discipline = Epoch_undo;
-    threads = 2;
-    ops_per_thread = 64;
-    get_every = 4;
-    key_space = 24;
-    groups = 8;
-    group_size = 8;
-    seed = 42;
-    policy = M.Round_robin;
-    dist = Workloads.Keygen.Uniform;
-    machine = M.Sc;
-    persistence = M.Psync;
-    barrier = M.Pbarrier }
-
 let discipline_name = function
   | Strict_stores -> "strict-stores"
   | Epoch_undo -> "epoch-undo"

@@ -84,10 +84,6 @@ type result = {
   events : int;
 }
 
-val default_params : params
-(** 2 threads x 64 ops, a get every 4th op, 24 keys over 8 groups of 8
-    slots (37% load), seeded random scheduling, epoch discipline. *)
-
 val discipline_name : discipline -> string
 
 val discipline_for : Persistency.Config.mode -> discipline

@@ -41,17 +41,6 @@ type t = {
 let slot_bytes = Kv.slot_bytes
 let grec_bytes = 48
 
-let discipline_name = function
-  | Strict_group -> "strict-group"
-  | Epoch_group -> "epoch-group"
-  | Strand_group -> "strand-group"
-  | Buggy_seal -> "buggy-seal"
-
-let discipline_for = function
-  | Persistency.Config.Strict -> Strict_group
-  | Persistency.Config.Epoch -> Epoch_group
-  | Persistency.Config.Strand -> Strand_group
-
 (* Full-record checksum.  In group commit all of a batch's record words
    share one epoch, so a per-record seal cannot be barrier-ordered after
    its fields the way Kv's per-op log seals are; instead every record

@@ -107,9 +107,3 @@ val rec_check :
 val grec_bytes : int
 (** 48: group-commit records carry new_value + checksum on top of
     {!Kv.rec_bytes}'s layout. *)
-
-val discipline_name : discipline -> string
-
-val discipline_for : Persistency.Config.mode -> discipline
-(** strict -> [Strict_group], epoch -> [Epoch_group], strand ->
-    [Strand_group]. *)

@@ -22,16 +22,6 @@ type params = {
   persistence : M.persistence;
 }
 
-let default_params =
-  { discipline = Nvtraverse;
-    threads = 2;
-    inserts_per_thread = 256;
-    key_space = 1024;
-    seed = 42;
-    policy = M.Round_robin;
-    machine = M.Sc;
-    persistence = M.Psync }
-
 let explore_params ?(threads = 2) ?(depth = 2) ?(machine = M.Sc)
     ?(persistence = M.Psync) discipline =
   { discipline;
@@ -47,13 +37,6 @@ let discipline_name = function
   | Flush_all -> "flush-all"
   | Nvtraverse -> "nvtraverse"
   | Buggy_traverse -> "buggy-traverse"
-
-let pp_params ppf p =
-  Format.fprintf ppf "cas-set/%s threads=%d inserts=%d keys=%d%s%s"
-    (discipline_name p.discipline)
-    p.threads p.inserts_per_thread p.key_space
-    (match p.machine with M.Sc -> "" | M.Tso -> " machine=tso")
-    (match p.persistence with M.Psync -> "" | M.Pbuffered -> " persist=buffered")
 
 let validate p =
   if p.threads < 1 then invalid_arg "Cas_set: threads must be >= 1";

@@ -63,7 +63,6 @@ type result = {
   keys : int array;  (** global insert index -> key inserted *)
 }
 
-val default_params : params
 val explore_params :
   ?threads:int ->
   ?depth:int ->
@@ -77,7 +76,6 @@ val explore_params :
 
 val discipline_name : discipline -> string
 val validate : params -> unit
-val pp_params : Format.formatter -> params -> unit
 
 val keys_for : params -> int array
 (** The key schedule: distinct keys, a pure function of params, so the

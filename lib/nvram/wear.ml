@@ -37,8 +37,3 @@ let of_graph ?(gran = 8) graph =
     max_writes = max_w;
     mean_writes = mean;
     skew = (if mean = 0. then 0. else float_of_int max_w /. mean) }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "writes=%d blocks=%d hottest=%d mean=%.2f skew=%.1fx" t.total_writes
-    t.distinct_blocks t.max_writes t.mean_writes t.skew

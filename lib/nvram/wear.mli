@@ -20,5 +20,3 @@ val of_graph : ?gran:int -> Persistency.Persist_graph.t -> t
 (** Count per-[gran]-byte-block writes over a persist dependence graph
     (default granularity 8 bytes, one count per node per block it
     touches). *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,6 +33,3 @@ let total_variation_distance a b =
       0. union
   in
   sum /. 2.
-
-let pp ppf t =
-  List.iter (fun (v, c) -> Format.fprintf ppf "%d: %d@." v c) (to_alist t)

@@ -19,5 +19,3 @@ val total_variation_distance : t -> t -> float
 (** ½ Σ |p(v) − q(v)| over the union support: 0 = identical
     distributions, 1 = disjoint.  The validation experiment checks this
     stays small across schedulers and seeds. *)
-
-val pp : Format.formatter -> t -> unit

@@ -26,7 +26,6 @@ let mean t = if t.n = 0 then Float.nan else t.mean
 let variance t =
   if t.n < 2 then Float.nan else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
 let min_value t = if t.n = 0 then Float.nan else t.min_v
 let max_value t = if t.n = 0 then Float.nan else t.max_v
 
@@ -59,7 +58,3 @@ let percentile p xs =
         else int_of_float (Float.ceil r)
       in
       a.(max 0 (min (n - 1) (rank - 1)))
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-    (stddev t) (min_value t) (max_value t)

@@ -12,7 +12,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance; [nan] below two observations. *)
 
-val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 val of_list : float list -> t
@@ -27,5 +26,3 @@ val percentile : float -> float list -> float
     streaming summary cannot answer this, so it takes the raw
     observations.
     @raise Invalid_argument when [p] is outside [0, 1]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -76,19 +76,6 @@ let jitter seed i =
 
 let in_burst (b : burst) t = Float.rem t b.period < b.width
 
-let pp_params ppf (p : params) =
-  Format.fprintf ppf
-    "%d requests, %d clients, rate=%g/unit, %d%% reads, dist=%s, %d keys%s \
-     seed=%d"
-    p.requests p.clients p.rate p.read_pct
-    (Workloads.Keygen.dist_name p.dist)
-    p.key_space
-    (match p.burst with
-    | None -> ","
-    | Some b ->
-      Printf.sprintf ", burst=%gx for %g every %g," b.factor b.width b.period)
-    p.seed
-
 let generate (p : params) =
   validate p;
   let kg = Workloads.Keygen.create p.dist ~key_space:p.key_space ~seed:p.seed in

@@ -60,5 +60,3 @@ val generate : params -> request array
     [burst.factor]. *)
 
 val in_burst : burst -> float -> bool
-
-val pp_params : Format.formatter -> params -> unit

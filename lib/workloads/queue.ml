@@ -32,19 +32,6 @@ type params = {
   barrier : M.barrier_impl;
 }
 
-let default_params =
-  { design = Cwl;
-    annotation = Unannotated;
-    threads = 1;
-    inserts_per_thread = 1000;
-    entry_size = 100;
-    capacity_entries = 64;
-    seed = 42;
-    policy = M.Round_robin;
-    machine = M.Sc;
-    persistence = M.Psync;
-    barrier = M.Pbarrier }
-
 type layout = {
   head_addr : int;
   data_addr : int;
@@ -70,13 +57,6 @@ let annotation_name = function
   | Racing -> "racing-epochs"
   | Strand -> "strand"
   | Buggy_epoch -> "buggy-epoch"
-
-let pp_params ppf p =
-  Format.fprintf ppf "%s/%s threads=%d inserts=%d entry=%dB cap=%d%s"
-    (design_name p.design)
-    (annotation_name p.annotation)
-    p.threads p.inserts_per_thread p.entry_size p.capacity_entries
-    (match p.machine with M.Sc -> "" | M.Tso -> " machine=tso")
 
 (* Persist-barrier placement per Algorithm 1.  Line numbers refer to
    the paper's pseudo-code; lines 5 and 11 are the ones whose removal

@@ -67,11 +67,6 @@ type params = {
           actually offers) *)
 }
 
-val default_params : params
-(** CWL, [Unannotated], 1 thread, 1000 inserts, 100-byte entries,
-    64-entry capacity, seed 42, round-robin, SC machine, synchronous
-    persists, paper barrier. *)
-
 type layout = {
   head_addr : int;  (** persistent 8-byte head pointer (unused by
                         [Fang], which has no head) *)
@@ -97,4 +92,3 @@ val run : params -> sink:(Memsim.Event.t -> unit) -> result
 
 val design_name : design -> string
 val annotation_name : annotation -> string
-val pp_params : Format.formatter -> params -> unit

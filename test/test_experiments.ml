@@ -189,7 +189,9 @@ let test_ablation_conflict_spaces () =
      that the conservative epoch placement relies on: CWL/epoch gets
      MORE concurrency (a smaller critical path), i.e. BPFS-style
      tracking silently weakens the ordering the annotation implied *)
-  let rows = Experiments.Ablation.conflict_spaces ~total_inserts:1200 () in
+  let rows =
+    (Experiments.Ablation.conflicts ~total_inserts:1200 ()).Experiments.Ablation.spaces
+  in
   let cwl_epoch =
     List.find
       (fun (c : Experiments.Ablation.comparison) ->
@@ -296,6 +298,34 @@ let test_wear_exp () =
     = strict.no_coalescing.Nvram.Wear.total_writes);
   checkb "renders" true (String.length (Experiments.Wear_exp.render t) > 0)
 
+(* One run analyzed under several engine configs equals one run per
+   config, for every kind of setting the sweeps share a run across:
+   granularity, coalescing, conflict tracking and consistency.  The
+   unshared path is the reference. *)
+let test_shared_analysis () =
+  let module C = Persistency.Config in
+  let params = R.queue_params ~threads:2 ~total_inserts:400 R.epoch_point in
+  let cfgs =
+    [ C.make ~persist_gran:64 C.Strict;
+      C.make ~track_gran:64 C.Epoch;
+      C.make ~coalescing:false C.Epoch;
+      C.make ~tso_conflicts:true C.Epoch;
+      C.make ~persistent_only_conflicts:true C.Epoch;
+      C.make ~consistency:C.Tso C.Strict;
+      C.make ~consistency:C.Rmo C.Strict ]
+  in
+  checkb "metrics" true
+    (R.analyze_many params cfgs = List.map (R.analyze params) cfgs);
+  let fp = Persistency.Graph_export.fingerprint in
+  Alcotest.(check (list string))
+    "graphs"
+    (List.map
+       (fun cfg ->
+         let _, g, _ = R.analyze_with_graph params cfg in
+         fp g)
+       cfgs)
+    (List.map fp (R.graphs params cfgs))
+
 let test_queue_params_validation () =
   Alcotest.match_raises "indivisible inserts"
     (function Invalid_argument _ -> true | _ -> false)
@@ -335,4 +365,7 @@ let () =
       ("wear", [ Alcotest.test_case "by model" `Slow test_wear_exp ]);
       ( "params",
         [ Alcotest.test_case "validation" `Quick test_queue_params_validation ]
-      ) ]
+      );
+      ( "run",
+        [ Alcotest.test_case "one run, many configs"
+            `Quick test_shared_analysis ] ) ]

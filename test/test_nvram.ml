@@ -1,25 +1,10 @@
-(* Tests for the NVRAM device model: latency presets, throughput
-   conversion, and the finite-buffer drain simulation. *)
+(* Tests for the NVRAM timing model: throughput conversion and the
+   finite-buffer drain simulation. *)
 
 module P = Persistency
 
 let checkb = Alcotest.(check bool)
 let checkf msg = Alcotest.(check (float 1e-6)) msg
-
-let test_device_presets () =
-  checkf "pcm" 500. (Nvram.Device.write_latency_ns Nvram.Device.Pcm);
-  checkf "custom" 123. (Nvram.Device.write_latency_ns (Nvram.Device.Custom_ns 123.));
-  List.iter
-    (fun t ->
-      checkb "name roundtrip" true
-        (Nvram.Device.of_name (Nvram.Device.name t) = Some t))
-    Nvram.Device.all;
-  checkb "latencies ascend" true
-    (List.for_all2
-       (fun a b -> Nvram.Device.write_latency_ns a < Nvram.Device.write_latency_ns b)
-       [ Nvram.Device.Dram_like; Nvram.Device.Stt_ram; Nvram.Device.Pcm ]
-       [ Nvram.Device.Stt_ram; Nvram.Device.Pcm; Nvram.Device.Mlc_pcm ]);
-  Alcotest.(check int) "8-byte atomic persists" 8 Nvram.Device.atomic_persist_bytes
 
 let timing ~ops ~cp ~insn ~lat =
   { Nvram.Timing.ops; critical_path = cp; insn_ns_per_op = insn;
@@ -170,9 +155,7 @@ let test_drain_validation () =
 
 let () =
   Alcotest.run "nvram"
-    [ ( "device",
-        [ Alcotest.test_case "presets" `Quick test_device_presets ] );
-      ( "timing",
+    [ ( "timing",
         [ Alcotest.test_case "rates" `Quick test_timing_rates;
           Alcotest.test_case "compute bound" `Quick test_timing_compute_bound;
           Alcotest.test_case "break even" `Quick test_break_even ] );

@@ -327,6 +327,17 @@ let test_tracer_branch_equivalence () =
   same "queue" queue;
   same "kv" kv;
   same "lockfree" lockfree;
+  (* one run fanned out to several engines: one span pair in all *)
+  let shared () =
+    R.analyze_many
+      (R.queue_params ~threads:2 ~total_inserts:40 R.epoch_point)
+      [ cfg; P.Config.make ~coalescing:false P.Config.Epoch ]
+  in
+  let streamed = shared () in
+  let traced, count = with_tracer shared in
+  Alcotest.(check bool) "shared: metrics" true (streamed = traced);
+  Alcotest.(check (pair int int)) "shared: one span pair" (1, 1)
+    (phase_spans count);
   (* a DPOR check on the buggy KV discipline: same exploration, same
      counter-example; every execution opens a generation span, those
      run to completion an analysis span *)

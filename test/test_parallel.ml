@@ -1,5 +1,5 @@
 (* The domain pool under lib/parallel: order preservation, parallel ==
-   sequential on a real experiment sweep, deterministic exception
+   sequential on every experiment sweep, deterministic exception
    propagation, and the edge cases the experiment drivers rely on. *)
 
 module Pool = Parallel.Pool
@@ -27,19 +27,71 @@ let test_order_uneven_cost () =
   let par = Pool.map_cells ~domains:4 work cells in
   Alcotest.(check (list (pair int int))) "stolen cells keep order" seq par
 
-(* The acceptance check of the tentpole, as a test: a real Fig3 sweep
-   renders byte-identically no matter the domain count. *)
-let test_fig3_jobs_identical () =
-  let run jobs = Experiments.Fig3.run ~jobs ~total_inserts:300 () in
-  let t1 = run 1 and t4 = run 4 in
-  Alcotest.(check string)
-    "render identical" (Experiments.Fig3.render t1) (Experiments.Fig3.render t4);
-  Alcotest.(check string)
-    "csv identical" (Experiments.Fig3.to_csv t1) (Experiments.Fig3.to_csv t4);
-  Alcotest.(check int)
-    "one cell per model"
-    (List.length t1.Experiments.Fig3.series)
-    (List.length t4.Experiments.Fig3.profile.Pool.cells)
+(* Every sweep renders byte-identically no matter the domain count, with
+   one pool cell per distinct trace: a cell is one machine run, analyzed
+   under every engine config that reads it.  Each entry runs a sweep
+   at [jobs] and returns its output and its cell count. *)
+let sweeps =
+  let module A = Experiments.Ablation in
+  let module G = Experiments.Granularity in
+  let cells (p : Pool.profile) = List.length p.Pool.cells in
+  let figure which jobs =
+    let t = G.run ~jobs ~total_inserts:300 which in
+    (G.render t ^ G.to_csv t, cells t.G.profile)
+  in
+  (* an ablation section reports its profile through [on_profile] *)
+  let ablation f jobs =
+    let n = ref 0 in
+    let out = f ~jobs ~on_profile:(fun p -> n := !n + cells p) in
+    (out, !n)
+  in
+  let compared c = A.render_comparisons ~title:"" c in
+  [ ( "fig3",
+      3,
+      fun jobs ->
+        let t = Experiments.Fig3.run ~jobs ~total_inserts:300 () in
+        ( Experiments.Fig3.render t ^ Experiments.Fig3.to_csv t,
+          cells t.Experiments.Fig3.profile ) );
+    ("fig4", 2, figure G.Atomic_persist);
+    ("fig5", 2, figure G.Tracking);
+    ( "ablation tso+spaces",
+      4,
+      ablation (fun ~jobs ~on_profile ->
+          let c = A.conflicts ~jobs ~on_profile ~total_inserts:200 () in
+          compared c.A.tso ^ compared c.A.spaces) );
+    ( "ablation coalesce",
+      4,
+      ablation (fun ~jobs ~on_profile ->
+          compared (A.coalescing ~jobs ~on_profile ~total_inserts:200 ())) );
+    ( "ablation buffer+sync",
+      3,
+      ablation (fun ~jobs ~on_profile ->
+          let g = A.model_graphs ~jobs ~on_profile ~total_inserts:200 () in
+          A.render_buffer (A.buffer_depth g) ^ A.render_sync (A.persist_sync g))
+    );
+    ( "ablation capacity",
+      2,
+      ablation (fun ~jobs ~on_profile ->
+          A.render_capacity
+            (A.capacity ~jobs ~on_profile ~capacities:[ 8; 16 ]
+               ~total_inserts:200 ())) );
+    ( "wear",
+      4,
+      fun jobs ->
+        let t = Experiments.Wear_exp.run ~jobs ~total_inserts:200 () in
+        (Experiments.Wear_exp.render t, cells t.Experiments.Wear_exp.profile) );
+    ( "consistency",
+      6,
+      fun jobs ->
+        let t = Experiments.Consistency_exp.run ~jobs ~total_inserts:320 () in
+        ( Experiments.Consistency_exp.render t,
+          cells t.Experiments.Consistency_exp.profile ) ) ]
+
+let test_jobs_identical (_, traces, run) () =
+  let out1, cells1 = run 1 and out4, cells4 = run 4 in
+  Alcotest.(check string) "output identical" out1 out4;
+  Alcotest.(check (pair int int)) "one cell per trace" (traces, traces)
+    (cells1, cells4)
 
 let test_exception_propagates () =
   let cells = [ "ok-a"; "boom"; "ok-b" ] in
@@ -134,17 +186,21 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "order preserved" `Quick test_order_preserved;
           Alcotest.test_case "order under stealing" `Quick
-            test_order_uneven_cost;
-          Alcotest.test_case "fig3 --jobs 1 == --jobs 4" `Quick
-            test_fig3_jobs_identical;
-          Alcotest.test_case "exception propagates with label" `Quick
-            test_exception_propagates;
-          Alcotest.test_case "lowest-indexed failure wins" `Quick
-            test_lowest_failure_wins;
-          Alcotest.test_case "empty and single cell" `Quick
-            test_empty_and_single;
-          Alcotest.test_case "profile accounting" `Quick test_profile;
-          Alcotest.test_case "default domain count" `Quick test_default_domains;
-          Alcotest.test_case "graph recording across domains" `Quick
-            test_graph_recording_domain_safe
-        ] ) ]
+            test_order_uneven_cost ]
+        @ List.map
+            (fun ((name, _, _) as sweep) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s --jobs 1 == --jobs 4" name)
+                `Quick (test_jobs_identical sweep))
+            sweeps
+        @ [ Alcotest.test_case "exception propagates with label" `Quick
+              test_exception_propagates;
+            Alcotest.test_case "lowest-indexed failure wins" `Quick
+              test_lowest_failure_wins;
+            Alcotest.test_case "empty and single cell" `Quick
+              test_empty_and_single;
+            Alcotest.test_case "profile accounting" `Quick test_profile;
+            Alcotest.test_case "default domain count" `Quick
+              test_default_domains;
+            Alcotest.test_case "graph recording across domains" `Quick
+              test_graph_recording_domain_safe ] ) ]
