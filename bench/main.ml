@@ -9,8 +9,9 @@
    writes no timing file and regenerates no table: `make repro` runs
    the persistsim subcommands that print the paper's evaluation.  It
    prints a time per run for the subjects no perfbench workload covers
-   (the figure pipelines, the drain and cache simulators, exploration,
-   the litmus suite, ...).
+   (the KV and served workloads, the drain and cache simulators,
+   exploration, the litmus suite, the persistence-buffer path, ...);
+   the queue figures' machine-to-engine stream is repro-sweep's.
 
    BENCH_QUICK=1 shrinks the workloads and the time quota for smoke
    runs.  The program exits 1 when a row has no finite time per run. *)
@@ -43,27 +44,6 @@ let bench_serve =
               (Experiments.Serve_exp.serve_params
                  ~requests:micro_inserts ~rate:64. ~key_space:96 ~shards:1
                  ~batch:8 Serve.Sim.epoch_model))))
-
-(* one Test.make per figure: time the full regeneration pipeline at
-   reduced size *)
-let bench_fig3 =
-  Test.make ~name:"fig3"
-    (Staged.stage (fun () ->
-         ignore (Experiments.Fig3.run ~total_inserts:micro_inserts ())))
-
-let bench_fig4 =
-  Test.make ~name:"fig4"
-    (Staged.stage (fun () ->
-         ignore
-           (Experiments.Granularity.run ~total_inserts:micro_inserts
-              Experiments.Granularity.Atomic_persist)))
-
-let bench_fig5 =
-  Test.make ~name:"fig5"
-    (Staged.stage (fun () ->
-         ignore
-           (Experiments.Granularity.run ~total_inserts:micro_inserts
-              Experiments.Granularity.Tracking)))
 
 let bench_drain =
   let params =
@@ -144,8 +124,10 @@ let bench_litmus_buffered =
 
 (* Persistence-buffer micro: a single thread streaming
    store+clflushopt pairs through the buffered machine with a trailing
-   sfence; round-robin scheduling retires the buffer oldest-first.
-   Measures the enqueue/eligibility/drain path in isolation. *)
+   sfence.  The fence drains the store buffer in place, in the thread's
+   own context; round-robin scheduling then retires the persistence
+   buffer oldest-first.  Measures the enqueue/eligibility/drain path in
+   isolation. *)
 let bench_persist_buffer =
   Test.make ~name:"machine:persist-buffer-stream"
     (Staged.stage (fun () ->
@@ -166,7 +148,7 @@ let bench_persist_buffer =
          Memsim.Machine.run m))
 
 let tests =
-  [ bench_fig3; bench_fig4; bench_fig5; bench_kv_store; bench_serve;
+  [ bench_kv_store; bench_serve;
     bench_drain; bench_epoch_hw;
     bench_explore_dpor; bench_explore_brute; bench_litmus_brute;
     bench_litmus_dpor; bench_litmus_buffered; bench_persist_buffer ]

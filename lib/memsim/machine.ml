@@ -86,16 +86,28 @@ exception Script_out_of_range of {
   runnable : int;
 }
 
-(* A parked continuation waiting for a lock hand-off. *)
-type waiter = Waiter : int * (unit, unit) continuation -> waiter
-
 type lock = {
   word : int;  (* volatile address of the lock word *)
   mutable owner : int option;
-  waiters : waiter Queue.t;
+  waiters : unit pending Queue.t;
+      (* parked acquires, in arrival order, as their grant entries *)
 }
 
-type _ op =
+(* A suspended thread's run-queue entry: its thread id, the static
+   footprint of its pending operation (None when the step touches no
+   shared location — thread starts, lock-grant resumptions, yields),
+   whether the operation requires the thread's store buffer to be empty
+   first (TSO locked instructions and fences), the operation, and the
+   thread's continuation, which the operation's value resumes. *)
+and 'a pending = {
+  tid : int;
+  next : access option;
+  drains : bool;
+  op : 'a op;
+  k : ('a, unit) continuation;
+}
+
+and _ op =
   | Self : int op
   | Load : { addr : int; size : int } -> int64 op
   | Store : { addr : int; size : int; value : int64 } -> unit op
@@ -111,19 +123,14 @@ type _ op =
   | Flush_op : { kind : Event.flush_kind; addr : int } -> unit op
   | Fence_op : Event.fence_kind -> unit op
 
-type _ Effect.t += E : 'a op -> 'a Effect.t
+type entry = Entry : 'a pending -> entry [@@unboxed]
 
-(* Runnable entry: thread id, the static footprint of its pending
-   operation (None when the step touches no shared location — thread
-   starts, lock-grant resumptions, yields), whether the operation
-   requires the thread's store buffer to be empty first (TSO locked
-   instructions and fences), and the thunk. *)
-type entry = {
-  tid : int;
-  next : access option;
-  drains : bool;
-  thunk : unit -> unit;
-}
+(* [Suspend park] hands the calling thread's continuation to [park];
+   [E op] is performed only outside a running thread, where no handler
+   takes it and it raises [Effect.Unhandled]. *)
+type _ Effect.t +=
+  | Suspend : (('a, unit) continuation -> unit) -> 'a Effect.t
+  | E : 'a op -> 'a Effect.t
 
 (* One entry of a thread's FIFO store buffer (TSO). *)
 type sb_entry =
@@ -187,6 +194,19 @@ type t = {
   blocked : (int, unit) Hashtbl.t;
   mutable step_log : access list;  (* dynamic footprint of the running
                                       step, newest first (Guided only) *)
+  mutable step_tid : int;
+      (* the running step's tid, as [on_step] reports it; -1 when no step
+         is open (Guided only) *)
+  mutable decided : int;
+      (* the candidate a suspending thread drew for the scheduler to
+         run; -1 when the scheduler draws itself *)
+  mutable own : int;
+      (* the thread awaiting its turn in place (see [await]): its
+         pending operation holds the run queue's last slot without an
+         entry; -1 when there is none *)
+  mutable own_drains : bool;  (* that operation's [drains] *)
+  mutable own_next : access option;
+      (* and its static footprint (Guided only) *)
 }
 
 let create ?(policy = Round_robin) ?(model = Sc) ?(persistence = Psync)
@@ -216,7 +236,12 @@ let create ?(policy = Round_robin) ?(model = Sc) ?(persistence = Psync)
     next_tid = 0;
     events = 0;
     blocked = Hashtbl.create 8;
-    step_log = [] }
+    step_log = [];
+    step_tid = -1;
+    decided = -1;
+    own = -1;
+    own_drains = false;
+    own_next = None }
 
 let memory t = t.mem
 let model t = t.model
@@ -231,8 +256,7 @@ let guided t =
 
 let note_access t acc = if guided t then t.step_log <- acc :: t.step_log
 
-let schedule ?(drains = false) t tid next thunk =
-  let e = { tid; next; drains; thunk } in
+let push t e =
   match t.runq with
   | Fifo q -> Queue.push e q
   | Bag (v, _) | Script_bag (v, _) | Guided_bag (v, _) -> Vec.push v e
@@ -361,8 +385,11 @@ let push_flush t tid ~kind ~addr =
    programs.) *)
 let frontier_read = { addr = 0; size = Addr.volatile_base; write = false }
 
+(* The emptiness test first skips the lookup on machines that never
+   flush (the paper's queues run with persist barriers). *)
 let pending_commit t tid =
   t.persistence = Psync
+  && Hashtbl.length t.unfenced > 0
   &&
   match Hashtbl.find_opt t.unfenced tid with
   | Some lines -> Hashtbl.length lines > 0
@@ -599,7 +626,7 @@ let exec : type a. t -> int -> a op -> a =
     note_commit t tid;
     emit_meta t (Event.Fence { tid; kind });
     ()
-  | Lock_op _ -> assert false  (* handled in [dispatch] *)
+  | Lock_op _ -> assert false  (* handled by [acquire] *)
   | Unlock_op l ->
     (match l.owner with
     | Some owner when owner = tid -> ()
@@ -612,10 +639,10 @@ let exec : type a. t -> int -> a op -> a =
            { tid; addr = l.word; size = 8; value = 0L; space = Addr.Volatile }
          ));
     (match Queue.take_opt l.waiters with
-    | Some (Waiter (tid', k')) ->
-      Hashtbl.remove t.blocked tid';
-      grant t tid' l;
-      schedule t tid' None (fun () -> continue k' ())
+    | Some w ->
+      Hashtbl.remove t.blocked w.tid;
+      grant t w.tid l;
+      push t (Entry w)
     | None -> l.owner <- None);
     ()
 
@@ -640,167 +667,46 @@ let static_footprint : type a. a op -> access option = function
    building it. *)
 let footprint t op = if guided t then static_footprint op else None
 
-let dispatch : type a. t -> int -> a op -> (a, unit) continuation -> unit =
- fun t tid op k ->
-  let tso = t.model = Tso in
-  match op with
-  | Lock_op l ->
-    (* under TSO the acquire is a locked instruction: it waits for the
-       thread's own buffer to drain first; granting commits pending
-       flushes like a fence (RMW-as-fence) *)
-    schedule ~drains:tso t tid (commit_footprint t tid (footprint t op))
-      (fun () ->
-        match l.owner with
-        | None ->
-          grant t tid l;
-          continue k ()
-        | Some owner when owner = tid ->
-          discontinue k
-            (Invalid_argument "Machine.lock: lock is not reentrant")
-        | Some _ ->
-          (* The blocked attempt emits no event, but the step still
-             read the lock word; record it for conflict analyses. *)
-          note_access t { addr = l.word; size = 8; write = true };
-          Hashtbl.replace t.blocked tid ();
-          Queue.push (Waiter (tid, k)) l.waiters)
-  (* Operations that touch no shared state are not scheduling points:
-     reordering them against other threads' events is unobservable, so
-     executing them inline is a sound partial-order reduction — it
-     keeps systematic exploration (Explore, Check.Dpor) over memory
-     accesses only. *)
-  | New_strand | Label _ | Malloc _ | Free _ ->
-    continue k (exec t tid op)
-  | Store { addr; size; value } when tso ->
-    (* a TSO store issues into the thread's private buffer: invisible
-       to other threads until it drains, so issuing inline (no
-       scheduling point, no event) is the same partial-order reduction
-       — the drain step is where the interleaving choice lives *)
-    push_store t tid ~addr ~size ~value;
-    continue k ()
-  | Flush_op { kind; addr } when tso ->
-    (* clflushopt/clwb enter the store buffer like stores.  (FIFO
-       draining makes them slightly stronger than real clflushopt,
-       which may overtake earlier stores to other lines; the fence
-       semantics the analyses rely on are unaffected.) *)
-    push_flush t tid ~kind ~addr;
-    continue k ()
-  | Persist_barrier when t.barrier = Flush_sfence ->
-    (* flush+sfence annotation (NVTraverse-style Px86): the barrier
-       expands into clflushopt of every line this thread dirtied since
-       its previous barrier, followed by an sfence.  Under TSO the
-       flushes enter the store buffer in program order and the fence
-       waits for it to drain, exactly as if the workload had issued
-       them itself. *)
-    let lines = take_dirty t tid in
-    if tso then begin
-      List.iter
-        (fun addr -> push_flush t tid ~kind:Event.Clflushopt ~addr)
-        lines;
-      schedule ~drains:true t tid (commit_footprint t tid None) (fun () ->
-          continue k (exec t tid (Fence_op Event.Sfence)))
-    end
-    else begin
-      List.iter
-        (fun addr -> note_flush t tid ~kind:Event.Clflushopt ~addr)
-        lines;
-      match commit_footprint t tid None with
-      | Some _ as fp ->
-        schedule t tid fp (fun () ->
-            continue k (exec t tid (Fence_op Event.Sfence)))
-      | None -> continue k (exec t tid (Fence_op Event.Sfence))
-    end
-  | Persist_barrier ->
-    if tso then
-      (* mfence-like: wait for the buffer, then mark the epoch *)
-      schedule ~drains:true t tid (commit_footprint t tid None) (fun () ->
-          continue k (exec t tid op))
-    else begin
-      (* committing pending flushes is visible to other threads' crash
-         outcomes (synchronous Px86 makes the lines durable), so the
-         barrier becomes a scheduling point exactly when it commits *)
-      match commit_footprint t tid None with
-      | Some _ as fp -> schedule t tid fp (fun () -> continue k (exec t tid op))
-      | None -> continue k (exec t tid op)
-    end
-  | Fence_op _ ->
-    if tso then
-      schedule ~drains:true t tid (commit_footprint t tid None) (fun () ->
-          continue k (exec t tid op))
-    else begin
-      match commit_footprint t tid None with
-      | Some _ as fp -> schedule t tid fp (fun () -> continue k (exec t tid op))
-      | None -> continue k (exec t tid op)
-    end
-  | Rmw _ ->
-    (* locked instruction: drains first (TSO) and commits pending
-       flushes like a fence (RMW-as-fence) *)
-    schedule ~drains:tso t tid (commit_footprint t tid (footprint t op))
-      (fun () -> continue k (exec t tid op))
-  | Unlock_op _ ->
-    (* write-through release: drains first (TSO) *)
-    schedule ~drains:tso t tid (footprint t op) (fun () ->
-        continue k (exec t tid op))
-  | Self | Load _ | Store _ | Flush_op _ | Yield ->
-    schedule t tid (footprint t op) (fun () -> continue k (exec t tid op))
+(* The choice set's candidates, numbered in its fixed order: queued
+   entries [0, E), then one store-buffer drain per tid [E, E + T), then
+   persistence-buffer entries [E + T, E + T + P).  The last queued
+   entry is the [own] slot while a thread awaits its turn in place.  A
+   candidate is a pick when eligible, and a pick's rank in this order
+   is the index a [Scripted] policy forces.  Thread entries whose
+   operation needs an empty buffer ([drains]) are withheld while their
+   buffer is non-empty — their drain agent is offered instead, so every
+   chosen step performs at most one shared access (what DPOR's
+   footprints assume).  [count_picks] makes the step's one eligibility
+   pass over the persistence buffer, which [eligible] then reads: every
+   policy but round-robin calls it first. *)
+let queued_in t v = Vec.length v + Bool.to_int (t.own >= 0)
 
-let spawn t body =
-  let tid = t.next_tid in
-  t.next_tid <- tid + 1;
-  let start () =
-    match_with body ()
-      { retc = (fun () -> ());
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | E op ->
-              Some (fun (k : (a, unit) continuation) -> dispatch t tid op k)
-            | _ -> None) }
-  in
-  schedule t tid None start;
-  tid
+(* Whether queued entry [c] must wait for its store buffer to drain. *)
+let entry_waits t v c =
+  if c < Vec.length v then
+    let (Entry e) = Vec.get v c in
+    e.drains && buffer_nonempty t e.tid
+  else t.own_drains && buffer_nonempty t t.own
 
-(* A scheduling choice: run a thread's next operation, drain the
-   oldest store-buffer entry of a thread, or retire a persistence-buffer
-   entry.  Thread entries whose operation needs an empty buffer
-   ([drains]) are withheld from the choice set while their buffer is
-   non-empty — their drain agent is offered instead, so every chosen
-   step performs at most one shared access (what DPOR's footprints
-   assume). *)
-type step = {
-  eff_tid : int;  (* drain pseudo-tid for drain steps *)
-  exec_step : unit -> unit;
-}
-
-(* The choice set's candidates, numbered in its fixed order: bag entries
-   [0, E), then one store-buffer drain per tid [E, E + T), then
-   persistence-buffer entries [E + T, E + T + P).  A candidate is a pick
-   when eligible, and a pick's rank in this order is the index a
-   [Scripted] policy forces.  [count_picks] makes the step's one
-   eligibility pass over the persistence buffer, which [eligible] then
-   reads: every policy but round-robin calls it first. *)
-let candidates t v = Vec.length v + t.next_tid + Vec.length t.pbuf
-
-let eligible t v c =
-  let e = Vec.length v in
-  if c < e then begin
-    let en = Vec.get v c in
-    not (en.drains && buffer_nonempty t en.tid)
-  end
+(* Whether candidate [c] of a choice set with [e] queued entries is a
+   pick. *)
+let eligible t v ~e c =
+  if c < e then not (entry_waits t v c)
   else if c < e + t.next_tid then buffer_nonempty t (c - e)
   else t.pb_ok.(c - e - t.next_tid)
 
 (* Only TSO stores and flushes fill store buffers, so under SC with an
-   empty persistence buffer the picks are exactly the bag entries. *)
+   empty persistence buffer the picks are exactly the queued entries. *)
 let entries_only t = t.model = Sc && Vec.is_empty t.pbuf
 
 let count_picks t v =
-  if entries_only t then Vec.length v
+  if entries_only t then queued_in t v
   else begin
     mark_pb_eligible t;
+    let e = queued_in t v in
     let n = ref 0 in
-    for c = 0 to candidates t v - 1 do
-      if eligible t v c then incr n
+    for c = 0 to e + t.next_tid + Vec.length t.pbuf - 1 do
+      if eligible t v ~e c then incr n
     done;
     !n
   end
@@ -811,32 +717,13 @@ let count_picks t v =
 let nth_pick t v k =
   if entries_only t then k
   else begin
+    let e = queued_in t v in
     let k = ref k and c = ref (-1) in
     while !k >= 0 do
       incr c;
-      if eligible t v !c then decr k
+      if eligible t v ~e !c then decr k
     done;
     !c
-  end
-
-let step_of_candidate t v c =
-  let e = Vec.length v in
-  if c < e then begin
-    let en = Vec.get v c in
-    { eff_tid = en.tid;
-      exec_step =
-        (fun () ->
-          ignore (Vec.swap_remove v c);
-          en.thunk ()) }
-  end
-  else if c < e + t.next_tid then begin
-    let tid = c - e in
-    { eff_tid = drain_tid tid; exec_step = (fun () -> drain_one t tid) }
-  end
-  else begin
-    let i = c - e - t.next_tid in
-    { eff_tid = persist_tid (Vec.get t.pbuf i).pb_addr;
-      exec_step = (fun () -> pdrain t i) }
   end
 
 let no_info = { tid = -1; index = -1; next = None }
@@ -863,14 +750,17 @@ let guided_infos t v n =
   let infos = Array.make n no_info in
   t.cand <- grow t.cand n 0;
   let cand = t.cand in
-  let e = Vec.length v and nt = t.next_tid in
+  let e = queued_in t v and nt = t.next_tid in
   let k = ref 0 in
   for c = 0 to e - 1 do
-    if eligible t v c then begin
-      let en = Vec.get v c in
-      insert_info infos cand ~lo:0 !k
-        { tid = en.tid; index = !k; next = en.next }
-        c;
+    if eligible t v ~e c then begin
+      let tid, next =
+        if c < Vec.length v then
+          let (Entry en) = Vec.get v c in
+          (en.tid, en.next)
+        else (t.own, t.own_next)
+      in
+      insert_info infos cand ~lo:0 !k { tid; index = !k; next } c;
       incr k
     end
   done;
@@ -895,48 +785,32 @@ let guided_infos t v n =
   done;
   infos
 
-(* Fifo (round-robin) keeps its deterministic shape under TSO: a
-   drain-requiring operation first drains its own buffer in place, and
-   leftover buffers drain in tid order once the run queue empties. *)
-let take_runnable t =
+(* Draw the next step as a candidate, or -1 when nothing is runnable.
+   Under [Guided] this first reports the step that just ended to
+   [on_step], then opens the drawn one.  Round-robin keeps its
+   deterministic shape under TSO: it always takes the run queue's
+   front (a drain-requiring operation drains its own buffer in place),
+   and leftover buffers drain in tid order once the queue empties,
+   then persistence-buffer entries oldest-first. *)
+let draw t =
   match t.runq with
   | Fifo q ->
-    (match Queue.take_opt q with
-    | Some e ->
-      Some
-        { eff_tid = e.tid;
-          exec_step =
-            (fun () ->
-              if e.drains then drain_all t e.tid;
-              e.thunk ()) }
-    | None ->
+    if t.own >= 0 || not (Queue.is_empty q) then 0
+    else begin
       let rec first tid =
-        if tid >= t.next_tid then None
-        else if buffer_nonempty t tid then
-          Some
-            { eff_tid = drain_tid tid;
-              exec_step = (fun () -> drain_one t tid) }
+        if tid >= t.next_tid then
+          if Vec.is_empty t.pbuf then -1 else t.next_tid + pb_oldest t
+        else if buffer_nonempty t tid then tid
         else first (tid + 1)
       in
-      (match first 0 with
-      | Some s -> Some s
-      | None ->
-        (* persistence-buffer entries retire oldest-first once the run
-           queue and every store buffer are empty, keeping round-robin
-           deterministic *)
-        if Vec.is_empty t.pbuf then None
-        else
-          let i = pb_oldest t in
-          Some
-            { eff_tid = persist_tid (Vec.get t.pbuf i).pb_addr;
-              exec_step = (fun () -> pdrain t i) }))
+      first 0
+    end
   | Bag (v, rng) ->
     let n = count_picks t v in
-    if n = 0 then None
-    else Some (step_of_candidate t v (nth_pick t v (Random.State.int rng n)))
+    if n = 0 then -1 else nth_pick t v (Random.State.int rng n)
   | Script_bag (v, s) ->
     let n = count_picks t v in
-    if n = 0 then None
+    if n = 0 then -1
     else begin
       let idx =
         match s.forced with
@@ -950,11 +824,16 @@ let take_runnable t =
         | [] -> 0
       in
       s.log <- (idx, n) :: s.log;
-      Some (step_of_candidate t v (nth_pick t v idx))
+      nth_pick t v idx
     end
   | Guided_bag (v, g) ->
+    let ended = t.step_tid in
+    if ended >= 0 then begin
+      t.step_tid <- -1;
+      g.on_step ended (List.rev t.step_log)
+    end;
     let n = count_picks t v in
-    if n = 0 then None
+    if n = 0 then -1
     else begin
       let infos = guided_infos t v n in
       let tid = g.choose infos in
@@ -966,47 +845,278 @@ let take_runnable t =
         else if infos.(i).tid = tid then t.cand.(i)
         else find (i + 1)
       in
-      Some (step_of_candidate t v (find 0))
+      let c = find 0 in
+      t.step_tid <- tid;
+      t.step_log <- [];
+      c
     end
 
+let queued t =
+  match t.runq with
+  | Fifo q -> Queue.length q + Bool.to_int (t.own >= 0)
+  | Bag (v, _) | Script_bag (v, _) | Guided_bag (v, _) -> queued_in t v
+
+let take t c =
+  match t.runq with
+  | Fifo q -> Queue.take q
+  | Bag (v, _) | Script_bag (v, _) | Guided_bag (v, _) -> Vec.swap_remove v c
+
+(* Run buffer-drain candidate [c] of a choice set with [e] queued
+   entries. *)
+let drain t c e =
+  if c < e + t.next_tid then drain_one t (c - e) else pdrain t (c - e - t.next_tid)
+
+(* Acquire [l] for [tid]: true when granted, false when it is held.
+   The blocked attempt emits no event, but the step still read the
+   lock word: it is recorded for conflict analyses.  The caller parks
+   the thread's grant entry on [l]. *)
+let acquire t tid l =
+  match l.owner with
+  | None ->
+    grant t tid l;
+    true
+  | Some owner when owner = tid ->
+    invalid_arg "Machine.lock: lock is not reentrant"
+  | Some _ ->
+    note_access t { addr = l.word; size = 8; write = true };
+    Hashtbl.replace t.blocked tid ();
+    false
+
+(* What a parked acquire becomes once its lock is handed over. *)
+let grant_entry tid k = { tid; next = None; drains = false; op = Yield; k }
+
+(* The scheduling decision, made in the calling thread's context: its
+   pending operation [op] holds the [own] slot, the run-queue slot an
+   entry pushed now would take, and each policy draws as over the
+   queue.  A step that goes to the caller runs in place and returns the
+   operation's value; a buffer drain runs in place and the draw
+   repeats.  Only a step of another thread, or an acquire that blocks,
+   suspends the caller, whose entry then takes the slot: the scheduler
+   runs the drawn step ([decided]) without drawing again, and the
+   caller resumes with its operation's value when its entry is
+   drawn. *)
+let rec await : type a. t -> a op -> a =
+ fun t op ->
+  let c = draw t in
+  let queued = queued t in
+  if c >= queued then begin
+    drain t c queued;
+    await t op
+  end
+  else begin
+    let tid = t.own and drains = t.own_drains and next = t.own_next in
+    t.own <- -1;
+    (* the [own] slot is the last queued one: round-robin's back, which
+       it draws as its front only when nothing else is queued *)
+    if c = queued - 1 then begin
+      if drains then drain_all t tid;
+      match op with
+      | Lock_op l ->
+        if not (acquire t tid l) then
+          perform
+            (Suspend (fun k -> Queue.push (grant_entry tid k) l.waiters))
+      | op -> exec t tid op
+    end
+    else begin
+      t.decided <- c;
+      perform (Suspend (fun k -> push t (Entry { tid; next; drains; op; k })))
+    end
+  end
+
+(* A scheduling-point operation of thread [tid]. *)
+let sched t tid ~drains next op =
+  t.own <- tid;
+  t.own_drains <- drains;
+  if guided t then t.own_next <- next;
+  await t op
+
+(* A fence or barrier commits pending flushes on a synchronous-Px86
+   machine, which is visible to other threads' crash outcomes, so it is
+   a scheduling point exactly when it commits. *)
+let commit_point t tid op =
+  match commit_footprint t tid None with
+  | Some _ as fp -> sched t tid ~drains:false fp op
+  | None -> exec t tid op
+
+let dispatch : type a. t -> int -> a op -> a =
+ fun t tid op ->
+  let tso = t.model = Tso in
+  match op with
+  | Lock_op _ ->
+    (* under TSO the acquire is a locked instruction: it waits for the
+       thread's own buffer to drain first; granting commits pending
+       flushes like a fence (RMW-as-fence) *)
+    sched t tid ~drains:tso (commit_footprint t tid (footprint t op)) op
+  (* Operations that touch no shared state are not scheduling points:
+     reordering them against other threads' events is unobservable, so
+     executing them inline is a sound partial-order reduction — it
+     keeps systematic exploration (Explore, Check.Dpor) over memory
+     accesses only. *)
+  | New_strand | Label _ | Malloc _ | Free _ -> exec t tid op
+  | Store { addr; size; value } when tso ->
+    (* a TSO store issues into the thread's private buffer: invisible
+       to other threads until it drains, so issuing inline (no
+       scheduling point, no event) is the same partial-order reduction
+       — the drain step is where the interleaving choice lives *)
+    push_store t tid ~addr ~size ~value
+  | Flush_op { kind; addr } when tso ->
+    (* clflushopt/clwb enter the store buffer like stores.  (FIFO
+       draining makes them slightly stronger than real clflushopt,
+       which may overtake earlier stores to other lines; the fence
+       semantics the analyses rely on are unaffected.) *)
+    push_flush t tid ~kind ~addr
+  | Persist_barrier when t.barrier = Flush_sfence ->
+    (* flush+sfence annotation (NVTraverse-style Px86): the barrier
+       expands into clflushopt of every line this thread dirtied since
+       its previous barrier, followed by an sfence.  Under TSO the
+       flushes enter the store buffer in program order and the fence
+       waits for it to drain, exactly as if the workload had issued
+       them itself. *)
+    let lines = take_dirty t tid in
+    if tso then begin
+      List.iter
+        (fun addr -> push_flush t tid ~kind:Event.Clflushopt ~addr)
+        lines;
+      sched t tid ~drains:true (commit_footprint t tid None)
+        (Fence_op Event.Sfence)
+    end
+    else begin
+      List.iter
+        (fun addr -> note_flush t tid ~kind:Event.Clflushopt ~addr)
+        lines;
+      commit_point t tid (Fence_op Event.Sfence)
+    end
+  | Persist_barrier | Fence_op _ ->
+    (* under TSO mfence-like: wait for the buffer, then mark the epoch *)
+    if tso then sched t tid ~drains:true (commit_footprint t tid None) op
+    else commit_point t tid op
+  | Rmw _ ->
+    (* locked instruction: drains first (TSO) and commits pending
+       flushes like a fence (RMW-as-fence) *)
+    sched t tid ~drains:tso (commit_footprint t tid (footprint t op)) op
+  | Unlock_op _ ->
+    (* write-through release: drains first (TSO) *)
+    sched t tid ~drains:tso (footprint t op) op
+  | Self | Load _ | Store _ | Flush_op _ | Yield ->
+    sched t tid ~drains:false (footprint t op) op
+
+(* Threads run under this handler, which only hands a suspending
+   thread's continuation to its [Suspend]'s parking function: every
+   scheduling decision is made before the suspension. *)
+let handler =
+  { retc = (fun () -> ());
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend park -> Some (park : (a, unit) continuation -> unit)
+        | _ -> None) }
+
+(* The calling context of this domain: the machine whose [run] is
+   active and the thread whose code is running, or -1 while the
+   scheduler itself runs (draws, steps, sinks, guides).  Per domain, so
+   machines on different domains never see each other's threads. *)
+type context = {
+  mutable machine : t option;
+  mutable running : int;
+}
+
+let context = Domain.DLS.new_key (fun () -> { machine = None; running = -1 })
+
+(* Resume queued entry [e] from the scheduler loop: perform its
+   operation and continue its thread with the value. *)
+let resume t cx (Entry e) =
+  if e.drains then drain_all t e.tid;
+  match e.op with
+  | Lock_op l -> (
+    match acquire t e.tid l with
+    | true ->
+      cx.running <- e.tid;
+      continue e.k ()
+    | false -> Queue.push (grant_entry e.tid e.k) l.waiters
+    | exception (Invalid_argument _ as x) ->
+      cx.running <- e.tid;
+      discontinue e.k x)
+  | op ->
+    let v = exec t e.tid op in
+    cx.running <- e.tid;
+    continue e.k v
+
+(* A spawned thread's fiber starts at once and suspends before its
+   first operation, queueing its start entry. *)
+let spawn t body =
+  let tid = t.next_tid in
+  t.next_tid <- tid + 1;
+  match_with
+    (fun () ->
+      perform
+        (Suspend
+           (fun k ->
+             push t
+               (Entry { tid; next = None; drains = false; op = Yield; k })));
+      body ())
+    () handler;
+  tid
+
 let run t =
+  let cx = Domain.DLS.get context in
+  let outer = cx.machine and outer_running = cx.running in
+  cx.machine <- Some t;
+  cx.running <- -1;
   let rec loop () =
-    match take_runnable t with
-    | Some step ->
-      (match t.runq with
-      | Guided_bag (_, g) ->
-        t.step_log <- [];
-        step.exec_step ();
-        g.on_step step.eff_tid (List.rev t.step_log)
-      | Fifo _ | Bag _ | Script_bag _ -> step.exec_step ());
+    let c = if t.decided >= 0 then t.decided else draw t in
+    t.decided <- -1;
+    if c >= 0 then begin
+      let queued = queued t in
+      if c < queued then begin
+        resume t cx (take t c);
+        cx.running <- -1
+      end
+      else drain t c queued;
       loop ()
-    | None ->
-      if Hashtbl.length t.blocked > 0 then
-        raise (Deadlock (Hashtbl.fold (fun tid () acc -> tid :: acc) t.blocked []))
+    end
+    else if Hashtbl.length t.blocked > 0 then
+      raise (Deadlock (Hashtbl.fold (fun tid () acc -> tid :: acc) t.blocked []))
   in
-  loop ()
+  Fun.protect loop ~finally:(fun () ->
+      cx.machine <- outer;
+      cx.running <- outer_running)
 
-(* Thread-context wrappers. *)
+(* Thread-context wrappers: the scheduler code runs with the context's
+   [running] cleared, so a sink or guide that calls back into a
+   thread-context operation gets [Effect.Unhandled], as outside [run]. *)
 
-let self () = perform (E Self)
-let load addr = perform (E (Load { addr; size = 8 }))
-let load_sz ~size addr = perform (E (Load { addr; size }))
-let store addr value = perform (E (Store { addr; size = 8; value }))
-let store_sz ~size addr value = perform (E (Store { addr; size; value }))
-let rmw addr f = perform (E (Rmw { addr; f }))
+let call : type a. a op -> a =
+ fun op ->
+  let cx = Domain.DLS.get context in
+  let tid = cx.running in
+  match cx.machine with
+  | Some t when tid >= 0 ->
+    cx.running <- -1;
+    let v = dispatch t tid op in
+    cx.running <- tid;
+    v
+  | Some _ | None -> perform (E op)
+
+let self () = call Self
+let load addr = call (Load { addr; size = 8 })
+let load_sz ~size addr = call (Load { addr; size })
+let store addr value = call (Store { addr; size = 8; value })
+let store_sz ~size addr value = call (Store { addr; size; value })
+let rmw addr f = call (Rmw { addr; f })
 let fetch_add addr n = rmw addr (fun v -> Int64.add v n)
-let persist_barrier () = perform (E Persist_barrier)
-let new_strand () = perform (E New_strand)
-let label s = perform (E (Label s))
-let malloc space size = perform (E (Malloc { space; size }))
-let mfree addr = perform (E (Free addr))
-let yield () = perform (E Yield)
-let lock l = perform (E (Lock_op l))
-let unlock l = perform (E (Unlock_op l))
-let clflushopt addr = perform (E (Flush_op { kind = Event.Clflushopt; addr }))
-let clwb addr = perform (E (Flush_op { kind = Event.Clwb; addr }))
-let sfence () = perform (E (Fence_op Event.Sfence))
-let mfence () = perform (E (Fence_op Event.Mfence))
+let persist_barrier () = call Persist_barrier
+let new_strand () = call New_strand
+let label s = call (Label s)
+let malloc space size = call (Malloc { space; size })
+let mfree addr = call (Free addr)
+let yield () = call Yield
+let lock l = call (Lock_op l)
+let unlock l = call (Unlock_op l)
+let clflushopt addr = call (Flush_op { kind = Event.Clflushopt; addr })
+let clwb addr = call (Flush_op { kind = Event.Clwb; addr })
+let sfence () = call (Fence_op Event.Sfence)
+let mfence () = call (Fence_op Event.Mfence)
 
 let mutex t =
   let word = Memory.alloc t.mem Addr.Volatile 8 in

@@ -4,13 +4,26 @@
 
     Workloads are ordinary OCaml functions that access simulated memory
     through the thread-context operations below ({!load}, {!store},
-    {!lock}, {!persist_barrier}, ...).  Each operation is an effect:
-    the machine serializes exactly one operation at a time and hands
-    control to the scheduler between operations.  Under {!Sc} the
-    emitted event trace is a legal SC interleaving of the thread
-    programs — the same artifact the paper obtains by tracing a pthread
-    program under PIN with a lock bank providing analysis atomicity
-    (Section 7).
+    {!lock}, {!persist_barrier}, ...).  Each thread runs on a fiber, and
+    the machine serializes exactly one operation at a time.  Under
+    {!Sc} the emitted event trace is a legal SC interleaving of the
+    thread programs — the same artifact the paper obtains by tracing a
+    pthread program under PIN with a lock bank providing analysis
+    atomicity (Section 7).
+
+    An operation that is a scheduling point makes the policy's draw in
+    the calling thread's context, with its pending operation in the
+    run-queue slot it would occupy.  A step drawn for the caller, or a
+    store- or persistence-buffer drain, runs in place: no effect is
+    performed and no fiber switches.  The caller's fiber is suspended
+    only when the draw picks another thread's step, which the scheduler
+    then runs without drawing again, or when its lock acquire blocks.
+    Operations that never are scheduling points ({!label},
+    {!new_strand}, {!malloc}, {!mfree}, a barrier or fence with nothing
+    to commit, and a TSO store or flush, which only enters the store
+    buffer) are direct calls.  The calling context (the running machine
+    and thread) is domain-local, so machines running on different
+    domains do not see each other's threads.
 
     Under {!Tso} each thread issues stores (and {!clflushopt}/{!clwb}
     flushes) into a private FIFO store buffer; its own loads forward
@@ -32,7 +45,9 @@
     fairness of the MCS locks used in the paper.
 
     Thread-context operations may only be called from inside a function
-    passed to {!spawn}, during {!run}. *)
+    passed to {!spawn}, during {!run}; anywhere else (outside [run], or
+    from a sink or a guide's callbacks) they raise
+    [Effect.Unhandled]. *)
 
 type t
 

@@ -3,7 +3,9 @@ type gauge = { g_live : bool ref; g_max : float Atomic.t }
 
 (* Raw-sample capacity per histogram: the first [sample_cap]
    observations are kept verbatim so the JSON dump can report exact
-   p95/p99 tails (fixed buckets alone cannot). *)
+   p95/p99 tails (fixed buckets alone cannot).  It is a window, not a
+   reservoir: past the cap the tails describe the earliest
+   observations only, and the dump says over how many. *)
 let sample_cap = 4096
 
 type histogram = {
@@ -144,9 +146,10 @@ let observe h x =
 let histogram_count h = Atomic.get h.h_count
 let histogram_sum h = Atomic.get h.h_sum
 
+let histogram_tail_count h = min (Atomic.get h.h_sample_next) sample_cap
+
 let histogram_samples h =
-  let n = min (Atomic.get h.h_sample_next) sample_cap in
-  List.init n (fun i -> h.h_samples.(i))
+  List.init (histogram_tail_count h) (fun i -> h.h_samples.(i))
 
 let histogram_percentile h p =
   match histogram_samples h with
@@ -198,6 +201,7 @@ let instrument_json name = function
       [ ("name", Json.Str name);
         ("type", Json.Str "histogram");
         ("count", Json.Int (histogram_count h));
+        ("tail_count", Json.Int (histogram_tail_count h));
         ("sum", Json.Float (histogram_sum h));
         ("p95", percentile 0.95);
         ("p99", percentile 0.99);

@@ -80,6 +80,11 @@ val histogram_samples : histogram -> float list
     values observed, in observation order (later observations update
     only the buckets).  Empty until something was observed. *)
 
+val histogram_tail_count : histogram -> int
+(** How many observations {!histogram_samples} holds: the count, up to
+    4096.  Below the count, the percentiles cover only the earliest
+    observations, so they depend on the order observations arrived. *)
+
 val histogram_percentile : histogram -> float -> float option
 (** Exact nearest-rank percentile (via {!Pstats.Summary.percentile})
     over {!histogram_samples}; [None] when nothing was observed. *)
@@ -88,9 +93,11 @@ val histogram_percentile : histogram -> float -> float option
 
 val to_json : registry -> Json.t
 (** [{"metrics": [...]}], instruments sorted by name.  Counters carry
-    ["value"]; maxima ["value"]; histograms ["count"], ["sum"],
-    ["p95"]/["p99"] (exact tails over the raw-sample window, [null]
-    when empty) and ["buckets"] (objects with ["le"] — [null] for
-    overflow — and ["count"]). *)
+    ["value"]; maxima ["value"]; histograms ["count"],
+    ["tail_count"] (the observations behind p95/p99: below ["count"]
+    when the window truncated them), ["sum"], ["p95"]/["p99"] (exact
+    tails over the raw-sample window, [null] when empty) and
+    ["buckets"] (objects with ["le"] — [null] for overflow — and
+    ["count"]). *)
 
 val dump_file : registry -> string -> unit

@@ -517,6 +517,296 @@ let test_random_schedules_pinned () =
   pin "cas set 2T tso-buffered" (691, "d292619ecb942ff38a85d3f813e2d115")
     (trace_digest (Lockfree.Cas_set.run (set M.tso_buffered_config)))
 
+(* Whole-run traces pinned across every family, policy and machine: the
+   event count and digest of each run's [Event.to_string] lines.  The
+   queue runs CWL and 2LC (one lock-contended, one lock-split) at 1 and
+   4 threads; the lock-free set and the KV store run 2 threads.  Each
+   runs under two [Random] seeds and [Round_robin], on sc, tso-sync and
+   tso-buffered — every kind of scheduling choice (thread steps, lock
+   hand-offs, store-buffer and persistence-buffer drains) under every
+   policy that draws from it. *)
+
+module Dr = Check.Driver
+
+let pin_workloads mc =
+  let queue design threads policy ~sink =
+    let p = Dr.queue.params ~threads ~depth:4 ~seed:3 mc Workloads.Queue.Epoch in
+    Workloads.Queue.run { p with design; policy } ~sink
+  in
+  [ ("queue cwl 1T", fun policy ~sink -> ignore (queue Cwl 1 policy ~sink));
+    ("queue cwl 4T", fun policy ~sink -> ignore (queue Cwl 4 policy ~sink));
+    ("queue 2lc 1T", fun policy ~sink -> ignore (queue Tlc 1 policy ~sink));
+    ("queue 2lc 4T", fun policy ~sink -> ignore (queue Tlc 4 policy ~sink));
+    ( "cas set 2T",
+      fun policy ~sink ->
+        let p =
+          Dr.lockfree.params ~threads:2 ~depth:4 ~seed:5 mc
+            Lockfree.Cas_set.Nvtraverse
+        in
+        ignore (Dr.lockfree.run p policy ~sink) );
+    ( "kv 2T",
+      fun policy ~sink ->
+        let p =
+          Dr.kv.params ~threads:2 ~depth:4 ~seed:2 mc
+            (Kv.discipline_for Persistency.Config.Epoch)
+        in
+        ignore (Dr.kv.run p policy ~sink) ) ]
+
+let pin_policies =
+  [ ("random 1", fun () -> M.Random 1);
+    ("random 7", fun () -> M.Random 7);
+    ("round-robin", fun () -> M.Round_robin) ]
+
+let trace_pins =
+  [ (("queue cwl 1T", "sc", "random 1"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
+    (("queue cwl 1T", "sc", "random 7"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
+    (("queue cwl 1T", "sc", "round-robin"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
+    (("queue cwl 4T", "sc", "random 1"), (208, "afc3ad9384529c2582166f60a90295c4"));
+    (("queue cwl 4T", "sc", "random 7"), (208, "7ec482883093169b3ada4839cdb87820"));
+    (("queue cwl 4T", "sc", "round-robin"), (208, "c8f95085e896fa3619d377953f8698a4"));
+    (("queue 2lc 1T", "sc", "random 1"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
+    (("queue 2lc 1T", "sc", "random 7"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
+    (("queue 2lc 1T", "sc", "round-robin"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
+    (("queue 2lc 4T", "sc", "random 1"), (526, "0ed251f91f42e9fac0d46b386958237b"));
+    (("queue 2lc 4T", "sc", "random 7"), (527, "3bdac43be6610abfddf7470e53e32f1b"));
+    (("queue 2lc 4T", "sc", "round-robin"), (527, "7357623bdb0565838b0e17649f00ec9d"));
+    (("cas set 2T", "sc", "random 1"), (143, "c19487b3c566fee71db422a663391003"));
+    (("cas set 2T", "sc", "random 7"), (143, "aa1b4c8495a7a467869436470a74a9c8"));
+    (("cas set 2T", "sc", "round-robin"), (143, "bbcfc18faefc86defe32d65d27ef7c45"));
+    (("kv 2T", "sc", "random 1"), (130, "234360c3ab3b58be10746b177b848a9a"));
+    (("kv 2T", "sc", "random 7"), (134, "f1e49b7daf623c927e05a2daa204aa2a"));
+    (("kv 2T", "sc", "round-robin"), (130, "234360c3ab3b58be10746b177b848a9a"));
+    (("queue cwl 1T", "tso-sync", "random 1"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));
+    (("queue cwl 1T", "tso-sync", "random 7"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));
+    (("queue cwl 1T", "tso-sync", "round-robin"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));
+    (("queue cwl 4T", "tso-sync", "random 1"), (272, "5f3e90b7f0867a1ce7ff6035dbe780f8"));
+    (("queue cwl 4T", "tso-sync", "random 7"), (272, "8df321eb866a2bf6cb274c320471d2f5"));
+    (("queue cwl 4T", "tso-sync", "round-robin"), (272, "5074f434d44564e41d6a08c0d65c1a16"));
+    (("queue 2lc 1T", "tso-sync", "random 1"), (144, "aa57d4eeaa405810c9828abe567f2e2b"));
+    (("queue 2lc 1T", "tso-sync", "random 7"), (144, "24c2e4f4715d362a59831ae6d8e2cb82"));
+    (("queue 2lc 1T", "tso-sync", "round-robin"), (144, "dc0be0b579a4127eb1534bd94c5a7c98"));
+    (("queue 2lc 4T", "tso-sync", "random 1"), (591, "01b80dbd89132bba9c6735abf26fca6d"));
+    (("queue 2lc 4T", "tso-sync", "random 7"), (591, "fe43c95436445490efd629034175b782"));
+    (("queue 2lc 4T", "tso-sync", "round-robin"), (591, "4dfb1132dc3e51243ce80615517f5392"));
+    (("cas set 2T", "tso-sync", "random 1"), (147, "4aee309745a4a7717bacf26caaf1cffa"));
+    (("cas set 2T", "tso-sync", "random 7"), (134, "9071773b0ea31526ab0520858ae5d4c0"));
+    (("cas set 2T", "tso-sync", "round-robin"), (143, "c7e859b2de9f5c1d99c046cc7b1cb318"));
+    (("kv 2T", "tso-sync", "random 1"), (188, "58810367b01ad7ed271b048dc9dce51e"));
+    (("kv 2T", "tso-sync", "random 7"), (192, "9d0d22dfc34c1496ef9ff8f80aee3e45"));
+    (("kv 2T", "tso-sync", "round-robin"), (188, "58810367b01ad7ed271b048dc9dce51e"));
+    (("queue cwl 1T", "tso-buffered", "random 1"), (84, "2f6733e2daf72a480d55a8e93d9bd8e0"));
+    (("queue cwl 1T", "tso-buffered", "random 7"), (84, "4736b4d1d02ee218c700aacba263a51d"));
+    (("queue cwl 1T", "tso-buffered", "round-robin"), (84, "99ddb960ca56be7a2b3974a31c8cd98d"));
+    (("queue cwl 4T", "tso-buffered", "random 1"), (336, "a91b2e4a6e05c03df4c7a7779e1aed4e"));
+    (("queue cwl 4T", "tso-buffered", "random 7"), (336, "2408b0e5c1a8347fc2bec8002ec71c65"));
+    (("queue cwl 4T", "tso-buffered", "round-robin"), (336, "5feb3825e09a6631c3a5d24b5dcc6bd4"));
+    (("queue 2lc 1T", "tso-buffered", "random 1"), (160, "646032c2f67494743fdf7ee184536c87"));
+    (("queue 2lc 1T", "tso-buffered", "random 7"), (160, "dde9963893c47b50f9af25b58c1305a5"));
+    (("queue 2lc 1T", "tso-buffered", "round-robin"), (160, "41dab9deabf3e233e32276d89e22b846"));
+    (("queue 2lc 4T", "tso-buffered", "random 1"), (655, "c741380163f2d78c3122e1bfa8221c39"));
+    (("queue 2lc 4T", "tso-buffered", "random 7"), (655, "89fefce2af6ddc31826d8d7fa209ee80"));
+    (("queue 2lc 4T", "tso-buffered", "round-robin"), (655, "addbf92d19f172936260ecfcd956159b"));
+    (("cas set 2T", "tso-buffered", "random 1"), (178, "d3da48087664da04e75ca40abd6eefe3"));
+    (("cas set 2T", "tso-buffered", "random 7"), (176, "37746b4f7b696a6864403321638c0623"));
+    (("cas set 2T", "tso-buffered", "round-robin"), (188, "3530dbde6278a76e7cf08fb0861eff1d"));
+    (("kv 2T", "tso-buffered", "random 1"), (246, "9ed346b01f716bce261e8286ee097919"));
+    (("kv 2T", "tso-buffered", "random 7"), (250, "8e3b19b1421f7a9ef691e29c1553d1f4"));
+    (("kv 2T", "tso-buffered", "round-robin"), (246, "8a5a2a337313e8d78004089fcb90021d")) ]
+
+let test_workload_traces_pinned () =
+  List.iter
+    (fun (mc : M.mconfig) ->
+      List.iter
+        (fun (w, run) ->
+          List.iter
+            (fun (p, policy) ->
+              let key = (w, mc.mlabel, p) in
+              check
+                Alcotest.(pair int string)
+                (Printf.sprintf "%s %s %s" w mc.mlabel p)
+                (List.assoc key trace_pins)
+                (trace_digest (run (policy ()))))
+            pin_policies)
+        (pin_workloads mc))
+    M.all_configs
+
+(* A forced-prefix [Scripted] run: its trace and every decision it
+   logged, forced or defaulted. *)
+let test_scripted_prefix_pinned () =
+  let script = M.script ~forced:[ 1; 0; 2; 1; 1; 0; 1; 1; 0; 1; 1 ] in
+  let run =
+    List.assoc "cas set 2T" (pin_workloads M.tso_buffered_config)
+      (M.Scripted script)
+  in
+  let count, digest = trace_digest run in
+  let choices =
+    String.concat ","
+      (List.map
+         (fun (c, n) -> Printf.sprintf "%d/%d" c n)
+         (M.script_choices script))
+  in
+  check
+    Alcotest.(pair (pair int string) string)
+    "cas set 2T tso-buffered, forced prefix"
+    ((179, "97da29d6c01243863d709a6bbfede4af"),
+     "a354b81649d1e4c8a1b751e924df9060")
+    ((count, digest), Digest.to_hex (Digest.string choices))
+
+(* The schedules one DPOR exploration visits, in order, per machine:
+   the KV store at 2 threads, within a 40-schedule budget. *)
+let test_dpor_schedules_pinned () =
+  List.iter
+    (fun ((mc : M.mconfig), expected) ->
+      let run = List.assoc "kv 2T" (pin_workloads mc) in
+      let buf = Buffer.create 4096 in
+      let st =
+        Check.Dpor.explore ~max_schedules:40
+          ~on_exec:(fun s () ->
+            Buffer.add_string buf (Format.asprintf "%a\n" Check.Schedule.pp s);
+            Check.Dpor.Continue)
+          (fun policy -> run policy ~sink:ignore)
+      in
+      check
+        Alcotest.(triple int int string)
+        mc.mlabel expected
+        ( st.Check.Dpor.schedules,
+          st.steps,
+          Digest.to_hex (Digest.string (Buffer.contents buf)) ))
+    [ (M.sc_config, (18, 3641, "4e834c0490b82cac5fdeb9d098198e0a"));
+      (M.tso_sync_config, (40, 7464, "9cd0c76aa1f1452eb9238c8fb1d9de1f"));
+      (M.tso_buffered_config, (40, 9880, "2f1f6f19483116db68a8e0dfa4ca2f2f")) ]
+
+(* The thread context's contract.  A thread-context operation outside a
+   running thread raises [Effect.Unhandled], scheduling point or not. *)
+let test_context_outside_thread () =
+  let unhandled name f =
+    Alcotest.match_raises name
+      (function Effect.Unhandled _ -> true | _ -> false)
+      (fun () -> ignore (f ()))
+  in
+  unhandled "load" (fun () -> M.load 8);
+  unhandled "self" (fun () -> M.self ());
+  unhandled "label" (fun () -> M.label "x");
+  unhandled "malloc" (fun () -> M.malloc A.Persistent 8);
+  unhandled "persist barrier" (fun () -> M.persist_barrier ());
+  (* a sink runs in the scheduler's context, not a thread's *)
+  let m, memory, _ = machine_with_trace () in
+  let a = Memsim.Memory.alloc memory A.Persistent 8 in
+  M.set_sink m (fun _ -> ignore (M.load a));
+  ignore (M.spawn m (fun () -> M.store a 1L));
+  unhandled "from a sink" (fun () -> M.run m)
+
+(* Misuse of a lock raises [Invalid_argument] out of [run] whichever
+   thread's context the step runs in: alone, or after another thread. *)
+let test_context_lock_misuse () =
+  let raises name policy body =
+    let m, _, _ = machine_with_trace ~policy () in
+    let l = M.mutex m in
+    ignore (M.spawn m (fun () -> M.store (M.malloc A.Volatile 8) 0L));
+    ignore (M.spawn m (body l));
+    Alcotest.match_raises name
+      (function Invalid_argument _ -> true | _ -> false)
+      (fun () -> M.run m)
+  in
+  List.iter
+    (fun (p, policy) ->
+      raises ("unlock not owner, " ^ p) (policy ()) (fun l () -> M.unlock l);
+      raises ("re-entrant lock, " ^ p) (policy ()) (fun l () ->
+          M.lock l;
+          M.lock l))
+    pin_policies
+
+(* After a [Deadlock] the next run on the same domain reproduces its
+   pinned trace: the deadlocked run left no thread context behind. *)
+let test_context_after_deadlock () =
+  test_machine_deadlock ();
+  let run = List.assoc "queue cwl 4T" (pin_workloads M.sc_config) in
+  check
+    Alcotest.(pair int string)
+    "queue cwl 4T sc random 7 after a deadlock"
+    (List.assoc ("queue cwl 4T", "sc", "random 7") trace_pins)
+    (trace_digest (run (M.Random 7)))
+
+(* Two machines running at once on two domains each keep their own
+   thread context: both reproduce their serial traces. *)
+let test_context_two_domains () =
+  let cells =
+    [ ("queue cwl 4T", M.sc_config, "random 7", M.Random 7);
+      ("cas set 2T", M.tso_buffered_config, "random 1", M.Random 1) ]
+  in
+  let got =
+    Parallel.Pool.map_cells ~domains:2
+      (fun (w, mc, _, policy) ->
+        trace_digest (List.assoc w (pin_workloads mc) policy))
+      cells
+  in
+  List.iter2
+    (fun (w, (mc : M.mconfig), p, _) digest ->
+      check
+        Alcotest.(pair int string)
+        (Printf.sprintf "%s %s %s on a pool domain" w mc.mlabel p)
+        (List.assoc (w, mc.mlabel, p) trace_pins)
+        digest)
+    cells got
+
+(* Under [Guided], [on_step] fires once per step, after [choose], with
+   the step's dynamic footprint.  The guide cycles through each choice
+   set's positions, so the run mixes steps that continue the thread
+   that just ran, switches, store-buffer drains and blocked lock
+   acquires; the whole choose/on_step conversation is pinned. *)
+let test_context_guided_steps () =
+  let log = Buffer.create 1024 in
+  let turn = ref 0 and chosen = ref [] and stepped = ref [] in
+  let guide =
+    { M.choose =
+        (fun infos ->
+          incr turn;
+          let s = infos.(!turn mod Array.length infos) in
+          chosen := s.M.tid :: !chosen;
+          Buffer.add_string log
+            (Printf.sprintf "choose %s -> %d\n"
+               (String.concat ","
+                  (Array.to_list
+                     (Array.map (fun (s : M.step_info) -> string_of_int s.tid)
+                        infos)))
+               s.tid);
+          s.tid);
+      on_step =
+        (fun tid accs ->
+          stepped := tid :: !stepped;
+          Buffer.add_string log
+            (Printf.sprintf "step %d %s\n" tid
+               (String.concat ","
+                  (List.map
+                     (fun (a : M.access) ->
+                       Printf.sprintf "%d+%d%c" a.addr a.size
+                         (if a.write then 'w' else 'r'))
+                     accs)))) }
+  in
+  let memory = Memsim.Memory.create () in
+  let m = M.create ~policy:(M.Guided guide) ~model:M.Tso ~memory () in
+  let a = Memsim.Memory.alloc memory A.Persistent 16 in
+  let l = M.mutex m in
+  for t = 0 to 2 do
+    ignore
+      (M.spawn m (fun () ->
+           M.store (a + (8 * (t land 1))) (Int64.of_int t);
+           M.lock l;
+           ignore (M.load a);
+           M.label "in";
+           M.clwb a;
+           M.sfence ();
+           M.unlock l;
+           ignore (M.load (a + 8))))
+  done;
+  M.run m;
+  checki "one on_step per choose" (List.length !chosen) (List.length !stepped);
+  check (Alcotest.list Alcotest.int) "on_step reports the chosen tid" !chosen
+    !stepped;
+  check Alcotest.string "choose/on_step conversation"
+    "146ce8a011046e8a1a4804fbb77b05e5"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
 (* Trace *)
 
 let test_trace_serialization () =
@@ -580,6 +870,22 @@ let () =
             test_random_schedules_pinned;
           Alcotest.test_case "tso mixed-size forwarding" `Quick
             test_machine_tso_mixed_forwarding ] );
+      ( "trace pins",
+        [ Alcotest.test_case "workload traces" `Quick
+            test_workload_traces_pinned;
+          Alcotest.test_case "scripted prefix" `Quick
+            test_scripted_prefix_pinned;
+          Alcotest.test_case "dpor schedules" `Quick
+            test_dpor_schedules_pinned ] );
+      ( "thread context",
+        [ Alcotest.test_case "outside a thread" `Quick
+            test_context_outside_thread;
+          Alcotest.test_case "lock misuse" `Quick test_context_lock_misuse;
+          Alcotest.test_case "after a deadlock" `Quick
+            test_context_after_deadlock;
+          Alcotest.test_case "two domains" `Quick test_context_two_domains;
+          Alcotest.test_case "guided steps" `Quick test_context_guided_steps ]
+      );
       ( "trace",
         [ Alcotest.test_case "serialization" `Quick test_trace_serialization ] )
     ]

@@ -678,6 +678,24 @@ let test_histogram_percentiles () =
   | J.Null -> ()
   | j -> Alcotest.failf "empty histogram p95 should be null, got %s"
            (J.to_string j));
+  let count name j =
+    match member name j with
+    | J.Int n -> n
+    | j -> Alcotest.failf "field %S: %s" name (J.to_string j)
+  in
+  Alcotest.(check (pair int int)) "tail over every observation" (100, 100)
+    (count "count" hj, count "tail_count" hj);
+  (* past the 4096-observation window the tails say they are bounded:
+     they cover the earliest observations only *)
+  let big = M.histogram r "big" ~buckets:(M.pow2_buckets 8) in
+  for i = 1 to 5000 do
+    M.observe big (float_of_int i)
+  done;
+  let bj = find_metric (parse (J.to_string (M.to_json r))) "big" in
+  Alcotest.(check (pair int int)) "tail over a truncated window" (5000, 4096)
+    (count "count" bj, count "tail_count" bj);
+  Alcotest.(check (option (float 0.))) "p99 of the first 4096" (Some 4056.)
+    (M.histogram_percentile big 0.99);
   M.reset r;
   Alcotest.(check int) "reset drops samples" 0
     (List.length (M.histogram_samples h))
