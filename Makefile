@@ -82,7 +82,8 @@ fmt-check:
 
 # Quick end-to-end check of the observability outputs: metrics and
 # trace dumps (a sweep's and a DPOR exploration's) must be valid JSON,
-# the graph export well-formed DOT.  Single-run failure injection
+# the graph export well-formed DOT and JSON lines, and the critical-chain
+# walk must print its header.  Single-run failure injection
 # (queue and KV) must pass clean and catch its --buggy demonstration.
 smoke: build
 	dune exec bin/persistsim.exe -- table1 --inserts 200 --metrics-out /tmp/persistsim-metrics.json > /dev/null
@@ -93,6 +94,9 @@ smoke: build
 	python3 -m json.tool /tmp/persistsim-explore-trace.json > /dev/null
 	dune exec bin/persistsim.exe -- graph --design cwl --model epoch --out /tmp/persistsim-graph.dot
 	grep -q "digraph persist_graph" /tmp/persistsim-graph.dot
+	dune exec bin/persistsim.exe -- graph --design cwl --model epoch --format jsonl --out /tmp/persistsim-graph.jsonl
+	python3 -c 'import json, sys; [json.loads(l) for l in open(sys.argv[1])]' /tmp/persistsim-graph.jsonl
+	dune exec bin/persistsim.exe -- analyze --inserts 2000 --explain | grep -q "^critical path: [0-9]* level(s) over [0-9]* node(s)"
 	dune exec bin/persistsim.exe -- kv --inserts 100 > /dev/null
 	dune exec bin/persistsim.exe -- kv --recovery --samples 100 > /dev/null
 	dune exec bin/persistsim.exe -- kv --recovery --buggy | grep -q "RECOVERY VIOLATION"

@@ -30,7 +30,7 @@ let classify layout graph =
   (* Count transitively reduced edges: a recorded dependence that is
      already implied through another dependence is not a distinct arrow
      in the paper's figure. *)
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let ancestors = Hashtbl.create 64 in
   let ancestors_of id =
     match Hashtbl.find_opt ancestors id with

@@ -45,12 +45,12 @@ let run_publisher ~with_barrier =
   (records, trace)
 
 let count_violations records graph =
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let cuts = P.Dag.all_down_closed dag in
   let bad = ref 0 in
   List.iter
     (fun cut ->
-      let image = P.Observer.image_of_cut graph ~dag cut ~capacity:64 in
+      let image = P.Observer.image_of_cut graph cut ~capacity:64 in
       let read addr = Int64.to_int (Bytes.get_int64_le image addr) in
       Array.iteri
         (fun t r ->

@@ -7,10 +7,8 @@ let apply_write image (w : Persist_graph.write) =
     | 1 -> Bytes.set_uint8 image w.addr (Int64.to_int w.value land 0xff)
     | _ -> invalid_arg "Observer: bad write size"
 
-let image_of_mask g ~dag mask ~capacity =
-  if Dag.node_count dag <> Persist_graph.node_count g then
-    invalid_arg "Observer.image_of_cut: dag is not the graph's";
-  if not (Dag.is_down_closed_mask dag mask) then
+let image_of_mask g mask ~capacity =
+  if not (Dag.is_down_closed_mask (Persist_graph.dag g) mask) then
     invalid_arg "Observer.image_of_cut: cut is not down-closed";
   let image = Bytes.make capacity '\000' in
   (* Node ids increase in SC store order, so id order gives
@@ -23,10 +21,10 @@ let image_of_mask g ~dag mask ~capacity =
   done;
   image
 
-let image_of_cut g ~dag cut ~capacity =
-  let mask = Bytes.create (Dag.node_count dag) in
-  Dag.fill_mask dag cut mask;
-  image_of_mask g ~dag mask ~capacity
+let image_of_cut g cut ~capacity =
+  let mask = Bytes.create (Persist_graph.node_count g) in
+  Dag.fill_mask (Persist_graph.dag g) cut mask;
+  image_of_mask g mask ~capacity
 
 let final_image g ~capacity =
   let image = Bytes.make capacity '\000' in

@@ -277,7 +277,7 @@ let verify_engine (cfg : Config.t) trace =
     | None -> assert false
   in
   let oracle = build cfg trace in
-  let gdag = Persist_graph.to_dag graph in
+  let gdag = Persist_graph.dag graph in
   let persist_idx = Array.of_list oracle.persists in
   let p = Array.length persist_idx in
   let node_of k = Engine.node_of_persist_event engine k in

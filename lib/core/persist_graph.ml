@@ -3,7 +3,7 @@ type write = { addr : int; size : int; value : int64 }
 type node = {
   id : int;
   tid : int;
-  mutable level : int;
+  level : int;
   writes : write Memsim.Vec.t;
   mutable deps : Iset.t;
   mutable order : Iset.t;
@@ -17,16 +17,24 @@ type t = {
   mutable member : int array;
   mutable covered : int array;
   mutable stamp : int;
+  (* The crash-cut order, built by the first [dag] after the last
+     [add_node] or [coalesce_into]. *)
+  mutable dag : Dag.t option;
 }
 
 let create () =
-  { nodes = Memsim.Vec.create (); member = [||]; covered = [||]; stamp = 0 }
+  { nodes = Memsim.Vec.create ();
+    member = [||];
+    covered = [||];
+    stamp = 0;
+    dag = None }
 
 let node_count t = Memsim.Vec.length t.nodes
 let get t id = Memsim.Vec.get t.nodes id
 
 let add_node t ~tid ~level ~deps ?(order = Iset.empty) write =
   let id = node_count t in
+  t.dag <- None;
   let writes = Memsim.Vec.create () in
   Memsim.Vec.push writes write;
   Memsim.Vec.push t.nodes
@@ -40,6 +48,7 @@ let add_node t ~tid ~level ~deps ?(order = Iset.empty) write =
 
 let coalesce_into t id ~deps ?(order = Iset.empty) write =
   let n = get t id in
+  t.dag <- None;
   Memsim.Vec.push n.writes write;
   n.deps <- Iset.union n.deps (Iset.remove id deps);
   n.order <- Iset.union n.order (Iset.remove id order)
@@ -82,5 +91,10 @@ let preds t =
         s;
       a)
 
-let to_dag t = Dag.of_preds (preds t)
-let to_reduced_dag t = Dag.of_preds_reduced (preds t)
+let dag t =
+  match t.dag with
+  | Some d -> d
+  | None ->
+    let d = Dag.of_preds_reduced (preds t) in
+    t.dag <- Some d;
+    d

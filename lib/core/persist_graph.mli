@@ -21,15 +21,17 @@
 
 type write = { addr : int; size : int; value : int64 }
 
-type node = {
+type node = private {
   id : int;
   tid : int;  (** thread that created the persist (first write) *)
-  mutable level : int;
+  level : int;
   writes : write Memsim.Vec.t;  (** in store order *)
   mutable deps : Iset.t;  (** node ids this node persists after *)
   mutable order : Iset.t;
       (** order-only edges: constrain crash cuts, not levels *)
 }
+(** Only {!add_node} and {!coalesce_into} change a node's edges, so the
+    order {!dag} keeps always reads the current ones. *)
 
 type t
 
@@ -60,12 +62,12 @@ val reduce : t -> Iset.t -> Iset.t
 
 val iter : (node -> unit) -> t -> unit
 
-val to_dag : t -> Dag.t
-(** Dependence DAG over node ids ([dep -> node] edges), including
-    order-only edges — so {!Observer} crash cuts respect both. *)
-
-val to_reduced_dag : t -> Dag.t
-(** The transitive reduction of {!to_dag} ({!Dag.of_preds_reduced}):
-    the same crash cuts, drawn and enumerated in the same order, from
-    only the edges no other path implies.  A cyclic graph keeps every
-    recorded edge. *)
+val dag : t -> Dag.t
+(** The crash-cut order: the transitive reduction
+    ({!Dag.of_preds_reduced}) of the [dep -> node] edges, [deps] and
+    [order] alike, so {!Observer} crash cuts respect both.  It has the
+    recorded edges' cuts, ancestors, reachability and cycles, and the
+    same cuts drawn and enumerated in the same order; a cyclic graph
+    keeps every recorded edge.  Built by the first call after the last
+    {!add_node} or {!coalesce_into} and kept on the graph, so every
+    check of one graph shares one build. *)

@@ -39,21 +39,19 @@ let analyze_with_graph params cfg =
   (metrics_of engine result, Option.get (Persistency.Engine.graph engine),
    result.Kv.layout)
 
-let default_groups = 16
-let default_group_size = 8
 let default_total_ops = 4096
 
-let kv_params ?(threads = 1) ?(total_ops = default_total_ops) ?(get_every = 4)
-    ?(groups = default_groups) ?(group_size = default_group_size)
-    ?(load = 0.5) ?(seed = 42) ?(dist = Workloads.Keygen.Uniform) mode =
+let kv_params ?(threads = 1) ?(total_ops = default_total_ops) ?(load = 0.5)
+    ?(seed = 42) ?(dist = Workloads.Keygen.Uniform) mode =
   if total_ops mod threads <> 0 then
     invalid_arg "Kv_exp.kv_params: total_ops must divide by threads";
+  let groups = 16 and group_size = 8 in
   let slots = groups * group_size in
   let key_space = max 1 (min slots (int_of_float (load *. float_of_int slots))) in
   { Kv.discipline = Kv.discipline_for mode;
     threads;
     ops_per_thread = total_ops / threads;
-    get_every;
+    get_every = 4;
     key_space;
     groups;
     group_size;

@@ -33,9 +33,6 @@ val analyze_with_graph :
 val kv_params :
   ?threads:int ->
   ?total_ops:int ->
-  ?get_every:int ->
-  ?groups:int ->
-  ?group_size:int ->
   ?load:float ->
   ?seed:int ->
   ?dist:Workloads.Keygen.dist ->

@@ -82,19 +82,18 @@ let default_capacity = 24
 
 let queue_params ?(design = Workloads.Queue.Cwl) ?(threads = 1)
     ?(total_inserts = default_total_inserts)
-    ?(capacity_entries = default_capacity) ?(entry_size = 100) ?(seed = 42)
-    ?(machine = Memsim.Machine.Sc) ?(persistence = Memsim.Machine.Psync)
-    ?(barrier = Memsim.Machine.Pbarrier) point =
+    ?(capacity_entries = default_capacity) ?(seed = 42)
+    ?(machine = Memsim.Machine.Sc) point =
   if total_inserts mod threads <> 0 then
     invalid_arg "Run.queue_params: total_inserts must divide by threads";
   { Workloads.Queue.design;
     annotation = point.annotation;
     threads;
     inserts_per_thread = total_inserts / threads;
-    entry_size;
+    entry_size = 100;
     capacity_entries = max capacity_entries threads;
     seed;
     policy = Memsim.Machine.Random seed;
     machine;
-    persistence;
-    barrier }
+    persistence = Memsim.Machine.Psync;
+    barrier = Memsim.Machine.Pbarrier }

@@ -58,17 +58,15 @@ val queue_params :
   ?threads:int ->
   ?total_inserts:int ->
   ?capacity_entries:int ->
-  ?entry_size:int ->
   ?seed:int ->
   ?machine:Memsim.Machine.model ->
-  ?persistence:Memsim.Machine.persistence ->
-  ?barrier:Memsim.Machine.barrier_impl ->
   model_point ->
   Workloads.Queue.params
 (** Experiment defaults: CWL, 1 thread, 20_000 inserts total, 24-entry
     data segment (chosen to reproduce Figure 3's strand break-even; the
     paper does not state its segment size — see EXPERIMENTS.md),
-    100-byte entries, seeded random scheduling, SC machine. *)
+    100-byte entries, seeded random scheduling, SC machine, synchronous
+    persistence and the paper's atomic persist barrier. *)
 
 val default_total_inserts : int
 val default_capacity : int

@@ -108,6 +108,10 @@ type op =
   | Put of { key : int; value : int64 }
   | Get of { key : int }
 
+val mix : int -> int -> int
+(** [mix seed x]: a splitmix-style finalizer into [0 .. max_int], the
+    one hash behind key draws, group placement and shard routing. *)
+
 val key_groups : params -> int array
 (** [key_groups p].(k - 1) is the bucket group of key [k] (keys are
     [1 .. key_space]).  Group occupancy never exceeds [group_size], so

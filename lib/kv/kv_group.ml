@@ -74,13 +74,6 @@ let rec_check ~pos ~slot_index ~old_key ~old_value ~old_sum ~new_value =
   in
   Int64.logor h 1L
 
-(* splitmix-style finalizer, same construction as [Kv.mix]. *)
-let mix seed x =
-  let h = ((x + 1) * 0x9E3779B97F4A7C1) + ((seed + 1) * 0x3F58476D1CE4E5B9) in
-  let h = h lxor (h lsr 31) in
-  let h = h * 0x14D049BB133111EB in
-  (h lxor (h lsr 29)) land max_int
-
 (* First-fit group placement over the shard's key set, mirroring
    [Kv.key_groups] but for an arbitrary key list.  The table is sized
    for <= 50% load, so placement always terminates and an in-group
@@ -92,7 +85,7 @@ let place_keys ~seed ~group_size keys =
   let kgroups =
     Array.map
       (fun key ->
-        let g0 = mix seed key mod groups in
+        let g0 = Kv.mix seed key mod groups in
         let rec go d =
           let g = (g0 + d) mod groups in
           if counts.(g) < group_size then begin

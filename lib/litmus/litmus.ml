@@ -191,10 +191,10 @@ let run_one ?cfg ?(verify = false) ~config t policy =
     let capacity =
       List.fold_left (fun m (_, a) -> max m (a + 8)) 8 addrs
     in
-    let dag = P.Persist_graph.to_dag graph in
+    let dag = P.Persist_graph.dag graph in
     List.map
       (fun cut ->
-        let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
+        let image = P.Observer.image_of_cut graph cut ~capacity in
         render
           (List.map
              (fun (o, v) ->

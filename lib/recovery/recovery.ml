@@ -51,7 +51,7 @@ let traced ~strategy ~graph f =
 
 (* Walk the prefixes the strategy yields, checking each one.  The two
    strategies share the per-prefix body so accounting and failure
-   reporting cannot drift.  One reduced DAG built up front serves the
+   reporting cannot drift.  The graph's own crash-cut order serves the
    walk and every prefix's legality check, and one byte mask holds the
    prefix being checked: its dedup key, legality check and image all
    read the mask.  [observe] gets the prefix's set as a thunk, which a
@@ -63,7 +63,7 @@ let check_masks ~graph ~capacity ~strategy observe =
     if Om.enabled Om.default then Some (Obs.Perfscope.start ()) else None
   in
   let total = P.Persist_graph.node_count graph in
-  let dag = P.Persist_graph.to_reduced_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let mask = Bytes.make total '\000' in
   let durable () =
     let k = ref 0 in
@@ -75,7 +75,7 @@ let check_masks ~graph ~capacity ~strategy observe =
   (* [Some failure] if the prefix held in [mask] does not recover *)
   let try_prefix cut =
     incr injected;
-    let image = P.Observer.image_of_mask graph ~dag mask ~capacity in
+    let image = P.Observer.image_of_mask graph mask ~capacity in
     Om.incr m_prefixes;
     if Om.enabled Om.default then
       Om.observe m_prefix_size (float_of_int (durable ()));

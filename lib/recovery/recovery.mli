@@ -63,10 +63,11 @@ val check_cuts :
     cuts are skipped (counted under the [recovery.duplicate_cuts]
     metric) rather than re-checked.
 
-    Cost: one build per call of the transitive reduction of the
-    graph's order ({!Persistency.Persist_graph.to_reduced_dag}), which
-    leaves every cut, draw and enumeration order as on
-    {!Persistency.Persist_graph.to_dag}.  Each sampled draw and each
+    Cost: the graph's crash-cut order
+    ({!Persistency.Persist_graph.dag}, a transitive reduction that
+    leaves every cut, draw and enumeration order as on the recorded
+    edges) is built once per graph, by its first check, and shared by
+    every later one.  Each sampled draw and each
     prefix's legality check then walks it in O(n + reduced edges), on
     one reused byte mask, and each image applies the prefix's writes;
     exhaustive cuts cost O(n) each.  The prefix's [Iset.t] is built

@@ -111,13 +111,7 @@ type report = {
    neither the popularity draw nor the in-shard group placement. *)
 let shard_salt = 0x51a4d
 
-let mix seed x =
-  let h = ((x + 1) * 0x9E3779B97F4A7C1) + ((seed + 1) * 0x3F58476D1CE4E5B9) in
-  let h = h lxor (h lsr 31) in
-  let h = h * 0x14D049BB133111EB in
-  (h lxor (h lsr 29)) land max_int
-
-let route ~seed ~shards key = mix (seed + shard_salt) key mod shards
+let route ~seed ~shards key = Kv.mix (seed + shard_salt) key mod shards
 
 let key_of_op = function
   | Loadgen.Get key -> key

@@ -17,8 +17,8 @@ type t = {
   mutable cursor : int;
 }
 
-(* splitmix-style finalizer, same construction as [Kv.mix] (workloads
-   sits below kv in the dependency order, so it cannot be shared). *)
+(* A murmur3-style finalizer: [Kv.mix]'s shift-multiply rounds with
+   other constants and shifts, so its draws are not [Kv.mix]'s. *)
 let mix seed x =
   let h = ref (seed * 0x9E3779B9 lxor (x * 0x85EBCA6B)) in
   h := !h lxor (!h lsr 16);

@@ -586,50 +586,101 @@ let acyclic_variant seed (n, edges) =
         else Some (v, u))
       edges )
 
+(* [r] reduces [g], the DAG of [edges]: a cyclic [g] keeps its preds
+   and succs; otherwise every node keeps its ancestors by naive
+   fixpoint, no kept edge is implied by another predecessor, and 50
+   draws from [seed] and, up to 20 nodes, every cut in order are
+   equal. *)
+let reduction_holds ~seed edges g r =
+  let nodes = List.init (P.Dag.node_count g) Fun.id in
+  if P.Dag.has_cycle g then
+    List.for_all
+      (fun v ->
+        P.Dag.preds r v = P.Dag.preds g v && P.Dag.succs r v = P.Dag.succs g v)
+      nodes
+  else begin
+    let kept = edges_of r in
+    let ancestors edges v =
+      grow (flip edges)
+        (P.Iset.of_list
+           (List.filter_map
+              (fun (u, w) -> if w = v then Some u else None)
+              edges))
+    in
+    (* [u -> v] is implied when [u] precedes another predecessor *)
+    let implied (u, v) =
+      List.exists
+        (fun w -> w <> u && P.Iset.mem u (ancestors kept w))
+        (P.Dag.preds r v)
+    in
+    let draws g =
+      let rng = Random.State.make [| seed |] in
+      List.init 50 (fun i ->
+          let size = if i mod 2 = 0 then None else Some (i mod 7) in
+          P.Dag.random_down_closed ?size g rng)
+    in
+    List.for_all
+      (fun v -> P.Iset.equal (ancestors kept v) (ancestors edges v))
+      nodes
+    && (not (List.exists implied kept))
+    && (List.length nodes > 20
+       || same_cuts (P.Dag.all_down_closed r) (P.Dag.all_down_closed g))
+    && same_cuts (draws r) (draws g)
+  end
+
 let reduced_property =
   QCheck.Test.make ~count:300
     ~name:"of_preds_reduced keeps ancestors, cuts and draws"
     QCheck.(pair arbitrary_dag small_nat)
     (fun (spec, seed) ->
-      let holds ((n, edges) as spec) =
-        let g = dag_of spec and r = reduced_of spec in
-        let nodes = List.init n Fun.id in
-        if P.Dag.has_cycle g then
-          List.for_all
-            (fun v ->
-              P.Dag.preds r v = P.Dag.preds g v
-              && P.Dag.succs r v = P.Dag.succs g v)
-            nodes
-        else begin
-          let kept = edges_of r in
-          let ancestors edges v =
-            grow (flip edges)
-              (P.Iset.of_list
-                 (List.filter_map
-                    (fun (u, w) -> if w = v then Some u else None)
-                    edges))
-          in
-          (* [u -> v] is implied when [u] precedes another predecessor *)
-          let implied (u, v) =
-            List.exists
-              (fun w -> w <> u && P.Iset.mem u (ancestors kept w))
-              (P.Dag.preds r v)
-          in
-          let draws g =
-            let rng = Random.State.make [| seed |] in
-            List.init 50 (fun i ->
-                let size = if i mod 2 = 0 then None else Some (i mod 7) in
-                P.Dag.random_down_closed ?size g rng)
-          in
-          List.for_all
-            (fun v -> P.Iset.equal (ancestors kept v) (ancestors edges v))
-            nodes
-          && (not (List.exists implied kept))
-          && same_cuts (P.Dag.all_down_closed r) (P.Dag.all_down_closed g)
-          && same_cuts (draws r) (draws g)
-        end
+      let holds ((_, edges) as spec) =
+        reduction_holds ~seed edges (dag_of spec) (reduced_of spec)
       in
       holds spec && holds (acyclic_variant seed spec))
+
+(* The same property over engine-recorded graphs: [Persist_graph.dag]
+   against [Dag.of_preds] of each node's recorded [deps] and [order].
+   Two-thread depth-2 queue runs under the three machines (tso-sync's
+   flush+fence frontiers leave cycles), KV and the lock-free set. *)
+let test_recorded_reduction () =
+  let module D = Check.Driver in
+  let module Pg = P.Persist_graph in
+  let epoch_cfg = P.Config.make P.Config.Epoch in
+  let params (f : (_, _, _, _) D.family) machine =
+    f.params ~threads:2 ~depth:2 ~seed:1 machine
+      (f.clean P.Config.Epoch Workloads.Queue.Epoch)
+  in
+  let runs =
+    List.map
+      (fun machine -> D.instance D.queue (params D.queue machine) epoch_cfg)
+      Memsim.Machine.all_configs
+    @ [ D.instance D.kv (params D.kv Memsim.Machine.sc_config) epoch_cfg;
+        D.lockfree_instance
+          (params D.lockfree Memsim.Machine.sc_config)
+          epoch_cfg ]
+  in
+  let cyclic = ref 0 in
+  List.iter
+    (fun run ->
+      List.iter
+        (fun seed ->
+          let graph = (run (Memsim.Machine.Random seed)).D.graph in
+          let edges = ref [] in
+          let preds =
+            Array.init (Pg.node_count graph) (fun v ->
+                let n = Pg.get graph v in
+                let ps = P.Iset.elements (P.Iset.union n.Pg.deps n.Pg.order) in
+                List.iter (fun u -> edges := (u, v) :: !edges) ps;
+                Array.of_list ps)
+          in
+          let g = P.Dag.of_preds preds in
+          if P.Dag.has_cycle g then incr cyclic;
+          if not (reduction_holds ~seed !edges g (Pg.dag graph)) then
+            Alcotest.failf "seed %d: the order of a %d-node graph differs"
+              seed (Pg.node_count graph))
+        [ 0; 1; 2; 3 ])
+    runs;
+  checkb "some recorded graph is cyclic" true (!cyclic > 0)
 
 (* A graph wide enough for the reduction to work in three column
    blocks, under a shuffled labelling: each node keeps the ancestors it
@@ -1096,6 +1147,52 @@ let reduce_property =
             !frontiers)
         script)
 
+(* [Persist_graph.dag] is built once and kept, until a later
+   [add_node] or [coalesce_into] changes the graph. *)
+let test_graph_dag_tracks_edits () =
+  let module Pg = P.Persist_graph in
+  let g = Pg.create () in
+  let write value = { Pg.addr = 8; size = 8; value } in
+  let preds v = P.Dag.preds (Pg.dag g) v in
+  let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty (write 1L) in
+  let b = Pg.add_node g ~tid:1 ~level:1 ~deps:P.Iset.empty (write 2L) in
+  let first = Pg.dag g in
+  checki "two nodes" 2 (P.Dag.node_count first);
+  checkb "kept" true (Pg.dag g == first);
+  let c =
+    Pg.add_node g ~tid:0 ~level:2 ~deps:(P.Iset.singleton a) (write 3L)
+  in
+  checki "added node" 3 (P.Dag.node_count (Pg.dag g));
+  Alcotest.(check (list int)) "added edge" [ a ] (preds c);
+  Pg.coalesce_into g b ~deps:(P.Iset.singleton a) (write 4L);
+  Alcotest.(check (list int)) "coalesced dep" [ a ] (preds b);
+  Pg.coalesce_into g c ~deps:P.Iset.empty ~order:(P.Iset.singleton b)
+    (write 5L);
+  (* a -> b -> c now implies a -> c *)
+  Alcotest.(check (list int)) "coalesced order, reduced" [ b ] (preds c);
+  checkb "ancestors" true
+    (P.Iset.equal (P.Iset.of_list [ a; b ]) (P.Dag.ancestors (Pg.dag g) c))
+
+(* The critical chain follows a dependence on a later node, and a cycle
+   through an order-only edge is refused. *)
+let test_critical_chain_edges () =
+  let module Pg = P.Persist_graph in
+  let write = { Pg.addr = 8; size = 8; value = 1L } in
+  let g = Pg.create () in
+  let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
+  let b = Pg.add_node g ~tid:1 ~level:1 ~deps:P.Iset.empty write in
+  let c = Pg.add_node g ~tid:1 ~level:2 ~deps:(P.Iset.singleton b) write in
+  Pg.coalesce_into g a ~deps:(P.Iset.singleton c) write;
+  Alcotest.(check (list int))
+    "chain" [ b; c; a ] (P.Graph_export.critical_chain g);
+  let g = Pg.create () in
+  let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
+  let b = Pg.add_node g ~tid:1 ~level:2 ~deps:(P.Iset.singleton a) write in
+  Pg.coalesce_into g a ~deps:P.Iset.empty ~order:(P.Iset.singleton b) write;
+  Alcotest.match_raises "cycle through an order edge"
+    (function Invalid_argument _ -> true | _ -> false)
+    (fun () -> ignore (P.Graph_export.critical_chain g))
+
 (* [Graph_export.fingerprint] against a [Printf] rendering of the same
    canonical form: nodes renumbered by (tid, creation order), then per
    node its tid, level, writes, and sorted deps and order edges. *)
@@ -1199,7 +1296,7 @@ let test_observer_cut_count () =
   let _, g = graph_of epoch [ st 8; st 16; pb 0; st 24 ] in
   (* nodes a,b concurrent; c after both: cuts {} {a} {b} {ab} {abc} *)
   checki "cut count" 5
-    (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag g)))
+    (List.length (P.Dag.all_down_closed (P.Persist_graph.dag g)))
 
 let test_observer_image () =
   (* the persist to 16 closes node 0, so the second store to 8 starts a
@@ -1210,10 +1307,7 @@ let test_observer_image () =
   checki "three nodes" 3 (P.Persist_graph.node_count g);
   let full = P.Observer.final_image g ~capacity:32 in
   Alcotest.(check int64) "last writer wins" 2L (Bytes.get_int64_le full 8);
-  let partial =
-    P.Observer.image_of_cut g ~dag:(P.Persist_graph.to_dag g)
-      (P.Iset.singleton 0) ~capacity:32
-  in
+  let partial = P.Observer.image_of_cut g (P.Iset.singleton 0) ~capacity:32 in
   Alcotest.(check int64) "prefix value" 1L (Bytes.get_int64_le partial 8);
   (* a barriered same-address store may coalesce into its own
      antecedent: merging into the persist you depend on violates no
@@ -1226,17 +1320,14 @@ let test_observer_illegal_cut () =
   Alcotest.match_raises "illegal cut"
     (function Invalid_argument _ -> true | _ -> false)
     (fun () ->
-      ignore
-        (P.Observer.image_of_cut g ~dag:(P.Persist_graph.to_dag g)
-           (P.Iset.singleton 1) ~capacity:32))
+      ignore (P.Observer.image_of_cut g (P.Iset.singleton 1) ~capacity:32))
 
 let test_observer_out_of_range () =
   let _, g = graph_of epoch [ st 8; pb 0; st 16 ] in
-  let dag = P.Persist_graph.to_dag g in
   out_of_range "negative id" (fun () ->
-      P.Observer.image_of_cut g ~dag (P.Iset.singleton (-1)) ~capacity:32);
+      P.Observer.image_of_cut g (P.Iset.singleton (-1)) ~capacity:32);
   out_of_range "id = n" (fun () ->
-      P.Observer.image_of_cut g ~dag (P.Iset.of_list [ 0; 2 ]) ~capacity:32)
+      P.Observer.image_of_cut g (P.Iset.of_list [ 0; 2 ]) ~capacity:32)
 
 let test_observer_invariant_checker () =
   let _, g = graph_of epoch [ st ~value:7L 8; pb 0; st ~value:1L 16 ] in
@@ -1342,7 +1433,7 @@ let observer_cut_property =
       | None -> true
       | Some g ->
         let rng = Random.State.make [| 42 |] in
-        let dag = P.Persist_graph.to_dag g in
+        let dag = P.Persist_graph.dag g in
         List.for_all
           (fun _ -> P.Dag.is_down_closed dag (P.Dag.random_down_closed dag rng))
           (List.init 10 Fun.id))
@@ -1404,6 +1495,8 @@ let () =
           QCheck_alcotest.to_alcotest reduced_property;
           Alcotest.test_case "reduction in column blocks" `Quick
             test_reduced_blocks;
+          Alcotest.test_case "reduction of recorded graphs" `Quick
+            test_recorded_reduction;
           Alcotest.test_case "out-of-range ids" `Quick test_dag_out_of_range
         ] );
       ( "engine-strict",
@@ -1477,6 +1570,10 @@ let () =
           Alcotest.test_case "coalesced writes" `Quick
             test_graph_coalesced_writes_merge;
           Alcotest.test_case "node mapping" `Quick test_graph_node_mapping;
+          Alcotest.test_case "order tracks edits" `Quick
+            test_graph_dag_tracks_edits;
+          Alcotest.test_case "critical chain edges" `Quick
+            test_critical_chain_edges;
           QCheck_alcotest.to_alcotest reduce_property;
           QCheck_alcotest.to_alcotest fingerprint_reference_property ] );
       ( "observer",

@@ -114,6 +114,21 @@ let test_fig3_breakevens () =
       checkb "monotone decay" true (non_increasing rates))
     f.Experiments.Fig3.series
 
+(* The smallest x at which a curve sampled at ascending positive x
+   reaches [level], interpolated linearly in log x between the two
+   samples that bracket it. *)
+let crossing_log pts ~level =
+  let rec go = function
+    | (x0, y0) :: ((x1, y1) :: _ as rest) ->
+      if (y0 -. level) *. (y1 -. level) <= 0. && y0 <> y1 then
+        let l0 = log x0 and l1 = log x1 in
+        Some (exp (l0 +. ((l1 -. l0) *. (level -. y0) /. (y1 -. y0))))
+      else if y0 = level then Some x0
+      else go rest
+    | [ _ ] | [] -> None
+  in
+  go pts
+
 let test_fig3_empirical_knees () =
   (* cross-check the analytic break-even against the sampled curve: the
      smallest latency where achievable rate drops below the instruction
@@ -124,8 +139,8 @@ let test_fig3_empirical_knees () =
   let insn_rate = 1e9 /. f.Experiments.Fig3.insn_ns in
   List.iter
     (fun s ->
-      let curve = Pstats.Series.of_points s.Experiments.Fig3.rates in
-      match Pstats.Series.crossing_log curve ~level:(0.99 *. insn_rate) with
+      let level = 0.99 *. insn_rate in
+      match crossing_log s.Experiments.Fig3.rates ~level with
       | None ->
         (* the sweep never leaves the compute-bound plateau: the knee
            must lie beyond the last sampled latency *)

@@ -233,7 +233,7 @@ let exhaustive_queue ?(design = Q.Cwl) ?(limit = 20_000)
     let layout = result.Q.layout in
     let graph = Option.get (P.Engine.graph engine) in
     let capacity = layout.Q.data_addr + layout.Q.data_bytes in
-    let dag = P.Persist_graph.to_dag graph in
+    let dag = P.Persist_graph.dag graph in
     let cuts =
       match sample_cuts with
       | Some n -> List.init n (fun _ -> P.Dag.random_down_closed dag rng)
@@ -243,7 +243,7 @@ let exhaustive_queue ?(design = Q.Cwl) ?(limit = 20_000)
     in
     List.iter
       (fun cut ->
-        let image = P.Observer.image_of_cut graph ~dag cut ~capacity in
+        let image = P.Observer.image_of_cut graph cut ~capacity in
         match Workloads.Queue_recovery.check ~params ~layout image with
         | Ok () -> ()
         | Error _ ->

@@ -128,7 +128,7 @@ let test_exhaustive_counts_all_cuts () =
   with
   | Ok r ->
     Alcotest.(check int) "checked every durable prefix"
-      (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
+      (List.length (P.Dag.all_down_closed (P.Persist_graph.dag graph)))
       r.Recovery.prefixes
   | Error f -> Alcotest.fail (Recovery.render_failure f)
 
@@ -178,14 +178,14 @@ let first_value_store_cut graph (layout : K.layout) =
         n.P.Persist_graph.writes)
     graph;
   checkb "found a slot value persist" true (!node >= 0);
-  P.Dag.down_closure (P.Persist_graph.to_dag graph) (P.Iset.singleton !node)
+  P.Dag.down_closure (P.Persist_graph.dag graph) (P.Iset.singleton !node)
 
 let test_buggy_targeted_cut () =
   let params = tiny K.Buggy_undo in
   let graph, layout = graph_of params P.Config.Epoch in
   let cut = first_value_store_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "slot durable without its sealed record" true
@@ -196,7 +196,7 @@ let test_correct_targeted_cut () =
   let graph, layout = graph_of params P.Config.Epoch in
   let cut = first_value_store_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(Kv_recovery.image_capacity layout)
   in
   checkb "closure drags the sealed record along" true
@@ -271,7 +271,7 @@ let test_recorded_graph_pinned () =
    cuts, whatever the DAG's representation. *)
 let test_sampled_cuts_pinned () =
   let graph = recover_kv_graph () in
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let line cut =
     String.concat "," (List.map string_of_int (P.Iset.elements cut))
   in

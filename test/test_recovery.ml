@@ -61,12 +61,12 @@ let sampled_check ~design ~annotation ~mode ~seed =
    It re-checks duplicate draws where Recovery skips them. *)
 let legacy_sampled graph check ~capacity ~samples ~seed =
   let rng = Random.State.make [| seed |] in
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let rec loop i =
     if i >= samples then Ok ()
     else
       let cut = P.Dag.random_down_closed dag rng in
-      match check (P.Observer.image_of_cut graph ~dag cut ~capacity) with
+      match check (P.Observer.image_of_cut graph cut ~capacity) with
       | Ok () -> loop (i + 1)
       | Error msg ->
         Error
@@ -136,7 +136,7 @@ let test_buggy_annotation_targeted_cut () =
     run_and_graph ~design:Q.Cwl ~annotation:Q.Buggy_epoch ~mode:P.Config.Epoch
       ~threads:1 ~inserts:4 ~seed:5
   in
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   (* find the node holding the highest head-pointer write *)
   let head_node = ref (-1) in
   P.Persist_graph.iter
@@ -149,7 +149,7 @@ let test_buggy_annotation_targeted_cut () =
   checkb "found head node" true (!head_node >= 0);
   let cut = P.Dag.down_closure dag (P.Iset.singleton !head_node) in
   let image =
-    P.Observer.image_of_cut graph ~dag cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   checkb "head durable without data" true
@@ -162,7 +162,7 @@ let test_correct_annotation_targeted_cut () =
     run_and_graph ~design:Q.Cwl ~annotation:Q.Epoch ~mode:P.Config.Epoch
       ~threads:1 ~inserts:4 ~seed:5
   in
-  let dag = P.Persist_graph.to_dag graph in
+  let dag = P.Persist_graph.dag graph in
   let head_node = ref (-1) in
   P.Persist_graph.iter
     (fun n ->
@@ -173,7 +173,7 @@ let test_correct_annotation_targeted_cut () =
     graph;
   let cut = P.Dag.down_closure dag (P.Iset.singleton !head_node) in
   let image =
-    P.Observer.image_of_cut graph ~dag cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   checkb "closure carries the data" true
@@ -195,8 +195,7 @@ let test_empty_cut_recovers_empty () =
       ~threads:1 ~inserts:4 ~seed:1
   in
   let image =
-    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph)
-      P.Iset.empty
+    P.Observer.image_of_cut graph P.Iset.empty
       ~capacity:(layout.Q.data_addr + layout.Q.data_bytes)
   in
   match Workloads.Queue_recovery.recover ~params ~layout image with
@@ -341,7 +340,7 @@ let test_exhaustive_cuts_pinned () =
     [ 0xfff; 0x7ff; 0x6ff; 0x5ff; 0x4ff; 0x3ff; 0x2ff; 0x1ff; 0xff; 0x7f;
       0x6f; 0x5f; 0x4f; 0x3f; 0x2f; 0x1f; 0xf; 0x7; 0x6; 0x5; 0x4; 0x3;
       0x2; 0x1; 0x0 ]
-    (List.map mask (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
+    (List.map mask (P.Dag.all_down_closed (P.Persist_graph.dag graph)))
 
 let () =
   Alcotest.run "recovery"

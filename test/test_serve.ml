@@ -313,7 +313,7 @@ let test_group_exhaustive_counts_all_cuts () =
   match group_check ~strategy:(fun _ -> Recovery.Exhaustive) store graph with
   | Ok r ->
     checki "checked every durable prefix"
-      (List.length (P.Dag.all_down_closed (P.Persist_graph.to_dag graph)))
+      (List.length (P.Dag.all_down_closed (P.Persist_graph.dag graph)))
       r.Recovery.prefixes
   | Error f -> Alcotest.fail (Recovery.render_failure f)
 
@@ -341,14 +341,14 @@ let marker_cut graph (layout : G.layout) =
         n.P.Persist_graph.writes)
     graph;
   checkb "found a marker persist" true (!node >= 0);
-  P.Dag.down_closure (P.Persist_graph.to_dag graph) (P.Iset.singleton !node)
+  P.Dag.down_closure (P.Persist_graph.dag graph) (P.Iset.singleton !node)
 
 let test_group_buggy_targeted_cut () =
   let store, graph = group_run G.Buggy_seal P.Config.Epoch two_batches in
   let layout = G.layout store in
   let cut = marker_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "marker durable without its batch's slots" true
@@ -359,7 +359,7 @@ let test_group_correct_targeted_cut () =
   let layout = G.layout store in
   let cut = marker_cut graph layout in
   let image =
-    P.Observer.image_of_cut graph ~dag:(P.Persist_graph.to_dag graph) cut
+    P.Observer.image_of_cut graph cut
       ~capacity:(Kv_recovery.group_image_capacity layout)
   in
   checkb "closure drags the slots along" true

@@ -80,51 +80,6 @@ let test_histogram_tvd () =
   let d = mk [ 1; 2; 2; 2 ] in
   checkf "partial" 0.25 (Pstats.Histogram.total_variation_distance a d)
 
-(* Series *)
-
-let test_series_eval () =
-  let s = Pstats.Series.of_points [ (0., 0.); (10., 100.); (20., 100.) ] in
-  checki "length" 3 (Pstats.Series.length s);
-  checkf "interpolates" 50. (Pstats.Series.eval s 5.);
-  checkf "clamps low" 0. (Pstats.Series.eval s (-5.));
-  checkf "clamps high" 100. (Pstats.Series.eval s 99.);
-  checkf "exact point" 100. (Pstats.Series.eval s 10.)
-
-let test_series_sorting_dedup () =
-  let s = Pstats.Series.of_points [ (10., 1.); (0., 0.); (10., 2.) ] in
-  checki "dedup" 2 (Pstats.Series.length s);
-  checkf "last y wins" 2. (Pstats.Series.eval s 10.)
-
-let test_series_crossing () =
-  let s = Pstats.Series.of_points [ (0., 0.); (10., 100.) ] in
-  Alcotest.(check (option (float 1e-9))) "mid crossing" (Some 5.)
-    (Pstats.Series.crossing s ~level:50.);
-  Alcotest.(check (option (float 1e-9))) "never crosses" None
-    (Pstats.Series.crossing s ~level:200.);
-  (* decaying curve, log-spaced x: like a Figure 3 series *)
-  let decay =
-    Pstats.Series.of_points
-      [ (10., 4e6); (100., 4e6); (1000., 1e6); (10000., 1e5) ]
-  in
-  (match Pstats.Series.crossing_log decay ~level:3.9e6 with
-  | None -> Alcotest.fail "expected a knee"
-  | Some x -> checkb "knee between plateau and decay" true (x > 100. && x < 1000.));
-  Alcotest.match_raises "log needs positive x"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () ->
-      ignore
-        (Pstats.Series.crossing_log
-           (Pstats.Series.of_points [ (0., 1.); (1., 0.) ])
-           ~level:0.5))
-
-let test_series_validation () =
-  Alcotest.match_raises "empty"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (Pstats.Series.of_points []));
-  Alcotest.match_raises "nan x"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (Pstats.Series.of_points [ (Float.nan, 1.) ]))
-
 (* Table *)
 
 let test_table_render () =
@@ -240,11 +195,6 @@ let () =
       ( "histogram",
         [ Alcotest.test_case "basic" `Quick test_histogram;
           Alcotest.test_case "tvd" `Quick test_histogram_tvd ] );
-      ( "series",
-        [ Alcotest.test_case "eval" `Quick test_series_eval;
-          Alcotest.test_case "sorting/dedup" `Quick test_series_sorting_dedup;
-          Alcotest.test_case "crossing" `Quick test_series_crossing;
-          Alcotest.test_case "validation" `Quick test_series_validation ] );
       ( "table",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "formats" `Quick test_table_formats ] );
