@@ -111,12 +111,21 @@ serve: build
 	dune exec bin/persistsim.exe -- serve --recovery --buggy --shards 1 --batch 3 --requests 24 --keys 16 --rate 1000 | grep -q "RECOVERY VIOLATION"
 
 # DPOR exploration smoke: the queue sweep against the brute-force
-# oracle (same graph census, far fewer schedules), complete KV and
-# lock-free explorations must end in their every-interleaving verdicts,
-# and the buggy KV discipline and lock-free traversal must be flagged
-# with a replayable counter-example.
+# oracle under each correct queue annotation (its CSV row must read a
+# complete, safe search with as many distinct graphs as brute force
+# finds), complete KV and lock-free explorations must end in their
+# every-interleaving verdicts, and the buggy KV discipline and
+# lock-free traversal must be flagged with a replayable
+# counter-example.
+ORACLE_CHECK = awk -F, '{ print } NR == 1 { for (i = 1; i <= NF; i++) col[$$i] = i; next } \
+	{ n++; ok = $$col["complete"] == "true" && $$col["verdict"] == "safe" \
+	  && $$col["distinct_graphs"] == $$col["brute_graphs"] } END { exit !(n == 1 && ok) }'
+
 explore: build
-	dune exec bin/persistsim.exe -- explore --workload queue --depth 2 --oracle --csv
+	for m in epoch racing-epochs strand; do \
+	  dune exec bin/persistsim.exe -- explore --workload queue --model $$m --depth 2 --oracle --csv \
+	    | $(ORACLE_CHECK) || exit 1; \
+	done
 	dune exec bin/persistsim.exe -- explore --workload kv --model strand --depth 2 | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (.*) of every interleaving$$"
 	dune exec bin/persistsim.exe -- explore --workload kv --buggy --depth 2 | grep -q "RECOVERY VIOLATION"
 	dune exec bin/persistsim.exe -- explore --workload lockfree --depth 1 --model epoch --machine sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"

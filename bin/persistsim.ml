@@ -111,14 +111,22 @@ let pos_float =
 let count_t names default doc =
   Arg.(value & opt pos_int default & info names ~docv:"N" ~doc)
 
-(* A total split evenly over --threads: a remainder is bad input that
-   no single flag's converter can see. *)
-let check_divides ~flag total threads =
+(* A total split evenly over --threads, or over each thread count of a
+   sweep that has no such flag: a remainder is bad input that no single
+   flag's converter can see. *)
+let check_divides ~flag ?sweep total threads =
   if total mod threads <> 0 then begin
-    Printf.eprintf "persistsim: %s %d is not a multiple of --threads %d\n"
-      flag total threads;
+    Printf.eprintf "persistsim: %s %d is not a multiple of %s\n" flag total
+      (match sweep with
+      | None -> Printf.sprintf "--threads %d" threads
+      | Some all ->
+        Printf.sprintf "%d, a thread count of the sweep (%s)" threads
+          (String.concat ", " (List.map string_of_int all)));
     exit 2
   end
+
+let check_divides_sweep ~flag total sweep =
+  List.iter (check_divides ~flag ~sweep total) sweep
 
 let inserts_t ?(doc = "Total inserts per configuration.") default =
   count_t [ "inserts" ] default doc
@@ -405,7 +413,7 @@ let family_run o (f : (_, _, _, _) Check.Driver.family) variant mode machine =
 
 let table1_cmd =
   let run () inserts capacity latency csv calibrate jobs =
-    List.iter (check_divides ~flag:"--inserts" inserts)
+    check_divides_sweep ~flag:"--inserts" inserts
       Experiments.Table1.sweep_threads;
     let insn_ns =
       if calibrate then (fun design threads ->
@@ -486,7 +494,7 @@ let cache_cmd =
 
 let consistency_cmd =
   let run () inserts capacity jobs =
-    List.iter (check_divides ~flag:"--inserts" inserts)
+    check_divides_sweep ~flag:"--inserts" inserts
       Experiments.Consistency_exp.sweep_threads;
     let t =
       Experiments.Consistency_exp.run ~jobs ~total_inserts:inserts
@@ -631,7 +639,7 @@ let kv_cmd =
       let total_ops =
         Option.value ~default:Experiments.Kv_exp.default_total_ops total_ops
       in
-      List.iter (check_divides ~flag:"--ops" total_ops)
+      check_divides_sweep ~flag:"--ops" total_ops
         Experiments.Kv_exp.sweep_threads;
       let dist = Option.value ~default:Workloads.Keygen.Uniform dist in
       let t =
@@ -765,8 +773,18 @@ let serve_cmd =
     Arg.(value & opt pos_int 512 & info [ "keys" ] ~docv:"N"
            ~doc:"Key space size.")
   in
+  (* An empty list would sweep nothing (or leave --recovery without a
+     first size), so reject it here. *)
+  let sizes =
+    let parse s =
+      match Arg.conv_parser (Arg.list pos_int) s with
+      | Ok [] -> Error (`Msg "expected a non-empty comma-separated list")
+      | r -> r
+    in
+    Arg.conv (parse, Arg.conv_printer (Arg.list pos_int))
+  in
   let sizes_t name default doc =
-    Arg.(value & opt (list pos_int) default & info [ name ] ~docv:"LIST" ~doc)
+    Arg.(value & opt sizes default & info [ name ] ~docv:"LIST" ~doc)
   in
   let smodel_t =
     Arg.(value & opt model_conv Serve.Sim.epoch_model
@@ -991,7 +1009,8 @@ let ablation_cmd =
     (* A1 and A2 split --inserts over their threads *)
     if List.mem which [ "all"; "tso"; "spaces" ] then
       Option.iter
-        (fun n -> check_divides ~flag:"--inserts" n A.comparison_threads)
+        (fun n ->
+          check_divides_sweep ~flag:"--inserts" n [ A.comparison_threads ])
         total_inserts;
     List.iter
       (fun (name, section) ->
@@ -1249,7 +1268,7 @@ let lockfree_cmd =
 
 let machine_cmd =
   let run () inserts capacity jobs =
-    List.iter (check_divides ~flag:"--inserts" inserts)
+    check_divides_sweep ~flag:"--inserts" inserts
       Experiments.Machine_exp.sweep_threads;
     let t =
       Experiments.Machine_exp.run ~jobs ~total_inserts:inserts

@@ -181,8 +181,8 @@ let access t kind (a : Event.access) =
 let observe t ev =
   match ev with
   | Event.Access (kind, a) -> access t kind a
-  | Event.Persist_barrier tid
-  | Event.New_strand tid
+  | Event.Persist_barrier { tid; _ }
+  | Event.New_strand { tid; _ }
   | Event.Fence { tid; _ } ->
     (* the hardware sketch has no strand or Px86 support; a NewStrand
        or fence simply opens a new epoch *)

@@ -478,7 +478,7 @@ let observe t ev =
   M.incr m_events;
   match ev with
   | Event.Access (kind, a) -> access t kind a
-  | Event.Persist_barrier tid ->
+  | Event.Persist_barrier { tid; _ } ->
     M.incr m_barriers;
     (match t.cfg.Config.mode with
     | Config.Epoch | Config.Strand ->
@@ -496,7 +496,7 @@ let observe t ev =
         barrier_of t ts;
         ts.ld_view <- ts.acc;
         if record_graph t then ts.ld_view_f <- ts.acc_f))
-  | Event.New_strand tid ->
+  | Event.New_strand { tid; _ } ->
     M.incr m_strands;
     (match t.cfg.Config.mode with
     | Config.Strand ->
@@ -599,8 +599,6 @@ let observe_trace t trace =
    materialized so that generation and analysis appear as distinct
    phases in the timeline — the engine sees the same events in the
    same order, so results are identical. *)
-(* [produce]'s one run, fed to [sink]; with the tracer on, the trace is
-   materialized so that generation and analysis are separate spans. *)
 let feed produce sink =
   if Obs.Tracer.enabled () then begin
     let trace = Memsim.Trace.create () in
@@ -620,17 +618,6 @@ let run cfg produce =
   let t = create cfg in
   let r = feed produce (observe t) in
   (t, r)
-
-let run_many cfgs produce =
-  let ts = List.map create cfgs in
-  let rec fan ev = function
-    | [] -> ()
-    | t :: rest ->
-      observe t ev;
-      fan ev rest
-  in
-  let r = feed produce (fun ev -> fan ev ts) in
-  (ts, r)
 
 let critical_path t = t.max_level
 let persist_events t = t.persist_events

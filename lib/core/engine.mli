@@ -47,14 +47,12 @@ val run : Config.t -> (sink:(Memsim.Event.t -> unit) -> 'r) -> t * 'r
     trace generation and engine analysis are separate phase spans; the
     engine sees the same events either way. *)
 
-val run_many :
-  Config.t list -> (sink:(Memsim.Event.t -> unit) -> 'r) -> t list * 'r
-(** [run_many cfgs produce] is [run] with one engine per config, in
-    order, all fed from the same run: the trace is generated once, and
-    each engine ends as [run] would leave it.  The machine never reads
-    an engine, so this is how a sweep analyzes one trace under several
-    models (the paper traces each workload once and analyzes it under
-    each model). *)
+val feed : (sink:(Memsim.Event.t -> unit) -> 'r) -> (Memsim.Event.t -> unit) -> 'r
+(** [feed produce sink] is [produce ~sink], the way {!run} feeds its
+    engine: with {!Obs.Tracer} on, the trace is materialized first, so
+    that trace generation and analysis are separate phase spans.  A
+    caller that fans one run out to several engines feeds through
+    this. *)
 
 val critical_path : t -> int
 (** Maximum persist level assigned so far (0 when no persists). *)

@@ -146,7 +146,7 @@ let build (cfg : Config.t) trace =
           !prior;
         prior := (i, kind, a.space) :: !prior
       end
-    | Event.Persist_barrier tid ->
+    | Event.Persist_barrier { tid; _ } ->
       (match disc with
       | Fence_chained ->
         let c = ctx tid in
@@ -166,7 +166,7 @@ let build (cfg : Config.t) trace =
         List.iter (fun (j, _) -> edge j i) c.all;
         c.all <- (i, None) :: c.all
       | Chain_all -> ())
-    | Event.New_strand tid ->
+    | Event.New_strand { tid; _ } ->
       (match cfg.Config.mode with
       | Config.Strand ->
         let c = ctx tid in

@@ -33,46 +33,60 @@ type conflicts = {
 
 let conflicts ?jobs ?on_profile ?(threads = comparison_threads)
     ?total_inserts () =
-  let sweep =
-    List.concat_map
-      (fun design -> List.map (fun p -> (design, p)) epoch_points)
-      [ Workloads.Queue.Cwl; Workloads.Queue.Tlc ]
-  in
-  let label (design, (point : Run.model_point)) =
-    Printf.sprintf "%s/%s/%dT"
-      (Workloads.Queue.design_name design)
-      point.Run.label threads
-  in
   let cells =
     pool_map ?jobs ?on_profile
-      ~label:(fun _ cell -> label cell)
-      (fun ((design, (point : Run.model_point)) as cell) ->
-        let params = Run.queue_params ~design ~threads ?total_inserts point in
-        let cfg = Persistency.Config.make in
-        match
-          Run.analyze_many params
-            [ cfg point.Run.mode;
-              cfg ~tso_conflicts:true point.Run.mode;
-              cfg ~persistent_only_conflicts:true point.Run.mode ]
-        with
-        | [ base; tso; spaces ] ->
-          let versus = comparison (label cell) base in
-          (versus tso, versus spaces)
-        | _ -> assert false)
-      sweep
+      ~label:(fun _ design ->
+        Printf.sprintf "%s/%dT" (Workloads.Queue.design_name design) threads)
+      (fun design ->
+        let params =
+          Run.queue_params ~design ~threads ?total_inserts Run.epoch_point
+        in
+        let cfgs (point : Run.model_point) =
+          List.map
+            (fun cfg -> (point.Run.annotation, cfg point.Run.mode))
+            [ Persistency.Config.make;
+              Persistency.Config.make ~tso_conflicts:true;
+              Persistency.Config.make ~persistent_only_conflicts:true ]
+        in
+        List.map2
+          (fun (point : Run.model_point) -> function
+            | [ base; tso; spaces ] ->
+              let versus =
+                comparison
+                  (Printf.sprintf "%s/%s/%dT"
+                     (Workloads.Queue.design_name design)
+                     point.Run.label threads)
+                  base
+              in
+              (versus tso, versus spaces)
+            | _ -> assert false)
+          epoch_points
+          (Run.per_point cfgs epoch_points (Run.analyze_many params)))
+      [ Workloads.Queue.Cwl; Workloads.Queue.Tlc ]
   in
+  let cells = List.concat cells in
   { tso = List.map fst cells; spaces = List.map snd cells }
 
+(* A one-cell sweep, its profile reported like every other section's. *)
+let cwl_1t ?(jobs = 1) ?(on_profile = fun _ -> ()) ?total_inserts f =
+  let r, profile = Run.cwl_1t ~jobs ?total_inserts f in
+  on_profile profile;
+  r
+
 let coalescing ?jobs ?on_profile ?total_inserts () =
-  pool_map ?jobs ?on_profile
-    ~label:(fun _ (point : Run.model_point) -> point.Run.label)
-    (fun (point : Run.model_point) ->
-      let params = Run.queue_params ?total_inserts point in
-      let cfg coalescing = Persistency.Config.make ~coalescing point.Run.mode in
-      match Run.analyze_many params [ cfg true; cfg false ] with
-      | [ on; off ] -> comparison point.Run.label on off
-      | _ -> assert false)
-    Run.table1_models
+  let cfgs (point : Run.model_point) =
+    List.map
+      (fun coalescing ->
+        (point.Run.annotation, Persistency.Config.make ~coalescing point.Run.mode))
+      [ true; false ]
+  in
+  cwl_1t ?jobs ?on_profile ?total_inserts (fun params ->
+      List.map2
+        (fun (point : Run.model_point) -> function
+          | [ on; off ] -> comparison point.Run.label on off
+          | _ -> assert false)
+        Run.table1_models
+        (Run.per_point cfgs Run.table1_models (Run.analyze_many params)))
 
 type graphs = {
   total_inserts : int;
@@ -82,16 +96,11 @@ type graphs = {
 let model_graphs ?jobs ?on_profile ?(total_inserts = 2000) () =
   { total_inserts;
     by_model =
-      pool_map ?jobs ?on_profile
-        ~label:(fun _ (point : Run.model_point) -> point.Run.label)
-        (fun (point : Run.model_point) ->
-          let params = Run.queue_params ~total_inserts point in
-          let _, graph, _ =
-            Run.analyze_with_graph params
-              (Persistency.Config.make point.Run.mode)
-          in
-          (point.Run.label, graph))
-        Run.fig3_models }
+      cwl_1t ?jobs ?on_profile ~total_inserts (fun params ->
+          List.map2
+            (fun (p : Run.model_point) g -> (p.Run.label, g))
+            Run.fig3_models
+            (Run.graphs params (List.map Run.paired Run.fig3_models))) }
 
 (* Drain-simulated inserts/s of each model's graph. *)
 let rates ?sync_every ~latency_ns ~depth (g : graphs) =

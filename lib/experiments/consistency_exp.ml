@@ -5,17 +5,16 @@ type row = {
   normalized : float;
 }
 
-(* Labelled configs, grouped by the run they read: the model point
-   fixes the queue annotation, the only part the machine sees, so
-   strict/TSO, strict/RMO and epoch/SC share the epoch-annotated run. *)
-let groups =
+(* Labelled points: the model point fixes the queue annotation, the
+   only part the machine sees, so strict/TSO and strict/RMO read the
+   epoch annotation's barriers as fences. *)
+let points =
   let open Persistency.Config in
-  [ (Run.strict_point, [ ("strict/SC", make Strict) ]);
-    ( Run.epoch_point,
-      [ ("strict/TSO", make ~consistency:Tso Strict);
-        ("strict/RMO+fences", make ~consistency:Rmo Strict);
-        ("epoch/SC", make Epoch) ] );
-    (Run.strand_point, [ ("strand/SC", make Strand) ]) ]
+  [ ("strict/SC", Run.strict_point, make Strict);
+    ("strict/TSO", Run.epoch_point, make ~consistency:Tso Strict);
+    ("strict/RMO+fences", Run.epoch_point, make ~consistency:Rmo Strict);
+    ("epoch/SC", Run.epoch_point, make Epoch);
+    ("strand/SC", Run.strand_point, make Strand) ]
 
 type t = {
   rows : row list;
@@ -25,23 +24,16 @@ type t = {
 let sweep_threads = [ 1; 8 ]
 
 let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.) () =
-  let sweep =
-    List.concat_map
-      (fun threads -> List.map (fun group -> (threads, group)) groups)
-      sweep_threads
-  in
   let rows, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (threads, ((shared : Run.model_point), _)) ->
-        Printf.sprintf "%s/%dT"
-          (Workloads.Queue.annotation_name shared.Run.annotation)
-          threads)
-      (fun (threads, (shared, points)) ->
+      ~label:(fun _ threads -> Printf.sprintf "copy-while-locked/%dT" threads)
+      (fun threads ->
         let params =
-          Run.queue_params ~threads ?total_inserts ?capacity_entries shared
+          Run.queue_params ~threads ?total_inserts ?capacity_entries
+            Run.epoch_point
         in
         List.map2
-          (fun (label, _) (m : Run.metrics) ->
+          (fun (label, _, _) (m : Run.metrics) ->
             let timing =
               { Nvram.Timing.ops = m.Run.inserts;
                 critical_path = m.Run.critical_path;
@@ -55,8 +47,12 @@ let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.) () =
               cp_per_insert = m.Run.cp_per_insert;
               normalized = Nvram.Timing.normalized timing })
           points
-          (Run.analyze_many params (List.map snd points)))
-      sweep
+          (Run.analyze_many params
+             (List.map
+                (fun (_, (point : Run.model_point), cfg) ->
+                  (point.Run.annotation, cfg))
+                points)))
+      sweep_threads
   in
   { rows = List.concat rows; profile }
 

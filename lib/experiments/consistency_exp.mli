@@ -22,7 +22,7 @@ type row = {
 type t = {
   rows : row list;
   profile : Parallel.Pool.profile;
-      (** one cell per threads×annotation: the points sharing a run *)
+      (** one cell per thread count: one run serves every point *)
 }
 
 val sweep_threads : int list

@@ -20,31 +20,29 @@ let run ?(jobs = 1) ?total_inserts ?capacity_entries
     ?(insn_ns = Calibrate.default_insn_ns ~design:Workloads.Queue.Cwl ~threads:1)
     ?(latencies_ns = default_latencies) () =
   let series, profile =
-    Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (p : Run.model_point) -> p.Run.label)
-      (fun (point : Run.model_point) ->
-        let params = Run.queue_params ?total_inserts ?capacity_entries point in
-        let cfg = Persistency.Config.make point.Run.mode in
-        let m = Run.analyze params cfg in
-        let rates =
-          List.map
-            (fun latency ->
-              let timing =
-                { Nvram.Timing.ops = m.Run.inserts;
-                  critical_path = m.Run.critical_path;
-                  insn_ns_per_op = insn_ns;
-                  persist_latency_ns = latency }
-              in
-              (latency, Nvram.Timing.achievable_rate timing))
-            latencies_ns
-        in
-        { model = point.Run.label;
-          cp_per_insert = m.Run.cp_per_insert;
-          break_even_ns =
-            Nvram.Timing.break_even_latency_ns ~cp_per_op:m.Run.cp_per_insert
-              ~insn_ns_per_op:insn_ns;
-          rates })
-      Run.fig3_models
+    Run.cwl_1t ~jobs ?total_inserts ?capacity_entries (fun params ->
+        List.map2
+          (fun (point : Run.model_point) (m : Run.metrics) ->
+            let rates =
+              List.map
+                (fun latency ->
+                  let timing =
+                    { Nvram.Timing.ops = m.Run.inserts;
+                      critical_path = m.Run.critical_path;
+                      insn_ns_per_op = insn_ns;
+                      persist_latency_ns = latency }
+                  in
+                  (latency, Nvram.Timing.achievable_rate timing))
+                latencies_ns
+            in
+            { model = point.Run.label;
+              cp_per_insert = m.Run.cp_per_insert;
+              break_even_ns =
+                Nvram.Timing.break_even_latency_ns
+                  ~cp_per_op:m.Run.cp_per_insert ~insn_ns_per_op:insn_ns;
+              rates })
+          Run.fig3_models
+          (Run.analyze_many params (List.map Run.paired Run.fig3_models)))
   in
   { insn_ns; latencies_ns; series; profile }
 

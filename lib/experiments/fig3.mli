@@ -16,7 +16,8 @@ type t = {
   insn_ns : float;
   latencies_ns : float list;
   series : series list;
-  profile : Parallel.Pool.profile;  (** one cell per model *)
+  profile : Parallel.Pool.profile;
+      (** one cell: CWL at one thread, one run for every model *)
 }
 
 val run :

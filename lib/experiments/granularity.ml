@@ -19,29 +19,31 @@ let figure_name = function
 
 let models = [ Run.strict_point; Run.epoch_point ]
 
-let config_for which point gran =
-  match which with
-  | Atomic_persist -> Persistency.Config.make ~persist_gran:gran point.Run.mode
-  | Tracking -> Persistency.Config.make ~track_gran:gran point.Run.mode
+let config_for which (point : Run.model_point) gran =
+  ( point.Run.annotation,
+    match which with
+    | Atomic_persist -> Persistency.Config.make ~persist_gran:gran point.Run.mode
+    | Tracking -> Persistency.Config.make ~track_gran:gran point.Run.mode )
 
 let run ?(jobs = 1) ?total_inserts ?capacity_entries
     ?(grans = [ 8; 16; 32; 64; 128; 256 ]) which =
-  (* One cell per model: granularity is an engine setting, so each
-     model's one run is analyzed at every granularity. *)
+  (* One cell: granularity is an engine setting, so the one run is
+     analyzed under every model at every granularity. *)
   let columns, profile =
-    Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (point : Run.model_point) -> point.Run.label)
-      (fun (point : Run.model_point) ->
-        let params = Run.queue_params ?total_inserts ?capacity_entries point in
-        Run.analyze_many params (List.map (config_for which point) grans)
-        |> List.map2
-             (fun gran m -> (gran, (point.Run.label, m.Run.cp_per_insert)))
-             grans)
-      models
+    Run.cwl_1t ~jobs ?total_inserts ?capacity_entries (fun params ->
+        Run.per_point
+          (fun point -> List.map (config_for which point) grans)
+          models (Run.analyze_many params))
   in
   let points =
-    List.map
-      (fun gran -> { gran; by_model = List.map (List.assoc gran) columns })
+    List.mapi
+      (fun i gran ->
+        { gran;
+          by_model =
+            List.map2
+              (fun (point : Run.model_point) column ->
+                (point.Run.label, (List.nth column i).Run.cp_per_insert))
+              models columns })
       grans
   in
   { which; points; profile }

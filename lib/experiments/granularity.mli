@@ -24,7 +24,8 @@ type t = {
   which : which;
   points : point list;
   profile : Parallel.Pool.profile;
-      (** one cell per model, analyzed at every granularity *)
+      (** one cell: one run, analyzed under every model at every
+          granularity *)
 }
 
 val run :

@@ -26,18 +26,21 @@ let metrics_of (engine : Persistency.Engine.t) (result : Kv.result) =
        float_of_int (Persistency.Engine.critical_path engine)
        /. float_of_int (max 1 ops)) }
 
-let analyze params cfg =
-  let engine, result = Persistency.Engine.run cfg (Kv.run params) in
-  metrics_of engine result
+let run_points ?graph (params : Kv.params) points =
+  Run.share ?graph ~machine:params.machine ~barrier:params.barrier
+    (fun ~sites -> Kv.run ~sites params)
+    (List.map (fun (d, cfg) -> (Kv.sites d, cfg)) points)
+
+let analyze_many params points =
+  let engines, result = run_points params points in
+  List.map (fun e -> metrics_of e result) engines
+
+let analyze params cfg = List.hd (analyze_many params [ (params.Kv.discipline, cfg) ])
 
 let analyze_with_graph params cfg =
-  let engine, result =
-    Persistency.Engine.run
-      { cfg with Persistency.Config.record_graph = true }
-      (Kv.run params)
-  in
-  (metrics_of engine result, Option.get (Persistency.Engine.graph engine),
-   result.Kv.layout)
+  let engines, result = run_points ~graph:true params [ (params.Kv.discipline, cfg) ] in
+  let e = List.hd engines in
+  (metrics_of e result, Option.get (Persistency.Engine.graph e), result.Kv.layout)
 
 let default_total_ops = 4096
 
@@ -88,37 +91,41 @@ let run ?(jobs = 1) ?(total_ops = default_total_ops)
     ?(dist = Workloads.Keygen.Uniform) () =
   let sweep =
     List.concat_map
-      (fun threads ->
-        List.concat_map
-          (fun load ->
-            List.map
-              (fun (point : Run.model_point) -> (threads, load, point))
-              kv_models)
-          loads)
+      (fun threads -> List.map (fun load -> (threads, load)) loads)
       threads_list
   in
+  (* One cell per workload setting: its one run serves every model's
+     discipline. *)
   let cells, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (threads, load, (point : Run.model_point)) ->
-        Printf.sprintf "kv/%s/%dT/%.0f%%" point.Run.label threads (load *. 100.))
-      (fun (threads, load, (point : Run.model_point)) ->
+      ~label:(fun _ (threads, load) ->
+        Printf.sprintf "kv/%dT/%.0f%%" threads (load *. 100.))
+      (fun (threads, load) ->
         let params =
-          kv_params ~threads ~total_ops ~load ~seed ~dist point.Run.mode
+          kv_params ~threads ~total_ops ~load ~seed ~dist
+            Persistency.Config.Epoch
         in
-        let cfg = Persistency.Config.make point.Run.mode in
-        let m = analyze params cfg in
-        let ops = m.puts + m.gets in
-        { model = point.Run.label;
-          threads;
-          load;
-          key_space = params.Kv.key_space;
-          cp_per_put = m.cp_per_put;
-          cp_per_op = m.cp_per_op;
-          probes_per_op = float_of_int m.probes /. float_of_int (max 1 ops);
-          critical_path = m.critical_path })
+        List.map2
+          (fun (point : Run.model_point) m ->
+            let ops = m.puts + m.gets in
+            { model = point.Run.label;
+              threads;
+              load;
+              key_space = params.Kv.key_space;
+              cp_per_put = m.cp_per_put;
+              cp_per_op = m.cp_per_op;
+              probes_per_op = float_of_int m.probes /. float_of_int (max 1 ops);
+              critical_path = m.critical_path })
+          kv_models
+          (analyze_many params
+             (List.map
+                (fun (point : Run.model_point) ->
+                  ( Kv.discipline_for point.Run.mode,
+                    Persistency.Config.make point.Run.mode ))
+                kv_models)))
       sweep
   in
-  { total_ops; cells; profile }
+  { total_ops; cells = List.concat cells; profile }
 
 let cell t model threads load =
   List.find_opt

@@ -22,7 +22,14 @@ type metrics = {
   cp_per_op : float;  (** critical path / (puts + gets) *)
 }
 
+val analyze_many :
+  Kv.params -> (Kv.discipline * Persistency.Config.t) list -> metrics list
+(** One {!metrics} per point (a discipline and the engine config that
+    reads it), from one machine run of [params] (whose discipline is
+    ignored) through {!Run.share}. *)
+
 val analyze : Kv.params -> Persistency.Config.t -> metrics
+(** [analyze_many] of the one point [(params.discipline, cfg)]. *)
 
 val analyze_with_graph :
   Kv.params ->
@@ -73,7 +80,8 @@ val run :
   ?dist:Workloads.Keygen.dist ->
   unit ->
   t
-(** Sweep threads × loads × models; one {!cell} each.  Defaults:
+(** Sweep threads × loads × models; one {!cell} each, the models of a
+    threads × load setting read from its one run.  Defaults:
     threads 1, 2 and 4, loads 25% and 50%, sequential ([jobs = 1]),
     uniform key popularity ([dist]); results are identical for any
     [jobs]. *)

@@ -21,43 +21,40 @@ let run ?(jobs = 1) ?total_inserts ?capacity_entries ?(latency_ns = 500.)
     ?(threads_list = sweep_threads) () =
   let sweep =
     List.concat_map
-      (fun design ->
-        List.concat_map
-          (fun threads ->
-            List.map
-              (fun (point : Run.model_point) -> (design, threads, point))
-              Run.table1_models)
-          threads_list)
+      (fun design -> List.map (fun threads -> (design, threads)) threads_list)
       [ Workloads.Queue.Cwl; Workloads.Queue.Tlc ]
   in
+  (* One cell per workload setting: its one run is analyzed under every
+     model point. *)
   let cells, profile =
     Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (design, threads, (point : Run.model_point)) ->
-        Printf.sprintf "%s/%s/%dT"
-          (Workloads.Queue.design_name design)
-          point.Run.label threads)
-      (fun (design, threads, (point : Run.model_point)) ->
+      ~label:(fun _ (design, threads) ->
+        Printf.sprintf "%s/%dT" (Workloads.Queue.design_name design) threads)
+      (fun (design, threads) ->
         let params =
           Run.queue_params ~design ~threads ?total_inserts ?capacity_entries
-            point
+            Run.epoch_point
         in
-        let cfg = Persistency.Config.make point.Run.mode in
-        let m = Run.analyze params cfg in
-        let timing =
-          { Nvram.Timing.ops = m.Run.inserts;
-            critical_path = m.Run.critical_path;
-            insn_ns_per_op = insn_ns design threads;
-            persist_latency_ns = latency_ns }
-        in
-        let normalized = Nvram.Timing.normalized timing in
-        { design;
-          model = point.Run.label;
-          threads;
-          cp_per_insert = m.Run.cp_per_insert;
-          normalized;
-          compute_bound = normalized >= 1. })
+        List.map2
+          (fun (point : Run.model_point) (m : Run.metrics) ->
+            let timing =
+              { Nvram.Timing.ops = m.Run.inserts;
+                critical_path = m.Run.critical_path;
+                insn_ns_per_op = insn_ns design threads;
+                persist_latency_ns = latency_ns }
+            in
+            let normalized = Nvram.Timing.normalized timing in
+            { design;
+              model = point.Run.label;
+              threads;
+              cp_per_insert = m.Run.cp_per_insert;
+              normalized;
+              compute_bound = normalized >= 1. })
+          Run.table1_models
+          (Run.analyze_many params (List.map Run.paired Run.table1_models)))
       sweep
   in
+  let cells = List.concat cells in
   { latency_ns; insn_ns; cells; profile }
 
 let cell t design model threads =

@@ -16,7 +16,8 @@ type t = {
   latency_ns : float;
   insn_ns : Workloads.Queue.design -> int -> float;
   cells : cell list;
-  profile : Parallel.Pool.profile;  (** one cell per design×threads×model *)
+  profile : Parallel.Pool.profile;
+      (** one cell per design×threads: its one run serves every model *)
 }
 
 val sweep_threads : int list

@@ -10,21 +10,25 @@ type t = {
 }
 
 let run ?(jobs = 1) ?(total_inserts = 2000) () =
-  (* One graph-recording cell per model: coalescing is an engine
-     setting, so both graphs come from the model's one run. *)
+  (* One graph-recording cell: coalescing is an engine setting and the
+     models share the run, so every graph comes from its one run. *)
   let rows, profile =
-    Parallel.Pool.map_cells_profiled ~domains:jobs
-      ~label:(fun _ (point : Run.model_point) -> point.Run.label)
-      (fun (point : Run.model_point) ->
-        let params = Run.queue_params ~total_inserts point in
-        let cfg coalescing = Persistency.Config.make ~coalescing point.Run.mode in
-        match Run.graphs params [ cfg true; cfg false ] with
-        | [ on; off ] ->
-          { label = point.Run.label;
-            coalescing = Nvram.Wear.of_graph on;
-            no_coalescing = Nvram.Wear.of_graph off }
-        | _ -> assert false)
-      Run.table1_models
+    Run.cwl_1t ~jobs ~total_inserts (fun params ->
+        let cfg (point : Run.model_point) coalescing =
+          ( point.Run.annotation,
+            Persistency.Config.make ~coalescing point.Run.mode )
+        in
+        List.map2
+          (fun (point : Run.model_point) -> function
+            | [ on; off ] ->
+              { label = point.Run.label;
+                coalescing = Nvram.Wear.of_graph on;
+                no_coalescing = Nvram.Wear.of_graph off }
+            | _ -> assert false)
+          Run.table1_models
+          (Run.per_point
+             (fun point -> [ cfg point true; cfg point false ])
+             Run.table1_models (Run.graphs params)))
   in
   { rows; profile }
 

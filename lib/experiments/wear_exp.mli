@@ -15,7 +15,7 @@ type row = {
 type t = {
   rows : row list;
   profile : Parallel.Pool.profile;
-      (** one cell per model, with and without coalescing *)
+      (** one cell: one run, every model with and without coalescing *)
 }
 
 val run : ?jobs:int -> ?total_inserts:int -> unit -> t

@@ -60,6 +60,23 @@ let discipline_name = function
   | Strand_ops -> "strand-ops"
   | Buggy_undo -> "buggy-undo"
 
+(* Barrier and new-strand call sites: a strand at the top of each put
+   and get, and the two barriers of a put's undo protocol.  A discipline
+   is the set of sites it enables. *)
+let put_strand = M.site "put-strand"
+let get_strand = M.site "get-strand"
+let fields_seal = M.site "fields-seal"
+let seal_slot = M.site "seal-slot"
+
+let sites = function
+  | Strict_stores -> []
+  | Epoch_undo -> [ fields_seal; seal_slot ]
+  | Strand_ops -> [ put_strand; get_strand; fields_seal; seal_slot ]
+  | Buggy_undo -> [ fields_seal ]
+
+let barrier on s = if List.memq s on then M.persist_barrier_at s
+let new_strand on s = if List.memq s on then M.new_strand_at s
+
 let discipline_for = function
   | Persistency.Config.Strict -> Strict_stores
   | Persistency.Config.Epoch -> Epoch_undo
@@ -200,12 +217,13 @@ let observe_probe probes plen =
   Om.add m_probes plen;
   Om.observe m_probe_len (float_of_int plen)
 
-let do_put (p : params) (layout : layout) kgroups locks ~tid ~nput ~probes key value =
+let do_put (p : params) on (layout : layout) kgroups locks ~tid ~nput ~probes
+    key value =
   let key64 = Int64.of_int key in
   let g = kgroups.(key - 1) in
   M.label "put";
   M.lock locks.(g);
-  if p.discipline = Strand_ops then M.new_strand ();
+  new_strand on put_strand;
   let slot, slot_index, plen, old_key = probe p layout kgroups key in
   observe_probe probes plen;
   let old_value = M.load (slot + 8) in
@@ -219,13 +237,11 @@ let do_put (p : params) (layout : layout) kgroups locks ~tid ~nput ~probes key v
   M.store (rec_addr + 16) old_value;
   M.store (rec_addr + 24) old_sum;
   (* fields -> seal: a sealed record is never torn *)
-  if p.discipline <> Strict_stores then M.persist_barrier ();
+  barrier on fields_seal;
   M.store (rec_addr + 32) (Int64.of_int (!nput + 1));
   (* seal -> slot: the in-place update persists only after its complete
      undo record; dropping this is the deliberate Buggy_undo hole *)
-  (match p.discipline with
-  | Epoch_undo | Strand_ops -> M.persist_barrier ()
-  | Strict_stores | Buggy_undo -> ());
+  barrier on seal_slot;
   Om.incr m_log_appends;
   incr nput;
   M.store slot key64;
@@ -234,19 +250,20 @@ let do_put (p : params) (layout : layout) kgroups locks ~tid ~nput ~probes key v
   M.unlock locks.(g);
   Om.incr m_puts
 
-let do_get (p : params) (layout : layout) kgroups locks ~probes key =
+let do_get (p : params) on (layout : layout) kgroups locks ~probes key =
   let g = kgroups.(key - 1) in
   M.label "get";
   M.lock locks.(g);
-  if p.discipline = Strand_ops then M.new_strand ();
+  new_strand on get_strand;
   let slot, _, plen, found = probe p layout kgroups key in
   observe_probe probes plen;
   if not (Int64.equal found 0L) then ignore (M.load (slot + 8));
   M.unlock locks.(g);
   Om.incr m_gets
 
-let run (p : params) ~sink =
+let run ?sites:on (p : params) ~sink =
   validate p;
+  let on = match on with Some on -> on | None -> sites p.discipline in
   let table_bytes = p.groups * p.group_size * slot_bytes in
   let log_capacity = max 1 (puts_per_thread p) in
   let log_bytes = p.threads * log_capacity * rec_bytes in
@@ -284,10 +301,10 @@ let run (p : params) ~sink =
            for seq = 0 to p.ops_per_thread - 1 do
              match op_of p ~tid ~seq with
              | Put { key; value } ->
-               do_put p layout kgroups locks ~tid ~nput ~probes key value;
+               do_put p on layout kgroups locks ~tid ~nput ~probes key value;
                incr puts
              | Get { key } ->
-               do_get p layout kgroups locks ~probes key;
+               do_get p on layout kgroups locks ~probes key;
                incr gets
            done))
   done;

@@ -131,7 +131,18 @@ val rec_bytes : int
 
 (** {1 Execution} *)
 
-val run : params -> sink:(Memsim.Event.t -> unit) -> result
-(** Build a machine, run the operation schedule under the discipline,
-    stream every event into [sink].  Puts are labelled ["put"] and gets
+val sites : discipline -> Memsim.Machine.site list
+(** The barrier and new-strand call sites a discipline enables, of
+    [put-strand] and [get-strand] (a new-strand at the top of each put
+    and get) and [fields-seal] and [seal-slot] (a put's two
+    barriers). *)
+
+val run :
+  ?sites:Memsim.Machine.site list ->
+  params ->
+  sink:(Memsim.Event.t -> unit) ->
+  result
+(** Build a machine, run the operation schedule with the barriers and
+    new-strands of [sites] (default: [sites params.discipline]), stream
+    every event into [sink].  Puts are labelled ["put"] and gets
     ["get"] for {!Persistency.Engine.cp_per_label}. *)

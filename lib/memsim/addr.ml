@@ -18,8 +18,3 @@ let align_up a ~quantum = (a + quantum - 1) land lnot (quantum - 1)
 let block ~gran a = a / gran
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
-
-let pp ppf a =
-  match space_of a with
-  | Persistent -> Format.fprintf ppf "p:0x%x" a
-  | Volatile -> Format.fprintf ppf "v:0x%x" (a - volatile_base)

@@ -34,5 +34,3 @@ val block : gran:int -> int -> int
 
 (** [is_power_of_two n] for positive [n]. *)
 val is_power_of_two : int -> bool
-
-val pp : Format.formatter -> int -> unit

@@ -19,10 +19,12 @@ type access = {
   space : Addr.space;
 }
 
+type site = string
+
 type t =
   | Access of kind * access
-  | Persist_barrier of int
-  | New_strand of int
+  | Persist_barrier of { tid : int; site : site }
+  | New_strand of { tid : int; site : site }
   | Label of int * string
   | Flush of { tid : int; kind : flush_kind; addr : int }
   | Fence of { tid : int; kind : fence_kind }
@@ -30,8 +32,13 @@ type t =
 
 let tid = function
   | Access (_, a) -> a.tid
-  | Persist_barrier tid | New_strand tid | Label (tid, _) -> tid
-  | Flush { tid; _ } | Fence { tid; _ } | Pdrain { tid; _ } -> tid
+  | Persist_barrier { tid; _ }
+  | New_strand { tid; _ }
+  | Label (tid, _)
+  | Flush { tid; _ }
+  | Fence { tid; _ }
+  | Pdrain { tid; _ } ->
+    tid
 
 let is_persist = function
   | Access ((Store | Rmw), a) -> Addr.equal_space a.space Addr.Persistent
@@ -61,8 +68,10 @@ let equal a b =
     && a1.tid = a2.tid && a1.addr = a2.addr && a1.size = a2.size
     && Int64.equal a1.value a2.value
     && Addr.equal_space a1.space a2.space
-  | Persist_barrier t1, Persist_barrier t2 -> t1 = t2
-  | New_strand t1, New_strand t2 -> t1 = t2
+  | Persist_barrier b1, Persist_barrier b2 ->
+    b1.tid = b2.tid && String.equal b1.site b2.site
+  | New_strand s1, New_strand s2 ->
+    s1.tid = s2.tid && String.equal s1.site s2.site
   | Label (t1, s1), Label (t2, s2) -> t1 = t2 && String.equal s1 s2
   | Flush f1, Flush f2 ->
     f1.tid = f2.tid && equal_flush_kind f1.kind f2.kind && f1.addr = f2.addr
@@ -89,28 +98,24 @@ let flush_name = function
   | Clflushopt -> "clflushopt"
   | Clwb -> "clwb"
 
+let flush_of_name = function
+  | "clflushopt" -> Clflushopt
+  | "clwb" -> Clwb
+  | s -> failwith ("Event.of_string: bad flush kind: " ^ s)
+
 let fence_name = function
   | Sfence -> "sfence"
   | Mfence -> "mfence"
 
-let pp ppf = function
-  | Access (k, a) ->
-    Format.fprintf ppf "@[t%d %s %a/%d = %Ld@]" a.tid (kind_name k) Addr.pp
-      a.addr a.size a.value
-  | Persist_barrier tid -> Format.fprintf ppf "t%d pbarrier" tid
-  | New_strand tid -> Format.fprintf ppf "t%d newstrand" tid
-  | Label (tid, s) -> Format.fprintf ppf "t%d label %s" tid s
-  | Flush { tid; kind; addr } ->
-    Format.fprintf ppf "t%d %s %a" tid (flush_name kind) Addr.pp addr
-  | Fence { tid; kind } -> Format.fprintf ppf "t%d %s" tid (fence_name kind)
-  | Pdrain { tid; kind; addr } ->
-    Format.fprintf ppf "t%d pdrain(%s) %a" tid (flush_name kind) Addr.pp addr
+(* A named site adds one token to an event's text; an unnamed one adds
+   none. *)
+let at site = if site = "" then "" else " " ^ site
 
 let to_string = function
   | Access (k, a) ->
     Printf.sprintf "%s %d %d %d %Ld" (kind_name k) a.tid a.addr a.size a.value
-  | Persist_barrier tid -> Printf.sprintf "pb %d" tid
-  | New_strand tid -> Printf.sprintf "ns %d" tid
+  | Persist_barrier { tid; site } -> Printf.sprintf "pb %d%s" tid (at site)
+  | New_strand { tid; site } -> Printf.sprintf "ns %d%s" tid (at site)
   | Label (tid, s) -> Printf.sprintf "lb %d %s" tid s
   | Flush { tid; kind; addr } ->
     Printf.sprintf "fl %s %d %d" (flush_name kind) tid addr
@@ -129,26 +134,20 @@ let of_string line =
           size = int_of_string size;
           value = Int64.of_string value;
           space = Addr.space_of addr } )
-  | [ "pb"; tid ] -> Persist_barrier (int_of_string tid)
-  | [ "ns"; tid ] -> New_strand (int_of_string tid)
+  | [ "pb"; tid ] -> Persist_barrier { tid = int_of_string tid; site = "" }
+  | [ "pb"; tid; site ] -> Persist_barrier { tid = int_of_string tid; site }
+  | [ "ns"; tid ] -> New_strand { tid = int_of_string tid; site = "" }
+  | [ "ns"; tid; site ] -> New_strand { tid = int_of_string tid; site }
   | "lb" :: tid :: rest ->
     Label (int_of_string tid, String.concat " " rest)
   | [ "fl"; kind; tid; addr ] ->
-    let kind =
-      match kind with
-      | "clflushopt" -> Clflushopt
-      | "clwb" -> Clwb
-      | s -> failwith ("Event.of_string: bad flush kind: " ^ s)
-    in
-    Flush { tid = int_of_string tid; kind; addr = int_of_string addr }
+    Flush
+      { tid = int_of_string tid; kind = flush_of_name kind;
+        addr = int_of_string addr }
   | [ "pd"; kind; tid; addr ] ->
-    let kind =
-      match kind with
-      | "clflushopt" -> Clflushopt
-      | "clwb" -> Clwb
-      | s -> failwith ("Event.of_string: bad flush kind: " ^ s)
-    in
-    Pdrain { tid = int_of_string tid; kind; addr = int_of_string addr }
+    Pdrain
+      { tid = int_of_string tid; kind = flush_of_name kind;
+        addr = int_of_string addr }
   | [ "fe"; kind; tid ] ->
     let kind =
       match kind with

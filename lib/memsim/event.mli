@@ -31,10 +31,17 @@ type access = {
   space : Addr.space;
 }
 
+type site = string
+(** The name of the program point that issued a barrier or new-strand:
+    a workload names each such call site so that an annotation is a set
+    of sites over one program.  [""] is an unnamed site. *)
+
 type t =
   | Access of kind * access
-  | Persist_barrier of int  (** [PersistBarrier] by thread [tid] *)
-  | New_strand of int  (** [NewStrand] by thread [tid] *)
+  | Persist_barrier of { tid : int; site : site }
+      (** [PersistBarrier] by thread [tid] at [site] *)
+  | New_strand of { tid : int; site : site }
+      (** [NewStrand] by thread [tid] at [site] *)
   | Label of int * string
       (** logical operation boundary (e.g. the start of a queue
           insert); carries no ordering semantics *)
@@ -59,10 +66,11 @@ val is_persist : t -> bool
     space, i.e. it generates a persist. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
-(** One-line textual form, parseable by {!of_string}. *)
+(** One-line textual form, parseable by {!of_string}.  A barrier or
+    new-strand at a named site ends in the site's name ([pb 0
+    data-head]); at an unnamed site it has no such token ([pb 0]). *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}.  @raise Failure on malformed input. *)

@@ -112,8 +112,8 @@ and _ op =
   | Load : { addr : int; size : int } -> int64 op
   | Store : { addr : int; size : int; value : int64 } -> unit op
   | Rmw : { addr : int; f : int64 -> int64 } -> int64 op
-  | Persist_barrier : unit op
-  | New_strand : unit op
+  | Persist_barrier : Event.site -> unit op
+  | New_strand : Event.site -> unit op
   | Label : string -> unit op
   | Malloc : { space : Addr.space; size : int } -> int op
   | Free : int -> unit op
@@ -603,13 +603,13 @@ let exec : type a. t -> int -> a op -> a =
       (Event.Access
          (Event.Rmw, { tid; addr; size = 8; value; space = Addr.space_of addr }));
     old
-  | Persist_barrier ->
+  | Persist_barrier site ->
     bump_epoch t tid;
     note_commit t tid;
-    emit_meta t (Event.Persist_barrier tid);
+    emit_meta t (Event.Persist_barrier { tid; site });
     ()
-  | New_strand ->
-    emit_meta t (Event.New_strand tid);
+  | New_strand site ->
+    emit_meta t (Event.New_strand { tid; site });
     ()
   | Label s ->
     emit_meta t (Event.Label (tid, s));
@@ -661,7 +661,7 @@ let static_footprint : type a. a op -> access option = function
   | Flush_op { addr; _ } -> Some { addr; size = 8; write = false }
   | Self | Yield -> None
   | Fence_op _ -> None
-  | Persist_barrier | New_strand | Label _ | Malloc _ | Free _ -> None
+  | Persist_barrier _ | New_strand _ | Label _ | Malloc _ | Free _ -> None
 
 (* Only a guided run queue reads an entry's footprint; the others skip
    building it. *)
@@ -952,7 +952,7 @@ let dispatch : type a. t -> int -> a op -> a =
      executing them inline is a sound partial-order reduction — it
      keeps systematic exploration (Explore, Check.Dpor) over memory
      accesses only. *)
-  | New_strand | Label _ | Malloc _ | Free _ -> exec t tid op
+  | New_strand _ | Label _ | Malloc _ | Free _ -> exec t tid op
   | Store { addr; size; value } when tso ->
     (* a TSO store issues into the thread's private buffer: invisible
        to other threads until it drains, so issuing inline (no
@@ -965,7 +965,7 @@ let dispatch : type a. t -> int -> a op -> a =
        which may overtake earlier stores to other lines; the fence
        semantics the analyses rely on are unaffected.) *)
     push_flush t tid ~kind ~addr
-  | Persist_barrier when t.barrier = Flush_sfence ->
+  | Persist_barrier _ when t.barrier = Flush_sfence ->
     (* flush+sfence annotation (NVTraverse-style Px86): the barrier
        expands into clflushopt of every line this thread dirtied since
        its previous barrier, followed by an sfence.  Under TSO the
@@ -986,7 +986,7 @@ let dispatch : type a. t -> int -> a op -> a =
         lines;
       commit_point t tid (Fence_op Event.Sfence)
     end
-  | Persist_barrier | Fence_op _ ->
+  | Persist_barrier _ | Fence_op _ ->
     (* under TSO mfence-like: wait for the buffer, then mark the epoch *)
     if tso then sched t tid ~drains:true (commit_footprint t tid None) op
     else commit_point t tid op
@@ -1105,8 +1105,23 @@ let store addr value = call (Store { addr; size = 8; value })
 let store_sz ~size addr value = call (Store { addr; size; value })
 let rmw addr f = call (Rmw { addr; f })
 let fetch_add addr n = rmw addr (fun v -> Int64.add v n)
-let persist_barrier () = call Persist_barrier
-let new_strand () = call New_strand
+(* A site carries its two operations, built once, so that issuing a
+   barrier or new-strand allocates no operation. *)
+type site = {
+  name : Event.site;
+  barrier_op : unit op;
+  strand_op : unit op;
+}
+
+let site name =
+  { name; barrier_op = Persist_barrier name; strand_op = New_strand name }
+
+let site_name s = s.name
+let unnamed = site ""
+let persist_barrier_at s = call s.barrier_op
+let new_strand_at s = call s.strand_op
+let persist_barrier () = persist_barrier_at unnamed
+let new_strand () = new_strand_at unnamed
 let label s = call (Label s)
 let malloc space size = call (Malloc { space; size })
 let mfree addr = call (Free addr)

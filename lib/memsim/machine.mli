@@ -242,10 +242,21 @@ val rmw : int -> (int64 -> int64) -> int64
 
 val fetch_add : int -> int64 -> int64
 
+type site
+(** A named barrier or new-strand call site of a workload. *)
+
+val site : Event.site -> site
+(** [site name] names a call site; build it once, not per call. *)
+
+val site_name : site -> Event.site
+
+val persist_barrier_at : site -> unit
+(** Emit a [PersistBarrier] at the site (epoch and strand persistency).
+    On a {!Tso} machine this is also a full fence: it waits for the
+    calling thread's store buffer to drain. *)
+
 val persist_barrier : unit -> unit
-(** Emit a [PersistBarrier] (epoch and strand persistency).  On a
-    {!Tso} machine this is also a full fence: it waits for the calling
-    thread's store buffer to drain. *)
+(** {!persist_barrier_at} an unnamed site. *)
 
 val clflushopt : int -> unit
 (** Request writeback of the cache line holding the address (Px86):
@@ -264,8 +275,11 @@ val mfence : unit -> unit
 (** Full fence; in this model loads never wait, so it behaves like
     {!sfence} with stronger intent documented in the trace. *)
 
+val new_strand_at : site -> unit
+(** Emit a [NewStrand] at the site (strand persistency). *)
+
 val new_strand : unit -> unit
-(** Emit a [NewStrand] (strand persistency). *)
+(** {!new_strand_at} an unnamed site. *)
 
 val label : string -> unit
 (** Mark a logical operation boundary in the trace. *)

@@ -28,6 +28,3 @@ let of_channel ic =
      done
    with End_of_file -> ());
   t
-
-let pp ppf t =
-  iter (fun ev -> Format.fprintf ppf "%a@." Event.pp ev) t

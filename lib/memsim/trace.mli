@@ -29,5 +29,3 @@ val to_channel : out_channel -> t -> unit
 
 val of_channel : in_channel -> t
 (** @raise Failure on malformed input. *)
-
-val pp : Format.formatter -> t -> unit

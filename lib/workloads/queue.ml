@@ -58,37 +58,48 @@ let annotation_name = function
   | Strand -> "strand"
   | Buggy_epoch -> "buggy-epoch"
 
-(* Persist-barrier placement per Algorithm 1.  Line numbers refer to
-   the paper's pseudo-code; lines 5 and 11 are the ones whose removal
-   "allows race".  [Buggy_epoch] drops line 8 — the data→head ordering
-   recovery actually needs — to exercise the failure-injection tests. *)
-type cwl_barriers = {
-  line3 : bool;  (* before lock *)
-  line5 : bool;  (* after lock *)
-  line6 : bool;  (* NewStrand *)
-  line8 : bool;  (* between data copy and head update *)
-  line11 : bool;  (* after head update *)
-  line13 : bool;  (* after unlock *)
-}
+(* Barrier and new-strand call sites, named for where they sit in
+   Algorithm 1's inserts.  CWL and Fang share one placement: lines 3, 5,
+   6, 8, 11 and 13 of INSERTCWL; lines 5 and 11 are the ones whose
+   removal "allows race", and line 8 (data -> head; data -> seal for
+   Fang) carries recovery.  2LC brackets each of its two locks with
+   barriers of its own, and shares [strand] and [data_head] (line 27). *)
+let before_lock = M.site "before-lock"
+let after_lock = M.site "after-lock"
+let strand = M.site "strand"
+let data_head = M.site "data-head"
+let after_head = M.site "after-head"
+let after_unlock = M.site "after-unlock"
+let before_reserve = M.site "before-reserve"
+let after_reserve = M.site "after-reserve"
+let before_reserve_unlock = M.site "before-reserve-unlock"
+let after_reserve_unlock = M.site "after-reserve-unlock"
+let copy_done = M.site "copy-done"
+let after_update = M.site "after-update"
+let before_update_unlock = M.site "before-update-unlock"
+let after_update_unlock = M.site "after-update-unlock"
 
-let cwl_barriers = function
-  | Unannotated ->
-    { line3 = false; line5 = false; line6 = false; line8 = false;
-      line11 = false; line13 = false }
-  | Epoch ->
-    { line3 = true; line5 = true; line6 = false; line8 = true;
-      line11 = true; line13 = true }
-  | Racing ->
-    { line3 = true; line5 = false; line6 = false; line8 = true;
-      line11 = false; line13 = true }
-  | Strand ->
-    { line3 = true; line5 = true; line6 = true; line8 = true;
-      line11 = true; line13 = true }
-  | Buggy_epoch ->
-    { line3 = true; line5 = true; line6 = false; line8 = false;
-      line11 = true; line13 = true }
+let cwl_epoch = [ before_lock; after_lock; data_head; after_head; after_unlock ]
 
-let barrier_if cond = if cond then M.persist_barrier ()
+let tlc_brackets =
+  [ before_reserve; after_reserve; before_reserve_unlock; after_reserve_unlock;
+    after_update; before_update_unlock; after_update_unlock ]
+
+(* The annotations as site sets.  [Epoch] is the conservative
+   non-racing placement, which brackets every lock operation; [Racing]
+   drops the brackets whose removal allows races (CWL's lines 5 and 11,
+   all of 2LC's); [Strand] adds the new-strand to CWL's epoch placement
+   and to 2LC's racing one; [Buggy_epoch] drops line 8 from CWL and
+   every barrier from 2LC. *)
+let sites = function
+  | Unannotated -> []
+  | Epoch -> (copy_done :: cwl_epoch) @ tlc_brackets
+  | Racing -> [ before_lock; data_head; after_unlock; copy_done ]
+  | Strand -> strand :: copy_done :: cwl_epoch
+  | Buggy_epoch -> [ before_lock; after_lock; after_head; after_unlock ]
+
+let barrier on s = if List.memq s on then M.persist_barrier_at s
+let new_strand on s = if List.memq s on then M.new_strand_at s
 
 let validate p =
   if p.threads < 1 then invalid_arg "Queue: threads must be >= 1";
@@ -108,106 +119,80 @@ let encode_entry p ~tid ~seq =
   Bytes.blit payload 0 b 8 p.entry_size;
   b
 
-(* Fang et al.'s SCM log: like CWL, but instead of a head pointer each
-   record carries a trailing seal word — its one-based commit index —
-   persisted after the payload.  Recovery scans records while the seal
-   matches the position.  The barrier placement mirrors CWL's; the
-   data→seal barrier (line 8's analogue) carries recovery correctness. *)
-let insert_fang p layout queue_lock ~vindex commits ~tid ~seq =
-  let bars = cwl_barriers p.annotation in
+(* Copy While Locked: Algorithm 1, INSERTCWL.  [reserve] returns the
+   insert's byte position in the log and [publish pos off] writes what
+   makes the copy at [off] valid: CWL's head pointer, or, for Fang et
+   al.'s SCM log, the record's trailing seal word — its one-based commit
+   index, persisted after the payload (recovery scans records while the
+   seal matches the position).  Fang's barrier placement mirrors CWL's;
+   the data→seal barrier (line 8's analogue) carries recovery. *)
+let insert_locked p on layout queue_lock commits ~reserve ~publish ~tid ~seq =
   let entry = encode_entry p ~tid ~seq in
   M.label "insert";
-  barrier_if bars.line3;
+  barrier on before_lock;
   M.lock queue_lock;
-  barrier_if bars.line5;
-  if bars.line6 then M.new_strand ();
+  barrier on after_lock;
+  new_strand on strand;
   Memsim.Vec.push commits tid;
-  let idx = Int64.to_int (M.load vindex) in
-  M.store vindex (Int64.of_int (idx + 1));
-  let off = idx * layout.slot mod layout.data_bytes in
+  let pos = reserve () in
+  let off = pos mod layout.data_bytes in
   M.store_bytes (layout.data_addr + off) entry;
-  barrier_if bars.line8;
-  M.store (layout.data_addr + off + layout.slot - 8) (Int64.of_int (idx + 1));
-  barrier_if bars.line11;
+  barrier on data_head;
+  publish pos off;
+  barrier on after_head;
   M.unlock queue_lock;
-  barrier_if bars.line13
-
-(* Copy While Locked: Algorithm 1, INSERTCWL. *)
-let insert_cwl p layout queue_lock commits ~tid ~seq =
-  let bars = cwl_barriers p.annotation in
-  let entry = encode_entry p ~tid ~seq in
-  M.label "insert";
-  barrier_if bars.line3;
-  M.lock queue_lock;
-  barrier_if bars.line5;
-  if bars.line6 then M.new_strand ();
-  Memsim.Vec.push commits tid;
-  let head = Int64.to_int (M.load layout.head_addr) in
-  let off = head mod layout.data_bytes in
-  M.store_bytes (layout.data_addr + off) entry;
-  barrier_if bars.line8;
-  M.store layout.head_addr (Int64.of_int (head + layout.slot));
-  barrier_if bars.line11;
-  M.unlock queue_lock;
-  barrier_if bars.line13
+  barrier on after_unlock
 
 (* Two-Lock Concurrent: Algorithm 1, INSERT2LC.  Two barriers carry the
    recovery obligation under every relaxed annotation:
 
-   - line 27, before the head update, inside the oldest-check;
-   - one between the copy and the update-lock acquisition.  The paper's
-     listing omits it, but without it the annotation is insufficient:
-     the head is often published by a *different* thread (the insert
-     list batches completions), and under epoch persistency nothing
-     connects that thread's head persist to this thread's data persists
-     — the copy and the done-flag store sit in one epoch, so the
-     conflict edges through the insert list start only at the done
+   - line 27 ([data_head]), before the head update, inside the
+     oldest-check;
+   - [copy_done], between the copy and the update-lock acquisition.
+     The paper's listing omits it, but without it the annotation is
+     insufficient: the head is often published by a *different* thread
+     (the insert list batches completions), and under epoch persistency
+     nothing connects that thread's head persist to this thread's data
+     persists — the copy and the done-flag store sit in one epoch, so
+     the conflict edges through the insert list start only at the done
      flag.  Our failure-injection harness exhibits the resulting hole;
      the extra barrier closes it without serializing copies.
 
    The conservative non-racing [Epoch] placement additionally brackets
    every lock acquire and release with barriers (Section 5.2's recipe
-   for avoiding persist-epoch races).  [Buggy_epoch] drops both
-   recovery-critical barriers. *)
-let insert_tlc p layout ~headv ~reserve_lock ~update_lock ~ilist commits
+   for avoiding persist-epoch races). *)
+let insert_tlc p on layout ~headv ~reserve_lock ~update_lock ~ilist commits
     ~tid ~seq =
   let entry = encode_entry p ~tid ~seq in
-  let bracket = p.annotation = Epoch in
-  let relaxed =
-    match p.annotation with
-    | Epoch | Racing | Strand -> true
-    | Unannotated | Buggy_epoch -> false
-  in
   M.label "insert";
-  barrier_if bracket;
+  barrier on before_reserve;
   M.lock reserve_lock;
-  barrier_if bracket;
+  barrier on after_reserve;
   let start = Int64.to_int (M.load headv) in
   M.store headv (Int64.of_int (start + layout.slot));
   let ticket = Insert_list.append ilist ~end_offset:(start + layout.slot) in
   Memsim.Vec.push commits tid;
-  barrier_if bracket;
+  barrier on before_reserve_unlock;
   M.unlock reserve_lock;
-  barrier_if bracket;
-  (match p.annotation with
-  | Strand -> M.new_strand ()
-  | Unannotated | Epoch | Racing | Buggy_epoch -> ());
+  barrier on after_reserve_unlock;
+  new_strand on strand;
   let off = start mod layout.data_bytes in
   M.store_bytes (layout.data_addr + off) entry;
-  barrier_if relaxed;
+  barrier on copy_done;
   M.lock update_lock;
-  barrier_if bracket;
+  barrier on after_update;
   let oldest, new_head = Insert_list.remove ilist ticket in
   if oldest then begin
-    barrier_if relaxed;
+    barrier on data_head;
     M.store layout.head_addr (Int64.of_int new_head)
   end;
-  barrier_if bracket;
+  barrier on before_update_unlock;
   M.unlock update_lock;
-  barrier_if bracket
+  barrier on after_update_unlock
 
-let run p ~sink =
+let run ?sites:on p ~sink =
   validate p;
+  let on = match on with Some on -> on | None -> sites p.annotation in
   let slot =
     Entry.slot_size ~entry_size:p.entry_size
     + (match p.design with Fang -> 8 | Cwl | Tlc -> 0)
@@ -228,39 +213,36 @@ let run p ~sink =
   let data_addr = Memsim.Memory.alloc memory Memsim.Addr.Persistent data_bytes in
   let layout = { head_addr; data_addr; data_bytes; slot } in
   let commits = Memsim.Vec.create () in
-  (match p.design with
-  | Cwl ->
-    let queue_lock = M.mutex machine in
-    for tid = 0 to p.threads - 1 do
-      ignore
-        (M.spawn machine (fun () ->
-             for seq = 0 to p.inserts_per_thread - 1 do
-               insert_cwl p layout queue_lock commits ~tid ~seq
-             done))
-    done
-  | Fang ->
-    let queue_lock = M.mutex machine in
-    let vindex = Memsim.Memory.alloc memory Memsim.Addr.Volatile 8 in
-    for tid = 0 to p.threads - 1 do
-      ignore
-        (M.spawn machine (fun () ->
-             for seq = 0 to p.inserts_per_thread - 1 do
-               insert_fang p layout queue_lock ~vindex commits ~tid ~seq
-             done))
-    done
-  | Tlc ->
-    let reserve_lock = M.mutex machine in
-    let update_lock = M.mutex machine in
-    let ilist = Insert_list.create machine ~slots:(2 * p.threads) in
-    let headv = Memsim.Memory.alloc memory Memsim.Addr.Volatile 8 in
-    for tid = 0 to p.threads - 1 do
-      ignore
-        (M.spawn machine (fun () ->
-             for seq = 0 to p.inserts_per_thread - 1 do
-               insert_tlc p layout ~headv ~reserve_lock ~update_lock ~ilist
-                 commits ~tid ~seq
-             done))
-    done);
+  let insert =
+    match p.design with
+    | Cwl ->
+      insert_locked p on layout (M.mutex machine) commits
+        ~reserve:(fun () -> Int64.to_int (M.load head_addr))
+        ~publish:(fun pos _ -> M.store head_addr (Int64.of_int (pos + slot)))
+    | Fang ->
+      let queue_lock = M.mutex machine in
+      let vindex = Memsim.Memory.alloc memory Memsim.Addr.Volatile 8 in
+      insert_locked p on layout queue_lock commits
+        ~reserve:(fun () ->
+          let idx = Int64.to_int (M.load vindex) in
+          M.store vindex (Int64.of_int (idx + 1));
+          idx * slot)
+        ~publish:(fun pos off ->
+          M.store (data_addr + off + slot - 8) (Int64.of_int ((pos / slot) + 1)))
+    | Tlc ->
+      let reserve_lock = M.mutex machine in
+      let update_lock = M.mutex machine in
+      let ilist = Insert_list.create machine ~slots:(2 * p.threads) in
+      let headv = Memsim.Memory.alloc memory Memsim.Addr.Volatile 8 in
+      insert_tlc p on layout ~headv ~reserve_lock ~update_lock ~ilist commits
+  in
+  for tid = 0 to p.threads - 1 do
+    ignore
+      (M.spawn machine (fun () ->
+           for seq = 0 to p.inserts_per_thread - 1 do
+             insert ~tid ~seq
+           done))
+  done;
   M.run machine;
   Om.incr m_runs;
   Om.add m_inserts (p.threads * p.inserts_per_thread);

@@ -17,14 +17,16 @@
     head must follow the entry's data persists and occur in insert
     order (head persists may coalesce).
 
-    The [annotation] selects the barrier placement of Algorithm 1:
-    [Epoch] brackets lock operations with persist barriers (the
-    conservative placement that avoids persist-epoch races), [Racing]
-    drops the barriers marked "removing allows race" and relies on
-    strong persist atomicity of the head pointer, [Strand] adds
-    [NewStrand] at the top of each insert, and [Buggy_epoch] omits the
-    data→head barrier of line 8 — a deliberately incorrect program used
-    to demonstrate that the recovery checker catches real bugs. *)
+    Every insert is one fully annotated program: each persist barrier
+    and new-strand call site is named ({!sites}), and an annotation is
+    the set of sites it enables.  [Epoch] brackets lock operations with
+    persist barriers (the conservative placement that avoids
+    persist-epoch races), [Racing] drops the barriers marked "removing
+    allows race" and relies on strong persist atomicity of the head
+    pointer, [Strand] adds [NewStrand] at the top of each insert, and
+    [Buggy_epoch] omits the data→head barrier of line 8 — a
+    deliberately incorrect program used to demonstrate that the recovery
+    checker catches real bugs. *)
 
 type design =
   | Cwl
@@ -85,9 +87,22 @@ type result = {
                                 input (Section 7) *)
 }
 
-val run : params -> sink:(Memsim.Event.t -> unit) -> result
+val sites : annotation -> Memsim.Machine.site list
+(** The barrier and new-strand call sites an annotation enables, across
+    the three designs: CWL and Fang issue [before-lock], [after-lock],
+    [strand], [data-head], [after-head] and [after-unlock]; 2LC issues
+    [before-reserve], [after-reserve], [before-reserve-unlock],
+    [after-reserve-unlock], [strand], [copy-done], [after-update],
+    [data-head], [before-update-unlock] and [after-update-unlock]. *)
+
+val run :
+  ?sites:Memsim.Machine.site list ->
+  params ->
+  sink:(Memsim.Event.t -> unit) ->
+  result
 (** Build the queue, run [threads] inserter threads to completion and
-    stream every event to [sink].
+    stream every event to [sink].  The program issues the barriers and
+    new-strands of [sites] (default: [sites params.annotation]).
     @raise Invalid_argument on invalid parameters. *)
 
 val design_name : design -> string

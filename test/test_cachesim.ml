@@ -68,7 +68,7 @@ let access kind ?(tid = 0) addr =
 
 let st ?tid addr = access E.Store ?tid addr
 let ld ?tid addr = access E.Load ?tid addr
-let pb tid = E.Persist_barrier tid
+let pb tid = E.Persist_barrier { tid; site = "" }
 
 let run_hw ?geometry events =
   let t = H.create ?geometry () in

@@ -547,6 +547,160 @@ let test_guide_choice_sets_pinned () =
          ignore
            (Litmus.run_one ~config:M.tso_buffered_config litmus policy)))
 
+(* ------------------------------------------------------------------ *)
+(* Annotations as site sets of one SC run *)
+
+(* The run of the fully annotated program, without the barrier and
+   new-strand events of sites outside [on]. *)
+let keep_sites on =
+  let names = List.map M.site_name on in
+  List.filter (function
+    | E.Persist_barrier { site; _ } | E.New_strand { site; _ } ->
+      List.mem site names
+    | _ -> true)
+
+let trace_of run sites policy =
+  let trace = Memsim.Trace.create () in
+  run sites policy ~sink:(Memsim.Trace.sink trace);
+  Memsim.Trace.to_list trace
+
+let fingerprint mode events =
+  let e = Ps.Engine.create (Ps.Config.make ~record_graph:true mode) in
+  List.iter (Ps.Engine.observe e) events;
+  Ps.Graph_export.fingerprint (Option.get (Ps.Engine.graph e))
+
+(* Each variant's own run under [policy ()] equals the fully annotated
+   run under the same schedule less the other sites' events: the same
+   event stream and the same persist graph under the variant's model. *)
+let check_shared ?(fingerprints = true) name run variants policy =
+  let all = List.concat_map (fun (_, sites, _) -> sites) variants in
+  let full = trace_of run all (policy ()) in
+  List.iter
+    (fun (vname, sites, mode) ->
+      let own = trace_of run sites (policy ()) in
+      let shared = keep_sites sites full in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: event stream" name vname)
+        true
+        (List.equal E.equal own shared);
+      if fingerprints then
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s: fingerprint" name vname)
+          (fingerprint mode own) (fingerprint mode shared))
+    variants
+
+let queue_variants =
+  List.map
+    (fun (a, mode) -> (Q.annotation_name a, Q.sites a, mode))
+    [ (Q.Unannotated, Ps.Config.Strict); (Q.Epoch, Ps.Config.Epoch);
+      (Q.Racing, Ps.Config.Epoch); (Q.Strand, Ps.Config.Strand);
+      (Q.Buggy_epoch, Ps.Config.Epoch) ]
+
+let kv_variants =
+  List.map
+    (fun (d, mode) -> (Kv.discipline_name d, Kv.sites d, mode))
+    [ (Kv.Strict_stores, Ps.Config.Strict); (Kv.Epoch_undo, Ps.Config.Epoch);
+      (Kv.Strand_ops, Ps.Config.Strand); (Kv.Buggy_undo, Ps.Config.Epoch) ]
+
+(* Every DPOR schedule of the fully annotated program at depth 2, on
+   SC, replayed under each variant's sites. *)
+let test_sites_share_dpor_schedules () =
+  let family name params run variants =
+    let all = List.concat_map (fun (_, sites, _) -> sites) variants in
+    let schedules = ref [] in
+    let stats =
+      D.explore
+        ~on_exec:(fun sched () ->
+          schedules := sched :: !schedules;
+          D.Continue)
+        (fun policy -> run params all policy ~sink:ignore)
+    in
+    Alcotest.(check bool) (name ^ ": complete") true stats.D.complete;
+    List.iter
+      (fun sched ->
+        check_shared name (run params) variants (fun () ->
+            M.Scripted (S.to_script sched)))
+      !schedules
+  in
+  family "queue"
+    (Dr.queue.params ~threads:2 ~depth:2 ~seed:1 M.sc_config Q.Epoch)
+    (fun p sites policy ~sink ->
+      ignore (Q.run ~sites { p with Q.policy } ~sink))
+    queue_variants;
+  family "kv"
+    (Dr.kv.params ~threads:2 ~depth:2 ~seed:1 M.sc_config Kv.Epoch_undo)
+    (fun p sites policy ~sink ->
+      ignore (Kv.run ~sites { p with Kv.policy } ~sink))
+    kv_variants
+
+(* Table 1's points, CWL and 2LC at 1 and 8 threads, 400 inserts: the
+   event streams, and each point's metrics from the shared run against
+   its own run.  Recording a 2LC persist graph takes seconds at this
+   size, so its fingerprints are compared at 48 inserts. *)
+let test_sites_share_table1 () =
+  let module R = Experiments.Run in
+  let variants =
+    List.map
+      (fun (pt : R.model_point) ->
+        ( pt.R.label,
+          Q.sites pt.R.annotation,
+          pt.R.mode ))
+      R.table1_models
+  in
+  List.iter
+    (fun (design, threads) ->
+      let check ~fingerprints total_inserts =
+        let p = R.queue_params ~design ~threads ~total_inserts R.epoch_point in
+        check_shared ~fingerprints
+          (Printf.sprintf "%s/%dT/%d" (Q.design_name design) threads
+             total_inserts)
+          (fun sites policy ~sink ->
+            ignore (Q.run ~sites { p with Q.policy } ~sink))
+          variants
+          (fun () -> p.Q.policy);
+        Alcotest.(check bool) "shared metrics" true
+          (R.analyze_many p (List.map R.paired R.table1_models)
+          = List.map
+              (fun (pt : R.model_point) ->
+                R.analyze { p with Q.annotation = pt.R.annotation }
+                  (Ps.Config.make pt.R.mode))
+              R.table1_models)
+      in
+      check ~fingerprints:(design = Q.Cwl) 400;
+      if design = Q.Tlc then check ~fingerprints:true 48)
+    [ (Q.Cwl, 1); (Q.Cwl, 8); (Q.Tlc, 1); (Q.Tlc, 8) ]
+
+(* Where a barrier is a fence that drains buffers, points whose sites
+   differ do not share a run; points that agree still do. *)
+let test_sites_share_refused () =
+  let module R = Experiments.Run in
+  let p = R.queue_params ~threads:2 ~total_inserts:8 R.epoch_point in
+  let points =
+    [ (Q.Epoch, Ps.Config.make Ps.Config.Epoch);
+      (Q.Racing, Ps.Config.make Ps.Config.Epoch) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      Alcotest.match_raises name
+        (function Invalid_argument _ -> true | _ -> false)
+        (fun () -> ignore (R.analyze_many p points)))
+    [ ("tso-sync", { p with Q.machine = M.Tso });
+      ("tso-buffered", { p with Q.machine = M.Tso; persistence = M.Pbuffered });
+      ("flush+sfence", { p with Q.barrier = M.Flush_sfence }) ];
+  Alcotest.match_raises "kv, tso-sync"
+    (function Invalid_argument _ -> true | _ -> false)
+    (fun () ->
+      let k = Experiments.Kv_exp.kv_params ~total_ops:8 Ps.Config.Epoch in
+      ignore
+        (Experiments.Kv_exp.analyze_many { k with Kv.machine = M.Tso }
+           [ (Kv.Epoch_undo, Ps.Config.make Ps.Config.Epoch);
+             (Kv.Strand_ops, Ps.Config.make Ps.Config.Strand) ]));
+  let tso = { p with Q.machine = M.Tso } in
+  let same = [ List.hd points; (Q.Epoch, Ps.Config.make Ps.Config.Strict) ] in
+  Alcotest.(check bool) "same sites share on tso" true
+    (R.analyze_many tso same
+    = List.map (fun (_, cfg) -> R.analyze tso cfg) same)
+
 let () =
   Alcotest.run "check"
     [ ( "schedule",
@@ -580,5 +734,12 @@ let () =
             test_buffered_counterexample_replay ] );
       ( "guide",
         [ Alcotest.test_case "choice sets pinned" `Quick
-            test_guide_choice_sets_pinned ] )
+            test_guide_choice_sets_pinned ] );
+      ( "sites",
+        [ Alcotest.test_case "dpor schedules share one run" `Quick
+            test_sites_share_dpor_schedules;
+          Alcotest.test_case "table1 points share one run" `Quick
+            test_sites_share_table1;
+          Alcotest.test_case "sharing refused off sc" `Quick
+            test_sites_share_refused ] )
     ]

@@ -19,8 +19,8 @@ let access kind ?(tid = 0) ?(value = 1L) ?(size = 8) addr =
 let st ?tid ?value ?size addr = access E.Store ?tid ?value ?size addr
 let ld ?tid ?value addr = access E.Load ?tid ?value addr
 let rmw ?tid ?value addr = access E.Rmw ?tid ?value addr
-let pb tid = E.Persist_barrier tid
-let ns tid = E.New_strand tid
+let pb tid = E.Persist_barrier { tid; site = "" }
+let ns tid = E.New_strand { tid; site = "" }
 
 let engine_of ?(cfg = P.Config.default P.Config.Epoch) events =
   let e = P.Engine.create cfg in

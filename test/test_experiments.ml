@@ -313,33 +313,36 @@ let test_wear_exp () =
     = strict.no_coalescing.Nvram.Wear.total_writes);
   checkb "renders" true (String.length (Experiments.Wear_exp.render t) > 0)
 
-(* One run analyzed under several engine configs equals one run per
-   config, for every kind of setting the sweeps share a run across:
+(* One run analyzed under several points equals one run per point, for
+   every kind of setting the sweeps share a run across: annotation,
    granularity, coalescing, conflict tracking and consistency.  The
    unshared path is the reference. *)
 let test_shared_analysis () =
   let module C = Persistency.Config in
   let params = R.queue_params ~threads:2 ~total_inserts:400 R.epoch_point in
-  let cfgs =
-    [ C.make ~persist_gran:64 C.Strict;
-      C.make ~track_gran:64 C.Epoch;
-      C.make ~coalescing:false C.Epoch;
-      C.make ~tso_conflicts:true C.Epoch;
-      C.make ~persistent_only_conflicts:true C.Epoch;
-      C.make ~consistency:C.Tso C.Strict;
-      C.make ~consistency:C.Rmo C.Strict ]
+  let points =
+    [ (Q.Unannotated, C.make ~persist_gran:64 C.Strict);
+      (Q.Epoch, C.make ~track_gran:64 C.Epoch);
+      (Q.Racing, C.make ~coalescing:false C.Epoch);
+      (Q.Strand, C.make C.Strand);
+      (Q.Buggy_epoch, C.make ~tso_conflicts:true C.Epoch);
+      (Q.Epoch, C.make ~persistent_only_conflicts:true C.Epoch);
+      (Q.Epoch, C.make ~consistency:C.Tso C.Strict);
+      (Q.Epoch, C.make ~consistency:C.Rmo C.Strict) ]
   in
+  let solo (annotation, _) = { params with Q.annotation } in
   checkb "metrics" true
-    (R.analyze_many params cfgs = List.map (R.analyze params) cfgs);
+    (R.analyze_many params points
+    = List.map (fun ((_, cfg) as p) -> R.analyze (solo p) cfg) points);
   let fp = Persistency.Graph_export.fingerprint in
   Alcotest.(check (list string))
     "graphs"
     (List.map
-       (fun cfg ->
-         let _, g, _ = R.analyze_with_graph params cfg in
+       (fun ((_, cfg) as p) ->
+         let _, g, _ = R.analyze_with_graph (solo p) cfg in
          fp g)
-       cfgs)
-    (List.map fp (R.graphs params cfgs))
+       points)
+    (List.map fp (R.graphs params points))
 
 let test_queue_params_validation () =
   Alcotest.match_raises "indivisible inserts"

@@ -63,8 +63,8 @@ let gen_events rng ~threads ~len addresses =
             { tid; addr; size = 8;
               value = Int64.of_int (Random.State.int rng 1000);
               space = Memsim.Addr.space_of addr } )
-      | 8 -> E.Persist_barrier tid
-      | _ -> E.New_strand tid)
+      | 8 -> E.Persist_barrier { tid; site = "" }
+      | _ -> E.New_strand { tid; site = "" })
 
 let gen_trace rng =
   let threads = 2 + Random.State.int rng 3 in

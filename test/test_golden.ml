@@ -30,25 +30,88 @@ let trace_string params =
 
 (* One CWL insert of a 16-byte entry under the epoch annotation:
    label, barrier, lock RMW, barrier, head load, three record words,
-   barrier, head store, barrier, unlock store, barrier.  Addresses:
-   head at 8, data at 16, lock word at volatile base + 8. *)
+   barrier, head store, barrier, unlock store, barrier.  Each barrier
+   names its call site.  Addresses: head at 8, data at 16, lock word at
+   volatile base + 8. *)
 let golden =
   "lb 0 insert\n\
-   pb 0\n\
+   pb 0 before-lock\n\
    rmw 0 1073741832 8 1\n\
-   pb 0\n\
+   pb 0 after-lock\n\
    ld 0 8 8 0\n\
    st 0 16 8 16\n\
    st 0 24 8 0\n\
    st 0 32 8 0\n\
-   pb 0\n\
+   pb 0 data-head\n\
    st 0 8 8 24\n\
-   pb 0\n\
+   pb 0 after-head\n\
    st 0 1073741832 8 0\n\
-   pb 0"
+   pb 0 after-unlock"
+
+(* The same insert fully annotated (strand): every CWL site, the
+   new-strand after the lock. *)
+let golden_strand =
+  "lb 0 insert\n\
+   pb 0 before-lock\n\
+   rmw 0 1073741832 8 1\n\
+   pb 0 after-lock\n\
+   ns 0 strand\n\
+   ld 0 8 8 0\n\
+   st 0 16 8 16\n\
+   st 0 24 8 0\n\
+   st 0 32 8 0\n\
+   pb 0 data-head\n\
+   st 0 8 8 24\n\
+   pb 0 after-head\n\
+   st 0 1073741832 8 0\n\
+   pb 0 after-unlock"
+
+(* One 2LC insert under the epoch annotation: the reserve lock and its
+   brackets, the insert-list append, the copy, the update lock and its
+   brackets, the insert-list removal and, this insert being the oldest,
+   the head update after line 27's barrier.  Reserve lock at volatile
+   base + 8, update lock at + 16, the insert list from + 24, the
+   volatile head at + 72. *)
+let golden_tlc =
+  "lb 0 insert\n\
+   pb 0 before-reserve\n\
+   rmw 0 1073741832 8 1\n\
+   pb 0 after-reserve\n\
+   ld 0 1073741896 8 0\n\
+   st 0 1073741896 8 24\n\
+   ld 0 1073741856 8 0\n\
+   ld 0 1073741848 8 0\n\
+   st 0 1073741864 8 24\n\
+   st 0 1073741872 8 0\n\
+   st 0 1073741856 8 1\n\
+   pb 0 before-reserve-unlock\n\
+   st 0 1073741832 8 0\n\
+   pb 0 after-reserve-unlock\n\
+   st 0 16 8 16\n\
+   st 0 24 8 0\n\
+   st 0 32 8 0\n\
+   pb 0 copy-done\n\
+   rmw 0 1073741840 8 1\n\
+   pb 0 after-update\n\
+   st 0 1073741872 8 1\n\
+   ld 0 1073741848 8 0\n\
+   ld 0 1073741856 8 1\n\
+   ld 0 1073741872 8 1\n\
+   ld 0 1073741864 8 24\n\
+   ld 0 1073741856 8 1\n\
+   st 0 1073741848 8 1\n\
+   pb 0 data-head\n\
+   st 0 8 8 24\n\
+   pb 0 before-update-unlock\n\
+   st 0 1073741840 8 0\n\
+   pb 0 after-update-unlock"
 
 let test_golden_trace () =
-  Alcotest.(check string) "exact event stream" golden (trace_string tiny_params)
+  Alcotest.(check string) "exact event stream" golden (trace_string tiny_params);
+  Alcotest.(check string) "CWL, strand" golden_strand
+    (trace_string { tiny_params with Q.annotation = Q.Strand });
+  Alcotest.(check string) "2LC, epoch" golden_tlc
+    (trace_string { tiny_params with Q.design = Q.Tlc })
 
 let test_trace_deterministic () =
   let a = trace_string tiny_params in

@@ -91,8 +91,8 @@ let sample_events =
     Memsim.Event.Access
       ( Memsim.Event.Rmw,
         { tid = 2; addr = 64; size = 8; value = 1L; space = A.Persistent } );
-    Memsim.Event.Persist_barrier 3;
-    Memsim.Event.New_strand 4;
+    Memsim.Event.Persist_barrier { tid = 3; site = "" };
+    Memsim.Event.New_strand { tid = 4; site = "" };
     Memsim.Event.Label (5, "insert with spaces");
     Memsim.Event.Flush { tid = 6; kind = Memsim.Event.Clflushopt; addr = 24 };
     Memsim.Event.Flush { tid = 7; kind = Memsim.Event.Clwb; addr = 32 };
@@ -104,7 +104,14 @@ let test_event_roundtrip () =
     (fun ev ->
       let ev' = Memsim.Event.of_string (Memsim.Event.to_string ev) in
       checkb "roundtrip equal" true (Memsim.Event.equal ev ev'))
-    sample_events
+    (sample_events
+    @ (* named sites, as the queue and KV workloads issue them *)
+    [ Memsim.Event.Persist_barrier { tid = 3; site = "data-head" };
+      Memsim.Event.New_strand { tid = 4; site = "put-strand" } ]);
+  checkb "the site is part of the event" false
+    (Memsim.Event.equal
+       (Memsim.Event.Persist_barrier { tid = 3; site = "" })
+       (Memsim.Event.Persist_barrier { tid = 3; site = "data-head" }))
 
 let test_event_is_persist () =
   let persist = function
@@ -510,7 +517,7 @@ let test_random_schedules_pinned () =
       Lockfree.Cas_set.Nvtraverse
   in
   let pin name expected got = check Alcotest.(pair int string) name expected got in
-  pin "queue cwl 8T sc" (2304, "b33f7fac9f0cd71341f9c9d3ec5c8209")
+  pin "queue cwl 8T sc" (2304, "973f38071c1639409855dcb5fbd28ca9")
     (trace_digest (Workloads.Queue.run queue));
   pin "cas set 2T tso-sync" (601, "ad1b33b415d04e1b6982c94e8a16975b")
     (trace_digest (Lockfree.Cas_set.run (set M.tso_sync_config)));
@@ -558,24 +565,24 @@ let pin_policies =
     ("round-robin", fun () -> M.Round_robin) ]
 
 let trace_pins =
-  [ (("queue cwl 1T", "sc", "random 1"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
-    (("queue cwl 1T", "sc", "random 7"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
-    (("queue cwl 1T", "sc", "round-robin"), (52, "bdfb9b9b20fdeeab2c43f2783d2c7484"));
-    (("queue cwl 4T", "sc", "random 1"), (208, "afc3ad9384529c2582166f60a90295c4"));
-    (("queue cwl 4T", "sc", "random 7"), (208, "7ec482883093169b3ada4839cdb87820"));
-    (("queue cwl 4T", "sc", "round-robin"), (208, "c8f95085e896fa3619d377953f8698a4"));
-    (("queue 2lc 1T", "sc", "random 1"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
-    (("queue 2lc 1T", "sc", "random 7"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
-    (("queue 2lc 1T", "sc", "round-robin"), (128, "593a63c5248d1fe85dde2f708456a8e3"));
-    (("queue 2lc 4T", "sc", "random 1"), (526, "0ed251f91f42e9fac0d46b386958237b"));
-    (("queue 2lc 4T", "sc", "random 7"), (527, "3bdac43be6610abfddf7470e53e32f1b"));
-    (("queue 2lc 4T", "sc", "round-robin"), (527, "7357623bdb0565838b0e17649f00ec9d"));
+  [ (("queue cwl 1T", "sc", "random 1"), (52, "10cb89870b6774808a992028c25b633a"));
+    (("queue cwl 1T", "sc", "random 7"), (52, "10cb89870b6774808a992028c25b633a"));
+    (("queue cwl 1T", "sc", "round-robin"), (52, "10cb89870b6774808a992028c25b633a"));
+    (("queue cwl 4T", "sc", "random 1"), (208, "ac979ca781821c600513fbac10dfd094"));
+    (("queue cwl 4T", "sc", "random 7"), (208, "be3693a755a252270844247e2d72c84d"));
+    (("queue cwl 4T", "sc", "round-robin"), (208, "71b88b671666e971377596870893ccd9"));
+    (("queue 2lc 1T", "sc", "random 1"), (128, "8595951cc8f123fce043e701b8876121"));
+    (("queue 2lc 1T", "sc", "random 7"), (128, "8595951cc8f123fce043e701b8876121"));
+    (("queue 2lc 1T", "sc", "round-robin"), (128, "8595951cc8f123fce043e701b8876121"));
+    (("queue 2lc 4T", "sc", "random 1"), (526, "af5972bb3f96457e1a8c791a7dfe6d1f"));
+    (("queue 2lc 4T", "sc", "random 7"), (527, "2984253443f0f4d5ece08ea7db94210a"));
+    (("queue 2lc 4T", "sc", "round-robin"), (527, "c0ccb1626a261c3689217f858477bf9d"));
     (("cas set 2T", "sc", "random 1"), (143, "c19487b3c566fee71db422a663391003"));
     (("cas set 2T", "sc", "random 7"), (143, "aa1b4c8495a7a467869436470a74a9c8"));
     (("cas set 2T", "sc", "round-robin"), (143, "bbcfc18faefc86defe32d65d27ef7c45"));
-    (("kv 2T", "sc", "random 1"), (130, "234360c3ab3b58be10746b177b848a9a"));
-    (("kv 2T", "sc", "random 7"), (134, "f1e49b7daf623c927e05a2daa204aa2a"));
-    (("kv 2T", "sc", "round-robin"), (130, "234360c3ab3b58be10746b177b848a9a"));
+    (("kv 2T", "sc", "random 1"), (130, "a8c3e67fd09ac0760c099deb389c0411"));
+    (("kv 2T", "sc", "random 7"), (134, "dc90c33995b97706f707a80a50860e54"));
+    (("kv 2T", "sc", "round-robin"), (130, "a8c3e67fd09ac0760c099deb389c0411"));
     (("queue cwl 1T", "tso-sync", "random 1"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));
     (("queue cwl 1T", "tso-sync", "random 7"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));
     (("queue cwl 1T", "tso-sync", "round-robin"), (68, "a0aff05f1e4011e7b6d105859a96f81a"));

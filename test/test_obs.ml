@@ -331,7 +331,9 @@ let test_tracer_branch_equivalence () =
   let shared () =
     R.analyze_many
       (R.queue_params ~threads:2 ~total_inserts:40 R.epoch_point)
-      [ cfg; P.Config.make ~coalescing:false P.Config.Epoch ]
+      [ (Workloads.Queue.Epoch, cfg);
+        (Workloads.Queue.Racing, P.Config.make ~coalescing:false P.Config.Epoch)
+      ]
   in
   let streamed = shared () in
   let traced, count = with_tracer shared in
@@ -859,6 +861,9 @@ let test_exit_codes () =
       "lockfree --inserts 0"; "serve --batch 0"; "serve --shards 1,0";
       "explore --max-schedules 0"; "recovery --samples 0";
       "serve --requests 0"; "kv --ops=-4"; "ablation --which nope";
+      (* an empty size list would sweep nothing *)
+      "serve --recovery --shards ''"; "serve --recovery --batch=";
+      "serve --shards= --requests 64";
       "analyze --track-gran 3"; "analyze --persist-gran 4";
       (* a percentage outside 0..100, a rate or latency that is not a
          finite positive number, a negative capacity or job count *)
@@ -903,6 +908,16 @@ let test_exit_codes () =
       "validate --threads 3 --inserts 100"; "table1 --inserts 7";
       "consistency --inserts 7"; "machine --inserts 7"; "kv --inserts 7";
       "ablation --inserts 7" ];
+  (* a command without --threads names the sweep's thread counts *)
+  (match exit_and_output (persistsim ^ " table1 --inserts 9") with
+  | 2, [ line ] ->
+    Alcotest.(check string) "table1 --inserts 9"
+      "persistsim: --inserts 9 is not a multiple of 8, a thread count of \
+       the sweep (1, 8)"
+      line
+  | code, lines ->
+    Alcotest.failf "table1 --inserts 9: exit %d, output %S" code
+      (String.concat "\n" lines));
   (* an output file that cannot be written is bad input too: one line
      naming the flag, before the run rather than from an exit handler
      after it (whose uncaught exception would also exit 2) *)

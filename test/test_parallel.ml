@@ -28,8 +28,8 @@ let test_order_uneven_cost () =
   Alcotest.(check (list (pair int int))) "stolen cells keep order" seq par
 
 (* Every sweep renders byte-identically no matter the domain count, with
-   one pool cell per distinct trace: a cell is one machine run, analyzed
-   under every engine config that reads it.  Each entry runs a sweep
+   one pool cell per workload setting: a cell is one machine run,
+   analyzed under every model point and engine config that reads it.  Each entry runs a sweep
    at [jobs] and returns its output and its cell count. *)
 let sweeps =
   let module A = Experiments.Ablation in
@@ -47,24 +47,24 @@ let sweeps =
   in
   let compared c = A.render_comparisons ~title:"" c in
   [ ( "fig3",
-      3,
+      1,
       fun jobs ->
         let t = Experiments.Fig3.run ~jobs ~total_inserts:300 () in
         ( Experiments.Fig3.render t ^ Experiments.Fig3.to_csv t,
           cells t.Experiments.Fig3.profile ) );
-    ("fig4", 2, figure G.Atomic_persist);
-    ("fig5", 2, figure G.Tracking);
+    ("fig4", 1, figure G.Atomic_persist);
+    ("fig5", 1, figure G.Tracking);
     ( "ablation tso+spaces",
-      4,
+      2,
       ablation (fun ~jobs ~on_profile ->
           let c = A.conflicts ~jobs ~on_profile ~total_inserts:200 () in
           compared c.A.tso ^ compared c.A.spaces) );
     ( "ablation coalesce",
-      4,
+      1,
       ablation (fun ~jobs ~on_profile ->
           compared (A.coalescing ~jobs ~on_profile ~total_inserts:200 ())) );
     ( "ablation buffer+sync",
-      3,
+      1,
       ablation (fun ~jobs ~on_profile ->
           let g = A.model_graphs ~jobs ~on_profile ~total_inserts:200 () in
           A.render_buffer (A.buffer_depth g) ^ A.render_sync (A.persist_sync g))
@@ -76,16 +76,28 @@ let sweeps =
             (A.capacity ~jobs ~on_profile ~capacities:[ 8; 16 ]
                ~total_inserts:200 ())) );
     ( "wear",
-      4,
+      1,
       fun jobs ->
         let t = Experiments.Wear_exp.run ~jobs ~total_inserts:200 () in
         (Experiments.Wear_exp.render t, cells t.Experiments.Wear_exp.profile) );
     ( "consistency",
-      6,
+      2,
       fun jobs ->
         let t = Experiments.Consistency_exp.run ~jobs ~total_inserts:320 () in
         ( Experiments.Consistency_exp.render t,
-          cells t.Experiments.Consistency_exp.profile ) ) ]
+          cells t.Experiments.Consistency_exp.profile ) );
+    ( "table1",
+      4,
+      fun jobs ->
+        let t = Experiments.Table1.run ~jobs ~total_inserts:80 () in
+        ( Experiments.Table1.render t ^ Experiments.Table1.to_csv t,
+          cells t.Experiments.Table1.profile ) );
+    ( "kv",
+      6,
+      fun jobs ->
+        let t = Experiments.Kv_exp.run ~jobs ~total_ops:64 () in
+        ( Experiments.Kv_exp.render t ^ Experiments.Kv_exp.to_csv t,
+          cells t.Experiments.Kv_exp.profile ) ) ]
 
 let test_jobs_identical (_, traces, run) () =
   let out1, cells1 = run 1 and out4, cells4 = run 4 in
