@@ -18,19 +18,27 @@ build:
 test: build
 	dune runtest
 
+# `timed NAME 'COMMAND'` runs COMMAND (through eval, so it may be a
+# pipeline or redirect its output), prints NAME, its wall time and
+# ok/FAILED on one line, adds the time to $total and returns
+# COMMAND's exit status.  Every target that prints wall times uses it.
+TIMED = timed() { \
+	  s=$$(date +%s.%N); \
+	  if eval "$$2"; then r=ok; else r=FAILED; fi; \
+	  d=$$(echo "$$(date +%s.%N) $$s" | awk '{printf "%.1f", $$1 - $$2}'); \
+	  total=$$(echo "$$total $$d" | awk '{printf "%.1f", $$1 + $$2}'); \
+	  printf '%-22s %7s s  %s\n' "$$1" "$$d" "$$r"; [ $$r = ok ]; \
+	}; total=0
+
 # Wall time of each tier-1 suite, run once, one after another, from the
 # directory `dune runtest` uses; the last line is their sum.  Exits 1
 # if any suite failed (its time is still printed).
 test-times: build
-	@cd _build/default/test && status=0 && total=0 && \
+	@$(TIMED); cd _build/default/test && status=0 && \
 	for t in test_*.exe; do \
-	  s=$$(date +%s.%N); \
-	  if ./$$t > /dev/null 2>&1; then r=ok; else r=FAILED; status=1; fi; \
-	  d=$$(echo "$$(date +%s.%N) $$s" | awk '{printf "%.1f", $$1 - $$2}'); \
-	  total=$$(echo "$$total $$d" | awk '{printf "%.1f", $$1 + $$2}'); \
-	  printf '%-20s %7s s  %s\n' "$${t%.exe}" "$$d" "$$r"; \
-	done && \
-	printf '%-20s %7s s\n' total "$$total" && exit $$status
+	  timed "$${t%.exe}" "./$$t > /dev/null 2>&1" || status=1; \
+	done; \
+	printf '%-22s %7s s\n' total "$$total"; exit $$status
 
 # The paper's evaluation (Table 1, Figures 3-5, the Section 7
 # validation) and the extension tables: the persistsim command each
@@ -52,15 +60,12 @@ repro: build
 # (tables discarded); the last line is their sum.  Exits 1 if any
 # command failed (its time is still printed).
 repro-times: build
-	@status=0 && total=0 && \
+	@$(TIMED); status=0; \
 	for c in $(REPRO); do \
-	  s=$$(date +%s.%N); \
-	  if ./_build/default/bin/persistsim.exe $$c > /dev/null 2>&1; then r=ok; else r=FAILED; status=1; fi; \
-	  d=$$(echo "$$(date +%s.%N) $$s" | awk '{printf "%.1f", $$1 - $$2}'); \
-	  total=$$(echo "$$total $$d" | awk '{printf "%.1f", $$1 + $$2}'); \
-	  printf '%-20s %7s s  %s\n' "$${c%% *}" "$$d" "$$r"; \
-	done && \
-	printf '%-20s %7s s\n' total "$$total" && exit $$status
+	  timed "$${c%% *}" \
+	    "./_build/default/bin/persistsim.exe $$c > /dev/null 2>&1" || status=1; \
+	done; \
+	printf '%-22s %7s s\n' total "$$total"; exit $$status
 
 # The Bechamel micro-benchmarks that perfbench does not cover.
 bench: build
@@ -134,13 +139,19 @@ explore: build
 # Lock-free CAS set: the flush-all vs NVTraverse sweep, recovery
 # injection of the correct discipline (a complete exploration claims
 # every interleaving, a bounded one names its bound), and the buggy
-# traversal (no pre-CAS destination flush) must be caught.
+# traversal (no pre-CAS destination flush) must be caught.  Each line
+# prints its wall time, so a CI log shows what the DPOR loop costs.
 lockfree: build
-	dune exec bin/persistsim.exe -- lockfree --inserts 64 > /dev/null
-	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"
-	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 2 --model sc --max-schedules 2048 | grep -q "of the 2048 schedules run before --max-schedules 2048 stopped the search$$"
-	dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model tso-buffered | grep -q "of the 100000 schedules run before --max-schedules 100000 stopped the search$$"
-	dune exec bin/persistsim.exe -- lockfree --buggy --depth 2 --model sc | grep -q "RECOVERY VIOLATION"
+	@$(TIMED); timed "sweep" \
+	  'dune exec bin/persistsim.exe -- lockfree --inserts 64 > /dev/null'
+	@$(TIMED); timed "recovery sc depth 1" \
+	  'dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model sc | grep -q "^recovery and durable linearizability hold in all [0-9]* distinct crash states (exhaustive) of every interleaving$$"'
+	@$(TIMED); timed "recovery sc depth 2" \
+	  'dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 2 --model sc --max-schedules 2048 | grep -q "of the 2048 schedules run before --max-schedules 2048 stopped the search$$"'
+	@$(TIMED); timed "recovery tso-buffered" \
+	  'dune exec bin/persistsim.exe -- lockfree --recovery --discipline nvtraverse --depth 1 --model tso-buffered | grep -q "of the 100000 schedules run before --max-schedules 100000 stopped the search$$"'
+	@$(TIMED); timed "buggy sc depth 2" \
+	  'dune exec bin/persistsim.exe -- lockfree --buggy --depth 2 --model sc | grep -q "RECOVERY VIOLATION"'
 
 # Litmus suite: every program's outcome set checked exhaustively under
 # the full machine matrix (sc, tso-sync, tso-buffered; brute force +

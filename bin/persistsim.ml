@@ -348,14 +348,14 @@ let exploration_summary o header (r : Check.Driver.report) =
     \  schedules executed    %d (%s)\n\
     \  redundant runs pruned %d aborted, %d skipped before starting\n\
     \  scheduling decisions  %d\n\
-    \  distinct persist graphs %d (%d recovery-checked, %d durable \
+    \  distinct persist graphs %d (each recovery-checked, %d durable \
      prefixes)\n"
     header r.stats.schedules
     (if r.stats.complete then "complete"
      else if r.failure <> None then "stopped at the first violation"
      else Printf.sprintf "--max-schedules %d hit" o.max_schedules)
     r.stats.sleep_aborts r.stats.sleep_skips r.stats.steps r.distinct
-    r.checked r.prefixes
+    r.prefixes
 
 (* [command] is the subcommand and the flags that pick the
    configuration; the reproducer line re-runs exactly one failing

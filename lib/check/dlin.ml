@@ -45,39 +45,49 @@ module History = struct
     mutable o_pevents : int list;  (* persist-event ordinals, reversed *)
   }
 
+  (* Per-thread state is indexed by tid: [current.(tid)] is the
+     thread's open operation ([none] when it has none) and
+     [counts.(tid)] its operations so far.  Both grow on a [Label]. *)
   type t = {
     mutable events : int;
     mutable pevents : int;
-    current : (int, open_op) Hashtbl.t;
-    counts : (int, int) Hashtbl.t;
+    mutable current : open_op array;
+    mutable counts : int array;
     mutable closed : open_op list;
   }
+
+  let none =
+    { o_tid = -1; o_index = -1; o_label = ""; o_start = -1; o_finish = -1;
+      o_pevents = [] }
 
   let create () =
     { events = 0;
       pevents = 0;
-      current = Hashtbl.create 8;
-      counts = Hashtbl.create 8;
+      current = Array.make 4 none;
+      counts = Array.make 4 0;
       closed = [] }
 
+  let open_op t tid =
+    if tid >= 0 && tid < Array.length t.current then t.current.(tid) else none
+
   let close t tid =
-    match Hashtbl.find_opt t.current tid with
-    | None -> ()
-    | Some o ->
-      Hashtbl.remove t.current tid;
+    let o = open_op t tid in
+    if o != none then begin
+      t.current.(tid) <- none;
       t.closed <- o :: t.closed
+    end
 
   let observe t ev =
     let idx = t.events in
     t.events <- idx + 1;
-    (match ev with
+    match ev with
     | E.Label (tid, label) ->
       close t tid;
-      let index =
-        match Hashtbl.find_opt t.counts tid with None -> 0 | Some n -> n
-      in
-      Hashtbl.replace t.counts tid (index + 1);
-      Hashtbl.replace t.current tid
+      t.current <- Memsim.Vec.grow_array t.current (tid + 1) none;
+      t.counts <- Memsim.Vec.grow_array t.counts (tid + 1) 0;
+      let index = t.counts.(tid) in
+      t.counts.(tid) <- index + 1;
+      t.current.(tid) <-
         { o_tid = tid;
           o_index = index;
           o_label = label;
@@ -85,19 +95,22 @@ module History = struct
           o_finish = idx;
           o_pevents = [] }
     | _ ->
-      (match Hashtbl.find_opt t.current (E.tid ev) with
-      | Some o ->
+      let persist = E.is_persist ev in
+      let o = open_op t (E.tid ev) in
+      if o != none then begin
         o.o_finish <- idx;
-        if E.is_persist ev then o.o_pevents <- t.pevents :: o.o_pevents
-      | None -> ());
-      if E.is_persist ev then t.pevents <- t.pevents + 1)
+        if persist then o.o_pevents <- t.pevents :: o.o_pevents
+      end;
+      if persist then t.pevents <- t.pevents + 1
 
   let sink t next ev =
     observe t ev;
     next ev
 
   let ops t ~node_of_persist ~effect_of =
-    Hashtbl.iter (fun tid _ -> close t tid) (Hashtbl.copy t.current);
+    for tid = 0 to Array.length t.current - 1 do
+      close t tid
+    done;
     let finish o =
       let persists =
         List.fold_left

@@ -39,10 +39,20 @@ let conflict (a : M.access) (b : M.access) =
   && a.addr / gran <= (b.addr + b.size - 1) / gran
   && b.addr / gran <= (a.addr + a.size - 1) / gran
 
+let rec conflicts_with a = function
+  | [] -> false
+  | b :: bs -> conflict a b || conflicts_with a bs
+
 let conflicts_step (next : M.access option) accs =
   match next with
   | None -> false  (* no shared footprint: independent of everything *)
-  | Some a -> List.exists (fun b -> conflict a b) accs
+  | Some a -> conflicts_with a accs
+
+(* Whether some access of [accs] conflicts with some access of [bs]. *)
+let rec conflicts_any accs bs =
+  match accs with
+  | [] -> false
+  | a :: rest -> conflicts_with a bs || conflicts_any rest bs
 
 (* One scheduling decision of the current (or a previous) execution. *)
 type point = {
@@ -67,12 +77,16 @@ type explorer = {
   mutable steps : int;
 }
 
+(* The next step of [tid] at [pt]: [Some next] when it is enabled
+   there, [None] when it is not. *)
 let next_of pt tid =
-  let found = ref None in
-  Array.iter
-    (fun (s : M.step_info) -> if s.tid = tid then found := Some s.next)
-    pt.enabled;
-  !found
+  let en = pt.enabled in
+  let rec find i =
+    if i < 0 then None
+    else if en.(i).M.tid = tid then Some en.(i).M.next
+    else find (i - 1)
+  in
+  find (Array.length en - 1)
 
 let enabled_tid pt tid =
   Array.exists (fun (s : M.step_info) -> s.tid = tid) pt.enabled
@@ -87,16 +101,18 @@ let choose e (infos : M.step_info array) =
   if k < e.prefix_len then begin
     (* replay the stored decision *)
     let pt = Vec.get e.stack k in
-    if Array.length infos <> Array.length pt.enabled then nondet ();
-    Array.iteri
-      (fun i (s : M.step_info) -> if s.tid <> pt.enabled.(i).tid then nondet ())
-      infos;
+    let en = pt.enabled in
+    let n = Array.length infos in
+    if n <> Array.length en then nondet ();
+    let index = ref (-1) in
+    for i = 0 to n - 1 do
+      let tid = infos.(i).M.tid in
+      if tid <> en.(i).M.tid then nondet ();
+      if tid = pt.chosen && !index < 0 then index := infos.(i).M.index
+    done;
+    if !index < 0 then nondet ();
     pt.sleep_in <- e.sleep;
-    (match
-       Array.find_opt (fun (s : M.step_info) -> s.tid = pt.chosen) infos
-     with
-    | Some s -> pt.chosen_index <- s.index
-    | None -> nondet ());
+    pt.chosen_index <- !index;
     pt.chosen
   end
   else begin
@@ -144,9 +160,7 @@ let race_detect e k tid accs =
       let pi = Vec.get e.stack !i in
       if
         (not (same_logical_thread pi.chosen tid))
-        && List.exists
-             (fun a -> List.exists (fun b -> conflict a b) pi.accesses)
-             accs
+        && conflicts_any accs pi.accesses
       then found := true
       else decr i
     done;
@@ -171,14 +185,16 @@ let on_step e tid accs =
      next step is independent of what just executed *)
   let eff = Iset.union pt.sleep_in pt.explored in
   e.sleep <-
-    Iset.filter
-      (fun q ->
-        q <> tid
-        &&
-        match next_of pt q with
-        | Some next -> not (conflicts_step next accs)
-        | None -> false (* vanished from the enabled set: wake it *))
-      eff;
+    (if Iset.is_empty eff then eff
+     else
+       Iset.filter
+         (fun q ->
+           q <> tid
+           &&
+           match next_of pt q with
+           | Some next -> not (conflicts_step next accs)
+           | None -> false (* vanished from the enabled set: wake it *))
+         eff);
   e.depth <- k + 1
 
 (* Advance to the next leaf in depth-first order: pop exhausted points,
@@ -214,8 +230,13 @@ let rec unwind e =
 
 let schedule_of_stack e =
   let n = Vec.length e.stack in
-  { Schedule.tids = Array.init n (fun i -> (Vec.get e.stack i).chosen);
-    indices = Array.init n (fun i -> (Vec.get e.stack i).chosen_index) }
+  let tids = Array.make n 0 and indices = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let pt = Vec.get e.stack i in
+    tids.(i) <- pt.chosen;
+    indices.(i) <- pt.chosen_index
+  done;
+  { Schedule.tids; indices }
 
 let ticket_of_budget max_schedules =
   match max_schedules with

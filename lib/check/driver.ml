@@ -83,7 +83,10 @@ type packed = Family : (_, _, _, _) family -> packed
 
 (* The history tee lets the observer layer the durable-linearizability
    oracle over the structural invariant: [recover] runs first (its
-   failure messages are the pinned, replayable ones), then [dlin]. *)
+   failure messages are the pinned, replayable ones), then [dlin].  The
+   operation history and the decoder are built by the observer's first
+   call, so an execution whose graph a check has already seen pays for
+   neither. *)
 let instance f params cfg policy =
   let hist = Dlin.History.create () in
   let engine, result =
@@ -91,18 +94,19 @@ let instance f params cfg policy =
         f.run params policy ~sink:(Dlin.History.sink hist sink))
   in
   let ops =
-    Dlin.History.ops hist
-      ~node_of_persist:(Ps.Engine.node_of_persist_event engine)
-      ~effect_of:(f.effect_of params result)
+    lazy
+      (Dlin.History.ops hist
+         ~node_of_persist:(Ps.Engine.node_of_persist_event engine)
+         ~effect_of:(f.effect_of params result))
   in
-  let recover = f.recover params result in
+  let recover = lazy (f.recover params result) in
   { graph = Option.get (Ps.Engine.graph engine);
     capacity = f.image_capacity result;
     observer =
       (fun ~cut image ->
-        match recover image with
+        match Lazy.force recover image with
         | Error _ as e -> e
-        | Ok recovered -> f.dlin ~ops ~cut ~recovered) }
+        | Ok recovered -> f.dlin ~ops:(Lazy.force ops) ~cut ~recovered) }
 
 (* On a TSO machine the paper's atomic persist barrier is not an
    instruction x86 offers: realize it as the Px86 flush+sfence

@@ -164,53 +164,90 @@ let explain ppf g =
         cause)
     chain
 
+(* [string_of_int i] appended to [buf], digit by digit.  The digits
+   come from the non-positive value, so [min_int] needs no special
+   case ([/] and [mod] truncate toward zero). *)
+let add_int buf i =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if i < 0 then Buffer.add_char buf '-';
+  digits (if i < 0 then i else -i)
+
+(* [Int64.to_string v] appended to [buf]: the digit writer whenever [v]
+   is an [int]. *)
+let add_int64 buf v =
+  let i = Int64.to_int v in
+  if Int64.equal (Int64.of_int i) v then add_int buf i
+  else Buffer.add_string buf (Int64.to_string v)
+
+(* Sort [a.(0) .. a.(k - 1)] ascending by insertion, in place.  It is
+   quadratic in [k], but the graphs a DPOR search fingerprints are
+   small (7 and 15 nodes on crash-lockfree), and so are their edge
+   sets. *)
+let sort_prefix a k =
+  for i = 1 to k - 1 do
+    let x = a.(i) in
+    let j = ref i in
+    while !j > 0 && a.(!j - 1) > x do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- x
+  done
+
 (* Canonical digest: node ids are assigned in SC creation order, so two
    trace-equivalent executions produce isomorphic graphs whose ids
    differ only by a reordering of independent steps.  Renumbering nodes
    by (tid, per-thread creation order) — which equivalent traces agree
    on, since per-thread order is program order — yields a canonical
    form, making the digest a fingerprint of the graph up to trace
-   equivalence. *)
+   equivalence.  The form is written straight into one buffer: no
+   string per integer and no list per edge set. *)
 let fingerprint g =
   let n = Pg.node_count g in
+  let tid = Array.init n (fun id -> (Pg.get g id).Pg.tid) in
   let order = Array.init n (fun id -> id) in
-  Array.sort
-    (fun a b ->
-      let na = Pg.get g a and nb = Pg.get g b in
-      match compare na.Pg.tid nb.Pg.tid with
-      | 0 -> compare a b
-      | c -> c)
-    order;
+  Array.stable_sort (fun a b -> compare tid.(a) tid.(b)) order;
   let canon = Array.make n 0 in
   Array.iteri (fun new_id old_id -> canon.(old_id) <- new_id) order;
   let buf = Buffer.create 256 in
-  let int i = Buffer.add_string buf (string_of_int i) in
+  (* an edge set has at most [n] members *)
+  let sorted = Array.make n 0 in
+  let k = ref 0 in
+  let add d =
+    sorted.(!k) <- canon.(d);
+    incr k
+  in
   let edges tag set =
-    List.iter
-      (fun d ->
-        Buffer.add_char buf tag;
-        int d;
-        Buffer.add_char buf ';')
-      (List.sort compare (List.map (fun d -> canon.(d)) (Iset.elements set)))
+    k := 0;
+    Iset.iter add set;
+    sort_prefix sorted !k;
+    for i = 0 to !k - 1 do
+      Buffer.add_char buf tag;
+      add_int buf sorted.(i);
+      Buffer.add_char buf ';'
+    done
   in
   Array.iter
     (fun old_id ->
       let node = Pg.get g old_id in
       Buffer.add_char buf 'n';
-      int canon.(old_id);
+      add_int buf canon.(old_id);
       Buffer.add_string buf " t";
-      int node.Pg.tid;
+      add_int buf node.Pg.tid;
       Buffer.add_string buf " l";
-      int node.Pg.level;
+      add_int buf node.Pg.level;
       Buffer.add_char buf ':';
       Memsim.Vec.iter
         (fun (w : Pg.write) ->
           Buffer.add_char buf 'w';
-          int w.Pg.addr;
+          add_int buf w.Pg.addr;
           Buffer.add_char buf '.';
-          int w.Pg.size;
+          add_int buf w.Pg.size;
           Buffer.add_char buf '=';
-          Buffer.add_string buf (Int64.to_string w.Pg.value);
+          add_int64 buf w.Pg.value;
           Buffer.add_char buf ';')
         node.Pg.writes;
       edges 'd' node.Pg.deps;

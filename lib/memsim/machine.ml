@@ -137,23 +137,6 @@ type sb_entry =
   | Sb_store of { addr : int; size : int; value : int64; space : Addr.space }
   | Sb_flush of { kind : Event.flush_kind; addr : int }
 
-(* One pending entry of the (global) persistence buffer: a line whose
-   contents were captured by a flush but have not yet reached NVRAM.
-   [pb_epoch] is the flushing thread's fence epoch at capture time:
-   entries of an earlier epoch of the same thread must drain first
-   (sfence/mfence/locked RMWs only *order* the buffer, they never
-   force a drain).  [pb_seq] is a global enqueue stamp giving same-line
-   entries their FIFO order; [pb_head] marks the pending entry of its
-   line with the smallest stamp. *)
-type pb_entry = {
-  pb_tid : int;
-  pb_kind : Event.flush_kind;
-  pb_addr : int;
-  pb_epoch : int;
-  pb_seq : int;
-  mutable pb_head : bool;
-}
-
 type runq =
   | Fifo of entry Queue.t
   | Bag of entry Vec.t * Random.State.t
@@ -168,15 +151,10 @@ type t = {
   barrier : barrier_impl;
   mutable buffers : sb_entry Queue.t option array;
       (* by tid: the thread's store buffer (TSO), once it has one *)
-  pbuf : pb_entry Vec.t;  (* persistence buffer (Pbuffered only) *)
-  mutable pb_ok : bool array;
-      (* by [pbuf] index: the entry may drain at this step *)
-  mutable least_epoch : int array;
-      (* by tid: the smallest fence epoch among its pending entries *)
+  pbuf : Pbuf.t;  (* persistence buffer (Pbuffered only) *)
   mutable cand : int array;
       (* by choice-set position: the candidate it offers (Guided) *)
-  pepoch : (int, int) Hashtbl.t;  (* tid -> current fence epoch *)
-  mutable pseq : int;
+  mutable pepoch : int array;  (* by tid: current fence epoch *)
   dirty : (int, (int, unit) Hashtbl.t) Hashtbl.t;
       (* tid -> dirty persistent lines since its last barrier
          (Flush_sfence only) *)
@@ -224,12 +202,9 @@ let create ?(policy = Round_robin) ?(model = Sc) ?(persistence = Psync)
     persistence;
     barrier;
     buffers = [||];
-    pbuf = Vec.create ();
-    pb_ok = [||];
-    least_epoch = [||];
+    pbuf = Pbuf.create ();
     cand = [||];
-    pepoch = Hashtbl.create 8;
-    pseq = 0;
+    pepoch = [||];
     dirty = Hashtbl.create 8;
     unfenced = Hashtbl.create 8;
     sink = ignore;
@@ -353,16 +328,20 @@ let push_store t tid ~addr ~size ~value =
   Queue.push (Sb_store { addr; size; value; space = Addr.space_of addr }) buf;
   Om.observe m_occupancy (float_of_int (Queue.length buf))
 
+(* Only [pending_commit] reads [unfenced], and only on a synchronous
+   machine. *)
 let mark_unfenced t tid ~addr =
-  let lines =
-    match Hashtbl.find_opt t.unfenced tid with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add t.unfenced tid h;
-      h
-  in
-  Hashtbl.replace lines (addr land lnot 7) ()
+  if t.persistence = Psync then begin
+    let lines =
+      match Hashtbl.find_opt t.unfenced tid with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 8 in
+        Hashtbl.add t.unfenced tid h;
+        h
+    in
+    Hashtbl.replace lines (addr land lnot 7) ()
+  end
 
 let push_flush t tid ~kind ~addr =
   mark_unfenced t tid ~addr;
@@ -419,86 +398,32 @@ let commit_footprint t tid fp =
    drain under TSO) and enqueues it; the captured line reaches NVRAM
    only when a later Pdrain step — a scheduler decision — retires the
    entry.  Fences never wait on this buffer: they only stamp a frontier
-   (the thread's fence epoch) that constrains drain order. *)
+   (the thread's fence epoch) that constrains drain order.  {!Pbuf}
+   holds the entries and keeps their eligibility. *)
 
-let cur_epoch t tid =
-  match Hashtbl.find_opt t.pepoch tid with Some e -> e | None -> 0
+let cur_epoch t tid = if tid < Array.length t.pepoch then t.pepoch.(tid) else 0
 
 let bump_epoch t tid =
-  if t.persistence = Pbuffered then
-    Hashtbl.replace t.pepoch tid (cur_epoch t tid + 1)
-
-let pb_line e = e.pb_addr asr 3
-
-(* [a] when it has at least [n] slots, else a larger array of [x]s. *)
-let grow a n x =
-  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) x
-
-(* The pending entry of [line] with the smallest stamp, or -1. *)
-let pb_line_head t line =
-  let best = ref (-1) in
-  for i = 0 to Vec.length t.pbuf - 1 do
-    let f = Vec.get t.pbuf i in
-    if
-      pb_line f = line
-      && (!best < 0 || f.pb_seq < (Vec.get t.pbuf !best).pb_seq)
-    then best := i
-  done;
-  !best
+  if t.persistence = Pbuffered then begin
+    t.pepoch <- Vec.grow_array t.pepoch (tid + 1) 0;
+    t.pepoch.(tid) <- t.pepoch.(tid) + 1
+  end
 
 let note_flush t tid ~kind ~addr =
   Om.incr m_flushes;
   mark_unfenced t tid ~addr;
   emit t (Event.Flush { tid; kind; addr });
   if t.persistence = Pbuffered then begin
-    t.pseq <- t.pseq + 1;
     Om.incr m_pb_enqueues;
-    Vec.push t.pbuf
-      { pb_tid = tid; pb_kind = kind; pb_addr = addr;
-        pb_epoch = cur_epoch t tid; pb_seq = t.pseq;
-        pb_head = pb_line_head t (addr asr 3) < 0 };
-    Om.observe m_pb_occupancy (float_of_int (Vec.length t.pbuf))
+    Pbuf.push t.pbuf ~tid ~kind ~addr ~epoch:(cur_epoch t tid);
+    Om.observe m_pb_occupancy (float_of_int (Pbuf.length t.pbuf))
   end
-
-(* An entry may drain when no pending same-line entry precedes it
-   (per-line FIFO: it is its line's head) and no pending entry of its
-   thread carries an earlier fence epoch (the frontier a fence marked).
-   One O(P) pass per scheduling step fills [pb_ok] for every entry. *)
-let mark_pb_eligible t =
-  let np = Vec.length t.pbuf in
-  if np > 0 then begin
-    t.pb_ok <- grow t.pb_ok np false;
-    t.least_epoch <- grow t.least_epoch t.next_tid 0;
-    let least = t.least_epoch in
-    Array.fill least 0 t.next_tid max_int;
-    for i = 0 to np - 1 do
-      let e = Vec.get t.pbuf i in
-      if e.pb_epoch < least.(e.pb_tid) then least.(e.pb_tid) <- e.pb_epoch
-    done;
-    for i = 0 to np - 1 do
-      let e = Vec.get t.pbuf i in
-      t.pb_ok.(i) <- e.pb_head && e.pb_epoch = least.(e.pb_tid)
-    done
-  end
-
-(* The entry with the globally smallest enqueue stamp is always
-   eligible: any blocker would have to precede it. *)
-let pb_oldest t =
-  let best = ref (-1) in
-  for i = 0 to Vec.length t.pbuf - 1 do
-    if
-      !best < 0 || (Vec.get t.pbuf i).pb_seq < (Vec.get t.pbuf !best).pb_seq
-    then best := i
-  done;
-  !best
 
 let pdrain t i =
-  let e = Vec.swap_remove t.pbuf i in
-  (match pb_line_head t (pb_line e) with
-  | -1 -> ()
-  | j -> (Vec.get t.pbuf j).pb_head <- true);
+  let e = Pbuf.drain t.pbuf i in
   Om.incr m_pb_drains;
-  emit t (Event.Pdrain { tid = e.pb_tid; kind = e.pb_kind; addr = e.pb_addr })
+  emit t
+    (Event.Pdrain { tid = Pbuf.tid e; kind = Pbuf.kind e; addr = Pbuf.addr e })
 
 (* Static footprint of the oldest buffered entry: what the next drain
    step of this thread will touch. *)
@@ -676,9 +601,9 @@ let footprint t op = if guided t then static_footprint op else None
    operation needs an empty buffer ([drains]) are withheld while their
    buffer is non-empty — their drain agent is offered instead, so every
    chosen step performs at most one shared access (what DPOR's
-   footprints assume).  [count_picks] makes the step's one eligibility
-   pass over the persistence buffer, which [eligible] then reads: every
-   policy but round-robin calls it first. *)
+   footprints assume).  The persistence buffer keeps its entries'
+   eligibility and their count up to date ({!Pbuf}), so counting the
+   picks walks only the queued entries and the store buffers. *)
 let queued_in t v = Vec.length v + Bool.to_int (t.own >= 0)
 
 (* Whether queued entry [c] must wait for its store buffer to drain. *)
@@ -693,19 +618,18 @@ let entry_waits t v c =
 let eligible t v ~e c =
   if c < e then not (entry_waits t v c)
   else if c < e + t.next_tid then buffer_nonempty t (c - e)
-  else t.pb_ok.(c - e - t.next_tid)
+  else Pbuf.eligible t.pbuf (c - e - t.next_tid)
 
 (* Only TSO stores and flushes fill store buffers, so under SC with an
    empty persistence buffer the picks are exactly the queued entries. *)
-let entries_only t = t.model = Sc && Vec.is_empty t.pbuf
+let entries_only t = t.model = Sc && Pbuf.is_empty t.pbuf
 
 let count_picks t v =
   if entries_only t then queued_in t v
   else begin
-    mark_pb_eligible t;
     let e = queued_in t v in
-    let n = ref 0 in
-    for c = 0 to e + t.next_tid + Vec.length t.pbuf - 1 do
+    let n = ref (Pbuf.eligible_count t.pbuf) in
+    for c = 0 to e + t.next_tid - 1 do
       if eligible t v ~e c then incr n
     done;
     !n
@@ -748,7 +672,7 @@ let insert_info (infos : step_info array) cand ~lo k (info : step_info) c =
    behind each position. *)
 let guided_infos t v n =
   let infos = Array.make n no_info in
-  t.cand <- grow t.cand n 0;
+  t.cand <- Vec.grow_array t.cand n 0;
   let cand = t.cand in
   let e = queued_in t v and nt = t.next_tid in
   let k = ref 0 in
@@ -773,10 +697,10 @@ let guided_infos t v n =
     end
   done;
   let lo = !k in
-  for i = 0 to Vec.length t.pbuf - 1 do
-    if t.pb_ok.(i) then begin
+  for i = 0 to Pbuf.length t.pbuf - 1 do
+    if Pbuf.eligible t.pbuf i then begin
       insert_info infos cand ~lo !k
-        { tid = persist_tid (Vec.get t.pbuf i).pb_addr;
+        { tid = persist_tid (Pbuf.addr (Pbuf.get t.pbuf i));
           index = !k;
           next = pdrain_next }
         (e + nt + i);
@@ -799,7 +723,7 @@ let draw t =
     else begin
       let rec first tid =
         if tid >= t.next_tid then
-          if Vec.is_empty t.pbuf then -1 else t.next_tid + pb_oldest t
+          if Pbuf.is_empty t.pbuf then -1 else t.next_tid + Pbuf.oldest t.pbuf
         else if buffer_nonempty t tid then tid
         else first (tid + 1)
       in

@@ -62,3 +62,11 @@ let of_list l =
   v
 
 let clear v = v.len <- 0
+
+let grow_array a n x =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end

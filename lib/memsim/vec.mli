@@ -20,3 +20,9 @@ val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 val clear : 'a t -> unit
+
+val grow_array : 'a array -> int -> 'a -> 'a array
+(** [grow_array a n x] is [a] when it has at least [n] slots, else a
+    larger array (at least double) with [a]'s elements in front and
+    [x] in the new slots: the growth step of a table indexed by a
+    small dense key such as a tid. *)

@@ -701,6 +701,136 @@ let test_sites_share_refused () =
     (R.analyze_many tso same
     = List.map (fun (_, cfg) -> R.analyze tso cfg) same)
 
+(* ------------------------------------------------------------------ *)
+(* Fingerprint byte identity *)
+
+(* [Graph_export.fingerprint] as it was built with one string per
+   integer and a sorted list per edge set: the canonical text it
+   digests must not change, or every pinned digest and every
+   distinct-graph count would. *)
+let reference_fingerprint g =
+  let module Pg = Ps.Persist_graph in
+  let n = Pg.node_count g in
+  let order = Array.init n (fun id -> id) in
+  Array.sort
+    (fun a b ->
+      let na = Pg.get g a and nb = Pg.get g b in
+      match compare na.Pg.tid nb.Pg.tid with
+      | 0 -> compare a b
+      | c -> c)
+    order;
+  let canon = Array.make n 0 in
+  Array.iteri (fun new_id old_id -> canon.(old_id) <- new_id) order;
+  let buf = Buffer.create 256 in
+  let int i = Buffer.add_string buf (string_of_int i) in
+  let edges tag set =
+    List.iter
+      (fun d ->
+        Buffer.add_char buf tag;
+        int d;
+        Buffer.add_char buf ';')
+      (List.sort compare
+         (List.map (fun d -> canon.(d)) (Ps.Iset.elements set)))
+  in
+  Array.iter
+    (fun old_id ->
+      let node = Pg.get g old_id in
+      Buffer.add_char buf 'n';
+      int canon.(old_id);
+      Buffer.add_string buf " t";
+      int node.Pg.tid;
+      Buffer.add_string buf " l";
+      int node.Pg.level;
+      Buffer.add_char buf ':';
+      Memsim.Vec.iter
+        (fun (w : Pg.write) ->
+          Buffer.add_char buf 'w';
+          int w.Pg.addr;
+          Buffer.add_char buf '.';
+          int w.Pg.size;
+          Buffer.add_char buf '=';
+          Buffer.add_string buf (Int64.to_string w.Pg.value);
+          Buffer.add_char buf ';')
+        node.Pg.writes;
+      edges 'd' node.Pg.deps;
+      edges 'o' node.Pg.order;
+      Buffer.add_char buf '\n')
+    order;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let same_fingerprint what g =
+  Alcotest.(check string) what (reference_fingerprint g)
+    (Ps.Graph_export.fingerprint g)
+
+(* Every graph a depth-2 DPOR search of each family reaches, up to 300
+   schedules per search (the clean variant and the canonical drop on
+   the sc machine, the clean variant on tso-buffered), then hand-built
+   graphs whose writes carry the extreme values, whose nodes coalesce
+   several writes and carry order edges, and whose edge sets are wider
+   (up to 50 members) than any recorded graph's. *)
+let test_fingerprint_identity () =
+  let graphs = ref 0 in
+  List.iter
+    (fun (Dr.Family f) ->
+      List.iter
+        (fun ((mname, mc), variant) ->
+          let what =
+            Printf.sprintf "%s/%s %s" f.name (f.variant_name variant) mname
+          in
+          let run =
+            Dr.instance f
+              (f.params ~threads:2 ~depth:2 ~seed:1 mc variant)
+              (Ps.Config.make Ps.Config.Epoch)
+          in
+          ignore
+            (D.explore ~max_schedules:300
+               ~on_exec:(fun _ (inst : Dr.instance) ->
+                 incr graphs;
+                 same_fingerprint what inst.Dr.graph;
+                 D.Continue)
+               run))
+        [ (("sc", M.sc_config), f.clean Ps.Config.Epoch Q.Epoch);
+          (("sc", M.sc_config), f.drop);
+          ( ("tso-buffered", M.tso_buffered_config),
+            f.clean Ps.Config.Epoch Q.Epoch ) ])
+    Dr.families;
+  Alcotest.(check bool) "dpor graphs compared" true (!graphs > 500);
+  let module Pg = Ps.Persist_graph in
+  let g = Pg.create () in
+  let w addr size value = { Pg.addr; size; value } in
+  let values =
+    [ -1L; -12345L; 0L; 7L; Int64.shift_left 1L 62;
+      Int64.neg (Int64.shift_left 1L 62); Int64.of_int max_int;
+      Int64.of_int min_int; Int64.min_int; Int64.max_int ]
+  in
+  List.iteri
+    (fun i v ->
+      let deps = if i = 0 then Ps.Iset.empty else Ps.Iset.singleton (i - 1) in
+      let order =
+        if i >= 2 then Ps.Iset.of_list [ 0; i - 2 ] else Ps.Iset.empty
+      in
+      let id =
+        Pg.add_node g ~tid:(i mod 3) ~level:(i + 1) ~deps ~order
+          (w (8 * i) 8 v)
+      in
+      Pg.coalesce_into g id ~deps:Ps.Iset.empty (w (8 * i) 4 (Int64.neg v));
+      same_fingerprint (Printf.sprintf "hand-built node %d" i) g)
+    values;
+  let n = Pg.node_count g in
+  let wide = Ps.Iset.of_list (List.init n Fun.id) in
+  for i = 0 to 39 do
+    ignore
+      (Pg.add_node g ~tid:(2 - (i mod 3)) ~level:(-i) ~deps:wide ~order:wide
+         (w (-8 * i) 8 (Int64.of_int (i - 20))))
+  done;
+  ignore
+    (Pg.add_node g ~tid:0 ~level:99
+       ~deps:(Ps.Iset.of_list (List.init (Pg.node_count g) Fun.id))
+       ~order:(Ps.Iset.of_list (List.init 25 (fun i -> 2 * i)))
+       (w 0 8 Int64.max_int));
+  same_fingerprint "wide edge sets" g;
+  same_fingerprint "empty graph" (Pg.create ())
+
 let () =
   Alcotest.run "check"
     [ ( "schedule",
@@ -735,6 +865,9 @@ let () =
       ( "guide",
         [ Alcotest.test_case "choice sets pinned" `Quick
             test_guide_choice_sets_pinned ] );
+      ( "fingerprint",
+        [ Alcotest.test_case "byte-identical to the list builder" `Quick
+            test_fingerprint_identity ] );
       ( "sites",
         [ Alcotest.test_case "dpor schedules share one run" `Quick
             test_sites_share_dpor_schedules;

@@ -270,6 +270,110 @@ let test_history () =
   checkb "ordered by start" true
     (List.map (fun o -> (o.D.tid, o.D.index)) ops = [ (0, 0); (1, 0); (0, 1) ])
 
+(* [History.ops] against a fold over the recorded trace that keeps its
+   per-thread state in maps: the same operations, field for field, in
+   the same order.  An 8-thread KV run has more threads than the
+   recorder's initial arrays; a tso-buffered lock-free run persists
+   through [Pdrain] events. *)
+module Imap = Map.Make (Int)
+
+type ref_op = {
+  r_index : int;
+  r_label : string;
+  r_start : int;
+  mutable r_finish : int;
+  mutable r_pevents : int list;
+}
+
+let reference_ops events ~node_of_persist ~effect_of =
+  let current = ref Imap.empty and counts = ref Imap.empty in
+  let closed = ref [] and pevents = ref 0 in
+  let close tid =
+    match Imap.find_opt tid !current with
+    | Some o ->
+      current := Imap.remove tid !current;
+      closed := (tid, o) :: !closed
+    | None -> ()
+  in
+  List.iteri
+    (fun idx ev ->
+      match ev with
+      | E.Label (tid, label) ->
+        close tid;
+        let index = Option.value ~default:0 (Imap.find_opt tid !counts) in
+        counts := Imap.add tid (index + 1) !counts;
+        current :=
+          Imap.add tid
+            { r_index = index; r_label = label; r_start = idx; r_finish = idx;
+              r_pevents = [] }
+            !current
+      | ev ->
+        (match Imap.find_opt (E.tid ev) !current with
+        | Some o ->
+          o.r_finish <- idx;
+          if E.is_persist ev then o.r_pevents <- !pevents :: o.r_pevents
+        | None -> ());
+        if E.is_persist ev then incr pevents)
+    events;
+  Imap.iter (fun tid _ -> close tid) !current;
+  List.sort
+    (fun (a : D.op) b -> compare a.start_ b.start_)
+    (List.map
+       (fun (tid, o) ->
+         { D.tid; index = o.r_index; label = o.r_label; start_ = o.r_start;
+           finish = o.r_finish;
+           persists = iset (List.map node_of_persist o.r_pevents);
+           effect_ = effect_of ~tid ~index:o.r_index })
+       !closed)
+
+let history_matches what (f : _ Check.Driver.family) params policy =
+  let hist = D.History.create () and trace = ref [] in
+  let engine, result =
+    P.Engine.run
+      { (P.Config.make P.Config.Epoch) with P.Config.record_graph = true }
+      (fun ~sink ->
+        f.run params policy
+          ~sink:
+            (D.History.sink hist (fun ev ->
+                 trace := ev :: !trace;
+                 sink ev)))
+  in
+  let node_of_persist = P.Engine.node_of_persist_event engine in
+  let effect_of = f.effect_of params result in
+  let got = D.History.ops hist ~node_of_persist ~effect_of in
+  let events = List.rev !trace in
+  let want = reference_ops events ~node_of_persist ~effect_of in
+  let show (o : D.op) =
+    Printf.sprintf "t%d #%d %s [%d, %d] {%s}" o.tid o.index o.label o.start_
+      o.finish
+      (String.concat "," (List.map string_of_int (P.Iset.elements o.persists)))
+  in
+  Alcotest.(check (list string)) (what ^ ": ops") (List.map show want)
+    (List.map show got);
+  checkb (what ^ ": effects") true
+    (List.map (fun (o : D.op) -> o.effect_) want
+    = List.map (fun (o : D.op) -> o.effect_) got);
+  (got, events)
+
+let test_history_matches_fold () =
+  let module M = Memsim.Machine in
+  let module Dr = Check.Driver in
+  let kv =
+    Dr.kv.params ~threads:8 ~depth:2 ~seed:1 M.sc_config Kv.Epoch_undo
+  in
+  let ops, _ = history_matches "kv 8 threads" Dr.kv kv (M.Random 5) in
+  checkb "kv: a thread beyond the fourth" true
+    (List.exists (fun (o : D.op) -> o.tid >= 4) ops);
+  let lf =
+    Dr.lockfree.params ~threads:2 ~depth:2 ~seed:1 M.tso_buffered_config
+      Lockfree.Cas_set.Nvtraverse
+  in
+  let _, events =
+    history_matches "lockfree tso-buffered" Dr.lockfree lf (M.Random 3)
+  in
+  checkb "lockfree: persists through Pdrain" true
+    (List.exists (function E.Pdrain _ -> true | _ -> false) events)
+
 let () =
   Alcotest.run "dlin"
     [ ( "classify",
@@ -291,5 +395,7 @@ let () =
           Alcotest.test_case "reordered dependent" `Quick test_lin_reordered;
           Alcotest.test_case "rt closure" `Quick test_lin_rt_closure ] );
       ( "history",
-        [ Alcotest.test_case "recorder" `Quick test_history ] )
+        [ Alcotest.test_case "recorder" `Quick test_history;
+          Alcotest.test_case "ops match a fold over the trace" `Quick
+            test_history_matches_fold ] )
     ]

@@ -75,6 +75,102 @@ let test_vec_fold () =
   Memsim.Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
   checki "iteri count" 3 (List.length !acc)
 
+let test_vec_grow_array () =
+  let a = [| 1; 2 |] in
+  checkb "big enough: same array" true (Memsim.Vec.grow_array a 2 0 == a);
+  let b = Memsim.Vec.grow_array a 3 9 in
+  checki "at least doubled" 4 (Array.length b);
+  checkb "old elements in front, fill behind" true (b = [| 1; 2; 9; 9 |]);
+  checki "past double" 7 (Array.length (Memsim.Vec.grow_array a 7 0));
+  checki "from empty" 1 (Array.length (Memsim.Vec.grow_array [||] 1 0))
+
+(* Persistence buffer: the indexed heads, oldest entry and eligibility
+   against a brute-force scan of the pending entries, after every step
+   of random enqueue/drain sequences.  Few lines and threads, so lines
+   queue up behind their heads and epochs block each other. *)
+
+module Pb = Memsim.Pbuf
+
+let pb_entries pb = List.init (Pb.length pb) (Pb.get pb)
+
+let pb_brute_head pb e =
+  List.for_all
+    (fun f -> Pb.addr f asr 3 <> Pb.addr e asr 3 || Pb.seq f >= Pb.seq e)
+    (pb_entries pb)
+
+let pb_brute_ok pb e =
+  pb_brute_head pb e
+  && List.for_all
+       (fun f -> Pb.tid f <> Pb.tid e || Pb.epoch f >= Pb.epoch e)
+       (pb_entries pb)
+
+let pb_brute_oldest pb =
+  List.fold_left
+    (fun best e ->
+      if best < 0 || Pb.seq e < Pb.seq (Pb.get pb best) then Pb.pos e else best)
+    (-1) (pb_entries pb)
+
+let pb_check what pb =
+  let n = Pb.length pb in
+  let oks = ref 0 in
+  for i = 0 to n - 1 do
+    let e = Pb.get pb i in
+    checki (what ^ ": position") i (Pb.pos e);
+    checkb (what ^ ": head") (pb_brute_head pb e) (Pb.head e);
+    checkb (what ^ ": eligible") (pb_brute_ok pb e) (Pb.eligible pb i);
+    if Pb.eligible pb i then incr oks
+  done;
+  checki (what ^ ": eligible count") !oks (Pb.eligible_count pb);
+  checki (what ^ ": oldest") (pb_brute_oldest pb) (Pb.oldest pb);
+  if n > 0 then checkb (what ^ ": oldest eligible") true
+      (Pb.eligible pb (Pb.oldest pb))
+
+let test_pbuf_matches_scan () =
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| seed |] in
+    let pb = Pb.create () in
+    let threads = 1 + Random.State.int rng 3
+    and lines = 1 + Random.State.int rng 4 in
+    let epoch = Array.make threads 0 in
+    let drained = ref 0 and pushed = ref 0 in
+    for step = 1 to 60 do
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      if Pb.length pb = 0 || Random.State.int rng 5 < 3 then begin
+        let tid = Random.State.int rng threads in
+        if Random.State.int rng 3 = 0 then epoch.(tid) <- epoch.(tid) + 1;
+        Pb.push pb ~tid ~kind:Memsim.Event.Clwb
+          ~addr:(8 * Random.State.int rng lines)
+          ~epoch:epoch.(tid);
+        incr pushed;
+        checki (what ^ ": stamp") !pushed
+          (Pb.seq (Pb.get pb (Pb.length pb - 1)))
+      end
+      else begin
+        let ok =
+          List.filter (Pb.eligible pb) (List.init (Pb.length pb) Fun.id)
+        in
+        let i = List.nth ok (Random.State.int rng (List.length ok)) in
+        let seq = Pb.seq (Pb.get pb i) in
+        checki (what ^ ": drained") seq (Pb.seq (Pb.drain pb i));
+        incr drained
+      end;
+      pb_check what pb
+    done;
+    (* drain the rest oldest first, as round-robin does *)
+    while Pb.length pb > 0 do
+      ignore (Pb.drain pb (Pb.oldest pb));
+      incr drained;
+      pb_check (Printf.sprintf "seed %d drain" seed) pb
+    done;
+    checki "every entry drained" !pushed !drained
+  done;
+  let pb = Pb.create () in
+  Pb.push pb ~tid:0 ~kind:Memsim.Event.Clwb ~addr:0 ~epoch:0;
+  Pb.push pb ~tid:0 ~kind:Memsim.Event.Clwb ~addr:0 ~epoch:0;
+  Alcotest.check_raises "drain of a non-head"
+    (Invalid_argument "Pbuf.drain: entry is not eligible") (fun () ->
+      ignore (Pb.drain pb 1))
+
 (* Event *)
 
 let sample_events =
@@ -841,7 +937,11 @@ let () =
         [ Alcotest.test_case "basic" `Quick test_vec_basic;
           Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "fold" `Quick test_vec_fold ] );
+          Alcotest.test_case "fold" `Quick test_vec_fold;
+          Alcotest.test_case "grow_array" `Quick test_vec_grow_array ] );
+      ( "pbuf",
+        [ Alcotest.test_case "indexes match a scan" `Quick
+            test_pbuf_matches_scan ] );
       ( "event",
         [ Alcotest.test_case "roundtrip" `Quick test_event_roundtrip;
           Alcotest.test_case "is_persist" `Quick test_event_is_persist;
