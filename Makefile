@@ -88,8 +88,9 @@ fmt-check:
 # Quick end-to-end check of the observability outputs: metrics and
 # trace dumps (a sweep's and a DPOR exploration's) must be valid JSON,
 # the graph export well-formed DOT and JSON lines, and the critical-chain
-# walk must print its header.  Single-run failure injection
-# (queue and KV) must pass clean and catch its --buggy demonstration.
+# walk must print its header and be as long as the engine's critical
+# path.  Single-run failure injection (queue and KV) must pass clean and
+# catch its --buggy demonstration.
 smoke: build
 	dune exec bin/persistsim.exe -- table1 --inserts 200 --metrics-out /tmp/persistsim-metrics.json > /dev/null
 	python3 -m json.tool /tmp/persistsim-metrics.json > /dev/null
@@ -102,6 +103,7 @@ smoke: build
 	dune exec bin/persistsim.exe -- graph --design cwl --model epoch --format jsonl --out /tmp/persistsim-graph.jsonl
 	python3 -c 'import json, sys; [json.loads(l) for l in open(sys.argv[1])]' /tmp/persistsim-graph.jsonl
 	dune exec bin/persistsim.exe -- analyze --inserts 2000 --explain | grep -q "^critical path: [0-9]* level(s) over [0-9]* node(s)"
+	dune exec bin/persistsim.exe -- analyze --design 2lc --model racing-epochs --threads 4 --inserts 200 --explain | awk '/^critical path: +[0-9]+ \(/ { e = $$3 } /^critical path: [0-9]+ level/ { c = $$3 } END { exit !(e != "" && e == c) }'
 	dune exec bin/persistsim.exe -- kv --inserts 100 > /dev/null
 	dune exec bin/persistsim.exe -- kv --recovery --samples 100 > /dev/null
 	dune exec bin/persistsim.exe -- kv --recovery --buggy | grep -q "RECOVERY VIOLATION"

@@ -289,6 +289,18 @@ let check_runs ?what ?part ~buggy ~samples ~seed instances =
     ~ok:(holds ?what (coverage (List.length instances)))
     (Result.map_error snd result)
 
+(* Single-run failure injection of one family run, shared by recovery
+   and kv --recovery: run it once under its workload's own [policy],
+   print [header] with the run's atomic persist count, and check it. *)
+let check_family_run (f : (_, _, _, _) Check.Driver.family) params mode
+    ~policy ~seed ~buggy ~samples header =
+  let inst =
+    Check.Driver.instance f params (Persistency.Config.make mode) policy
+  in
+  Printf.printf "%s, %d atomic persists\n" header
+    (Persistency.Persist_graph.node_count inst.graph);
+  check_runs ~buggy ~samples ~seed [ inst ]
+
 (* DPOR failure injection, shared by explore and lockfree --recovery:
    explore every interleaving (or replay one), failure-injecting every
    distinct persist graph. *)
@@ -577,18 +589,14 @@ let recovery_cmd =
            ~capacity_entries:(threads * inserts) model)
         with Workloads.Queue.annotation }
     in
-    let inst =
-      Check.Driver.instance Check.Driver.queue params
-        (Persistency.Config.make model.Experiments.Run.mode)
-        params.Workloads.Queue.policy
-    in
-    Printf.printf "%s / %s%s: %d threads x %d inserts, %d atomic persists\n"
-      (Workloads.Queue.design_name design)
-      model.Experiments.Run.label
-      (if buggy then " (buggy: data->head barrier removed)" else "")
-      threads inserts
-      (Persistency.Persist_graph.node_count inst.graph);
-    check_runs ~buggy ~samples ~seed:params.Workloads.Queue.seed [ inst ]
+    check_family_run Check.Driver.queue params model.Experiments.Run.mode
+      ~policy:params.Workloads.Queue.policy
+      ~seed:params.Workloads.Queue.seed ~buggy ~samples
+      (Printf.sprintf "%s / %s%s: %d threads x %d inserts"
+         (Workloads.Queue.design_name design)
+         model.Experiments.Run.label
+         (if buggy then " (buggy: data->head barrier removed)" else "")
+         threads inserts)
   in
   Cmd.v
     (Cmd.info "recovery"
@@ -619,16 +627,12 @@ let kv_cmd =
       if buggy then { params with Kv.discipline = Check.Driver.kv.drop }
       else params
     in
-    let inst =
-      Check.Driver.instance Check.Driver.kv params
-        (Persistency.Config.make model.mode) params.Kv.policy
-    in
-    Printf.printf "kv / %s%s: %d threads x %d ops, %d atomic persists\n"
-      (Kv.discipline_name params.Kv.discipline)
-      (if buggy then " (buggy: seal->slot barrier removed)" else "")
-      threads params.Kv.ops_per_thread
-      (Persistency.Persist_graph.node_count inst.graph);
-    check_runs ~buggy ~samples ~seed:params.Kv.seed [ inst ]
+    check_family_run Check.Driver.kv params model.mode ~policy:params.Kv.policy
+      ~seed:params.Kv.seed ~buggy ~samples
+      (Printf.sprintf "kv / %s%s: %d threads x %d ops"
+         (Kv.discipline_name params.Kv.discipline)
+         (if buggy then " (buggy: seal->slot barrier removed)" else "")
+         threads params.Kv.ops_per_thread)
   in
   let run () total_ops dist csv jobs recovery model threads samples buggy =
     if recovery || buggy then

@@ -1,52 +1,35 @@
 module Pg = Persist_graph
 
-(* Longest-path DP over the dependences, depth-first from each node in
-   id order: a node's depth is one more than its deepest dependence's.
-   The walk follows [order] edges too, so a cycle through them is
-   reported as well; it needs no crash-cut order, whose reduction costs
-   O(n^2 / 63) on a deep chain.  Returns (depth, best_pred) arrays where
-   [depth.(id)] is the longest chain ending at [id] (>= 1) and
-   [best_pred.(id)] the dependence achieving it (-1 at chain roots).
-   Ties break toward the smallest dependence id, making the extracted
-   chain deterministic. *)
-let longest_paths g =
-  let n = Pg.node_count g in
-  (* 0 unvisited, -1 on the walk's stack *)
-  let depth = Array.make n 0 in
-  let best_pred = Array.make n (-1) in
-  let rec visit id =
-    if depth.(id) < 0 then invalid_arg "Graph_export: persist graph is cyclic";
-    if depth.(id) = 0 then begin
-      depth.(id) <- -1;
-      let node = Pg.get g id in
-      Iset.iter visit node.Pg.order;
-      let d, p =
-        Iset.fold
-          (fun dep (d, p) ->
-            visit dep;
-            if depth.(dep) > d then (depth.(dep), dep) else (d, p))
-          node.Pg.deps (0, -1)
-      in
-      depth.(id) <- d + 1;
-      best_pred.(id) <- p
-    end
-  in
-  for id = 0 to n - 1 do
-    visit id
-  done;
-  (depth, best_pred)
-
+(* The chain reads the recorded levels: a node's level is the length of
+   the longest dependence chain ending at it (the invariant
+   {!Persist_graph.node} states), so one pass checks that invariant and
+   finds the deepest node, and the chain steps down one level at a
+   time.  Ties break toward the smallest id: the chain ends at the
+   lowest-id node of the maximum level, and each step takes the
+   lowest-id dependence one level down.  [order] edges carry no level,
+   so the chain never reads them. *)
 let critical_chain g =
-  if Pg.node_count g = 0 then []
-  else begin
-    let depth, best_pred = longest_paths g in
-    let deepest = ref 0 in
-    Array.iteri (fun id d -> if d > depth.(!deepest) then deepest := id) depth;
-    let rec walk id acc =
-      if id < 0 then acc else walk best_pred.(id) (id :: acc)
-    in
-    walk !deepest []
-  end
+  let level id = (Pg.get g id).Pg.level in
+  let deepest = ref (-1) in
+  Pg.iter
+    (fun n ->
+      let below = Iset.fold (fun d l -> max l (level d)) n.Pg.deps 0 in
+      if n.Pg.level <> below + 1 then
+        invalid_arg
+          (Printf.sprintf
+             "Graph_export: node %d has level %d, not 1 + its deepest \
+              dependence's %d"
+             n.Pg.id n.Pg.level below);
+      if !deepest < 0 || n.Pg.level > level !deepest then deepest := n.Pg.id)
+    g;
+  let rec walk id acc =
+    let n = Pg.get g id in
+    if n.Pg.level = 1 then id :: acc
+    else
+      let step d = level d = n.Pg.level - 1 in
+      walk (Option.get (Seq.find step (Iset.to_seq n.Pg.deps))) (id :: acc)
+  in
+  if !deepest < 0 then [] else walk !deepest []
 
 let chain_set g = Iset.of_list (critical_chain g)
 
@@ -138,31 +121,33 @@ let explain ppf g =
     "critical path: %d level(s) over %d node(s); longest dependence \
      chain:@."
     len (Pg.node_count g);
-  List.iteri
-    (fun i id ->
-      let n = Pg.get g id in
-      let w = Memsim.Vec.get n.Pg.writes 0 in
-      let extra = Memsim.Vec.length n.Pg.writes - 1 in
-      let cause =
-        if i = 0 then
-          if Iset.is_empty n.Pg.deps then "chain root"
-          else "chain root (deps all shallower)"
-        else
-          let prev = List.nth chain (i - 1) in
-          let others = Iset.cardinal n.Pg.deps - 1 in
-          if others > 0 then
-            Printf.sprintf "persists after n%d (+%d other dep(s))" prev
-              others
-          else Printf.sprintf "persists after n%d" prev
-      in
-      Format.fprintf ppf
-        "  level %*d: n%d (tid %d) persists %d byte(s) at 0x%x%s — %s@."
-        (String.length (string_of_int len))
-        n.Pg.level id n.Pg.tid w.Pg.size w.Pg.addr
-        (if extra > 0 then Printf.sprintf " (+%d coalesced write(s))" extra
-         else "")
-        cause)
-    chain
+  (* the root is at level 1, so it has no dependences *)
+  ignore
+    (List.fold_left
+       (fun prev id ->
+         let n = Pg.get g id in
+         let w = Memsim.Vec.get n.Pg.writes 0 in
+         let extra = Memsim.Vec.length n.Pg.writes - 1 in
+         let cause =
+           match prev with
+           | None -> "chain root"
+           | Some prev ->
+             let others = Iset.cardinal n.Pg.deps - 1 in
+             if others > 0 then
+               Printf.sprintf "persists after n%d (+%d other dep(s))" prev
+                 others
+             else Printf.sprintf "persists after n%d" prev
+         in
+         Format.fprintf ppf
+           "  level %*d: n%d (tid %d) persists %d byte(s) at 0x%x%s — %s@."
+           (String.length (string_of_int len))
+           n.Pg.level id n.Pg.tid w.Pg.size w.Pg.addr
+           (if extra > 0 then
+              Printf.sprintf " (+%d coalesced write(s))" extra
+            else "")
+           cause;
+         Some id)
+       None chain)
 
 (* [string_of_int i] appended to [buf], digit by digit.  The digits
    come from the non-positive value, so [min_int] needs no special

@@ -7,14 +7,17 @@
 
 val critical_chain : Persist_graph.t -> int list
 (** One longest dependence chain, as node ids in dependence order
-    (each node persists after the one before it).  Its length equals
-    the graph's critical path — the engine's {!Engine.critical_path}
-    when the graph was recorded by an engine.  Ties are broken toward
-    the smallest node id at every step, so the chain is deterministic.
-    [[]] for an empty graph.
-    @raise Invalid_argument when the graph is cyclic, as a recorded
-    graph is when a write coalesces into an open persist its own
-    dependences are already ordered after (Px86 order-only edges). *)
+    (each node persists after the one before it), read from the
+    recorded levels.  Its length equals the graph's maximum level — the
+    engine's {!Engine.critical_path} when the graph was recorded by an
+    engine.  The chain ends at the lowest-id node of the maximum level
+    and each step goes to the lowest-id dependence one level down, so
+    it is deterministic.  [order] edges carry no level and are not
+    read: a graph whose [order] edges close a cycle exports along its
+    [deps].  [[]] for an empty graph.
+    @raise Invalid_argument naming the first node whose level is not
+    1 + its deepest dependence's (1 with none), the invariant
+    {!Persist_graph.node} states; only a hand-built graph breaks it. *)
 
 val to_dot : Format.formatter -> Persist_graph.t -> unit
 (** Graphviz DOT.  Nodes are annotated with level and thread id and

@@ -284,20 +284,23 @@ let verify_engine (cfg : Config.t) trace =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if Dag.has_cycle gdag then err "persist graph is cyclic"
   else begin
-    (* Levels must strictly dominate dependence levels. *)
+    (* A level is 1 + the deepest dependence's level (1 with none): the
+       longest dependence chain ending at the node. *)
     let level_violation = ref None in
     Persist_graph.iter
       (fun node ->
-        Iset.iter
-          (fun dep ->
-            let dn = Persist_graph.get graph dep in
-            if dn.Persist_graph.level >= node.Persist_graph.level then
-              level_violation :=
-                Some
-                  (Printf.sprintf "node %d (level %d) depends on node %d (level %d)"
-                     node.Persist_graph.id node.Persist_graph.level dep
-                     dn.Persist_graph.level))
-          node.Persist_graph.deps)
+        let below =
+          Iset.fold
+            (fun dep l -> max l (Persist_graph.get graph dep).Persist_graph.level)
+            node.Persist_graph.deps 0
+        in
+        if node.Persist_graph.level <> below + 1 && !level_violation = None
+        then
+          level_violation :=
+            Some
+              (Printf.sprintf
+                 "node %d has level %d, not 1 + its deepest dependence's %d"
+                 node.Persist_graph.id node.Persist_graph.level below))
       graph;
     match !level_violation with
     | Some msg -> Error msg

@@ -35,4 +35,6 @@ val critical_path : t -> int
 val verify_engine : Config.t -> Memsim.Trace.t -> (unit, string) result
 (** Re-run the engine with graph recording over [trace] and check its
     node assignment and levels against the oracle.  Also checks graph
-    acyclicity and that coalesced nodes respect every constraint. *)
+    acyclicity, that every node's level is 1 + its deepest dependence's
+    (1 with none; the invariant {!Persist_graph.node} states), and that
+    coalesced nodes respect every constraint. *)

@@ -25,6 +25,11 @@ type node = private {
   id : int;
   tid : int;  (** thread that created the persist (first write) *)
   level : int;
+      (** the length of the longest [deps] chain ending here: 1 + the
+          deepest dependence's level, 1 with none.  The engine keeps
+          this invariant ({!Oracle.verify_engine} checks it), so
+          {!Graph_export.critical_chain} reads the critical path from
+          it; [add_node] and [coalesce_into] do not check it. *)
   writes : write Memsim.Vec.t;  (** in store order *)
   mutable deps : Iset.t;  (** node ids this node persists after *)
   mutable order : Iset.t;

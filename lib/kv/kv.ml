@@ -122,20 +122,24 @@ let mix seed x =
    (deterministically), so no group ever holds more than [group_size]
    distinct keys and an in-group probe always terminates.  This models
    a well-dimensioned hash function while keeping the assignment a pure
-   function of [params] for the recovery checker. *)
-let key_groups (p : params) =
-  let counts = Array.make p.groups 0 in
-  Array.init p.key_space (fun i ->
-      let g0 = mix p.seed i mod p.groups in
+   function of the keys and the seed for the recovery checkers. *)
+let place_keys ~groups ~group_size n hash =
+  let counts = Array.make groups 0 in
+  Array.init n (fun i ->
+      let g0 = hash i mod groups in
       let rec place d =
-        let g = (g0 + d) mod p.groups in
-        if counts.(g) < p.group_size then begin
+        let g = (g0 + d) mod groups in
+        if counts.(g) < group_size then begin
           counts.(g) <- counts.(g) + 1;
           g
         end
         else place (d + 1)
       in
       place 0)
+
+let key_groups (p : params) =
+  place_keys ~groups:p.groups ~group_size:p.group_size p.key_space
+    (mix p.seed)
 
 let is_get (p : params) ~seq = p.get_every >= 2 && (seq + 1) mod p.get_every = 0
 

@@ -112,6 +112,13 @@ val mix : int -> int -> int
 (** [mix seed x]: a splitmix-style finalizer into [0 .. max_int], the
     one hash behind key draws, group placement and shard routing. *)
 
+val place_keys :
+  groups:int -> group_size:int -> int -> (int -> int) -> int array
+(** [place_keys ~groups ~group_size n hash].(i) is the group of the
+    [i]-th of [n] keys, first fit: [hash i mod groups], or the next
+    group with room, wrapping round.  No group gets more than
+    [group_size] keys; [n] must not exceed [groups * group_size]. *)
+
 val key_groups : params -> int array
 (** [key_groups p].(k - 1) is the bucket group of key [k] (keys are
     [1 .. key_space]).  Group occupancy never exceeds [group_size], so

@@ -74,31 +74,6 @@ let rec_check ~pos ~slot_index ~old_key ~old_value ~old_sum ~new_value =
   in
   Int64.logor h 1L
 
-(* First-fit group placement over the shard's key set, mirroring
-   [Kv.key_groups] but for an arbitrary key list.  The table is sized
-   for <= 50% load, so placement always terminates and an in-group
-   probe always finds an empty slot. *)
-let place_keys ~seed ~group_size keys =
-  let nkeys = Array.length keys in
-  let groups = max 1 (((2 * nkeys) + group_size - 1) / group_size) in
-  let counts = Array.make groups 0 in
-  let kgroups =
-    Array.map
-      (fun key ->
-        let g0 = Kv.mix seed key mod groups in
-        let rec go d =
-          let g = (g0 + d) mod groups in
-          if counts.(g) < group_size then begin
-            counts.(g) <- counts.(g) + 1;
-            g
-          end
-          else go (d + 1)
-        in
-        go 0)
-      keys
-  in
-  (groups, kgroups)
-
 let create ?(policy = M.Round_robin) ?(group_size = 8) ?(seed = 42)
     ~discipline ~keys ~log_capacity ~sink () =
   let keys = Array.of_list keys in
@@ -112,7 +87,13 @@ let create ?(policy = M.Round_robin) ?(group_size = 8) ?(seed = 42)
     keys;
   if group_size < 2 then invalid_arg "Kv_group: group_size must be >= 2";
   let log_capacity = max 1 log_capacity in
-  let groups, kgroups = place_keys ~seed ~group_size keys in
+  (* first-fit placement of the shard's keys, each hashed itself, in a
+     table sized for <= 50% load, so an in-group probe always finds an
+     empty slot *)
+  let groups = max 1 (((2 * n) + group_size - 1) / group_size) in
+  let kgroups =
+    Kv.place_keys ~groups ~group_size n (fun i -> Kv.mix seed keys.(i))
+  in
   let table_bytes = groups * group_size * slot_bytes in
   let log_bytes = log_capacity * grec_bytes in
   let memory =
@@ -152,7 +133,6 @@ let create ?(policy = M.Round_robin) ?(group_size = 8) ?(seed = 42)
 
 let machine t = t.machine
 let layout t = t.layout
-let committed t = t.committed
 let probes t = t.probes
 let batches t = List.rev t.batches_rev
 

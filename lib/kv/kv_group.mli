@@ -84,9 +84,6 @@ val run_batches : t -> (put list * int list) list -> unit
 (** Convenience driver: one spawned thread executing each
     [(puts, gets)] batch in order, then [Machine.run]. *)
 
-val committed : t -> int
-(** Put-batches committed so far (the marker's in-memory value). *)
-
 val batches : t -> put list list
 (** The committed put-batches, in commit order — the ground truth the
     recovery checker replays. *)

@@ -26,9 +26,6 @@ let create ?(persistent_capacity = 1 lsl 20) ?(volatile_capacity = 1 lsl 20)
   { persistent = make_region ~base:0 ~capacity:persistent_capacity;
     volatile = make_region ~base:Addr.volatile_base ~capacity:volatile_capacity }
 
-let persistent_capacity t = Bytes.length t.persistent.data
-let volatile_capacity t = Bytes.length t.volatile.data
-
 let region t addr =
   match Addr.space_of addr with
   | Addr.Persistent -> t.persistent

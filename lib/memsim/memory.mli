@@ -16,9 +16,6 @@ val create :
   ?persistent_capacity:int -> ?volatile_capacity:int -> unit -> t
 (** Capacities in bytes; defaults are 1 MiB each. *)
 
-val persistent_capacity : t -> int
-val volatile_capacity : t -> int
-
 val load : t -> addr:int -> size:int -> int64
 (** @raise Invalid_argument on bad size, misalignment, or out-of-bounds. *)
 

@@ -1173,13 +1173,16 @@ let test_graph_dag_tracks_edits () =
   checkb "ancestors" true
     (P.Iset.equal (P.Iset.of_list [ a; b ]) (P.Dag.ancestors (Pg.dag g) c))
 
-(* The critical chain follows a dependence on a later node, and a cycle
-   through an order-only edge is refused. *)
+(* The critical chain steps to a dependence created after its
+   dependent, and it follows [deps] only: a cycle closed by an
+   order-only edge exports, its order edge drawn dashed. *)
 let test_critical_chain_edges () =
   let module Pg = P.Persist_graph in
   let write = { Pg.addr = 8; size = 8; value = 1L } in
   let g = Pg.create () in
-  let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
+  (* [a] gets its level-2 dependence [c] by coalescing, after [c] is
+     created *)
+  let a = Pg.add_node g ~tid:0 ~level:3 ~deps:P.Iset.empty write in
   let b = Pg.add_node g ~tid:1 ~level:1 ~deps:P.Iset.empty write in
   let c = Pg.add_node g ~tid:1 ~level:2 ~deps:(P.Iset.singleton b) write in
   Pg.coalesce_into g a ~deps:(P.Iset.singleton c) write;
@@ -1189,9 +1192,144 @@ let test_critical_chain_edges () =
   let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
   let b = Pg.add_node g ~tid:1 ~level:2 ~deps:(P.Iset.singleton a) write in
   Pg.coalesce_into g a ~deps:P.Iset.empty ~order:(P.Iset.singleton b) write;
-  Alcotest.match_raises "cycle through an order edge"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (P.Graph_export.critical_chain g))
+  checkb "order edges close a cycle" true (P.Dag.has_cycle (Pg.dag g));
+  Alcotest.(check (list int))
+    "chain over deps" [ a; b ] (P.Graph_export.critical_chain g);
+  let dot = Format.asprintf "%a" P.Graph_export.to_dot g in
+  List.iter
+    (fun edge ->
+      checkb edge true
+        (List.mem edge (String.split_on_char '\n' dot)))
+    [ "  n0 -> n1 [color=red, penwidth=2.0];";
+      "  n1 -> n0 [style=dashed];" ]
+
+(* A level that is not 1 + the deepest dependence's is refused, by
+   name, too deep or too shallow. *)
+let test_critical_chain_level_check () =
+  let module Pg = P.Persist_graph in
+  let write = { Pg.addr = 8; size = 8; value = 1L } in
+  let refused msg build =
+    let g = Pg.create () in
+    build g;
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (P.Graph_export.critical_chain g))
+  in
+  refused
+    "Graph_export: node 1 has level 3, not 1 + its deepest dependence's 1"
+    (fun g ->
+      let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
+      ignore (Pg.add_node g ~tid:0 ~level:3 ~deps:(P.Iset.singleton a) write));
+  refused
+    "Graph_export: node 0 has level 1, not 1 + its deepest dependence's 2"
+    (fun g ->
+      let a = Pg.add_node g ~tid:0 ~level:1 ~deps:P.Iset.empty write in
+      let b = Pg.add_node g ~tid:1 ~level:1 ~deps:P.Iset.empty write in
+      let c = Pg.add_node g ~tid:1 ~level:2 ~deps:(P.Iset.singleton b) write in
+      Pg.coalesce_into g a ~deps:(P.Iset.singleton c) write)
+
+(* The longest-path walk the chain was computed by before it read
+   levels, verbatim: the reference [critical_chain] must match on every
+   graph the walk accepts. *)
+let reference_chain g =
+  let module Pg = P.Persist_graph in
+  let module Iset = P.Iset in
+  let longest_paths g =
+    let n = Pg.node_count g in
+    (* 0 unvisited, -1 on the walk's stack *)
+    let depth = Array.make n 0 in
+    let best_pred = Array.make n (-1) in
+    let rec visit id =
+      if depth.(id) < 0 then invalid_arg "Graph_export: persist graph is cyclic";
+      if depth.(id) = 0 then begin
+        depth.(id) <- -1;
+        let node = Pg.get g id in
+        Iset.iter visit node.Pg.order;
+        let d, p =
+          Iset.fold
+            (fun dep (d, p) ->
+              visit dep;
+              if depth.(dep) > d then (depth.(dep), dep) else (d, p))
+            node.Pg.deps (0, -1)
+        in
+        depth.(id) <- d + 1;
+        best_pred.(id) <- p
+      end
+    in
+    for id = 0 to n - 1 do
+      visit id
+    done;
+    (depth, best_pred)
+  in
+  if Pg.node_count g = 0 then []
+  else begin
+    let depth, best_pred = longest_paths g in
+    let deepest = ref 0 in
+    Array.iteri (fun id d -> if d > depth.(!deepest) then deepest := id) depth;
+    let rec walk id acc =
+      if id < 0 then acc else walk best_pred.(id) (id :: acc)
+    in
+    walk !deepest []
+  end
+
+(* Engine-recorded graphs of every family, clean and with its barrier
+   dropped, at 1 and 4 threads, under every machine, Px86 mode, Table 1
+   model point and engine ablation: each level is 1 + the deepest
+   dependence's, and the chain equals the reference walk's wherever the
+   walk accepts the graph.  Some graphs close a cycle through order
+   edges, which the walk refuses; they export too. *)
+let test_critical_chain_survey () =
+  let module D = Check.Driver in
+  let module Pg = P.Persist_graph in
+  let module M = Memsim.Machine in
+  let configs (p : Experiments.Run.model_point) px86 =
+    let make = P.Config.make ~px86 in
+    [ make p.mode;
+      make ~coalescing:false p.mode;
+      make ~tso_conflicts:true p.mode;
+      make ~persistent_only_conflicts:true p.mode;
+      make ~track_gran:64 ~persist_gran:64 p.mode ]
+    @
+    if p.mode = P.Config.Strict then
+      [ make ~consistency:P.Config.Tso p.mode;
+        make ~consistency:P.Config.Rmo p.mode ]
+    else []
+  in
+  let graphs = ref 0 and walk_refused = ref 0 in
+  let survey g =
+    incr graphs;
+    let level id = (Pg.get g id).Pg.level in
+    Pg.iter
+      (fun n ->
+        let below = P.Iset.fold (fun d l -> max l (level d)) n.Pg.deps 0 in
+        if n.Pg.level <> below + 1 then
+          Alcotest.failf "node %d: level %d over a deepest dependence at %d"
+            n.Pg.id n.Pg.level below)
+      g;
+    let chain = P.Graph_export.critical_chain g in
+    match reference_chain g with
+    | reference ->
+      if chain <> reference then
+        Alcotest.failf "graph %d: the chain differs from the walk's" !graphs
+    | exception Invalid_argument _ -> incr walk_refused
+  in
+  let px86s (machine : M.mconfig) =
+    P.Config.Px86_sync
+    :: (if machine.persistence = M.Pbuffered then [ P.Config.Px86_buffered ]
+        else [])
+  in
+  let each xs f = List.iter f xs in
+  each D.families (fun (D.Family f) ->
+  each M.all_configs (fun machine ->
+  each Experiments.Run.table1_models (fun p ->
+  each [ f.clean p.mode p.annotation; f.drop ] (fun variant ->
+  (* (threads, policy seed) *)
+  each [ (1, 0); (4, 0); (4, 1) ] (fun (threads, seed) ->
+  let params = f.params ~threads ~depth:4 ~seed:1 machine variant in
+  each (px86s machine) (fun px86 ->
+  each (configs p px86) (fun cfg ->
+  survey (D.instance f params cfg (M.Random seed)).graph)))))));
+  checki "graphs" 1584 !graphs;
+  checkb "some graph closes an order cycle" true (!walk_refused > 0)
 
 (* [Graph_export.fingerprint] against a [Printf] rendering of the same
    canonical form: nodes renumbered by (tid, creation order), then per
@@ -1574,6 +1712,10 @@ let () =
             test_graph_dag_tracks_edits;
           Alcotest.test_case "critical chain edges" `Quick
             test_critical_chain_edges;
+          Alcotest.test_case "critical chain level check" `Quick
+            test_critical_chain_level_check;
+          Alcotest.test_case "critical chain survey" `Quick
+            test_critical_chain_survey;
           QCheck_alcotest.to_alcotest reduce_property;
           QCheck_alcotest.to_alcotest fingerprint_reference_property ] );
       ( "observer",
