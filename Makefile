@@ -111,10 +111,13 @@ smoke: build
 	dune exec bin/persistsim.exe -- recovery --buggy | grep -q "RECOVERY VIOLATION"
 
 # Served KV smoke: a small sweep (the amortization table), group-commit
-# recovery injection, and the buggy batcher must be caught.
+# recovery injection under each model (only strand issues the
+# pre-record barrier), and the buggy batcher must be caught.
 serve: build
 	dune exec bin/persistsim.exe -- serve --requests 768 --rate 64 --keys 96 --shards 1,2 --batch 1,8,32 > /dev/null
-	dune exec bin/persistsim.exe -- serve --recovery --shards 2 --batch 3 --requests 24 --keys 16 --rate 1000 > /dev/null
+	for m in strict epoch strand; do \
+	  dune exec bin/persistsim.exe -- serve --recovery --model $$m --shards 2 --batch 3 --requests 24 --keys 16 --rate 1000 > /dev/null || exit 1; \
+	done
 	dune exec bin/persistsim.exe -- serve --recovery --buggy --shards 1 --batch 3 --requests 24 --keys 16 --rate 1000 | grep -q "RECOVERY VIOLATION"
 
 # DPOR exploration smoke: the queue sweep against the brute-force

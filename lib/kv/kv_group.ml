@@ -141,13 +141,16 @@ let group_of t key =
   | Some g -> g
   | None -> invalid_arg "Kv_group: key not in this shard's key set"
 
-(* Linear probe inside the key's bucket group, like [Kv.probe], plus a
-   claims table for slots taken by earlier puts of the {e same} batch:
+(* Linear probe inside the key's bucket group, like [Kv.probe], plus
+   [claimed], the slots taken by earlier puts of the {e same} batch:
    slot writes are deferred until after the record barrier, so the
-   machine image alone cannot show in-batch insertions.  Key-word loads
-   are real machine events — the conflict levels they acquire are what
-   the strand pre-record barrier in [exec_batch] commits. *)
-let probe t claims key =
+   machine image alone cannot show in-batch insertions.  Returns the
+   slot, its index, the probe length and the slot's key word as this
+   batch sees it (loaded, or [key] for a slot claimed in the batch).
+   Key-word loads are real machine events — the conflict levels they
+   acquire are what the strand pre-record barrier in [exec_batch]
+   commits. *)
+let probe t claimed key =
   let key64 = Int64.of_int key in
   let g = group_of t key in
   let base = t.layout.table_addr + (g * t.layout.group_size * slot_bytes) in
@@ -155,15 +158,14 @@ let probe t claims key =
     if i >= t.layout.group_size then assert false
     else begin
       let slot_index = (g * t.layout.group_size) + i in
-      match Hashtbl.find_opt claims slot_index with
+      let slot = base + (i * slot_bytes) in
+      match claimed slot_index with
       | Some k when k <> key -> go (i + 1)
-      | Some _ ->
-        let slot = base + (i * slot_bytes) in
-        (slot, slot_index, i + 1)
+      | Some _ -> (slot, slot_index, i + 1, key64)
       | None ->
-        let slot = base + (i * slot_bytes) in
         let k = M.load slot in
-        if Int64.equal k 0L || Int64.equal k key64 then (slot, slot_index, i + 1)
+        if Int64.equal k 0L || Int64.equal k key64 then
+          (slot, slot_index, i + 1, k)
         else go (i + 1)
     end
   in
@@ -193,10 +195,9 @@ let exec_batch t ~puts ~gets =
   List.iter
     (fun key ->
       M.label "get";
-      let claims = Hashtbl.create 1 in
-      let slot, _, plen = probe t claims key in
+      let slot, _, plen, found = probe t (fun _ -> None) key in
       observe_probe t plen;
-      if not (Int64.equal (M.load slot) 0L) then ignore (M.load (slot + 8));
+      if not (Int64.equal found 0L) then ignore (M.load (slot + 8));
       Om.incr m_gets)
     gets;
   if puts <> [] then begin
@@ -211,9 +212,13 @@ let exec_batch t ~puts ~gets =
     let plan =
       List.map
         (fun { key; value } ->
-          let slot, slot_index, plen = probe t claims key in
+          let slot, slot_index, plen, _ =
+            probe t (Hashtbl.find_opt claims) key
+          in
           Hashtbl.replace claims slot_index key;
           observe_probe t plen;
+          (* the pre-batch key word: a slot claimed earlier in this
+             batch was not loaded by the probe *)
           let old_key = M.load slot in
           let old_value = M.load (slot + 8) in
           let old_sum = M.load (slot + 16) in

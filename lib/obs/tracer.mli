@@ -4,8 +4,8 @@
     process-wide buffer and writes them as Chrome trace-event JSON,
     loadable in Perfetto or [chrome://tracing].  The [tid] of every
     event is the recording OCaml domain's id, so spans recorded inside
-    pool workers lay the sweep out as a per-domain timeline — work
-    stealing is directly visible.
+    pool workers lay the sweep out as a per-domain timeline — which
+    domain took which cell is directly visible.
 
     Disabled (the default), {!begin_span}/{!end_span}/{!with_span} are
     a boolean load and a branch; call sites that would build a span

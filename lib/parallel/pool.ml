@@ -18,7 +18,6 @@ module M = Obs.Metrics
 
 let m_sweeps = M.counter M.default "pool.sweeps"
 let m_cells = M.counter M.default "pool.cells"
-let m_steals = M.counter M.default "pool.steals"
 let m_domains = M.gauge_max M.default "pool.domains"
 
 let m_cell_seconds =
@@ -42,7 +41,16 @@ type 'b slot =
 
 let now () = Unix.gettimeofday ()
 
-let run_cell f cell =
+(* Runs one cell under a GC-accounted tracing span named after it (a
+   plain call when metrics and tracing are both off).  The span is
+   emitted from the executing domain, so its tid in the trace is the
+   domain that ran the cell; Perfscope attaches the cell's allocation
+   delta to the closing event and feeds the gc.* counters. *)
+let run_cell ~label ~index f cell =
+  Obs.Perfscope.with_span ~cat:"cell"
+    ~args:[ ("index", string_of_int index) ]
+    (label index cell)
+  @@ fun () ->
   let t0 = now () in
   let outcome =
     match f cell with
@@ -55,46 +63,6 @@ let run_cell f cell =
   M.incr m_cells;
   M.observe m_cell_seconds dt;
   (outcome, dt)
-
-(* Runs [run_cell] under a GC-accounted tracing span named after the
-   cell.  The span is emitted from the executing domain, so its tid in
-   the trace is the domain that owned the cell; Perfscope attaches the
-   cell's allocation delta to the closing event and feeds the gc.*
-   counters. *)
-let run_cell_traced ~label ~index f cell =
-  if Obs.Perfscope.enabled () || Obs.Tracer.enabled () then
-    Obs.Perfscope.with_span ~cat:"cell"
-      ~args:[ ("index", string_of_int index) ]
-      (label index cell)
-      (fun () -> run_cell f cell)
-  else run_cell f cell
-
-(* Per-worker deque of cell indices.  The owner pops from the front
-   (keeping its share in input order, the cache-friendly direction);
-   thieves steal from the back.  Cells are coarse — whole
-   trace-and-analyze pipelines — so a mutex per deque is plenty. *)
-type deque = {
-  items : int array;
-  mutable lo : int;
-  mutable hi : int;  (* live range: items.(lo .. hi - 1) *)
-  mu : Mutex.t;
-}
-
-let pop_front d =
-  Mutex.lock d.mu;
-  let r = if d.lo < d.hi then (let i = d.items.(d.lo) in d.lo <- d.lo + 1; Some i)
-          else None
-  in
-  Mutex.unlock d.mu;
-  r
-
-let steal_back d =
-  Mutex.lock d.mu;
-  let r = if d.lo < d.hi then (d.hi <- d.hi - 1; Some d.items.(d.hi))
-          else None
-  in
-  Mutex.unlock d.mu;
-  r
 
 let collect ~label cells slots =
   let n = Array.length slots in
@@ -134,59 +102,25 @@ let map_cells_profiled ?domains ?(label = fun i _ -> Printf.sprintf "cell %d" i)
       (Printf.sprintf "sweep (%d cells, %d domains)" n workers)
   in
   let t0 = now () in
-  if workers <= 1 then
-    (* Sequential fallback: no domain is spawned, cells run in input
-       order in the calling domain. *)
-    Array.iteri
-      (fun i cell ->
-        let outcome, dt = run_cell_traced ~label ~index:i f cell in
-        slots.(i) <- outcome;
-        times.(i) <- dt;
-        Obs.Perfscope.progress_step prog)
-      cells
-  else begin
-    let deques =
-      Array.init workers (fun w ->
-          (* worker w owns cells w, w + workers, w + 2*workers, ... *)
-          let mine = ref [] in
-          for i = n - 1 downto 0 do
-            if i mod workers = w then mine := i :: !mine
-          done;
-          let items = Array.of_list !mine in
-          { items; lo = 0; hi = Array.length items; mu = Mutex.create () })
-    in
-    let work w =
-      let rec next () =
-        match pop_front deques.(w) with
-        | Some i -> Some i
-        | None ->
-          (* own deque drained: steal, scanning victims round-robin *)
-          let rec scan k =
-            if k = workers then None
-            else
-              match steal_back deques.((w + k) mod workers) with
-              | Some i -> M.incr m_steals; Some i
-              | None -> scan (k + 1)
-          in
-          scan 1
-      and loop () =
-        match next () with
-        | None -> ()
-        | Some i ->
-          let outcome, dt = run_cell_traced ~label ~index:i f cells.(i) in
-          slots.(i) <- outcome;
-          times.(i) <- dt;
-          Obs.Perfscope.progress_step prog;
-          loop ()
-      in
-      loop ()
-    in
-    let spawned =
-      Array.init (workers - 1) (fun k -> Domain.spawn (fun () -> work (k + 1)))
-    in
-    work 0;
-    Array.iter Domain.join spawned
-  end;
+  (* Self-scheduling: every worker takes the next unclaimed cell from
+     one shared cursor until the cursor passes [n].  Cells are coarse
+     (a whole machine run each), so one atomic per cell is the whole
+     scheduler; with one worker the calling domain runs the cells in
+     input order. *)
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let outcome, dt = run_cell ~label ~index:i f cells.(i) in
+      slots.(i) <- outcome;
+      times.(i) <- dt;
+      Obs.Perfscope.progress_step prog;
+      work ()
+    end
+  in
+  let spawned = List.init (workers - 1) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join spawned;
   let wall_seconds = now () -. t0 in
   Obs.Perfscope.progress_finish prog;
   Obs.Perfscope.throughput m_cells_rate ~items:n ~seconds:wall_seconds;

@@ -1,4 +1,4 @@
-(** Fixed-size work-stealing domain pool for experiment sweeps.
+(** Fixed-size domain pool for experiment sweeps.
 
     Every experiment driver enumerates a configuration sweep as a list
     of independent cells — each cell builds its own machine and engine,
@@ -7,11 +7,11 @@
     a parallel sweep is observationally identical to the sequential
     one: per-cell outputs are byte-identical, only wall-clock changes.
 
-    Scheduling: cells are dealt round-robin onto per-worker deques;
-    each worker drains its own deque front-to-back and, when empty,
-    steals from the back of a victim's deque.  With [domains <= 1] (or
-    at most one cell) no domain is spawned at all and the cells run
-    sequentially in the calling domain, in order.
+    Scheduling: the calling domain and [domains - 1] spawned ones each
+    take the next unclaimed cell from one shared atomic cursor until it
+    passes the last cell.  With [domains <= 1] (or at most one cell) no
+    domain is spawned and the calling domain runs the cells in input
+    order.
 
     Failure: a raising cell does not abort the sweep; the remaining
     cells still execute, and after the join the exception of the
@@ -32,7 +32,7 @@ val default_domains : unit -> int
 (** Wall-clock accounting of one sweep, for the "sweep profile"
     footer.  [cells] is in input order. *)
 type profile = {
-  domains : int;  (** worker domains actually used (1 = sequential) *)
+  domains : int;  (** worker domains actually used (1 = the caller alone) *)
   wall_seconds : float;  (** whole-sweep wall clock *)
   cells : (string * float) list;  (** (label, cell wall-clock seconds) *)
 }

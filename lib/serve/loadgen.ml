@@ -62,17 +62,10 @@ let validate (p : params) =
       invalid_arg
         "Loadgen: burst needs 0 < width <= period and factor >= 1"
 
-(* splitmix-style finalizer (the Kv/Keygen construction). *)
-let mix seed x =
-  let h = ((x + 1) * 0x9E3779B97F4A7C1) + ((seed + 1) * 0x3F58476D1CE4E5B9) in
-  let h = h lxor (h lsr 31) in
-  let h = h * 0x14D049BB133111EB in
-  (h lxor (h lsr 29)) land max_int
-
 (* Jitter in [0.5, 1.5): mean 1, so the long-run arrival rate is
    [rate] while consecutive gaps still vary. *)
 let jitter seed i =
-  0.5 +. (float_of_int (mix seed i) /. (float_of_int max_int +. 1.))
+  0.5 +. (float_of_int (Kv.mix seed i) /. (float_of_int max_int +. 1.))
 
 let in_burst (b : burst) t = Float.rem t b.period < b.width
 
@@ -87,9 +80,9 @@ let generate (p : params) =
         | _ -> p.rate
       in
       t := !t +. (jitter p.seed (3 * rid) /. eff_rate);
-      let read = mix p.seed ((3 * rid) + 1) mod 100 < p.read_pct in
+      let read = Kv.mix p.seed ((3 * rid) + 1) mod 100 < p.read_pct in
       let key = Workloads.Keygen.key_at kg rid in
-      let client = mix p.seed ((3 * rid) + 2) mod p.clients in
+      let client = Kv.mix p.seed ((3 * rid) + 2) mod p.clients in
       let op =
         if read then Get key else Put { key; value = Int64.of_int (rid + 1) }
       in

@@ -12,7 +12,8 @@ let test_order_preserved () =
   Alcotest.(check (list int)) "sequential order" expected seq;
   Alcotest.(check (list int)) "parallel order" expected par
 
-(* Uneven per-cell cost provokes stealing; order must still hold. *)
+(* Uneven per-cell cost lets one domain run several cheap cells while
+   another runs one dear one; order must still hold. *)
 let test_order_uneven_cost () =
   let cells = List.init 24 Fun.id in
   let work i =
@@ -25,7 +26,7 @@ let test_order_uneven_cost () =
   in
   let seq = Pool.map_cells ~domains:1 work cells in
   let par = Pool.map_cells ~domains:4 work cells in
-  Alcotest.(check (list (pair int int))) "stolen cells keep order" seq par
+  Alcotest.(check (list (pair int int))) "uneven cells keep order" seq par
 
 (* Every sweep renders byte-identically no matter the domain count, with
    one pool cell per workload setting: a cell is one machine run,
@@ -97,7 +98,52 @@ let sweeps =
       fun jobs ->
         let t = Experiments.Kv_exp.run ~jobs ~total_ops:64 () in
         ( Experiments.Kv_exp.render t ^ Experiments.Kv_exp.to_csv t,
-          cells t.Experiments.Kv_exp.profile ) ) ]
+          cells t.Experiments.Kv_exp.profile ) );
+    ( "validate",
+      6,
+      fun jobs ->
+        let t = Experiments.Validation.run ~jobs ~total_inserts:200 () in
+        ( Experiments.Validation.render t,
+          cells t.Experiments.Validation.profile ) );
+    ( "machine",
+      6,
+      fun jobs ->
+        let t = Experiments.Machine_exp.run ~jobs ~total_inserts:64 () in
+        ( Experiments.Machine_exp.render t,
+          cells t.Experiments.Machine_exp.profile ) );
+    ( "serve",
+      18,
+      fun jobs ->
+        let t =
+          Experiments.Serve_exp.run ~jobs ~requests:96 ~rate:64. ~key_space:32
+            ~shards_list:[ 1; 2 ] ~batches:[ 1; 8; 32 ] ()
+        in
+        ( Experiments.Serve_exp.render t ^ Experiments.Serve_exp.to_csv t,
+          cells t.Experiments.Serve_exp.profile ) );
+    ( "lockfree",
+      18,
+      fun jobs ->
+        let t = Experiments.Lockfree_exp.run ~jobs ~inserts:16 () in
+        ( Experiments.Lockfree_exp.render t ^ Experiments.Lockfree_exp.to_csv t,
+          cells t.Experiments.Lockfree_exp.profile ) ) ]
+
+(* One domain is the calling domain running the cells in input order:
+   nothing is spawned and nothing is reordered. *)
+let test_one_domain_in_order () =
+  let self = Domain.self () in
+  let calls = ref [] in
+  let f i =
+    calls := (i, Domain.self () = self) :: !calls;
+    i
+  in
+  let cells = List.init 9 Fun.id in
+  let results, profile = Pool.map_cells_profiled ~domains:1 f cells in
+  Alcotest.(check (list int)) "results" cells results;
+  Alcotest.(check (list (pair int bool)))
+    "called in input order on the calling domain"
+    (List.map (fun i -> (i, true)) cells)
+    (List.rev !calls);
+  Alcotest.(check int) "one domain" 1 profile.Pool.domains
 
 let test_jobs_identical (_, traces, run) () =
   let out1, cells1 = run 1 and out4, cells4 = run 4 in
@@ -197,7 +243,7 @@ let () =
   Alcotest.run "parallel"
     [ ( "pool",
         [ Alcotest.test_case "order preserved" `Quick test_order_preserved;
-          Alcotest.test_case "order under stealing" `Quick
+          Alcotest.test_case "order under uneven cost" `Quick
             test_order_uneven_cost ]
         @ List.map
             (fun ((name, _, _) as sweep) ->
@@ -215,4 +261,6 @@ let () =
             Alcotest.test_case "default domain count" `Quick
               test_default_domains;
             Alcotest.test_case "graph recording across domains" `Quick
-              test_graph_recording_domain_safe ] ) ]
+              test_graph_recording_domain_safe;
+            Alcotest.test_case "one domain runs in input order" `Quick
+              test_one_domain_in_order ] ) ]
